@@ -59,14 +59,13 @@ from .immersions import (
     basis_loops,
     chart_transition_winding,
     classify,
-    lift_derivative,
     same_component,
     seed_disc,
     seed_disc_family,
     verify_immersion,
 )
 from .poly import ComplexPolynomial, roots
-from .rational import PoleSet, RationalMap, residue
+from .rational import Factored, PoleSet, RationalMap, residue
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
 
 __version__ = "0.1.0"
@@ -79,6 +78,7 @@ __all__ = [
     "Contour",
     "DegreeBudgetError",
     "Disc",
+    "Factored",
     "FormalSeed",
     "GridResolutionError",
     "HomotopyClass",
@@ -118,7 +118,6 @@ __all__ = [
     "fix_on_Q",
     "integrate",
     "is_inf",
-    "lift_derivative",
     "poly_approx_on_disc",
     "residue",
     "residue_targets",

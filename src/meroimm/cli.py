@@ -106,7 +106,8 @@ def _run_wind(data: dict, cfg: RunConfig) -> dict:
     f = rational_from_json(_need(data, "map"))
     gamma = contour_from_json(_need(data, "contour"))
     if data.get("of") == "derivative":
-        f = f.derivative(root_tol=cfg.tol_root)
+        # the factored derivative knows its poles; its denominator is not solved
+        return {"winding": f.factor(root_tol=cfg.tol_root).derivative().winding(gamma)}
     return {"winding": winding_number(f, gamma)}
 
 

@@ -2,8 +2,9 @@
 
 Contours are piecewise-linear paths through the stored samples; circles are
 built analytically from uniform angular samples so that closure is exact.
-Winding numbers come from continuous-argument tracking with adaptive
-bisection until every argument step is below pi/2; zero/pole counts come
+Winding numbers of rational maps are read from their factored zeros and
+poles; other functions are tracked by continuous argument with adaptive
+bisection until every argument step is below pi/2.  Zero/pole counts come
 independently from the argument-principle integral, taken by a trapezoid
 rule that doubles its nodes until the count settles at an integer.
 """
@@ -31,7 +32,7 @@ from .errors import (
     RefinementBudgetError,
     ZeroOnContourError,
 )
-from .rational import RationalMap
+from .rational import Factored, RationalMap
 
 
 @dataclass(frozen=True)
@@ -139,13 +140,12 @@ class Contour:
     def distance_to(self, z: complex) -> float:
         """Distance from z to the polyline."""
         z = complex(z)
-        best = math.inf
-        for a, b in zip(self.samples, self.samples[1:]):
-            d = b - a
-            t = ((z - a).real * d.real + (z - a).imag * d.imag) / (abs(d) ** 2)
-            t = min(1.0, max(0.0, t))
-            best = min(best, abs(z - (a + t * d)))
-        return best
+        zs = np.array(self.samples, dtype=complex)
+        a, d = zs[:-1], np.diff(zs)
+        # np.hypot rounds as abs() on a Python complex does; np.abs may not
+        t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
+        w = z - (a + np.clip(t, 0.0, 1.0) * d)
+        return float(np.min(np.hypot(w.real, w.imag)))
 
 
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -273,12 +273,18 @@ def winding_number(
 ) -> int:
     """Total argument change of f along a closed contour, divided by 2 pi.
 
-    Adaptive bisection inserts midpoints until every argument step is below
-    pi/2, so the branch tracking is unambiguous and the result is an exact
-    integer.  |f| must stay above ``min_modulus`` on the samples.
+    A RationalMap is factored and its winding read from its zeros and poles
+    (:meth:`Factored.winding`), which is exact and refuses a zero or pole
+    within the contour's clearance.  Any other f is tracked from samples:
+    adaptive bisection inserts midpoints until every argument step is below
+    pi/2, and |f| must stay above ``min_modulus`` on the samples.  The step
+    rule cannot see a full turn between two samples, so sampled tracking is
+    only as good as the sampling of f.
     """
     if not contour.closed:
         raise InputError("winding numbers need a closed contour")
+    if isinstance(f, RationalMap):
+        return f.factor().winding(contour)
     fz = _vectorized(f)
     zs = np.array(contour.samples, dtype=complex)
     vals = fz(zs)
@@ -317,7 +323,7 @@ def winding_number(
 
 
 def argument_principle_count(
-    f: RationalMap,
+    f: RationalMap | Factored,
     contour: Contour,
     *,
     clearance: float | None = None,
@@ -325,7 +331,9 @@ def argument_principle_count(
     """(1/2 pi i) times the contour integral of f'/f, settled at an integer.
 
     Counts zeros minus poles enclosed, with multiplicity.  Zeros and poles of
-    f must stay off the contour by the geometric clearance.
+    f must stay off the contour by the geometric clearance.  A Factored map
+    brings its zeros and poles along and nothing is solved; a RationalMap is
+    factored once on entry.
 
     The integral is taken by the composite trapezoid rule on the chords of
     the contour.  The first rule uses the samples as nodes; each further rule
@@ -350,11 +358,8 @@ def argument_principle_count(
         raise InputError("argument principle needs a closed contour")
     if clearance is None:
         clearance = contour.clearance()
-    red = f.reduced()
-    singular = []
-    if red.num.degree >= 1:
-        singular += [a for a, _ in red.zero_set()]
-    singular += list(red.pole_set().locations)
+    F = f if isinstance(f, Factored) else f.factor()
+    singular = [a for a, _ in F.zeros] + list(F.poles.locations)
     reach = math.inf
     for s in singular:
         reach = min(reach, contour.distance_to(s))
@@ -362,7 +367,7 @@ def argument_principle_count(
             raise PathTooCloseError(
                 f"zero or pole at {s} within clearance of the contour"
             )
-    n, d = red.num, red.den
+    n, d = F.map.num, F.map.den
     dn, dd = n.derivative(), d.derivative()
 
     def logderiv(z: np.ndarray) -> np.ndarray:

@@ -41,9 +41,9 @@ from .errors import (
     PreconditionError,
 )
 from .grids import ParamGrid
-from .immersions import ImmersionCertificate, verify_immersion
+from .immersions import ImmersionCertificate, _certify, verify_immersion
 from .poly import ComplexPolynomial, roots
-from .rational import PoleSet, RationalMap
+from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
 
 
@@ -455,24 +455,25 @@ class IntegralImmersion:
 # -- the extension pipeline ---------------------------------------------------
 
 
-def _pipeline_data(f: RationalMap, d1: Disc, *, root_tol: float):
-    """Pole set in the big disc, cleared derivative h, and its log-derivative."""
-    all_poles = f.pole_set(root_tol=root_tol)
-    inside = all_poles.filter(lambda a: abs(a - d1.center) <= d1.radius)
+def _pipeline_data(F: Factored, fp: Factored, d1: Disc):
+    """Pole set in the big disc, cleared derivative h, and its log-derivative,
+    from the factored map and derivative."""
+    def in_big(a):
+        return abs(a - d1.center) <= d1.radius
+
+    inside = F.poles.filter(in_big)
     if any(m != 1 for _, m in inside):
         raise PreconditionError(
             "extension requires simple, pairwise distinct poles in the big disc"
         )
-    theta = ComplexPolynomial.from_roots([a for a, _ in inside for _ in range(2)])
-    fp = f.derivative(root_tol=root_tol)
-    h = (fp * theta).reduced(root_tol=root_tol)
+    h = fp.cleared(in_big).map
     # logarithmic derivative of h as an (unreduced) rational map: the
     # denominator's roots are exactly the zeros and poles of h
     eta = RationalMap(
         h.num.derivative() * h.den - h.num * h.den.derivative(),
         h.num * h.den,
     )
-    return inside, theta, h, eta
+    return inside, h, eta
 
 
 def _choose_base_point(d0: Disc, poles: PoleSet) -> complex:
@@ -518,12 +519,14 @@ def extend_immersion(
         raise InputError("eps must be positive")
     if not d1.contains_disc(d0, margin=1e-12):
         raise PreconditionError("the small disc must lie inside the big disc")
-    cert = verify_immersion(f, approx_disc or d0, "CP1", root_tol=root_tol)
+    cert, F, fp = _certify(
+        f, approx_disc or d0, "CP1", root_tol=root_tol, boundary_samples=256
+    )
     if not cert.valid:
         raise NotAnImmersionError(
             "the map does not immerse the small disc into the sphere"
         )
-    poles, theta, h, eta = _pipeline_data(f, d1, root_tol=root_tol)
+    poles, h, eta = _pipeline_data(F, fp, d1)
     z0 = _choose_base_point(d0, poles)
     targets = residue_targets(poles)
     f0 = f(z0)

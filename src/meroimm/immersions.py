@@ -2,12 +2,15 @@
 
 A meromorphic map immerses a plane domain into the sphere when its poles are
 simple and its derivative never vanishes off the poles; into the plane, when
-additionally there are no poles at all.  The verdict is assembled from two
-independent zero counts of the derivative: direct root filtering and the
+additionally there are no poles at all.  Each public call factors the map
+once (:class:`~meroimm.rational.Factored`) and derives the factored f' from
+it, solving only the derivative's numerator.  The verdict is assembled from
+two independent zero counts of the derivative: direct root filtering and the
 argument-principle count of the pole-cleared derivative over the boundary.
 
 Homotopy classes are winding-number vectors of the derivative along a
-deterministic basis loop per hole.  The integer vector classifies plane
+deterministic basis loop per hole, read exactly from the factored zeros and
+poles of f'.  The integer vector classifies plane
 targets completely; for sphere targets only its parity vector is stable
 (crossing a simple pole changes the integer winding by -2), so the integer
 classes are reported relative to the chosen loops.
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .grids import ParamGrid
 from .poly import ComplexPolynomial
-from .rational import PoleSet, RationalMap
+from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, is_inf
 
 Target = Literal["C", "CP1"]
@@ -132,63 +135,43 @@ class HomotopyClass:
                 raise InputError("mod2_class must reduce z_class modulo two")
 
 
-def lift_derivative(f: RationalMap) -> RationalMap:
-    """Fiber component of the tangent lift of f in the plane trivialization.
-
-    With the plane frame fixed, the lift of an immersion evaluates to the
-    plain complex derivative; a nonvanishing f' is exactly the statement
-    that the lift avoids the zero section.
-    """
-    return f.derivative()
-
-
-def _singular_points(f: RationalMap, *, root_tol: float = ROOT_TOL):
-    """Poles of f and zeros of f' (locations with multiplicity)."""
-    fp = f.derivative(root_tol=root_tol)
-    poles = f.pole_set(root_tol=root_tol)
-    if fp.num.is_zero:
-        raise InputError("constant map: the derivative vanishes identically")
-    zeros = fp.zero_set(root_tol=root_tol)
-    return fp, poles, zeros
-
-
-def verify_immersion(
+def _certify(
     f: RationalMap,
     D,
-    target: Target = "CP1",
+    target: Target,
     *,
-    root_tol: float = ROOT_TOL,
-    boundary_samples: int = 256,
-) -> ImmersionCertificate:
-    """Certify whether f immerses the domain into the chosen target.
-
-    The derivative zero count is computed two independent ways: filtering
-    the solved zeros of f' to the domain, and the argument-principle count
-    over the boundary of the derivative with its poles cleared by the
-    squared-pole polynomial.  Disagreement raises InternalConsistencyError.
-    """
+    root_tol: float,
+    boundary_samples: int,
+) -> tuple[ImmersionCertificate, Factored, Factored]:
+    """The certificate of verify_immersion, with the factored f and f' it
+    was computed from."""
     D = _as_domain(D)
-    fp, poles, zeros = _singular_points(f, root_tol=root_tol)
+    F = f.factor(root_tol=root_tol)
+    fp = F.derivative()
+    if fp.map.num.is_zero:
+        raise InputError("constant map: the derivative vanishes identically")
+    poles, zeros = F.poles, fp.zeros
 
+    # the counts integrate over the inscribed boundary polygons, whose chords
+    # sit up to r (1 - cos(pi/N)) inside each circle: a singular point in that
+    # band is inside one route's domain and outside the other's
     clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
+    sag = 1.0 - math.cos(math.pi / boundary_samples)
     singular = list(poles.locations) + [z for z, _ in zeros]
-    bclear = math.inf
-    for s in singular:
-        bclear = min(bclear, D.boundary_distance(s))
-    if bclear <= clearance:
-        raise SingularityOnBoundaryError(
-            f"pole or derivative zero within {clearance:g} of the boundary"
-        )
+    for circle in (D.outer, *D.holes):
+        band = clearance + circle.radius * sag
+        if any(circle.boundary_distance(s) <= band for s in singular):
+            raise SingularityOnBoundaryError(
+                f"pole or derivative zero within {band:g} of a boundary circle"
+            )
+    bclear = min((D.boundary_distance(s) for s in singular), default=math.inf)
 
     poles_inside = poles.filter(lambda a: D.contains(a))
     count_roots = sum(m for z, m in zeros if D.contains(z))
 
-    # independent route: clear the poles of f' with Theta and count zeros of
-    # h = f' Theta by the argument principle over the domain boundary
-    theta = ComplexPolynomial.from_roots(
-        [a for a, m in poles_inside for _ in range(m + 1)]
-    )
-    h = (fp * theta).reduced(root_tol=root_tol)
+    # independent route: clear the poles of f' in the domain and count zeros
+    # of h = f' Theta by the argument principle over the domain boundary
+    h = fp.cleared(D.contains)
     count_ap = argument_principle_count(
         h, D.outer.boundary(boundary_samples), clearance=clearance
     )
@@ -201,8 +184,32 @@ def verify_immersion(
             f"derivative zero counts disagree: roots give {count_roots}, "
             f"argument principle gives {count_ap}"
         )
+    cert = ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target)
+    return cert, F, fp
 
-    return ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target)
+
+def verify_immersion(
+    f: RationalMap,
+    D,
+    target: Target = "CP1",
+    *,
+    root_tol: float = ROOT_TOL,
+    boundary_samples: int = 256,
+) -> ImmersionCertificate:
+    """Certify whether f immerses the domain into the chosen target.
+
+    f is factored once, and f' is factored from it with only its numerator
+    solved.  The derivative zero count is computed two independent ways:
+    filtering the solved zeros of f' to the domain, and the argument-principle
+    count over the boundary of h = f' Theta, the derivative with its poles in
+    the domain cleared, whose zeros and remaining poles are known from the
+    factors.  Disagreement raises InternalConsistencyError.  A pole or zero
+    between a boundary circle and its inscribed polygon, or within the
+    clearance of either, raises SingularityOnBoundaryError.
+    """
+    return _certify(
+        f, D, target, root_tol=root_tol, boundary_samples=boundary_samples
+    )[0]
 
 
 def chart_transition_winding(contour: Contour) -> int:
@@ -248,22 +255,19 @@ def classify(
     it is the complete invariant for plane targets.
     """
     M = _as_domain(M)
-    cert = verify_immersion(f, M, target, root_tol=root_tol)
+    cert, F, fp = _certify(f, M, target, root_tol=root_tol, boundary_samples=256)
     if not cert.valid:
         raise NotAnImmersionError("not an immersion: classification undefined")
-    fp = f.derivative(root_tol=root_tol)
-    poles = f.pole_set(root_tol=root_tol)
-    loops = basis_loops(M, samples=samples)
     z_class = []
-    for loop in loops:
+    for loop in basis_loops(M, samples=samples):
         clearance = loop.clearance()
-        for a in poles.locations:
+        for a in F.poles.locations:
             if loop.distance_to(a) <= clearance:
                 raise PreconditionError(
                     f"basis loop passes through the pole at {a}; "
                     "choose a different domain decomposition"
                 )
-        z_class.append(winding_number(fp, loop))
+        z_class.append(fp.winding(loop))
     return HomotopyClass(tuple(z_class), tuple(w % 2 for w in z_class), target)
 
 

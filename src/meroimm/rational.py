@@ -1,9 +1,15 @@
 """Rational maps (quotients of complex polynomials), pole data, and residues.
 
-A RationalMap is stored as given; :meth:`RationalMap.reduced` cancels common
-roots of numerator and denominator by root matching and makes the denominator
-monic.  Scalar evaluation lands on the Riemann sphere (a pole returns INF);
-an indeterminate 0/0 of an unreduced fraction raises.
+A RationalMap is stored as given.  :meth:`RationalMap.factor` cancels common
+roots of numerator and denominator by root matching, makes the denominator
+monic, and returns a :class:`Factored`: the reduced map with its zeros and
+its PoleSet.  ``reduced``, ``pole_set`` and ``zero_set`` read that value.
+The factored derivative takes its poles (a, m+1) from the poles (a, m) of
+the map, and the pole-cleared derivative f' Theta drops the cleared poles
+from them, so neither ever solves a denominator; the winding number of a
+factored map along a polyline is a sum of indices of its zeros and poles.
+Scalar evaluation lands on the Riemann sphere (a pole returns INF); an
+indeterminate 0/0 of an unreduced fraction raises.
 """
 from __future__ import annotations
 
@@ -14,7 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .config import COEFF_TOL, ROOT_TOL
-from .errors import InputError, UnreducedFractionError
+from .errors import (
+    InputError,
+    PathTooCloseError,
+    UnreducedFractionError,
+    ZeroOnContourError,
+)
 from .poly import ComplexPolynomial, _as_poly, roots, _EPS
 from .sphere import INF, SpherePoint
 
@@ -162,14 +173,18 @@ class RationalMap:
 
     # -- structure ----------------------------------------------------------
 
-    def reduced(self, *, root_tol: float = ROOT_TOL) -> "RationalMap":
-        """Cancel common roots of num and den; make den monic.
+    def factor(self, *, root_tol: float = ROOT_TOL) -> "Factored":
+        """The reduced map with its zeros and poles, each polynomial solved once.
 
-        Common roots are found by matching the two root sets within the
-        root-separation tolerance, which is robust to the root solver's own
-        accuracy limits at multiple roots.
+        Reduction cancels common roots of num and den, found by matching the
+        two root sets within the root-separation tolerance (robust to the root
+        solver's own accuracy limits at multiple roots), and makes the
+        denominator monic.  The zeros and poles are the roots of the reduced
+        numerator and denominator; when reduction left a polynomial's
+        coefficients unchanged, its roots from the matching step are reused.
         """
         num, den = self.num, self.den
+        num_roots = den_roots = None
         if den.degree >= 1 and num.degree >= 1:
             den_roots = roots(den, root_tol=root_tol)
             num_roots = roots(num, root_tol=root_tol)
@@ -186,49 +201,44 @@ class RationalMap:
                     num = num.deflate(point)
                     den = den.deflate(point)
         lead = den.coeffs[-1]
-        num = ComplexPolynomial([c / lead for c in num.coeffs], coeff_tol=0.0)
-        den = ComplexPolynomial([c / lead for c in den.coeffs], coeff_tol=0.0)
-        return RationalMap(num, den)
+        red = RationalMap(
+            ComplexPolynomial([c / lead for c in num.coeffs], coeff_tol=0.0),
+            ComplexPolynomial([c / lead for c in den.coeffs], coeff_tol=0.0),
+        )
+
+        def solved(p, given, known):
+            if p.degree < 1:
+                return []
+            if known is not None and p.coeffs == given.coeffs:
+                return known
+            return roots(p, root_tol=root_tol)
+
+        return Factored(
+            red,
+            tuple(solved(red.num, self.num, num_roots)),
+            PoleSet(solved(red.den, self.den, den_roots), root_tol=root_tol),
+            root_tol,
+        )
+
+    def reduced(self, *, root_tol: float = ROOT_TOL) -> "RationalMap":
+        """Common roots of num and den cancelled, den monic (see :meth:`factor`)."""
+        return self.factor(root_tol=root_tol).map
 
     def derivative(self, *, root_tol: float = ROOT_TOL) -> "RationalMap":
-        """Quotient rule, with the common pole factors cancelled.
-
-        For a pole of order m the raw quotient (N'D - ND')/D^2 carries a
-        common factor (z-a)^(m-1).  Cancelling it against roots of D^2 is
-        ill-conditioned (2m-fold clusters), so the result is assembled from
-        the pole set of D itself: the numerator is deflated m-1 times at each
-        pole and the denominator is rebuilt as the exact product of
-        (z-a)^(m+1) factors.
-        """
+        """The derivative, with the common pole factors cancelled (see
+        :meth:`Factored.derivative`); its numerator is not solved."""
         if self.is_polynomial:
             return RationalMap(self.as_polynomial().derivative())
-        red = self.reduced(root_tol=root_tol)
-        if red.is_polynomial:
-            return RationalMap(red.as_polynomial().derivative())
-        n, d = red.num, red.den
-        num = n.derivative() * d - n * d.derivative()
-        poles = roots(d, root_tol=root_tol)
-        for a, m in poles:
-            for _ in range(m - 1):
-                num = num.deflate(a)
-        den = ComplexPolynomial.from_roots(
-            [a for a, m in poles for _ in range(m + 1)]
-        )
-        return RationalMap(num, den)
+        F = self.factor(root_tol=root_tol)
+        return _quotient_rule(F.map, F.poles)
 
     def pole_set(self, *, root_tol: float = ROOT_TOL) -> PoleSet:
         """Denominator roots with multiplicities, after reduction."""
-        red = self.reduced(root_tol=root_tol)
-        if red.den.degree < 1:
-            return PoleSet(())
-        return PoleSet(roots(red.den, root_tol=root_tol), root_tol=root_tol)
+        return self.factor(root_tol=root_tol).poles
 
     def zero_set(self, *, root_tol: float = ROOT_TOL) -> list[tuple[complex, int]]:
         """Numerator roots of the reduced map."""
-        red = self.reduced(root_tol=root_tol)
-        if red.num.degree < 1:
-            return []
-        return roots(red.num, root_tol=root_tol)
+        return list(self.factor(root_tol=root_tol).zeros)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -267,6 +277,94 @@ class RationalMap:
         if self.num.is_zero:
             raise InputError("reciprocal of the zero map")
         return RationalMap(self.den, self.num)
+
+
+def _quotient_rule(red: RationalMap, poles: PoleSet) -> RationalMap:
+    """Derivative of a reduced map whose poles are known.
+
+    For a pole of order m the raw quotient (N'D - ND')/D^2 carries a common
+    factor (z-a)^(m-1).  Cancelling it against roots of D^2 is
+    ill-conditioned (2m-fold clusters), so the numerator is deflated m-1
+    times at each pole and the denominator is the exact product of the
+    (z-a)^(m+1) factors.
+    """
+    if red.is_polynomial:
+        return RationalMap(red.as_polynomial().derivative())
+    n, d = red.num, red.den
+    num = n.derivative() * d - n * d.derivative()
+    for a, m in poles:
+        for _ in range(m - 1):
+            num = num.deflate(a)
+    den = ComplexPolynomial.from_roots([a for a, m in poles for _ in range(m + 1)])
+    return RationalMap(num, den)
+
+
+@dataclass(frozen=True)
+class Factored:
+    """A reduced rational map together with its zeros and its poles.
+
+    Made by :meth:`RationalMap.factor`, or from another Factored by
+    :meth:`derivative` and :meth:`cleared`, which take the poles from the
+    factors already known and solve at most the new numerator.  The
+    denominator of ``map`` is monic.  A Factored is a plain value: the
+    functions that need one build it inside the call and drop it on return.
+    """
+
+    map: RationalMap
+    zeros: tuple[tuple[complex, int], ...]
+    poles: PoleSet
+    root_tol: float = ROOT_TOL
+
+    def derivative(self) -> "Factored":
+        """f' with poles (a, m+1) from the poles (a, m) of f.
+
+        Only the numerator of f' is solved; its denominator is the product
+        of the (z-a)^(m+1) factors and never reaches the root solver.
+        """
+        fp = _quotient_rule(self.map, self.poles)
+        zeros = roots(fp.num, root_tol=self.root_tol) if fp.num.degree >= 1 else []
+        poles = PoleSet([(a, m + 1) for a, m in self.poles], root_tol=self.root_tol)
+        return Factored(fp, tuple(zeros), poles, self.root_tol)
+
+    def cleared(self, drop) -> "Factored":
+        """The map times the product of (z-a)^m over its poles a with drop(a).
+
+        Those poles cancel: the numerator and the zeros stay as they are, and
+        the denominator is rebuilt from the remaining poles.  On the factored
+        derivative with drop the domain's membership test, this is the
+        pole-cleared derivative h = f' Theta.
+        """
+        rest = self.poles.filter(lambda a: not drop(a))
+        den = ComplexPolynomial.from_roots([a for a, m in rest for _ in range(m)])
+        return Factored(RationalMap(self.map.num, den), self.zeros, rest, self.root_tol)
+
+    def winding(self, contour) -> int:
+        """Winding number of the map along a closed polyline, from its factors.
+
+        Sum of m ind(gamma, zero) over the zeros minus the same over the
+        poles, where ind(gamma, w) is the turning of the chords of gamma
+        around w: each chord subtends an angle in (-pi, pi), and the angles
+        add up to a whole number of turns.  A zero or pole within the
+        contour's clearance refuses with ZeroOnContourError or
+        PathTooCloseError.
+        """
+        if not contour.closed:
+            raise InputError("winding numbers need a closed contour")
+        if self.map.num.is_zero:
+            raise ZeroOnContourError("the zero map has no winding number")
+        clearance = contour.clearance()
+        zs = np.array(contour.samples, dtype=complex)
+        total = 0
+        for points, sign, error in (
+            (self.zeros, 1, ZeroOnContourError),
+            (self.poles.entries, -1, PathTooCloseError),
+        ):
+            for w, m in points:
+                if contour.distance_to(w) <= clearance:
+                    raise error(f"zero or pole at {w} within clearance of the contour")
+                turns = float(np.sum(np.angle((zs[1:] - w) / (zs[:-1] - w))))
+                total += sign * m * round(turns / (2.0 * math.pi))
+        return total
 
 
 def _series_divide(

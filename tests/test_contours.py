@@ -49,6 +49,31 @@ def test_distance_to():
     assert c.distance_to(-1.0) == pytest.approx(1.0)
 
 
+def _distance_by_loop(contour, z):
+    # reference: the chord-by-chord loop, one clamped projection per chord
+    z = complex(z)
+    best = math.inf
+    for a, b in zip(contour.samples, contour.samples[1:]):
+        d = b - a
+        t = ((z - a).real * d.real + (z - a).imag * d.imag) / (abs(d) ** 2)
+        t = min(1.0, max(0.0, t))
+        best = min(best, abs(z - (a + t * d)))
+    return best
+
+
+def test_distance_to_matches_loop(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        pts = rng.normal(size=n) + 1j * rng.normal(size=n)
+        contours = [
+            Contour.polyline(pts, closed=bool(rng.integers(0, 2))),
+            Contour.circle(complex(rng.normal(), rng.normal()), rng.uniform(0.1, 3.0), samples=n + 8),
+        ]
+        for c in contours:
+            for z in list(rng.normal(size=5) * 2 + 1j * rng.normal(size=5) * 2) + list(c.samples[:3]):
+                assert c.distance_to(z) == _distance_by_loop(c, z)
+
+
 def test_integrate_constant_segment():
     assert integrate(lambda z: np.ones_like(z), Contour.segment(0, 1), 1e-12) == pytest.approx(1.0)
 
@@ -90,6 +115,16 @@ def test_winding_examples():
 def test_winding_zero_on_contour():
     with pytest.raises(ZeroOnContourError):
         winding_number(P.from_roots([1.0]), Contour.circle(0, 1.0, samples=64))
+
+
+def test_rational_winding_refuses_near_zero_or_pole():
+    circ = Contour.circle(0, 1.0)
+    with pytest.raises(ZeroOnContourError):
+        winding_number(R(P.from_roots([1.0 + 1e-9])), circ)
+    with pytest.raises(PathTooCloseError):
+        winding_number(R(P([1.0]), P.from_roots([1j])), circ)
+    with pytest.raises(ZeroOnContourError):
+        winding_number(R(P([])), circ)
 
 
 def test_winding_needs_closed():

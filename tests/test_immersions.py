@@ -18,7 +18,6 @@ from meroimm import (
     basis_loops,
     chart_transition_winding,
     classify,
-    lift_derivative,
     same_component,
     seed_disc,
     seed_disc_family,
@@ -89,14 +88,6 @@ def test_verify_constant_rejected():
         verify_immersion(R(P([2.0])), UNIT, "C")
 
 
-def test_lift_derivative_is_derivative():
-    f = R(P([0, 0, 0, 1]))
-    assert lift_derivative(f).num.coeffs == (0j, 0j, 3 + 0j)
-    g = R(P([1]), P.from_roots([0.5]))
-    lg = lift_derivative(g)
-    assert complex(lg(2.0)) == pytest.approx(-1.0 / (1.5) ** 2)
-
-
 def test_certificate_soundness_vs_numpy_oracle(rng):
     # verdict agrees with a brute-force oracle built on numpy.roots
     checked = 0
@@ -121,44 +112,46 @@ def test_certificate_soundness_vs_numpy_oracle(rng):
         checked += 1
 
 
-@pytest.mark.parametrize(
-    "num, den, zeros_inside",
-    [
-        # double pole of f at 0.405+0.919i, |a| ~ 1.0040: h = f' Theta has a
-        # triple pole 0.004 outside the unit circle
-        (
-            [
-                -0.49695256650169284 - 1.0455013635937556j,
-                0.7138252764857692 - 1.633924817257123j,
-                -0.24275240193658357 - 0.07921930446107024j,
-            ],
-            [
-                1.6660998648211534 - 0.21947408532059476j,
-                0.2647392611699123 + 5.520928575187577j,
-                -7.129219282615189 + 0.00997048064083561j,
-                0.07492028125646666 - 4.263098987790858j,
-                1.0,
-            ],
-            1,
-        ),
-        # double pole of f at 0.4166-0.9109i, |a| ~ 1.0016
-        (
-            [
-                -0.9332184473059956 + 0.17287588283016983j,
-                1.7337139940885014 - 0.11417362864795376j,
-                0.6743611103765169 + 1.2856216698131229j,
-            ],
-            [
-                -0.2601892217873136 + 0.7798685501069788j,
-                2.2102481811676693 - 1.4353641998308273j,
-                -3.8429423054659484 - 1.4665994851557758j,
-                -0.2597961694736637 + 3.079161330618395j,
-                1.0,
-            ],
-            2,
-        ),
-    ],
-)
+# double poles of f just outside the unit circle: h = f' Theta has a triple
+# pole a few thousandths outside it.  Each entry: num, den, zeros of f' in
+# the unit disc.
+NEAR_BOUNDARY_MAPS = [
+    # double pole of f at 0.405+0.919i, |a| ~ 1.0040
+    (
+        [
+            -0.49695256650169284 - 1.0455013635937556j,
+            0.7138252764857692 - 1.633924817257123j,
+            -0.24275240193658357 - 0.07921930446107024j,
+        ],
+        [
+            1.6660998648211534 - 0.21947408532059476j,
+            0.2647392611699123 + 5.520928575187577j,
+            -7.129219282615189 + 0.00997048064083561j,
+            0.07492028125646666 - 4.263098987790858j,
+            1.0,
+        ],
+        1,
+    ),
+    # double pole of f at 0.4166-0.9109i, |a| ~ 1.0016
+    (
+        [
+            -0.9332184473059956 + 0.17287588283016983j,
+            1.7337139940885014 - 0.11417362864795376j,
+            0.6743611103765169 + 1.2856216698131229j,
+        ],
+        [
+            -0.2601892217873136 + 0.7798685501069788j,
+            2.2102481811676693 - 1.4353641998308273j,
+            -3.8429423054659484 - 1.4665994851557758j,
+            -0.2597961694736637 + 3.079161330618395j,
+            1.0,
+        ],
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("num, den, zeros_inside", NEAR_BOUNDARY_MAPS)
 def test_verify_pole_just_outside_boundary(num, den, zeros_inside):
     # the argument-principle count must settle although a pole of h sits
     # a few thousandths outside the circle
@@ -167,6 +160,70 @@ def test_verify_pole_just_outside_boundary(num, den, zeros_inside):
     assert sum(1 for z in zeros if abs(z) < 1) == zeros_inside
     cert = verify_immersion(f, UNIT)
     assert cert.derivative_zero_count == zeros_inside
+
+
+@pytest.mark.parametrize(
+    "num, den, winding",
+    [(num, den, w) for (num, den, _), w in zip(NEAR_BOUNDARY_MAPS, (1, 0))],
+)
+def test_derivative_winding_near_pole_is_exact(num, den, winding):
+    # sampled tracking at 256 points aliases a full turn near the triple
+    # pole of f'; the factored route counts it from the zeros and poles
+    fp = R(P(num), P(den)).derivative()
+    zeros, poles = numpy_derivative_zeros_and_poles(R(P(num), P(den)))
+    inside = [p for p in poles if abs(p) < 1]
+    distinct = {(round(p.real, 4), round(p.imag, 4)) for p in inside}
+    oracle = sum(1 for z in zeros if abs(z) < 1) - len(inside) - len(distinct)
+    assert oracle == winding
+    assert winding_number(fp, Contour.circle(0, 1.0)) == winding
+
+
+def test_verify_refuses_zero_between_polygon_and_circle():
+    # f' = (z - z0)(z + 3) with z0 between the unit circle and the chord of
+    # its 256-gon: the disc holds the zero, the polygon does not
+    z0 = (1 - 3e-5) * np.exp(1j * np.pi / 256)
+    f = R(P([0, -3 * z0, (3 - z0) / 2, 1 / 3]))
+    with pytest.raises(SingularityOnBoundaryError):
+        verify_immersion(f, UNIT)
+    # the band is scaled to each circle, holes included
+    hole = CircularDomain(Disc(0, 4.0), (Disc(0, 1.0),))
+    with pytest.raises(SingularityOnBoundaryError):
+        verify_immersion(f, hole)
+
+
+def test_each_polynomial_solved_once(monkeypatch):
+    # one verify_immersion and one classify on maps with double poles: no
+    # coefficient tuple reaches the root solver twice, and no derivative
+    # denominator (an (m+1)-fold root at a pole of order m) reaches it at all
+    import meroimm.rational as rational
+
+    solved = []
+    solve = rational.roots
+
+    def recording(p, **kwargs):
+        solved.append(p)
+        return solve(p, **kwargs)
+
+    monkeypatch.setattr(rational, "roots", recording)
+    f_poles = [(0.3 + 0.1j, 2), (-0.5 + 1.2j, 2), (1.5 - 0.4j, 1)]
+    f = R(
+        P([0.7 - 0.2j, 1.1 + 0.4j, -0.3j]),
+        P.from_roots([a for a, m in f_poles for _ in range(m)], leading=2 - 1j),
+    )
+    g_poles = [(0.1 + 0j, 2), (3.0 + 0j, 2)]
+    g = R(P([1]), P.from_roots([0.1, 0.1])) + R(P([1e-3]), P.from_roots([3.0, 3.0]))
+    for run, poles in (
+        (lambda: verify_immersion(f, UNIT), f_poles),
+        (lambda: classify(g, ANNULUS), g_poles),
+    ):
+        solved.clear()
+        run()
+        coeffs = [p.coeffs for p in solved]
+        assert coeffs and len(set(coeffs)) == len(coeffs)
+        for p in solved:
+            found = np.roots(np.array(p.coeffs[::-1]))
+            for a, m in poles:
+                assert np.sum(np.abs(found - a) < 1e-3) <= m
 
 
 def test_chart_transition_examples():
