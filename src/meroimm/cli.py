@@ -22,18 +22,13 @@ import numpy as np
 from . import __version__
 from .blending import SampledFamily, blend_parametric, fix_on_Q, sampled_sup_distance
 from .config import RunConfig, config_from_env
-from .contours import Contour, Disc, winding_number
+from .contours import Disc
 from .errors import InputError, MeroimmError, NumericalError, PreconditionError
-from .extension import (
-    extend_family,
-    extend_immersion,
-    extension_boundary_error,
-)
+from .extension import extend_family, extend_immersion
 from .immersions import (
     CircularDomain,
     chart_transition_winding,
     classify,
-    same_component,
     seed_disc,
     verify_immersion,
 )
@@ -105,10 +100,11 @@ def _run_verify(data: dict, cfg: RunConfig) -> dict:
 def _run_wind(data: dict, cfg: RunConfig) -> dict:
     f = rational_from_json(_need(data, "map"))
     gamma = contour_from_json(_need(data, "contour"))
+    F = f.factor(root_tol=cfg.tol_root)
     if data.get("of") == "derivative":
         # the factored derivative knows its poles; its denominator is not solved
-        return {"winding": f.factor(root_tol=cfg.tol_root).derivative().winding(gamma)}
-    return {"winding": winding_number(f, gamma)}
+        F = F.derivative()
+    return {"winding": F.winding(gamma)}
 
 
 def _run_classify(data: dict, cfg: RunConfig) -> dict:
@@ -125,9 +121,8 @@ def _run_same_component(data: dict, cfg: RunConfig) -> dict:
     target = _target(data)
     hf = classify(f, D, target, root_tol=cfg.tol_root)
     hg = classify(g, D, target, root_tol=cfg.tol_root)
-    same = hf.z_class == hg.z_class if target == "C" else hf.mod2_class == hg.mod2_class
     return {
-        "same_component": same,
+        "same_component": hf.component == hg.component,
         "class1": homotopy_class_to_json(hf),
         "class2": homotopy_class_to_json(hg),
     }
@@ -148,11 +143,11 @@ def _run_seed(data: dict, cfg: RunConfig) -> dict:
     }
 
 
-def _boundary_samples(F, f, d0: Disc, n: int, cfg: RunConfig):
+def _write_boundary_csv(path: Path, F, d0: Disc, n: int, cfg: RunConfig) -> None:
     vals = F.values_on_circle(d0.center, d0.radius, n, quad_tol=cfg.tol_quad)
     angles = 2.0 * math.pi * np.arange(n) / n
     ring = d0.center + d0.radius * np.exp(1j * angles)
-    return ring, vals
+    write_map_samples_csv(path, ring, list(vals))
 
 
 def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
@@ -164,16 +159,14 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
         root_tol=cfg.tol_root, residue_tol=cfg.tol_residue,
         quad_tol=cfg.tol_quad, degree_budget=cfg.degree_budget,
     )
-    achieved = extension_boundary_error(f, F, d0, quad_tol=cfg.tol_quad)
     result = {
         "immersion": immersion_to_json(F),
-        "achieved_eps": achieved,
+        "achieved_eps": F.achieved_eps,
         "residues": [abs(r) for r in F.residues()],
         "certificate": certificate_to_json(F.certificate()),
     }
     if outdir is not None:
-        ring, vals = _boundary_samples(F, f, d0, 256, cfg)
-        write_map_samples_csv(outdir / "extend_samples.csv", ring, list(vals))
+        _write_boundary_csv(outdir / "extend_samples.csv", F, d0, 256, cfg)
         (outdir / "immersion.json").write_text(dumps(result["immersion"]))
         result["artifacts"] = ["extend_samples.csv", "immersion.json"]
     return result
@@ -191,18 +184,14 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     )
     result = {
         "immersions": [immersion_to_json(F) for F in outs],
-        "achieved_eps": [
-            extension_boundary_error(maps[i], outs[i], d0, quad_tol=cfg.tol_quad)
-            for i in range(len(outs))
-        ],
+        "achieved_eps": [F.achieved_eps for F in outs],
         "certificates": [certificate_to_json(F.certificate()) for F in outs],
     }
     if outdir is not None:
         names = []
         for i, F in enumerate(outs):
-            ring, vals = _boundary_samples(F, maps[i], d0, 64, cfg)
             name = f"extend_family_node{i:03d}.csv"
-            write_map_samples_csv(outdir / name, ring, list(vals))
+            _write_boundary_csv(outdir / name, F, d0, 64, cfg)
             names.append(name)
         (outdir / "immersions.json").write_text(dumps(result["immersions"]))
         result["artifacts"] = names + ["immersions.json"]
@@ -275,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-residue", type=float, default=None)
         p.add_argument("--tol-root", type=float, default=None)
         p.add_argument("--tol-quad", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None, help="default grid resolution")
         p.add_argument("--degree-budget", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="artifact directory")
         p.add_argument(
@@ -293,7 +281,6 @@ def main(argv=None) -> int:
                 "tol_residue": args.tol_residue,
                 "tol_root": args.tol_root,
                 "tol_quad": args.tol_quad,
-                "grid": args.grid,
                 "degree_budget": args.degree_budget,
             }
         )

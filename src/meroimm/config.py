@@ -7,7 +7,7 @@ diameter a few units).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 # Coefficient magnitudes below COEFF_TOL * max(1, |coeffs|) are treated as zero.
 COEFF_TOL = 1e-12
@@ -55,24 +55,18 @@ class RunConfig:
     tol_residue: float = RESIDUE_TOL
     tol_root: float = ROOT_TOL
     tol_quad: float = QUAD_TOL
-    clearance_factor: float = CLEARANCE_FACTOR
     degree_budget: int = DEGREE_BUDGET
-    grid: int = 11
-    out: str | None = None
-    json_stdout: bool = False
 
     def __post_init__(self):
-        for name in ("eps", "tol_residue", "tol_root", "tol_quad", "clearance_factor"):
+        for name in ("eps", "tol_residue", "tol_root", "tol_quad"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.degree_budget < 1 or self.grid < 1:
-            raise ValueError("budgets must be >= 1")
+        if self.degree_budget < 1:
+            raise ValueError("degree_budget must be >= 1")
 
     def tolerances(self) -> dict:
-        d = asdict(self)
-        d.pop("out")
-        d.pop("json_stdout")
-        return d
+        """The run's settings, plus the fixed boundary clearance factor."""
+        return {**asdict(self), "clearance_factor": CLEARANCE_FACTOR}
 
 
 _ENV_FIELDS = {
@@ -81,7 +75,6 @@ _ENV_FIELDS = {
     "tol_root": float,
     "tol_quad": float,
     "degree_budget": int,
-    "grid": int,
 }
 
 

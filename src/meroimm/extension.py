@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .grids import ParamGrid
-from .immersions import ImmersionCertificate, _certify, verify_immersion
+from .immersions import ImmersionCertificate, _certify
 from .poly import ComplexPolynomial, roots
 from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
@@ -225,6 +225,9 @@ class IntegralImmersion:
     poles: PoleSet
     domain: Disc
     eta_parts: ConstrainedEta
+    # sampled sup chordal distance to the extended map on the small disc's
+    # boundary, set by extend_immersion; not serialized, not part of the value
+    achieved_eps: float | None = field(default=None, compare=False)
     theta: ComplexPolynomial = field(init=False)
 
     def __post_init__(self):
@@ -509,22 +512,23 @@ def extend_immersion(
     The output is an immersion on the whole big disc by construction, with
     the same simple poles f has there, and its sampled chordal distance to f
     on the small disc's boundary stays below eps (which bounds the interior
-    difference where both maps are finite, by the maximum principle).
+    difference where both maps are finite, by the maximum principle).  That
+    measured distance is returned as the output's ``achieved_eps``.
 
-    ``approx_disc`` widens the disc on which the log-derivative is matched
-    (used by the relative parametric extension to reproduce maps that are
-    already immersions on the big disc).
+    ``approx_disc`` widens the disc on which f is certified and its
+    log-derivative matched (used by the relative parametric extension to
+    reproduce maps that are already immersions on the big disc).
     """
     if eps <= 0:
         raise InputError("eps must be positive")
     if not d1.contains_disc(d0, margin=1e-12):
         raise PreconditionError("the small disc must lie inside the big disc")
-    cert, F, fp = _certify(
-        f, approx_disc or d0, "CP1", root_tol=root_tol, boundary_samples=256
-    )
+    disc = approx_disc or d0
+    cert, F, fp = _certify(f, disc, "CP1", root_tol=root_tol, boundary_samples=256)
     if not cert.valid:
         raise NotAnImmersionError(
-            "the map does not immerse the small disc into the sphere"
+            f"the map does not immerse the disc of center {disc.center:g} and "
+            f"radius {disc.radius:g} into the sphere"
         )
     poles, h, eta = _pipeline_data(F, fp, d1)
     z0 = _choose_base_point(d0, poles)
@@ -534,7 +538,6 @@ def extend_immersion(
     if is_inf(f0) or is_inf(h0) or complex(h0) == 0:
         raise PreconditionError("base point landed on a singular value")
 
-    disc = approx_disc or d0
     eps_eta = eps / (64.0 * max(1.0, d1.radius))
     last_err = math.inf
     for _ in range(4):
@@ -566,7 +569,7 @@ def extend_immersion(
             f, out, d0, samples=boundary_samples, quad_tol=quad_tol
         )
         if sup < eps:
-            return out
+            return replace(out, achieved_eps=sup)
         last_err = min(last_err, sup)
         eps_eta /= 32.0
     raise DegreeBudgetError(
@@ -624,10 +627,6 @@ def extend_family(
     disc, and their outputs match them there (the log-derivative is fitted on
     the big disc with tolerance ``q_eps``).  Pole count must stay constant
     across grid cells; a jump raises PoleCollisionError naming the cell.
-
-    Solutions blend at the log-derivative level with the grid's Q-cutoff
-    weights; since hat weights are 0/1 at the nodes, each node output is the
-    big-disc fit at Q nodes and the small-disc fit elsewhere.
     """
     if len(maps) != grid.npoints:
         raise InputError("one map per grid point required")
@@ -635,82 +634,11 @@ def extend_family(
         lambda a: abs(a - d1.center) <= d1.radius
     ) for f in maps]
     _check_pole_continuity(grid, pole_sets)
-    out: list[IntegralImmersion] = []
-    for i, f in enumerate(maps):
-        chi = grid.q_cutoff(grid.point(i))
-        if grid.q_mask[i]:
-            cert = verify_immersion(f, d1, "CP1", root_tol=root_tol)
-            if not cert.valid:
-                raise NotAnImmersionError(
-                    f"map at Q node {i} does not immerse the big disc"
-                )
-            F = extend_immersion(
-                f, d0, d1, min(eps, q_eps),
-                root_tol=root_tol, residue_tol=residue_tol, quad_tol=quad_tol,
-                degree_budget=degree_budget, approx_disc=d1,
-            )
-        elif chi > 0.0:
-            # inside the Q-cutoff band but not on Q: blend the big-disc fit
-            # (if available) with the small-disc fit at the eta level
-            F = _blended_node(
-                f, d0, d1, eps, chi,
-                root_tol=root_tol, residue_tol=residue_tol,
-                quad_tol=quad_tol, degree_budget=degree_budget, q_eps=q_eps,
-            )
-        else:
-            F = extend_immersion(
-                f, d0, d1, eps,
-                root_tol=root_tol, residue_tol=residue_tol, quad_tol=quad_tol,
-                degree_budget=degree_budget,
-            )
-        out.append(F)
-    return out
-
-
-def _blended_node(
-    f: RationalMap,
-    d0: Disc,
-    d1: Disc,
-    eps: float,
-    chi: float,
-    *,
-    root_tol: float,
-    residue_tol: float,
-    quad_tol: float,
-    degree_budget: int,
-    q_eps: float,
-) -> IntegralImmersion:
-    """Convex combination of big-disc and small-disc solutions at the eta level.
-
-    Both summands satisfy the same linear interpolation conditions, so the
-    combination does too and the reconstruction stays an immersion.
-    """
-    small = extend_immersion(
-        f, d0, d1, eps,
-        root_tol=root_tol, residue_tol=residue_tol, quad_tol=quad_tol,
-        degree_budget=degree_budget,
-    )
-    try:
-        big = extend_immersion(
-            f, d0, d1, min(eps, q_eps),
+    return [
+        extend_immersion(
+            f, d0, d1, min(eps, q_eps) if on_q else eps,
             root_tol=root_tol, residue_tol=residue_tol, quad_tol=quad_tol,
-            degree_budget=degree_budget, approx_disc=d1,
+            degree_budget=degree_budget, approx_disc=d1 if on_q else None,
         )
-    except (NotAnImmersionError, PreconditionError):
-        return small  # only the small-disc chart exists here
-    parts = ConstrainedEta(
-        lagrange=chi * big.eta_parts.lagrange + (1.0 - chi) * small.eta_parts.lagrange,
-        sigma=chi * big.eta_parts.sigma + (1.0 - chi) * small.eta_parts.sigma,
-        nodes=small.eta_parts.nodes,
-        expanded=chi * big.eta_parts.expanded + (1.0 - chi) * small.eta_parts.expanded,
-    )
-    xi = parts.expanded.antiderivative(small.base_point)
-    return IntegralImmersion(
-        base_point=small.base_point,
-        base_value=small.base_value,
-        scale=small.scale,
-        xi=xi,
-        poles=small.poles,
-        domain=d1,
-        eta_parts=parts,
-    )
+        for f, on_q in zip(maps, grid.q_mask)
+    ]

@@ -134,6 +134,12 @@ class HomotopyClass:
             if tuple(self.mod2_class) != expected:
                 raise InputError("mod2_class must reduce z_class modulo two")
 
+    @property
+    def component(self) -> tuple[int, ...] | None:
+        """The part of the class that names the path component: the integer
+        vector for plane targets, its parity vector for sphere targets."""
+        return self.z_class if self.target == "C" else self.mod2_class
+
 
 def _certify(
     f: RationalMap,
@@ -286,9 +292,7 @@ def same_component(
     """
     cf = classify(f, M, target, root_tol=root_tol)
     cg = classify(g, M, target, root_tol=root_tol)
-    if target == "C":
-        return cf.z_class == cg.z_class
-    return cf.mod2_class == cg.mod2_class
+    return cf.component == cg.component
 
 
 # -- seed discs ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from meroimm import Disc, RationalMap, extension_boundary_error
 from meroimm.cli import main
+from meroimm.serialize import immersion_from_json, rational_from_json
 
 
 def write(tmp_path, name, obj):
@@ -40,6 +43,10 @@ def test_verify_valid(tmp_path, capsys):
     report = json.loads(out)
     assert report["result"]["certificate"]["valid"] is True
     assert report["config"]["tol_root"] == 1e-8
+    assert sorted(report["config"]) == [
+        "clearance_factor", "degree_budget", "eps", "tol_quad", "tol_residue",
+        "tol_root",
+    ]
 
 
 def test_verify_false_verdict_is_ok_exit(tmp_path, capsys):
@@ -85,6 +92,30 @@ def test_wind_and_chart_check(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["transition_winding"] == -2
 
 
+def test_wind_factors_with_tol_root(tmp_path, capsys, monkeypatch):
+    seen = []
+    factor = RationalMap.factor
+
+    def recorder(self, **kwargs):
+        seen.append(kwargs.get("root_tol"))
+        return factor(self, **kwargs)
+
+    monkeypatch.setattr(RationalMap, "factor", recorder)
+    circ = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
+    for of, want in ((None, 3), ("derivative", 2)):
+        seen.clear()
+        body = {"map": zpow_json(3), "contour": circ}
+        if of:
+            body["of"] = of
+        p = write(tmp_path, "w.json", body)
+        code, out, _ = run(capsys, "wind", p, "--json", "--tol-root", "1e-7")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["winding"] == want
+        assert report["config"]["tol_root"] == 1e-7
+        assert seen == [1e-7]
+
+
 def test_seed(tmp_path, capsys):
     p = write(tmp_path, "s.json", {"seed": {
         "base_point": [0.0, 0.0], "target": [2.0, 1.0],
@@ -123,10 +154,12 @@ def test_extend_artifacts_and_determinism(tmp_path, capsys):
     report = json.loads(r1)
     assert report["result"]["achieved_eps"] < 1e-3
     # artifact JSON re-parses into an equal value
-    from meroimm.serialize import immersion_from_json
     art = json.loads((out1 / "immersion.json").read_text())
     F = immersion_from_json(art)
     assert complex(F.evaluate(0.5)).real == pytest.approx(0.5 + 0.1 * 0.5 ** 5, abs=1e-8)
+    # the reported error is the boundary error of the reported immersion
+    f = rational_from_json(json.loads(Path(p).read_text())["map"])
+    assert report["result"]["achieved_eps"] == extension_boundary_error(f, F, Disc(0, 1.0))
 
 
 def test_extend_family_cli(tmp_path, capsys):
@@ -148,6 +181,12 @@ def test_extend_family_cli(tmp_path, capsys):
     assert len(report["result"]["immersions"]) == 5
     assert all(c["valid"] for c in report["result"]["certificates"])
     assert (outdir / "extend_family_node000.csv").exists()
+    for m, imm, achieved in zip(maps, report["result"]["immersions"],
+                                report["result"]["achieved_eps"]):
+        F = immersion_from_json(imm)
+        assert achieved == extension_boundary_error(
+            rational_from_json(m), F, Disc(0, 1.0)
+        )
 
 
 def test_blend_cli(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import meroimm.extension
+import meroimm.immersions
 from helpers import separated_points
 from meroimm import (
     INF,
@@ -208,7 +210,7 @@ def test_extend_base_point_nudges_off_pole():
     f = R(P([1]), P.from_roots([0.01]))  # pole almost at the disc center
     F = extend_immersion(f, D0, D1, 1e-3)
     assert abs(F.base_point - 0.01) > 0.05
-    assert extension_boundary_error(f, F, D0) < 1e-3
+    assert F.achieved_eps == extension_boundary_error(f, F, D0) < 1e-3
 
 
 def test_sampled_nonvanishing_derivative(rng):
@@ -275,8 +277,25 @@ def test_extend_family_q_member_must_cover_big_disc():
     # derivative zero at -1.7 lies inside the big disc: invalid on Q
     maps = [R(P([1]), P.from_roots([0.3]))
             + R(P([0, 0.25])) for _ in range(5)]
-    with pytest.raises(NotAnImmersionError):
+    with pytest.raises(NotAnImmersionError, match="radius 2 "):
         extend_family(maps, ParamGrid.line(5, q_nodes=[0]), D0, D1, 1e-3)
+
+
+def test_extend_family_certifies_each_node_once(monkeypatch):
+    seen = []
+    certify = meroimm.immersions._certify
+
+    def recorder(f, D, *args, **kwargs):
+        seen.append((id(f), D))
+        return certify(f, D, *args, **kwargs)
+
+    monkeypatch.setattr(meroimm.immersions, "_certify", recorder)
+    monkeypatch.setattr(meroimm.extension, "_certify", recorder)
+    maps = [R(P([1]), P.from_roots([0.3 + 0.1 * (i / 4)])) for i in range(5)]
+    outs = extend_family(maps, ParamGrid.line(5, q_nodes=[0]), D0, D1, 1e-3)
+    assert len(outs) == 5
+    assert len(seen) == len(set(seen))
+    assert (id(maps[0]), D1) in seen and (id(maps[1]), D0) in seen
 
 
 def test_extend_family_size_mismatch():

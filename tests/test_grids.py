@@ -63,6 +63,12 @@ def test_hat_weights_single_cell_support(rng):
 
 
 def test_q_cutoff():
+    # exactly 1 on Q and exactly 0 at every other node, so every node of a
+    # family is either fixed on Q or free, never blended
+    for g in (ParamGrid.line(11, q_nodes=[0, 10]), ParamGrid.line(7, q_nodes=[3]),
+              ParamGrid.box(5, 4, q_nodes=[0, 1, 2, 3, 9])):
+        for i in range(g.npoints):
+            assert g.q_cutoff(g.point(i)) == (1.0 if g.q_mask[i] else 0.0)
     g = ParamGrid.line(11, q_nodes=[0, 10])
     assert g.q_cutoff((0.0,)) == pytest.approx(1.0)
     assert g.q_cutoff((1.0,)) == pytest.approx(1.0)
