@@ -27,7 +27,6 @@ from .errors import (
     PoleCollisionError,
     PreconditionError,
     QuadratureBudgetError,
-    RefinementBudgetError,
     RootSolveError,
     SingularityOnBoundaryError,
     SupportViolationError,
@@ -96,7 +95,6 @@ __all__ = [
     "PreconditionError",
     "QuadratureBudgetError",
     "RationalMap",
-    "RefinementBudgetError",
     "RootSolveError",
     "RunConfig",
     "SampledFamily",

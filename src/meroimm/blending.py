@@ -65,6 +65,35 @@ def sampled_sup_distance(f, g, disc: Disc, *, samples: int = 256) -> float:
     return float(np.max(np.abs(fv - gv)))
 
 
+def _taylor_truncations(
+    sample, center: complex, rho: float, degree_budget: int, singular: Exception
+):
+    """Taylor truncations at center, lowest degree first, of a function
+    holomorphic past the circle |z - center| = rho.
+
+    The degrees follow DEGREE_SCHEDULE below degree_budget and end at it.
+    The coefficients come from one FFT of ``sample`` on that circle, taken
+    on the call; a sample that is not finite raises ``singular``.  Each
+    truncation is built in the monomial basis only when it is reached.
+    """
+    K = max(2048, 8 * degree_budget)
+    angles = 2.0 * math.pi * np.arange(K) / K
+    with np.errstate(all="ignore"):
+        vals = sample(center + rho * np.exp(1j * angles))
+    if not np.all(np.isfinite(vals)):
+        raise singular
+    coeffs_ring = np.fft.fft(vals) / K  # c_k rho^k
+    schedule = [n for n in DEGREE_SCHEDULE if n <= degree_budget]
+    if not schedule or schedule[-1] < degree_budget:
+        schedule.append(degree_budget)
+    return (
+        ComplexPolynomial(
+            coeffs_ring[: N + 1] / rho ** np.arange(N + 1), coeff_tol=0.0
+        ).taylor_shift(-center)
+        for N in schedule
+    )
+
+
 def poly_approx_on_disc(
     f,
     disc: Disc,
@@ -90,23 +119,12 @@ def poly_approx_on_disc(
         raise DegreeBudgetError("polynomial input exceeds the degree budget")
 
     fv = _vectorized(f)
-    K = max(2048, 8 * degree_budget)
-    ring = _boundary_ring(disc, K)
-    vals = fv(ring)
-    if not np.all(np.isfinite(vals)):
-        raise PreconditionError("map is singular on the disc boundary")
-    coeffs_ring = np.fft.fft(vals) / K
-
+    refusal = PreconditionError("map is singular on the disc boundary")
+    truncations = _taylor_truncations(fv, disc.center, disc.radius, degree_budget, refusal)
     check = _boundary_ring(disc, 256, offset=0.37)
     target = fv(check)
     best = math.inf
-    schedule = [n for n in DEGREE_SCHEDULE if n <= degree_budget]
-    if not schedule or schedule[-1] < degree_budget:
-        schedule = list(schedule) + [degree_budget]
-    for N in schedule:
-        k = np.arange(N + 1)
-        tcoeffs = coeffs_ring[: N + 1] / disc.radius ** k
-        g = ComplexPolynomial(tcoeffs, coeff_tol=0.0).taylor_shift(-disc.center)
+    for g in truncations:
         err = float(np.max(np.abs(g(check) - target)))
         if err < eps:
             return g

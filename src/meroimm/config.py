@@ -6,8 +6,11 @@ diameter a few units).
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass
+
+from .errors import InputError
 
 # Coefficient magnitudes below COEFF_TOL * max(1, |coeffs|) are treated as zero.
 COEFF_TOL = 1e-12
@@ -28,14 +31,8 @@ RESIDUE_TOL = 1e-9
 # "On the boundary" clearance, as a fraction of the contour diameter.
 CLEARANCE_FACTOR = 1e-6
 
-# Smallest |f| that continuous-argument tracking accepts on a contour.
-MIN_MODULUS = 1e-12
-
 # Integrand evaluations the argument-principle count may spend before refusing.
 COUNT_EVAL_BUDGET = 400_000
-
-# Maximum number of contour samples after adaptive refinement.
-SAMPLE_BUDGET = 2**20
 
 # Truncation degrees tried by the disc approximation routines.
 DEGREE_SCHEDULE = (8, 16, 32, 64, 128, 256)
@@ -48,7 +45,9 @@ ENV_PREFIX = "MEROIMM_"
 class RunConfig:
     """Tolerances and budgets for a CLI run.
 
-    Values are resolved flag > environment (``MEROIMM_*``) > default.
+    Values are resolved flag > environment (``MEROIMM_*``) > default.  A
+    tolerance that is not a finite positive number, or a degree budget below
+    1, raises InputError.
     """
 
     eps: float = 1e-3
@@ -59,10 +58,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("eps", "tol_residue", "tol_root", "tol_quad"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be a finite positive number, not {value}")
         if self.degree_budget < 1:
-            raise ValueError("degree_budget must be >= 1")
+            raise InputError("degree_budget must be >= 1")
 
     def tolerances(self) -> dict:
         """The run's settings, plus the fixed boundary clearance factor."""
@@ -84,7 +84,12 @@ def config_from_env(overrides: dict | None = None) -> RunConfig:
     for name, cast in _ENV_FIELDS.items():
         raw = os.environ.get(ENV_PREFIX + name.upper())
         if raw is not None:
-            values[name] = cast(raw)
+            try:
+                values[name] = cast(raw)
+            except ValueError as exc:
+                raise InputError(
+                    f"{ENV_PREFIX + name.upper()}={raw!r} is not a valid {cast.__name__}"
+                ) from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)

@@ -2,36 +2,25 @@
 
 Contours are piecewise-linear paths through the stored samples; circles are
 built analytically from uniform angular samples so that closure is exact.
-Winding numbers of rational maps are read from their factored zeros and
-poles; other functions are tracked by continuous argument with adaptive
-bisection until every argument step is below pi/2.  Zero/pole counts come
-independently from the argument-principle integral, taken by a trapezoid
-rule that doubles its nodes until the count settles at an integer.
+Winding numbers are read from the factored zeros and poles of a rational map:
+each is exact or refused.  A function known only by its values gets none,
+because samples cannot rule out a full turn between two of them.
+Zero/pole counts come independently from the argument-principle integral,
+taken by a trapezoid rule that doubles its nodes until the count settles at
+an integer.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import (
-    CLEARANCE_FACTOR,
-    COUNT_EVAL_BUDGET,
-    MIN_MODULUS,
-    QUAD_TOL,
-    SAMPLE_BUDGET,
-)
-from .errors import (
-    InputError,
-    InternalConsistencyError,
-    PathTooCloseError,
-    QuadratureBudgetError,
-    RefinementBudgetError,
-    ZeroOnContourError,
-)
+from .config import CLEARANCE_FACTOR, COUNT_EVAL_BUDGET, QUAD_TOL
+from .errors import InputError, PathTooCloseError, QuadratureBudgetError
+from .poly import ComplexPolynomial
 from .rational import Factored, RationalMap
 
 
@@ -70,7 +59,6 @@ class Contour:
 
     samples: tuple[complex, ...]
     closed: bool
-    budget: int = SAMPLE_BUDGET
 
     def __post_init__(self):
         samples = tuple(complex(s) for s in self.samples)
@@ -82,8 +70,6 @@ class Contour:
         for a, b in zip(samples, samples[1:]):
             if a == b:
                 raise InputError("consecutive contour samples must be distinct")
-        if self.budget < len(samples):
-            raise InputError("sample budget below the initial sample count")
 
     @classmethod
     def circle(
@@ -137,15 +123,16 @@ class Contour:
         """Default geometric clearance: a small fraction of the diameter."""
         return CLEARANCE_FACTOR * max(self.diameter, 1e-300)
 
-    def distance_to(self, z: complex) -> float:
-        """Distance from z to the polyline."""
-        z = complex(z)
+    def distance_to(self, z):
+        """Distance from z to the polyline; an array of points gives an array."""
+        z = np.asarray(z, dtype=complex)[..., None]
         zs = np.array(self.samples, dtype=complex)
         a, d = zs[:-1], np.diff(zs)
         # np.hypot rounds as abs() on a Python complex does; np.abs may not
         t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
         w = z - (a + np.clip(t, 0.0, 1.0) * d)
-        return float(np.min(np.hypot(w.real, w.imag)))
+        out = np.min(np.hypot(w.real, w.imag), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,60 +253,32 @@ def integrate(
 
 
 def winding_number(
-    f,
+    f: ComplexPolynomial | RationalMap | Factored,
     contour: Contour,
-    *,
-    min_modulus: float = MIN_MODULUS,
 ) -> int:
     """Total argument change of f along a closed contour, divided by 2 pi.
 
-    A RationalMap is factored and its winding read from its zeros and poles
+    The winding is read from the zeros and poles of f
     (:meth:`Factored.winding`), which is exact and refuses a zero or pole
-    within the contour's clearance.  Any other f is tracked from samples:
-    adaptive bisection inserts midpoints until every argument step is below
-    pi/2, and |f| must stay above ``min_modulus`` on the samples.  The step
-    rule cannot see a full turn between two samples, so sampled tracking is
-    only as good as the sampling of f.
+    within the contour's clearance or not certified to lie on one side of
+    the contour.  A Factored map brings its zeros and
+    poles along; a RationalMap, or a ComplexPolynomial taken as one, is
+    factored once on entry.  Any other f raises InputError: without a bound
+    on f, no sampling of its values can rule out a full turn between two
+    samples (Henrici, Applied and Computational Complex Analysis I, 4.6).
     """
     if not contour.closed:
         raise InputError("winding numbers need a closed contour")
+    if isinstance(f, ComplexPolynomial):
+        f = RationalMap(f)
     if isinstance(f, RationalMap):
-        return f.factor().winding(contour)
-    fz = _vectorized(f)
-    zs = np.array(contour.samples, dtype=complex)
-    vals = fz(zs)
-    budget = contour.budget
-
-    def check(vs: np.ndarray):
-        if not np.all(np.isfinite(vs)):
-            raise PathTooCloseError("non-finite value: singularity on contour")
-        if np.min(np.abs(vs)) <= min_modulus:
-            raise ZeroOnContourError("|f| below clearance: zero on contour")
-
-    check(vals)
-    while True:
-        ratios = vals[1:] / vals[:-1]
-        steps = np.angle(ratios)
-        bad = np.abs(steps) >= 0.5 * math.pi
-        if not bad.any():
-            total = float(np.sum(steps))
-            n = round(total / (2.0 * math.pi))
-            if abs(total - 2.0 * math.pi * n) > 0.2:
-                raise InternalConsistencyError(
-                    "argument tracking did not close up to an integer turn"
-                )
-            return int(n)
-        if len(zs) * 2 > budget:
-            raise RefinementBudgetError(
-                "cannot bound argument steps below pi/2 within the sample budget"
-            )
-        mids = 0.5 * (zs[:-1][bad] + zs[1:][bad])
-        mvals = fz(mids)
-        check(mvals)
-        # interleave the new midpoints after their left endpoints
-        idx = np.nonzero(bad)[0]
-        zs = np.insert(zs, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, mvals)
+        f = f.factor()
+    if not isinstance(f, Factored):
+        raise InputError(
+            "winding numbers need a polynomial or rational map; "
+            "sampled values cannot certify one"
+        )
+    return f.winding(contour)
 
 
 def argument_principle_count(
@@ -360,13 +319,13 @@ def argument_principle_count(
         clearance = contour.clearance()
     F = f if isinstance(f, Factored) else f.factor()
     singular = [a for a, _ in F.zeros] + list(F.poles.locations)
-    reach = math.inf
-    for s in singular:
-        reach = min(reach, contour.distance_to(s))
-        if reach <= clearance:
+    dists = contour.distance_to(np.array(singular, dtype=complex))
+    for s, dist in zip(singular, dists):
+        if dist <= clearance:
             raise PathTooCloseError(
                 f"zero or pole at {s} within clearance of the contour"
             )
+    reach = float(np.min(dists, initial=math.inf))
     n, d = F.map.num, F.map.den
     dn, dd = n.derivative(), d.derivative()
 

@@ -75,10 +75,6 @@ class QuadratureBudgetError(NumericalError):
         self.best = best
 
 
-class RefinementBudgetError(NumericalError):
-    """Argument tracking could not bound the phase steps within the sample budget."""
-
-
 class DegreeBudgetError(NumericalError):
     """The truncation degree schedule ended above the target error.
 

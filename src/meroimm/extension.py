@@ -25,11 +25,11 @@ import numpy as np
 
 from .config import (
     DEGREE_BUDGET,
-    DEGREE_SCHEDULE,
     QUAD_TOL,
     RESIDUE_TOL,
     ROOT_TOL,
 )
+from .blending import _taylor_truncations
 from .contours import Contour, Disc, integrate_pieces, _vectorized
 from .errors import (
     DegreeBudgetError,
@@ -109,8 +109,6 @@ def constrained_eta(
     disc: Disc,
     center: complex,
     degree_budget: int = DEGREE_BUDGET,
-    check_samples: int = 256,
-    interp_tol: float = 1e-6,
 ) -> ConstrainedEta:
     """Polynomial eta-tilde with eta-tilde(a) = c_a exactly at every pole and
     sampled sup |eta-tilde - eta| < eps_eta on the disc.
@@ -132,11 +130,10 @@ def constrained_eta(
     singular: list[complex] = []
     if eta.den.degree >= 1:
         singular += [s for s, _ in roots(eta.den)]
-    margin = 1e-9 * max(1.0, disc.radius)
     for a, c in zip(locs, targets):
         if disc.contains(a):
             val = eta(a)
-            if is_inf(val) or abs(complex(val) - c) > interp_tol * (1.0 + abs(c)):
+            if is_inf(val) or abs(complex(val) - c) > 1e-6 * (1.0 + abs(c)):
                 raise NotAnImmersionError(
                     f"log-derivative misses its residue target at the pole {a}; "
                     "the input is not an immersion with simple poles there"
@@ -165,19 +162,15 @@ def constrained_eta(
     rho = 0.5 * (r_eff + R) if math.isfinite(R) else 2.0 * r_eff
     rho = min(rho, 4.0 * r_eff)
 
-    K = max(2048, 8 * degree_budget)
-    angles = 2.0 * math.pi * np.arange(K) / K
-    ring = center + rho * np.exp(1j * angles)
-    with np.errstate(all="ignore"):
-        eta_vals = eta.num(ring) / eta.den(ring)
-        resid_vals = (eta_vals - lagrange(ring)) / node_product(ring)
-    if not np.all(np.isfinite(resid_vals)):
-        raise InternalConsistencyError("residual sampling hit a singularity")
-    coeffs_ring = np.fft.fft(resid_vals) / K  # sigma_k * rho^k
+    def residual(z: np.ndarray) -> np.ndarray:
+        return (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
+
+    refusal = InternalConsistencyError("residual sampling hit a singularity")
+    truncations = _taylor_truncations(residual, center, rho, degree_budget, refusal)
 
     # sampled error check on the disc boundary (max principle: the difference
     # is holomorphic on the disc, so the boundary sup bounds the interior)
-    thetas = 2.0 * math.pi * np.arange(check_samples) / check_samples
+    thetas = 2.0 * math.pi * np.arange(256) / 256
     bdry = disc.center + disc.radius * np.exp(1j * thetas)
     with np.errstate(all="ignore"):
         eta_bdry = eta.num(bdry) / eta.den(bdry)
@@ -185,14 +178,7 @@ def constrained_eta(
         raise InternalConsistencyError("eta is singular on the disc boundary")
 
     best_err = math.inf
-    schedule = [n for n in DEGREE_SCHEDULE if n <= degree_budget]
-    if not schedule or schedule[-1] < degree_budget:
-        schedule = list(schedule) + [degree_budget]
-    for N in schedule:
-        k = np.arange(N + 1)
-        sig_coeffs = coeffs_ring[: N + 1] / rho ** k
-        sigma_t = ComplexPolynomial(sig_coeffs, coeff_tol=0.0)
-        sigma = sigma_t.taylor_shift(-center)
+    for sigma in truncations:
         expanded = lagrange + sigma * node_product
         err = float(np.max(np.abs(expanded(bdry) - eta_bdry)))
         if err < eps_eta:
@@ -504,7 +490,6 @@ def extend_immersion(
     residue_tol: float = RESIDUE_TOL,
     quad_tol: float = QUAD_TOL,
     degree_budget: int = DEGREE_BUDGET,
-    boundary_samples: int = 256,
     approx_disc: Disc | None = None,
 ) -> IntegralImmersion:
     """Extend a sphere immersion from the small disc to the big one.
@@ -565,9 +550,7 @@ def extend_immersion(
             raise InternalConsistencyError(
                 f"constructed integrand has residue {worst_res:.2e}"
             )
-        sup = extension_boundary_error(
-            f, out, d0, samples=boundary_samples, quad_tol=quad_tol
-        )
+        sup = extension_boundary_error(f, out, d0, samples=256, quad_tol=quad_tol)
         if sup < eps:
             return replace(out, achieved_eps=sup)
         last_err = min(last_err, sup)

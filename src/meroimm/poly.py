@@ -50,11 +50,6 @@ class ComplexPolynomial:
         return cls((1.0,))
 
     @classmethod
-    def identity(cls) -> "ComplexPolynomial":
-        """The polynomial z."""
-        return cls((0.0, 1.0))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[complex], leading: complex = 1.0) -> "ComplexPolynomial":
         cs = np.array([leading], dtype=complex)
         for r in roots:

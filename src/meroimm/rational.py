@@ -129,10 +129,6 @@ class RationalMap:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_polynomial(cls, p) -> "RationalMap":
-        return cls(p, ComplexPolynomial.one())
-
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
@@ -299,6 +295,36 @@ def _quotient_rule(red: RationalMap, poles: PoleSet) -> RationalMap:
     return RationalMap(num, den)
 
 
+def _pellet_isolated(polys, ws, ms, limits) -> np.ndarray:
+    """Whether, for each root ws[i] of order ms[i] of polys[i], some disc
+    |z - ws[i]| < rho with rho below limits[i] holds exactly ms[i] roots.
+
+    Pellet's test on the Taylor coefficients b_k at w: |b_m| rho^m exceeds
+    the sum of |b_k| rho^k over k != m, twice over, with each |b_k| widened
+    by its rounding floor (see _shift_noise).  rho runs down from half the
+    limit in 40 steps of sqrt(2).
+    """
+    n = max(len(p.coeffs) for p in polys) - 1
+    c = np.array([p.coeffs + (0j,) * (n + 1 - len(p.coeffs)) for p in polys])
+    j = np.arange(n + 1)
+    powers = ws[:, None] ** j
+    # b_k = sum over j >= k of C(j, k) c_j w^(j-k); C(j, k) = 0 for j < k
+    gather = np.maximum(np.subtract.outer(j, j), 0)
+    binom = np.array([[math.comb(i, k) for k in j] for i in j], dtype=float)
+    b = np.abs(np.einsum("rjk,jk,rj->rk", powers[:, gather], binom, c))
+    floor = np.einsum("rjk,jk,rj->rk", np.abs(powers)[:, gather], binom, np.abs(c))
+    floor *= 16.0 * _EPS * np.array([len(p.coeffs) for p in polys])[:, None]
+    rows = np.arange(len(ws))
+    lead = b[rows, ms] - floor[rows, ms]
+    rest = b + floor
+    rest[rows, ms] = 0.0
+    rho = np.asarray(limits)[:, None] * 0.5 ** (np.arange(2, 42) / 2)
+    t = rho[:, :, None] ** j
+    lhs = lead[:, None] * t[rows, :, ms]
+    rhs = (t * rest[:, None, :]).sum(axis=2)
+    return np.any(lhs > 2.0 * rhs, axis=1)
+
+
 @dataclass(frozen=True)
 class Factored:
     """A reduced rational map together with its zeros and its poles.
@@ -344,27 +370,42 @@ class Factored:
         Sum of m ind(gamma, zero) over the zeros minus the same over the
         poles, where ind(gamma, w) is the turning of the chords of gamma
         around w: each chord subtends an angle in (-pi, pi), and the angles
-        add up to a whole number of turns.  A zero or pole within the
-        contour's clearance refuses with ZeroOnContourError or
-        PathTooCloseError.
+        add up to a whole number of turns.  A zero or pole refuses with
+        ZeroOnContourError or PathTooCloseError when it lies within the
+        contour's clearance, or when Pellet's test cannot confine its m roots
+        of the numerator or denominator to a disc that meets neither the
+        contour nor the disc of another zero or pole: the root solver can
+        merge distinct roots into one multiple root on the wrong side.
         """
         if not contour.closed:
             raise InputError("winding numbers need a closed contour")
         if self.map.num.is_zero:
             raise ZeroOnContourError("the zero map has no winding number")
+        points = [(w, m, 1) for w, m in self.zeros] + [(a, m, -1) for a, m in self.poles]
+        if not points:
+            return 0
+        ws = np.array([w for w, _, _ in points], dtype=complex)
+        reach = contour.distance_to(ws)
+        gaps = np.abs(ws[:, None] - ws)
+        np.fill_diagonal(gaps, math.inf)
+        isolated = _pellet_isolated(
+            [self.map.num if sign > 0 else self.map.den for _, _, sign in points],
+            ws,
+            np.array([m for _, m, _ in points]),
+            np.minimum(reach, 0.5 * gaps.min(axis=1)),
+        )
         clearance = contour.clearance()
+        for (w, _, sign), dist, ok in zip(points, reach, isolated):
+            error = ZeroOnContourError if sign > 0 else PathTooCloseError
+            if dist <= clearance:
+                raise error(f"zero or pole at {w} within clearance of the contour")
+            if not ok:
+                raise error(f"the roots near {w} cannot be kept on one side of the contour")
         zs = np.array(contour.samples, dtype=complex)
-        total = 0
-        for points, sign, error in (
-            (self.zeros, 1, ZeroOnContourError),
-            (self.poles.entries, -1, PathTooCloseError),
-        ):
-            for w, m in points:
-                if contour.distance_to(w) <= clearance:
-                    raise error(f"zero or pole at {w} within clearance of the contour")
-                turns = float(np.sum(np.angle((zs[1:] - w) / (zs[:-1] - w))))
-                total += sign * m * round(turns / (2.0 * math.pi))
-        return total
+        turns = np.sum(np.angle((zs[1:] - ws[:, None]) / (zs[:-1] - ws[:, None])), axis=1)
+        return sum(
+            sign * m * round(float(t) / (2.0 * math.pi)) for (_, m, sign), t in zip(points, turns)
+        )
 
 
 def _series_divide(

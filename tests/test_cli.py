@@ -246,3 +246,25 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", p, "--json")
     assert code == 0
     assert json.loads(out)["config"]["tol_root"] == 1e-7
+
+
+def _verify_input(tmp_path):
+    return write(tmp_path, "in.json", {
+        "map": zpow_json(1),
+        "domain": {"center": [0.0, 0.0], "radius": 1.0},
+        "target": "C",
+    })
+
+
+@pytest.mark.parametrize("flags", [("--eps", "-1"), ("--tol-residue", "nan")])
+def test_invalid_flag_is_input_error(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "verify", _verify_input(tmp_path), *flags)
+    assert code == 1
+    assert err.startswith("input error:")
+
+
+def test_invalid_env_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MEROIMM_EPS", "abc")
+    code, _, err = run(capsys, "verify", _verify_input(tmp_path))
+    assert code == 1
+    assert err.startswith("input error:") and "MEROIMM_EPS" in err

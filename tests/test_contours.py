@@ -1,8 +1,11 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meroimm import (
     ComplexPolynomial,
@@ -13,7 +16,6 @@ from meroimm import (
     PathTooCloseError,
     QuadratureBudgetError,
     RationalMap,
-    RefinementBudgetError,
     ZeroOnContourError,
     argument_principle_count,
     integrate,
@@ -105,11 +107,14 @@ def test_integrate_budget():
 
 def test_winding_examples():
     circ = Contour.circle(0, 1.0)
-    assert winding_number(lambda z: z, circ) == 1
+    assert winding_number(P([0, 1]), circ) == 1
     assert winding_number(P([0, 0, 3]), circ) == 2  # derivative of z^3
     assert winding_number(R(P([-1]), P([0, 0, 1])), circ) == -2  # -1/z^2
-    assert winding_number(lambda z: z, Contour.circle(0, 1.0, turns=2)) == 2
-    assert winding_number(lambda z: z, Contour.circle(0, 1.0, turns=-1)) == -1
+    assert winding_number(R(P([-1]), P([0, 0, 1])).factor(), circ) == -2
+    assert winding_number(P([0, 1]), Contour.circle(0, 1.0, turns=2)) == 2
+    assert winding_number(P([0, 1]), Contour.circle(0, 1.0, turns=-1)) == -1
+    # z^5 turns 5/8 of a turn per chord of an 8-sample circle
+    assert winding_number(P([0, 0, 0, 0, 0, 1]), Contour.circle(0, 1.0, samples=8)) == 5
 
 
 def test_winding_zero_on_contour():
@@ -125,18 +130,17 @@ def test_rational_winding_refuses_near_zero_or_pole():
         winding_number(R(P([1.0]), P.from_roots([1j])), circ)
     with pytest.raises(ZeroOnContourError):
         winding_number(R(P([])), circ)
+    # the root solver merges the double root a and the triple root b into
+    # one 5-fold root at 0.9975, inside the circle; b is outside, so the
+    # winding is 2, and Pellet's test refuses the merged root instead of 5
+    a, b = 1 - 2.0**-7, 1.001
+    with pytest.raises(ZeroOnContourError):
+        winding_number(R(P.from_roots([a, a, b, b, b])), circ)
 
 
 def test_winding_needs_closed():
     with pytest.raises(InputError):
-        winding_number(lambda z: z, Contour.segment(1, 2))
-
-
-def test_winding_refinement_budget():
-    # f = z^5 on a 8-sample circle needs refinement; a tiny budget trips it
-    c = Contour(Contour.circle(0, 1.0, samples=8).samples, closed=True, budget=10)
-    with pytest.raises(RefinementBudgetError):
-        winding_number(P([0, 0, 0, 0, 0, 1]), c)
+        winding_number(P([0, 1]), Contour.segment(1, 2))
 
 
 def test_winding_resampling_invariance():
@@ -221,6 +225,72 @@ def test_argument_principle_near_contour_sound(rng):
         assert got == expected
         decided += 1
     assert decided >= 55
+
+
+def _mp_count_inside(poly: ComplexPolynomial) -> int:
+    """Roots of poly in the open unit disc, by mpmath.polyroots.
+
+    Durand-Kerner runs at 60 digits and stops at steps below 1e-15, ample
+    for roots 1e-3 or more from the circle.  An exact m-fold root resolves
+    only to 1/m of the working digits, so on NoConvergence the extra
+    precision doubles.
+    """
+    if poly.degree < 1:
+        return 0
+    coeffs = [mpmath.mpc(c.real, c.imag) for c in reversed(poly.coeffs)]
+    for extraprec in (150, 300, 600):
+        try:
+            with mpmath.workdps(15):
+                found = mpmath.polyroots(coeffs, maxsteps=600, extraprec=extraprec)
+        except mpmath.NoConvergence:
+            continue
+        return sum(1 for r in found if abs(r) < 1)
+    raise AssertionError("mpmath.polyroots did not converge")
+
+
+_near = st.tuples(
+    st.floats(1e-3, 1e-2),  # distance to the unit circle
+    st.sampled_from([-1.0, 1.0]),  # inside or outside
+    st.floats(0.0, 2 * math.pi),
+    st.integers(1, 3),  # order
+    st.booleans(),  # zero or pole
+)
+_far = st.tuples(
+    st.sampled_from([0.5, 1.6]),
+    st.floats(0.0, 2 * math.pi),
+    st.integers(1, 3),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    near=st.lists(_near, min_size=1, max_size=3),
+    far=st.lists(_far, max_size=2),
+    lead=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+)
+def test_counts_near_contour_match_mpmath_or_refuse(near, far, lead):
+    # zeros and poles of order <= 3 placed 1e-3 to 1e-2 from the unit circle:
+    # each count equals the 60-digit mpmath.polyroots count or refuses with a
+    # typed error, never a wrong integer
+    circ = Contour.circle(0, 1.0)
+    points = [
+        ((1.0 + sign * gap) * np.exp(1j * angle), order, zero)
+        for gap, sign, angle, order, zero in near
+    ] + [(radius * np.exp(1j * angle), order, zero) for radius, angle, order, zero in far]
+    nr = [p for p, m, zero in points if zero for _ in range(m)]
+    dr = [p for p, m, zero in points if not zero for _ in range(m)]
+    f = R(P.from_roots(nr, leading=lead), P.from_roots(dr))
+    expected = _mp_count_inside(f.num) - _mp_count_inside(f.den)
+    for count in (winding_number, argument_principle_count):
+        try:
+            got = count(f, circ)
+        except MeroimmError:
+            continue
+        assert got == expected
+    # the same map known only by its values has no certified winding
+    with pytest.raises(InputError):
+        winding_number(lambda z: f(z), circ)
 
 
 def test_winding_argument_principle_oracle_exhaustive():
