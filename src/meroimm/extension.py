@@ -30,7 +30,7 @@ from .config import (
     ROOT_TOL,
 )
 from .blending import _taylor_truncations
-from .contours import Contour, Disc, integrate_pieces, _vectorized
+from .contours import Disc, integrate_pieces
 from .errors import (
     DegreeBudgetError,
     InputError,
@@ -569,12 +569,24 @@ def extension_boundary_error(
     samples: int = 256,
     quad_tol: float = QUAD_TOL,
 ) -> float:
-    """Sampled sup of the chordal distance between f and F on the disc boundary."""
+    """Sampled sup of the chordal distance between f and F on the disc boundary.
+
+    Both maps are sampled as arrays and the distance is taken in numpy; an
+    entry that is non-finite or above 1e140 in either goes through the
+    scalar f and :func:`chordal_distance`, which handle poles and INF.
+    """
     vals = F.values_on_circle(d0.center, d0.radius, samples, quad_tol=quad_tol)
     angles = 2.0 * math.pi * np.arange(samples) / samples
     ring = d0.center + d0.radius * np.exp(1j * angles)
-    worst = 0.0
-    for z, v in zip(ring, vals):
+    fv = f(ring)
+    # np.hypot rounds as abs() on a Python complex does
+    ap, aq = np.hypot(fv.real, fv.imag), np.hypot(vals.real, vals.imag)
+    plain = (ap <= 1e140) & (aq <= 1e140)
+    diff = fv[plain] - vals[plain]
+    ap, aq = ap[plain], aq[plain]
+    dist = 2.0 * np.hypot(diff.real, diff.imag) / np.sqrt((1.0 + ap * ap) * (1.0 + aq * aq))
+    worst = min(2.0, float(np.max(dist, initial=0.0)))
+    for z, v in zip(ring[~plain], vals[~plain]):
         worst = max(worst, chordal_distance(f(complex(z)), v))
     return worst
 

@@ -1,4 +1,5 @@
 """Shared generators and independent oracles for the test suite."""
+import mpmath
 import numpy as np
 
 from meroimm import ComplexPolynomial, RationalMap
@@ -66,3 +67,26 @@ def numpy_derivative_zeros_and_poles(f):
     # quotient-rule numerator keeps a factor there for higher-order poles)
     keep = [z for z in zeros if not (len(poles) and np.min(np.abs(z - poles)) < 1e-6)]
     return np.array(keep), poles
+
+
+def mpmath_pieces(scale, xi, poles, starts, deltas, dps=30):
+    """Independent quadrature oracle: the integrals of
+    scale exp(xi(w)) / prod over the poles of (w - a)^2 dw along the straight
+    pieces starts[k] + t deltas[k], t in [0, 1], by mpmath.quad at ``dps``
+    digits.  xi is an ascending coefficient list; one complex per piece."""
+    with mpmath.workdps(dps):
+        xi = [mpmath.mpc(c) for c in reversed(list(xi))]
+        poles = [mpmath.mpc(a) for a in poles]
+        scale = mpmath.mpc(scale)
+
+        def g(w):
+            theta = mpmath.mpf(1)
+            for a in poles:
+                theta *= (w - a) ** 2
+            return scale * mpmath.exp(mpmath.polyval(xi, w)) / theta
+
+        out = []
+        for a, d in zip(starts, deltas):
+            a, d = mpmath.mpc(complex(a)), mpmath.mpc(complex(d))
+            out.append(complex(mpmath.quad(lambda t: g(a + t * d), [0, 1]) * d))
+        return out

@@ -21,6 +21,9 @@ from meroimm import (
     integrate,
     winding_number,
 )
+from meroimm.contours import integrate_pieces
+
+from helpers import mpmath_pieces
 
 P = ComplexPolynomial
 R = RationalMap
@@ -103,6 +106,50 @@ def test_integrate_budget():
     with pytest.raises(QuadratureBudgetError) as exc:
         integrate(f, Contour.segment(0, 2, samples=2), 1e-14, eval_budget=40)
     assert exc.value.best is not None
+
+
+# the extension integrand h0 exp(xi)/Theta with one double pole at _POLE
+_XI = [0.4 + 0.1j, 0.8 - 0.3j, -0.25 + 0.5j, 0.1 + 0.05j, -0.02j]
+_POLE = 0.5 + 0.4j
+_H0 = 10.0 - 5.0j
+
+
+def _h_exp_xi_over_theta(z):
+    return _H0 * np.exp(P(_XI)(z)) / (z - _POLE) ** 2
+
+
+def _detour_pieces(radius=0.04, chords=16):
+    """Radial path from 0 to |z| = 1.5 through _POLE's direction, passing the
+    pole by a half circle of the given radius cut into the given chords."""
+    u = _POLE / abs(_POLE)
+    th = np.angle(-u) - np.pi * np.arange(chords + 1) / chords
+    pts = np.concatenate([[0j], _POLE + radius * np.exp(1j * th), [1.5 * u]])
+    return pts[:-1], np.diff(pts)
+
+
+def test_integrate_pieces_long_leg_matches_mpmath():
+    za, d = np.array([0j]), np.array([1.5 * np.exp(-1j * np.pi / 3)])
+    got = integrate_pieces(_h_exp_xi_over_theta, za, d, 1e-10)
+    want = mpmath_pieces(_H0, _XI, [_POLE], za, d)[0]
+    assert abs(got - want) < 1e-10
+
+
+def test_integrate_pieces_near_pole_arc_matches_mpmath():
+    # chords 0.008 long, 0.04 from the double pole, |integrand| > 1e4: each
+    # chord's share of tol asks for 5e-15 relative accuracy, near rounding
+    za, d = _detour_pieces()
+    assert np.max(np.abs(_h_exp_xi_over_theta(za[1:]))) > 1e4
+    got = integrate_pieces(_h_exp_xi_over_theta, za, d, 1e-10)
+    want = sum(mpmath_pieces(_H0, _XI, [_POLE], za, d))
+    assert abs(got - want) < 1e-10
+
+
+def test_integrate_pieces_per_piece_matches_mpmath():
+    za, d = _detour_pieces()
+    got = integrate_pieces(_h_exp_xi_over_theta, za, d, 1e-10, per_piece=True)
+    want = mpmath_pieces(_H0, _XI, [_POLE], za, d)
+    assert got.shape == (len(za),)
+    assert np.max(np.abs(got - np.array(want))) < 1e-11
 
 
 def test_winding_examples():

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import meroimm.extension
 import meroimm.immersions
-from helpers import separated_points
+from helpers import mpmath_pieces, separated_points
 from meroimm import (
     INF,
     ComplexPolynomial,
@@ -229,6 +230,119 @@ def test_values_on_circle_matches_pointwise():
     for k, v in enumerate(vals):
         z = np.exp(2j * np.pi * k / 16)
         assert abs(v - complex(F.evaluate(complex(z)))) < 1e-7
+
+
+def _mpmath_value(F, z):
+    """F(z) by mpmath along F's own detour path: an oracle for the quadrature."""
+    starts, deltas = F._detour_path(complex(z), 1)
+    return F.base_value + sum(
+        mpmath_pieces(F.scale, F.xi.coeffs, [a for a, _ in F.poles], starts, deltas)
+    )
+
+
+# Moebius maps with one pole in the big disc, whose paths to |z| = 1.5 pass
+# the pole by arcs of radius 0.04.  Adaptive Simpson exhausted its budget on
+# the first; a G7-K15 rule without a rounding floor did on the second.
+@pytest.mark.parametrize("num, den", [
+    (
+        [-7.0854307248920465 + 1.0433571768311454j, -1.2225277379616517 + 3.2233554772069297j],
+        [0.0034101059645046394 - 0.033902135510989195j, 0.012581673174547947 + 0.05175156288048876j],
+    ),
+    (
+        [-8.273376763532731 + 4.617983285798465j, -3.9577160560916234 + 2.073235124068424j],
+        [-0.05665336276253985 - 0.16615187715398377j, 0.10575881516799202 - 0.2017297520207219j],
+    ),
+])
+def test_evaluate_past_pole_matches_mpmath(num, den):
+    F = extend_immersion(R(P(num), P(den)), D0, D1, 1e-3)
+    assert len(F.poles) == 1
+    for z in ring(1.5, 16):
+        got = F.evaluate(complex(z))
+        assert not is_inf(got)
+        assert abs(complex(got) - _mpmath_value(F, z)) < 1e-10
+
+
+def _mpmath_entire_values(F, zs, terms=200):
+    """F(z) for an extension based at 0 without poles, from the Taylor series
+    of E = exp(xi) integrated term by term at 30 digits.
+
+    E' = xi' E gives (n + 1) e[n+1] = sum_k (k + 1) x[k+1] e[n-k].
+    """
+    assert F.base_point == 0 and len(F.poles) == 0
+    with mpmath.workdps(30):
+        x = [mpmath.mpc(c) for c in F.xi.coeffs]
+        e = [mpmath.exp(x[0])]
+        for n in range(terms):
+            e.append(sum(
+                (k + 1) * x[k + 1] * e[n - k] for k in range(min(n + 1, len(x) - 1))
+            ) / (n + 1))
+        assert max(abs(c) for c in e[-10:]) < mpmath.mpf(10) ** -40
+        prim = [c / (n + 1) for n, c in enumerate(e)][::-1] + [0]
+        h0 = mpmath.mpc(F.scale)
+        return [mpmath.mpc(F.base_value) + h0 * mpmath.polyval(prim, mpmath.mpc(z)) for z in zs]
+
+
+def test_achieved_eps_matches_mpmath_sup():
+    # a cubic: no poles, so the extension is f0 + h0 times a primitive of exp(xi)
+    f = R(P([
+        0.10109520293185721 - 0.009242161189900698j,
+        -0.49367971663195087 + 0.6948473263990413j,
+        0.1549720514241619 - 0.08208544204253704j,
+        -0.0332051588142591 - 0.018210222334970466j,
+    ]))
+    F = extend_immersion(f, D0, D1, 1e-3)
+    zs = ring(1.0, 256)
+    values = _mpmath_entire_values(F, zs)
+    # the series agrees with mpmath.quad along the path
+    assert abs(complex(values[37]) - _mpmath_value(F, zs[37])) < 1e-14
+    sup = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for z, q in zip(zs, values):
+            p = mpmath.polyval([mpmath.mpc(c) for c in reversed(f.num.coeffs)], mpmath.mpc(z))
+            d = 2 * abs(p - q) / mpmath.sqrt((1 + abs(p) ** 2) * (1 + abs(q) ** 2))
+            sup = max(sup, d)
+    assert abs(F.achieved_eps - float(sup)) < 1e-12
+
+
+def _boundary_error_by_loop(f, vals, n):
+    ring_ = ring(1.0, n)
+    return max(chordal_distance(f(complex(z)), v) for z, v in zip(ring_, vals))
+
+
+class _FixedValues:
+    """Stands in for an extension whose boundary values are given."""
+
+    def __init__(self, vals):
+        self.vals = vals
+
+    def values_on_circle(self, center, radius, n, *, quad_tol):
+        return self.vals
+
+
+def test_extension_boundary_error_matches_scalar_loop():
+    for f in (
+        R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5])),
+        R(P([0.2, 1.0, 0.3j])),
+        R(P([1]), P.from_roots([0.01])),
+        R(P([0, 1, 0, 0.05])),
+    ):
+        F = extend_immersion(f, D0, D1, 1e-3)
+        vals = F.values_on_circle(0j, 1.0, 256)
+        want = _boundary_error_by_loop(f, vals, 256)
+        assert abs(extension_boundary_error(f, F, D0) - want) <= 1e-14
+
+
+def test_extension_boundary_error_with_inf_values():
+    # f has a pole at the ring sample z = 1; the extension values hold an
+    # INF, a value past 1e140 and an ordinary miss
+    f = R(P([1]), P.from_roots([1.0])) + R(P([0, 0.5]))
+    vals = f(ring(1.0, 64))
+    vals[0] = 1e200
+    vals[5] = complex(math.inf, 0.0)
+    vals[9] += 1e-3
+    got = extension_boundary_error(f, _FixedValues(vals), D0, samples=64)
+    assert got == _boundary_error_by_loop(f, vals, 64)
+    assert got == pytest.approx(chordal_distance(f(complex(ring(1.0, 64)[5])), INF))
 
 
 # -- families ---------------------------------------------------------------------
