@@ -3,11 +3,12 @@ sampled families of plane-valued maps.
 
 A family sampled over a parameter grid is blended through a net of
 representative nodes: each net member is Taylor-truncated on the disc, and
-the outputs are convex combinations with piecewise-linear net weights.  The
-two-triangle estimate gives sup errors below half the target whenever each
-covered node stays within a quarter of it from its net representative.  A
-relative variant swaps in prescribed exact maps near a marked subset of the
-grid.
+the outputs are convex combinations with piecewise-linear net weights.  Each
+stride tried builds one (nodes x net) weight matrix, and so does the blend;
+the per-node loops read its rows.  The two-triangle estimate gives sup
+errors below half the target whenever each covered node stays within a
+quarter of it from its net representative.  A relative variant swaps in
+prescribed exact maps near a marked subset of the grid.
 """
 from __future__ import annotations
 
@@ -135,18 +136,17 @@ def poly_approx_on_disc(
 
 
 def _net_condition_holds(
-    family: SampledFamily, net: Sequence[int], eps_quarter: float, *, samples: int
+    family: SampledFamily, net: Sequence[int], eps_quarter: float
 ) -> bool:
     """Check that every node with positive net weight stays eps/4-close to
     its net representatives on the domain."""
     grid = family.grid
-    for i in range(grid.npoints):
-        w = grid.net_weights(net, grid.point(i))
+    for i, w in enumerate(grid.net_weights(net, np.array(grid.points))):
         for j, wj in zip(net, w):
             if wj <= 0.0 or j == i:
                 continue
             d = sampled_sup_distance(
-                family.maps[i], family.maps[j], family.domain, samples=samples
+                family.maps[i], family.maps[j], family.domain, samples=128
             )
             if d >= eps_quarter:
                 return False
@@ -159,7 +159,6 @@ def blend_parametric(
     *,
     net_stride: int | None = None,
     degree_budget: int = DEGREE_BUDGET,
-    samples: int = 128,
 ) -> SampledFamily:
     """Replace the family by polynomial blends with sup error below eps/2.
 
@@ -181,7 +180,7 @@ def blend_parametric(
     grid = family.grid
     if net_stride is not None:
         net = grid.net_indices(net_stride)
-        if not _net_condition_holds(family, net, eps / 4.0, samples=samples):
+        if not _net_condition_holds(family, net, eps / 4.0):
             raise GridResolutionError(
                 f"net of stride {net_stride} misses the eps/4 closeness "
                 "condition; use a finer net or a finer grid"
@@ -190,7 +189,7 @@ def blend_parametric(
         stride = max(grid.shape) - 1
         while True:
             net = grid.net_indices(stride)
-            if _net_condition_holds(family, net, eps / 4.0, samples=samples):
+            if _net_condition_holds(family, net, eps / 4.0):
                 break
             if stride == 1:
                 raise GridResolutionError(
@@ -205,8 +204,7 @@ def blend_parametric(
         for j in net
     }
     out = []
-    for i in range(grid.npoints):
-        w = grid.net_weights(net, grid.point(i))
+    for w in grid.net_weights(net, np.array(grid.points)):
         blend = ComplexPolynomial.zero()
         for j, wj in zip(net, w):
             if wj > 0.0:
@@ -222,13 +220,13 @@ def fix_on_Q(
     *,
     original: SampledFamily | None = None,
     eps: float | None = None,
-    samples: int = 128,
 ) -> SampledFamily:
     """Swap in prescribed exact maps on Q, interpolating across one cell layer.
 
     q_maps gives the exact maps on the grid's Q nodes; they extend to the
     one-cell neighborhood of Q by nearest-Q-node copy.  chi defaults to the
-    grid's Q-cutoff (1 on Q, 0 beyond the neighborhood); it must vanish
+    grid's Q-cutoff (1 on Q, 0 beyond the neighborhood), evaluated at every
+    node in one call; a caller's chi is called node by node and must vanish
     outside the neighborhood.  Q nodes receive their prescribed map object
     unchanged, so equality there is exact.
 
@@ -242,12 +240,13 @@ def fix_on_Q(
     if not q_nodes:
         return blended
     hood = grid.q_neighborhood()
-    cutoff = chi if chi is not None else (lambda p: grid.q_cutoff(p))
+    points = grid.points
+    cutoffs = grid.q_cutoff(np.array(points)) if chi is None else map(chi, points)
 
     xi = {i: q_maps[grid.nearest_q_node(i)] for i in hood}
     out = list(blended.maps)
-    for i in range(grid.npoints):
-        t = float(cutoff(grid.point(i)))
+    for i, t in enumerate(cutoffs):
+        t = float(t)
         if t < 0.0 or t > 1.0:
             raise InputError("chi must take values in [0,1]")
         if t > 0.0 and i not in hood:
@@ -263,7 +262,7 @@ def fix_on_Q(
             # still track the family (the paper-side smallness of P0)
             if original is not None and eps is not None:
                 d = sampled_sup_distance(
-                    xi[i], original.maps[i], blended.domain, samples=samples
+                    xi[i], original.maps[i], blended.domain, samples=128
                 )
                 if d >= eps / 2.0:
                     raise PreconditionError(

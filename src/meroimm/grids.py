@@ -4,6 +4,10 @@ Grids carry a boolean mask marking the relative subset Q (a union of grid
 faces).  Node weights are the usual piecewise-linear hats (products of 1-d
 hats in two dimensions): nonnegative, summing to one everywhere, each
 supported on the cells touching its node.
+
+The weight methods take one parameter (a float or an m-tuple) or a (k, m)
+array of them.  An array gives one row per parameter, built from per-axis
+1-d hat matrices; each row equals the single-parameter result bit for bit.
 """
 from __future__ import annotations
 
@@ -16,22 +20,33 @@ import numpy as np
 
 from .errors import InputError
 
+Params = float | Sequence[float] | np.ndarray
 
-def _hat_1d(x: float, node: int, n: int) -> float:
-    """Linear hat at node k of an n-point uniform grid on [0,1].
+
+def _hat_1d(x: np.ndarray, n: int) -> np.ndarray:
+    """Linear hats of an n-point uniform grid on [0,1], one row per x.
 
     Values within rounding distance of 0 or 1 snap exactly, so the hats are
     a true Kronecker basis at the nodes despite binary-fraction dust.
     """
-    if n == 1:
-        return 1.0
     h = 1.0 / (n - 1)
-    t = 1.0 - abs(x - node * h) / h
-    if t < 1e-12:
-        return 0.0
-    if t > 1.0 - 1e-12:
-        return 1.0
-    return t
+    t = 1.0 - np.abs(x[:, None] - np.arange(n) * h) / h
+    return np.where(t < 1e-12, 0.0, np.where(t > 1.0 - 1e-12, 1.0, t))
+
+
+def _interp_1d(x: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Linear interpolation weights on the sorted nodes vals, one row per x:
+    1 - t and t, t = (x - a) / (b - a), on the first interval [a, b] holding
+    x; the end nodes take what lies beyond them whole."""
+    out = np.zeros((len(x), len(vals)))
+    inner = np.flatnonzero((x > vals[0]) & (x < vals[-1]))
+    j = np.searchsorted(vals, x[inner]) - 1
+    t = (x[inner] - vals[j]) / (vals[j + 1] - vals[j])
+    out[inner, j] = 1.0 - t
+    out[inner, j + 1] = t
+    out[x <= vals[0], 0] = 1.0
+    out[x >= vals[-1], -1] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,20 +98,13 @@ class ParamGrid:
         return math.prod(self.shape)
 
     def node_index(self, multi: tuple[int, ...]) -> int:
-        if self.ndim == 1:
-            return multi[0]
-        return multi[0] * self.shape[1] + multi[1]
+        return multi[0] * self.shape[1] + multi[1] if self.ndim == 2 else multi[0]
 
     def node_multi(self, i: int) -> tuple[int, ...]:
-        if self.ndim == 1:
-            return (i,)
-        return divmod(i, self.shape[1])
+        return divmod(i, self.shape[1]) if self.ndim == 2 else (i,)
 
     def point(self, i: int) -> tuple[float, ...]:
-        multi = self.node_multi(i)
-        return tuple(
-            k / (s - 1) for k, s in zip(multi, self.shape)
-        )
+        return tuple(k / (s - 1) for k, s in zip(self.node_multi(i), self.shape))
 
     @property
     def points(self) -> list[tuple[float, ...]]:
@@ -134,27 +142,39 @@ class ParamGrid:
 
     # -- partition of unity ---------------------------------------------------
 
-    def hat_weights(self, p: Sequence[float] | float) -> np.ndarray:
-        """Node hat weights at parameter p; nonnegative and summing to 1."""
-        p = (float(p),) if isinstance(p, (int, float)) else tuple(float(x) for x in p)
-        if len(p) != self.ndim:
+    def _params(self, p: Params) -> tuple[np.ndarray, bool]:
+        """p as a (k, m) array, and whether it was a single parameter."""
+        arr = np.asarray(p, dtype=float)
+        single = arr.ndim < 2
+        arr = arr.reshape(1, -1) if single else arr
+        if arr.ndim != 2 or arr.shape[1] != self.ndim:
             raise InputError(f"parameter must have {self.ndim} coordinates")
-        if any(x < -1e-12 or x > 1.0 + 1e-12 for x in p):
+        if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
             raise InputError("parameters live in [0,1]^m")
-        axes = [
-            np.array([_hat_1d(x, k, s) for k in range(s)])
-            for x, s in zip(p, self.shape)
-        ]
-        if self.ndim == 1:
-            w = axes[0]
-        else:
-            w = np.outer(axes[0], axes[1]).ravel()
-        return w
+        return arr, single
 
-    def q_cutoff(self, p: Sequence[float] | float) -> float:
-        """Cutoff that is 1 on Q and decays to 0 across one cell layer."""
-        w = self.hat_weights(p)
-        return float(sum(w[i] for i in self.q_indices))
+    def hat_weights(self, p: Params) -> np.ndarray:
+        """Node hat weights at parameter p; nonnegative and summing to 1.
+
+        A (k, m) array p gives the (k, npoints) matrix of weights, one row
+        per parameter.
+        """
+        arr, single = self._params(p)
+        w = np.ones((len(arr), 1))
+        for x, n in zip(arr.T, self.shape):
+            w = (w[:, :, None] * _hat_1d(x, n)[:, None, :]).reshape(len(arr), -1)
+        return w[0] if single else w
+
+    def q_cutoff(self, p: Params) -> float | np.ndarray:
+        """Cutoff that is 1 on Q and decays to 0 across one cell layer.
+
+        A (k, m) array p gives an array of k cutoffs.  The Q weights are
+        summed in node order.
+        """
+        arr, single = self._params(p)
+        w = self.hat_weights(arr)
+        out = sum((w[:, i] for i in self.q_indices), np.zeros(len(arr)))
+        return float(out[0]) if single else out
 
     def q_neighborhood(self) -> list[int]:
         """Node indices within one cell of Q (including Q itself)."""
@@ -179,43 +199,24 @@ class ParamGrid:
         """A subsample including the axis endpoints, every ``stride`` nodes."""
         if stride < 1:
             raise InputError("stride must be >= 1")
-        axes = []
-        for s in self.shape:
-            idx = sorted(set(list(range(0, s, stride)) + [s - 1]))
-            axes.append(idx)
-        if self.ndim == 1:
-            return axes[0]
-        return [self.node_index((i, j)) for i in axes[0] for j in axes[1]]
+        axes = [sorted({*range(0, s, stride), s - 1}) for s in self.shape]
+        return [self.node_index(multi) for multi in product(*axes)]
 
-    def net_weights(self, net: Sequence[int], p: Sequence[float] | float) -> np.ndarray:
+    def net_weights(self, net: Sequence[int], p: Params) -> np.ndarray:
         """Piecewise-linear partition of unity over the net nodes, at p.
 
         The net nodes must form a tensor grid (as produced by net_indices).
+        Each weight is the product of 1-d interpolation weights on the net's
+        axis values; a point on a net node weighs exactly 1 there.  A (k, m)
+        array p gives the (k, len(net)) matrix of weights, one row per
+        parameter.
         """
-        p = (float(p),) if isinstance(p, (int, float)) else tuple(float(x) for x in p)
-        coords = [self.point(i) for i in net]
-        axes_vals: list[list[float]] = []
-        for d in range(self.ndim):
-            axes_vals.append(sorted(set(c[d] for c in coords)))
-
-        def axis_w(vals: list[float], x: float) -> dict[float, float]:
-            if len(vals) == 1:
-                return {vals[0]: 1.0}
-            if x <= vals[0]:
-                return {vals[0]: 1.0}
-            if x >= vals[-1]:
-                return {vals[-1]: 1.0}
-            for a, b in zip(vals, vals[1:]):
-                if a <= x <= b:
-                    t = (x - a) / (b - a)
-                    return {a: 1.0 - t, b: t}
-            return {vals[-1]: 1.0}
-
-        per_axis = [axis_w(axes_vals[d], p[d]) for d in range(self.ndim)]
-        out = np.zeros(len(net))
-        for k, c in enumerate(coords):
-            w = 1.0
-            for d in range(self.ndim):
-                w *= per_axis[d].get(c[d], 0.0)
-            out[k] = w
-        return out
+        arr, single = self._params(p)
+        if len(net) == 0 or min(net) < 0 or max(net) >= self.npoints:
+            raise InputError("net nodes must be grid node indices")
+        out = np.ones((len(arr), len(net)))
+        multis = np.unravel_index(np.asarray(net, dtype=int), self.shape)
+        for x, s, ks in zip(arr.T, self.shape, multis):
+            axis, col = np.unique(ks, return_inverse=True)
+            out *= _interp_1d(x, axis / (s - 1))[:, col]
+        return out[0] if single else out

@@ -192,3 +192,80 @@ def test_blend_rejects_non_disc_domain():
     )
     with pytest.raises(InputError):
         blend_parametric(fam, 1e-3)
+
+
+def _box_family(q_nodes=()):
+    # 1/(z - p) with p within 0.02 of 2.5 + 0j over a 9 x 13 grid
+    grid = ParamGrid.box(9, 13, q_nodes=q_nodes)
+    maps = [R(P([1]), P.from_roots([2.5 + 0.02 * s + 0.02j * t])) for s, t in grid.points]
+    return SampledFamily(grid, maps, UNIT)
+
+
+def _reference_weights(grid, net, p):
+    # per-point piecewise-linear weights over a tensor net, one axis at a time
+    def axis_weights(vals, x):
+        if x <= vals[0]:
+            return {vals[0]: 1.0}
+        if x >= vals[-1]:
+            return {vals[-1]: 1.0}
+        a, b = next((a, b) for a, b in zip(vals, vals[1:]) if a <= x <= b)
+        t = (x - a) / (b - a)
+        return {a: 1.0 - t, b: t}
+
+    w = np.ones(len(net))
+    for d in range(grid.ndim):
+        axis = axis_weights(sorted({grid.point(j)[d] for j in net}), p[d])
+        w = w * np.array([axis.get(grid.point(j)[d], 0.0) for j in net])
+    return w
+
+
+@pytest.mark.parametrize("eps, net_size", [(1e-1, 4), (3e-2, 9), (1e-3, 117)])
+def test_blend_box_family_matches_per_point_reference(eps, net_size):
+    fam = _box_family()
+    grid = fam.grid
+    out = blend_parametric(fam, eps)
+    stride = max(grid.shape) - 1
+    while len(grid.net_indices(stride)) != net_size:
+        stride //= 2
+    net = grid.net_indices(stride)
+    approx = {j: poly_approx_on_disc(fam.maps[j], UNIT, eps / 4.0) for j in net}
+    for i, p in enumerate(grid.points):
+        blend = P.zero()
+        for j, wj in zip(net, _reference_weights(grid, net, p)):
+            if wj > 0.0:
+                blend = blend + wj * approx[j]
+        assert np.array_equal(out.maps[i].coeffs, blend.coeffs)
+    assert max(sampled_sup_distance(out.maps[i], fam.maps[i], UNIT)
+               for i in range(grid.npoints)) < eps / 2.0
+    if net_size == 4:
+        # the coarse net really blends: interior nodes mix all four corners
+        assert sum(np.count_nonzero(_reference_weights(grid, net, p)) == 4
+                   for p in grid.points) == 7 * 11
+
+
+def test_blend_box_family_coarse_net_is_refused_at_small_eps():
+    fam = _box_family()
+    with pytest.raises(GridResolutionError):
+        blend_parametric(fam, 1e-3, net_stride=12)
+
+
+def test_fix_on_q_inside_a_box_grid():
+    q = 4 * 13 + 6  # an interior node
+    fam = _box_family(q_nodes=[q])
+    out = blend_parametric(fam, 1e-3)
+    fixed = fix_on_Q(out, {q: fam.maps[q]}, original=fam, eps=1e-3)
+    assert fixed.maps[q] is fam.maps[q]
+    # the default cutoff is 1 on Q and 0 at every other node, its
+    # neighbours included, so nothing else is touched
+    assert len(fam.grid.q_neighborhood()) == 9
+    assert all(fixed.maps[i] is out.maps[i] for i in range(fam.grid.npoints) if i != q)
+    # a caller's own chi is still called node by node, with the same result
+    seen = []
+
+    def chi(p):
+        seen.append(p)
+        return fam.grid.q_cutoff(p)
+
+    again = fix_on_Q(out, {q: fam.maps[q]}, chi, original=fam, eps=1e-3)
+    assert seen == fam.grid.points
+    assert all(a is b for a, b in zip(again.maps, fixed.maps))

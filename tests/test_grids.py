@@ -99,3 +99,93 @@ def test_net_weights_2d():
     w = g.net_weights(net, (0.5, 0.5))
     assert np.sum(w) == pytest.approx(1.0)
     assert np.all(np.asarray(w) == 0.25)
+
+
+def _tried_strides(g):
+    # the strides blend_parametric tries, coarsest first
+    stride, out = max(g.shape) - 1, []
+    while True:
+        out.append(stride)
+        if stride == 1:
+            return out
+        stride = max(1, stride // 2)
+
+
+def _probe_points(g, rng):
+    pts = [g.point(i) for i in range(g.npoints)]
+    pts += [(0.0,) * g.ndim, (1.0,) * g.ndim, (0.0, 1.0)[: g.ndim], (1.0, 0.0)[: g.ndim]]
+    pts += [tuple(rng.random(g.ndim)) for _ in range(50)]
+    return pts
+
+
+@pytest.mark.parametrize("g", [ParamGrid.line(101, q_nodes=[0, 100]), ParamGrid.line(7, q_nodes=[3]),
+                               ParamGrid.box(9, 13, q_nodes=[58]), ParamGrid.box(5, 4, q_nodes=[0, 1, 9])])
+def test_array_forms_equal_per_point_results(g, rng):
+    pts = _probe_points(g, rng)
+    arr = np.array(pts)
+    for stride in _tried_strides(g):
+        net = g.net_indices(stride)
+        # the net nodes themselves are among the probes
+        probes = pts + [g.point(j) for j in net]
+        got = g.net_weights(net, np.array(probes))
+        assert got.shape == (len(probes), len(net))
+        assert np.array_equal(got, np.array([g.net_weights(net, p) for p in probes]))
+    hw = g.hat_weights(arr)
+    assert hw.shape == (len(pts), g.npoints)
+    assert np.array_equal(hw, np.array([g.hat_weights(p) for p in pts]))
+    qc = g.q_cutoff(arr)
+    assert qc.shape == (len(pts),)
+    assert np.array_equal(qc, np.array([g.q_cutoff(p) for p in pts]))
+
+
+def test_net_weights_on_net_nodes_are_kronecker():
+    for g in (ParamGrid.line(101), ParamGrid.box(9, 13)):
+        for stride in _tried_strides(g):
+            net = g.net_indices(stride)
+            w = g.net_weights(net, np.array([g.point(j) for j in net]))
+            assert np.array_equal(w, np.eye(len(net)))
+
+
+def test_net_weights_match_linear_interpolation():
+    # uneven last interval: the stride-3 net of a 9-point axis is 0, 3, 6, 8
+    g = ParamGrid.line(9)
+    net = g.net_indices(3)
+    assert net == [0, 3, 6, 8]
+    w = g.net_weights(net, np.array([[0.5], [0.8125], [0.875], [1.0]]))
+    assert w[0] == pytest.approx([0.0, 2.0 / 3.0, 1.0 / 3.0, 0.0])
+    assert np.array_equal(w[1], [0.0, 0.0, 0.75, 0.25])
+    assert np.array_equal(w[2], [0.0, 0.0, 0.5, 0.5])
+    assert np.array_equal(w[3], [0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("method", ["hat_weights", "q_cutoff", "net_weights"])
+def test_weights_validate_parameters(method):
+    line, box = ParamGrid.line(11, q_nodes=[0]), ParamGrid.box(5, 4, q_nodes=[0])
+
+    def call(g, p):
+        if method == "net_weights":
+            return g.net_weights(g.net_indices(2), p)
+        return getattr(g, method)(p)
+
+    bad = [
+        (line, (0.3, 7.0)),                     # a second coordinate on a 1-d grid
+        (line, 1.7), (line, -3), (line, (1.0 + 1e-9,)),
+        (box, 0.5),                             # a scalar on a 2-d grid
+        (box, (0.5,)), (box, (0.5, 0.5, 0.5)), (box, (0.5, -0.1)),
+        (box, (float("nan"), 0.5)),
+        (line, np.array([[0.2], [1.5]])),       # one bad row spoils the array
+        (line, np.array([[0.2, 0.3]])), (line, np.array([0.2, 0.3])),
+        (box, np.array([[0.2], [0.3]])), (box, np.array([[0.2, 0.3], [0.4, -1.0]])),
+        (box, np.zeros((2, 2, 2))),
+    ]
+    for g, p in bad:
+        with pytest.raises(InputError):
+            call(g, p)
+    if method == "net_weights":
+        for net in ([], [0, 11], [-1, 10]):
+            with pytest.raises(InputError):
+                line.net_weights(net, 0.5)
+    # the 1e-12 slack that absorbs rounding dust is kept
+    for g, p in [(line, -1e-13), (line, (1.0 + 1e-13,)), (box, (1e-13 - 1e-12, 1.0)),
+                 (box, np.array([[0.5, 1.0 + 5e-13]]))]:
+        call(g, p)
