@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .config import DEGREE_BUDGET, DEGREE_SCHEDULE
-from .contours import Disc, _vectorized
+from .contours import Disc, _vectorized, circle_samples
 from .errors import (
     DegreeBudgetError,
     GridResolutionError,
@@ -49,18 +49,13 @@ class SampledFamily:
         return len(self.maps)
 
 
-def _boundary_ring(disc: Disc, n: int, *, offset: float = 0.0) -> np.ndarray:
-    th = 2.0 * math.pi * (np.arange(n) + offset) / n
-    return disc.center + disc.radius * np.exp(1j * th)
-
-
 def sampled_sup_distance(f, g, disc: Disc, *, samples: int = 256) -> float:
     """Sampled sup of |f - g| over the disc boundary.
 
     For maps holomorphic on the disc this bounds the interior difference by
     the maximum principle.
     """
-    ring = _boundary_ring(disc, samples, offset=0.37)
+    ring = circle_samples(disc.center, disc.radius, samples, offset=0.37)
     fv = _vectorized(f)(ring)
     gv = _vectorized(g)(ring)
     return float(np.max(np.abs(fv - gv)))
@@ -78,9 +73,8 @@ def _taylor_truncations(
     truncation is built in the monomial basis only when it is reached.
     """
     K = max(2048, 8 * degree_budget)
-    angles = 2.0 * math.pi * np.arange(K) / K
     with np.errstate(all="ignore"):
-        vals = sample(center + rho * np.exp(1j * angles))
+        vals = sample(circle_samples(center, rho, K))
     if not np.all(np.isfinite(vals)):
         raise singular
     coeffs_ring = np.fft.fft(vals) / K  # c_k rho^k
@@ -122,7 +116,7 @@ def poly_approx_on_disc(
     fv = _vectorized(f)
     refusal = PreconditionError("map is singular on the disc boundary")
     truncations = _taylor_truncations(fv, disc.center, disc.radius, degree_budget, refusal)
-    check = _boundary_ring(disc, 256, offset=0.37)
+    check = circle_samples(disc.center, disc.radius, 256, offset=0.37)
     target = fv(check)
     best = math.inf
     for g in truncations:

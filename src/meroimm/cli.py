@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .blending import SampledFamily, blend_parametric, fix_on_Q, sampled_sup_distance
 from .config import RunConfig, config_from_env
-from .contours import Disc
+from .contours import Disc, circle_samples
 from .errors import InputError, MeroimmError, NumericalError, PreconditionError
 from .extension import extend_family, extend_immersion
 from .immersions import (
@@ -145,9 +142,7 @@ def _run_seed(data: dict, cfg: RunConfig) -> dict:
 
 def _write_boundary_csv(path: Path, F, d0: Disc, n: int, cfg: RunConfig) -> None:
     vals = F.values_on_circle(d0.center, d0.radius, n, quad_tol=cfg.tol_quad)
-    angles = 2.0 * math.pi * np.arange(n) / n
-    ring = d0.center + d0.radius * np.exp(1j * angles)
-    write_map_samples_csv(path, ring, list(vals))
+    write_map_samples_csv(path, circle_samples(d0.center, d0.radius, n), list(vals))
 
 
 def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:

@@ -57,6 +57,12 @@ class Disc:
         return abs(abs(complex(z) - self.center) - self.radius)
 
 
+def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.0) -> np.ndarray:
+    """The n points center + radius exp(2 pi i (k + offset)/n), k = 0..n-1."""
+    th = 2.0 * math.pi * (np.arange(n) + offset) / n
+    return center + radius * np.exp(1j * th)
+
+
 @dataclass(frozen=True)
 class Contour:
     """Piecewise-linear sampled path; closed paths repeat the first sample last."""

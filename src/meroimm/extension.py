@@ -30,7 +30,7 @@ from .config import (
     ROOT_TOL,
 )
 from .blending import _taylor_truncations
-from .contours import Disc, integrate_pieces
+from .contours import Disc, circle_samples, integrate_pieces
 from .errors import (
     DegreeBudgetError,
     InputError,
@@ -42,7 +42,8 @@ from .errors import (
 )
 from .grids import ParamGrid
 from .immersions import ImmersionCertificate, _certify
-from .poly import ComplexPolynomial, roots
+from .poly import ComplexPolynomial
+from .poly import roots  # noqa: F401  never called here; perfbench's tracer test patches the name
 from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
 
@@ -101,7 +102,7 @@ class ConstrainedEta:
 
 
 def constrained_eta(
-    eta: RationalMap,
+    h: Factored | RationalMap,
     poles: PoleSet,
     targets: Sequence[complex],
     eps_eta: float,
@@ -111,10 +112,12 @@ def constrained_eta(
     degree_budget: int = DEGREE_BUDGET,
 ) -> ConstrainedEta:
     """Polynomial eta-tilde with eta-tilde(a) = c_a exactly at every pole and
-    sampled sup |eta-tilde - eta| < eps_eta on the disc.
+    sampled sup |eta-tilde - eta| < eps_eta on the disc, for eta = h'/h.
 
-    eta must be holomorphic on a neighborhood of the disc (its denominator
-    roots are its singularities); poles of the map being extended that lie in
+    h is the pole-cleared derivative of the map being extended; a
+    RationalMap is factored once on entry.  The singularities of eta are the
+    zeros and poles of h, read from its factors, and none may lie on a
+    neighborhood of the disc.  Poles of the map being extended that lie in
     the disc must already satisfy eta(a) = c_a, or the input was not an
     immersion there.  The residual after removing the Lagrange interpolant is
     Taylor-truncated at ``center``, with the degree raised along the doubling
@@ -124,12 +127,13 @@ def constrained_eta(
     locs = list(poles.locations)
     if len(targets) != len(locs):
         raise InputError("one target per pole required")
+    H = h if isinstance(h, Factored) else h.factor()
+    n, d = H.map.num, H.map.den
+    eta = RationalMap(n.derivative() * d - n * d.derivative(), n * d)
 
-    # singularities of the residual: eta's own poles, plus interpolation
-    # nodes outside the disc (no cancellation is guaranteed there)
-    singular: list[complex] = []
-    if eta.den.degree >= 1:
-        singular += [s for s, _ in roots(eta.den)]
+    # singularities of the residual: the zeros and poles of h, plus
+    # interpolation nodes outside the disc (no cancellation is guaranteed there)
+    singular = [s for s, _ in H.zeros] + list(H.poles.locations)
     for a, c in zip(locs, targets):
         if disc.contains(a):
             val = eta(a)
@@ -170,8 +174,7 @@ def constrained_eta(
 
     # sampled error check on the disc boundary (max principle: the difference
     # is holomorphic on the disc, so the boundary sup bounds the interior)
-    thetas = 2.0 * math.pi * np.arange(256) / 256
-    bdry = disc.center + disc.radius * np.exp(1j * thetas)
+    bdry = circle_samples(disc.center, disc.radius, 256)
     with np.errstate(all="ignore"):
         eta_bdry = eta.num(bdry) / eta.den(bdry)
     if not np.all(np.isfinite(eta_bdry)):
@@ -374,8 +377,7 @@ class IntegralImmersion:
         the circle.
         """
         center = complex(center)
-        angles = 2.0 * math.pi * np.arange(n) / n
-        ring = center + radius * np.exp(1j * angles)
+        ring = circle_samples(center, radius, n)
         clearance = self.detour_radius
         if any(
             abs(abs(a - center) - radius) <= clearance for a, _ in self.poles
@@ -445,8 +447,8 @@ class IntegralImmersion:
 
 
 def _pipeline_data(F: Factored, fp: Factored, d1: Disc):
-    """Pole set in the big disc, cleared derivative h, and its log-derivative,
-    from the factored map and derivative."""
+    """Pole set in the big disc and the factored cleared derivative h, from
+    the factored map and derivative."""
     def in_big(a):
         return abs(a - d1.center) <= d1.radius
 
@@ -455,14 +457,7 @@ def _pipeline_data(F: Factored, fp: Factored, d1: Disc):
         raise PreconditionError(
             "extension requires simple, pairwise distinct poles in the big disc"
         )
-    h = fp.cleared(in_big).map
-    # logarithmic derivative of h as an (unreduced) rational map: the
-    # denominator's roots are exactly the zeros and poles of h
-    eta = RationalMap(
-        h.num.derivative() * h.den - h.num * h.den.derivative(),
-        h.num * h.den,
-    )
-    return inside, h, eta
+    return inside, fp.cleared(in_big)
 
 
 def _choose_base_point(d0: Disc, poles: PoleSet) -> complex:
@@ -504,22 +499,42 @@ def extend_immersion(
     log-derivative matched (used by the relative parametric extension to
     reproduce maps that are already immersions on the big disc).
     """
+    return _extend(
+        f, f.factor(root_tol=root_tol), d0, d1, eps,
+        residue_tol=residue_tol, quad_tol=quad_tol,
+        degree_budget=degree_budget, approx_disc=approx_disc,
+    )
+
+
+def _extend(
+    f: RationalMap,
+    F: Factored,
+    d0: Disc,
+    d1: Disc,
+    eps: float,
+    *,
+    residue_tol: float,
+    quad_tol: float,
+    degree_budget: int,
+    approx_disc: Disc | None,
+) -> IntegralImmersion:
+    """extend_immersion of f, factored as F."""
     if eps <= 0:
         raise InputError("eps must be positive")
     if not d1.contains_disc(d0, margin=1e-12):
         raise PreconditionError("the small disc must lie inside the big disc")
     disc = approx_disc or d0
-    cert, F, fp = _certify(f, disc, "CP1", root_tol=root_tol, boundary_samples=256)
+    cert, fp = _certify(F, disc, "CP1", boundary_samples=256)
     if not cert.valid:
         raise NotAnImmersionError(
             f"the map does not immerse the disc of center {disc.center:g} and "
             f"radius {disc.radius:g} into the sphere"
         )
-    poles, h, eta = _pipeline_data(F, fp, d1)
+    poles, h = _pipeline_data(F, fp, d1)
     z0 = _choose_base_point(d0, poles)
     targets = residue_targets(poles)
     f0 = f(z0)
-    h0 = h(z0)
+    h0 = h.map(z0)
     if is_inf(f0) or is_inf(h0) or complex(h0) == 0:
         raise PreconditionError("base point landed on a singular value")
 
@@ -527,7 +542,7 @@ def extend_immersion(
     last_err = math.inf
     for _ in range(4):
         parts = constrained_eta(
-            eta,
+            h,
             poles,
             targets,
             eps_eta,
@@ -576,8 +591,7 @@ def extension_boundary_error(
     scalar f and :func:`chordal_distance`, which handle poles and INF.
     """
     vals = F.values_on_circle(d0.center, d0.radius, samples, quad_tol=quad_tol)
-    angles = 2.0 * math.pi * np.arange(samples) / samples
-    ring = d0.center + d0.radius * np.exp(1j * angles)
+    ring = circle_samples(d0.center, d0.radius, samples)
     fv = f(ring)
     # np.hypot rounds as abs() on a Python complex does
     ap, aq = np.hypot(fv.real, fv.imag), np.hypot(vals.real, vals.imag)
@@ -620,20 +634,22 @@ def extend_family(
 
     Every member must immerse the small disc; Q members must immerse the big
     disc, and their outputs match them there (the log-derivative is fitted on
-    the big disc with tolerance ``q_eps``).  Pole count must stay constant
-    across grid cells; a jump raises PoleCollisionError naming the cell.
+    the big disc with tolerance ``q_eps``).  Each map is factored once: the
+    pole-continuity check and the member's extension read the same factors.
+    Pole count must stay constant across grid cells; a jump raises
+    PoleCollisionError naming the cell, before any member is extended.
     """
     if len(maps) != grid.npoints:
         raise InputError("one map per grid point required")
-    pole_sets = [f.pole_set(root_tol=root_tol).filter(
-        lambda a: abs(a - d1.center) <= d1.radius
-    ) for f in maps]
-    _check_pole_continuity(grid, pole_sets)
+    factors = [f.factor(root_tol=root_tol) for f in maps]
+    _check_pole_continuity(grid, [
+        F.poles.filter(lambda a: abs(a - d1.center) <= d1.radius) for F in factors
+    ])
     return [
-        extend_immersion(
-            f, d0, d1, min(eps, q_eps) if on_q else eps,
-            root_tol=root_tol, residue_tol=residue_tol, quad_tol=quad_tol,
+        _extend(
+            f, F, d0, d1, min(eps, q_eps) if on_q else eps,
+            residue_tol=residue_tol, quad_tol=quad_tol,
             degree_budget=degree_budget, approx_disc=d1 if on_q else None,
         )
-        for f, on_q in zip(maps, grid.q_mask)
+        for f, F, on_q in zip(maps, factors, grid.q_mask)
     ]

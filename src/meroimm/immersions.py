@@ -66,10 +66,6 @@ class CircularDomain:
     def disc(cls, d: Disc) -> "CircularDomain":
         return cls(d, ())
 
-    @property
-    def hole_count(self) -> int:
-        return len(self.holes)
-
     def contains(self, z: complex, margin: float = 0.0) -> bool:
         z = complex(z)
         if abs(z - self.outer.center) >= self.outer.radius - margin:
@@ -142,17 +138,11 @@ class HomotopyClass:
 
 
 def _certify(
-    f: RationalMap,
-    D,
-    target: Target,
-    *,
-    root_tol: float,
-    boundary_samples: int,
-) -> tuple[ImmersionCertificate, Factored, Factored]:
-    """The certificate of verify_immersion, with the factored f and f' it
-    was computed from."""
+    F: Factored, D, target: Target, *, boundary_samples: int
+) -> tuple[ImmersionCertificate, Factored]:
+    """The certificate of verify_immersion for the factored f, with the
+    factored f' it was computed from."""
     D = _as_domain(D)
-    F = f.factor(root_tol=root_tol)
     fp = F.derivative()
     if fp.map.num.is_zero:
         raise InputError("constant map: the derivative vanishes identically")
@@ -191,7 +181,7 @@ def _certify(
             f"argument principle gives {count_ap}"
         )
     cert = ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target)
-    return cert, F, fp
+    return cert, fp
 
 
 def verify_immersion(
@@ -214,7 +204,7 @@ def verify_immersion(
     clearance of either, raises SingularityOnBoundaryError.
     """
     return _certify(
-        f, D, target, root_tol=root_tol, boundary_samples=boundary_samples
+        f.factor(root_tol=root_tol), D, target, boundary_samples=boundary_samples
     )[0]
 
 
@@ -261,7 +251,8 @@ def classify(
     it is the complete invariant for plane targets.
     """
     M = _as_domain(M)
-    cert, F, fp = _certify(f, M, target, root_tol=root_tol, boundary_samples=256)
+    F = f.factor(root_tol=root_tol)
+    cert, fp = _certify(F, M, target, boundary_samples=256)
     if not cert.valid:
         raise NotAnImmersionError("not an immersion: classification undefined")
     z_class = []

@@ -312,11 +312,7 @@ def _polish(p: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
 
 
 def roots(
-    p: ComplexPolynomial,
-    *,
-    root_tol: float = ROOT_TOL,
-    max_sweeps: int = ROOT_SWEEPS,
-    companion_fallback: bool = True,
+    p: ComplexPolynomial, *, root_tol: float = ROOT_TOL
 ) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, sorted by (real, imag).
 
@@ -342,11 +338,7 @@ def roots(
         else:
             candidates = [np.array([0j, -b / a])]
     else:
-        candidates = []
-        if max_sweeps > 0:
-            candidates.append(_aberth(coeffs, max_sweeps))
-        if companion_fallback:
-            candidates.append(_companion_roots(coeffs))
+        candidates = [_aberth(coeffs, ROOT_SWEEPS), _companion_roots(coeffs)]
 
     dp = p.derivative()
     best: list[tuple[complex, int]] | None = None
@@ -366,6 +358,6 @@ def roots(
         if best is None:
             best = out
     raise RootSolveError(
-        f"root solver did not converge within {max_sweeps} sweeps",
+        f"root solver did not converge within {ROOT_SWEEPS} sweeps",
         partial=best or (),
     )

@@ -8,6 +8,9 @@ The factored derivative takes its poles (a, m+1) from the poles (a, m) of
 the map, and the pole-cleared derivative f' Theta drops the cleared poles
 from them, so neither ever solves a denominator; the winding number of a
 factored map along a polyline is a sum of indices of its zeros and poles.
+:func:`~meroimm.poly.roots` has two callers, :meth:`RationalMap.factor` and
+:meth:`Factored.derivative`: every other singular point in the package is
+read from a Factored.
 Scalar evaluation lands on the Riemann sphere (a pole returns INF); an
 indeterminate 0/0 of an unreduced fraction raises.
 """

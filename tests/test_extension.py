@@ -69,16 +69,16 @@ def test_residue_targets_need_simple_poles():
 
 
 def test_constrained_eta_zero_input():
-    eta = R(P([]), P([1]))
+    h = R(P([1]))  # eta = h'/h = 0
     poles = PoleSet([(0.3, 1)])
-    out = constrained_eta(eta, poles, [0j], 1e-8, disc=D0, center=0j)
+    out = constrained_eta(h, poles, [0j], 1e-8, disc=D0, center=0j)
     assert out.expanded.is_zero or out.expanded.horner_scale(1.0) < 1e-12
 
 
 def test_constrained_eta_no_poles_is_taylor():
-    # pure truncation branch: eta = 1/(z-2) on the unit disc
-    eta = R(P([1]), P.from_roots([2.0]))
-    out = constrained_eta(eta, PoleSet(()), [], 1e-6, disc=D0, center=0j)
+    # pure truncation branch: h = z-2, eta = 1/(z-2) on the unit disc
+    h = R(P.from_roots([2.0]))
+    out = constrained_eta(h, PoleSet(()), [], 1e-6, disc=D0, center=0j)
     zs = ring(1.0, 128)
     err = np.max(np.abs(out.expanded(zs) - 1.0 / (zs - 2.0)))
     assert err < 1e-6
@@ -95,13 +95,15 @@ def test_constrained_eta_interpolation_exactness(rng):
         locs = separated_points(rng, k, box=1.6, min_sep=0.5)
         poles = PoleSet([(a, 1) for a in locs])
         targets = residue_targets(poles)
-        eta = R(P([0.3, 0.05]))  # a harmless holomorphic log-derivative
+        # a harmless h: its zeros, the singularities of eta = h'/h, lie far
+        # outside the box
+        h = R(P.from_roots([5.0, -5j]))
         # force the in-disc nodes to be consistent: use an eta that already
         # matches the targets there via the lagrange trick is overkill;
         # instead put all nodes outside the disc
         if any(abs(a) <= 1.0 for a in locs):
             continue
-        out = constrained_eta(eta, poles, targets, 1e-6, disc=D0, center=0j)
+        out = constrained_eta(h, poles, targets, 1e-6, disc=D0, center=0j)
         for i, (a, c) in enumerate(zip(out.nodes, targets)):
             assert out.value_at_node(i) == pytest.approx(c, abs=1e-12)
             assert complex(out.expanded(a)) == pytest.approx(c, abs=1e-8)
@@ -109,22 +111,22 @@ def test_constrained_eta_interpolation_exactness(rng):
 
 def test_constrained_eta_rejects_inconsistent_in_disc_node():
     # a node inside the disc whose target eta cannot meet: not an immersion
-    eta = R(P([0.0]))  # identically zero
+    h = R(P([1]))  # eta = h'/h identically zero
     poles = PoleSet([(0.2, 1)])
     with pytest.raises(NotAnImmersionError):
-        constrained_eta(eta, poles, [1.0 + 0j], 1e-6, disc=D0, center=0j)
+        constrained_eta(h, poles, [1.0 + 0j], 1e-6, disc=D0, center=0j)
 
 
 def test_constrained_eta_singular_on_disc():
-    eta = R(P([1]), P.from_roots([0.5]))  # pole inside the disc
+    h = R(P.from_roots([0.5]))  # eta = 1/(z-0.5): pole inside the disc
     with pytest.raises(NotAnImmersionError):
-        constrained_eta(eta, PoleSet(()), [], 1e-6, disc=D0, center=0j)
+        constrained_eta(h, PoleSet(()), [], 1e-6, disc=D0, center=0j)
 
 
 def test_constrained_eta_degree_budget():
-    eta = R(P([1]), P.from_roots([1.05]))  # singularity hugging the disc
+    h = R(P.from_roots([1.05]))  # eta = 1/(z-1.05): hugs the disc
     with pytest.raises(DegreeBudgetError) as exc:
-        constrained_eta(eta, PoleSet(()), [], 1e-12, disc=D0, center=0j,
+        constrained_eta(h, PoleSet(()), [], 1e-12, disc=D0, center=0j,
                         degree_budget=16)
     assert exc.value.achieved is not None
 
@@ -387,6 +389,16 @@ def test_extend_family_pole_collision_names_cell():
     assert "cell" in str(exc.value)
 
 
+def test_extend_family_pole_collision_precedes_node_errors():
+    # node 0, z^2, fails its certificate on the small disc (f'(0) = 0), and
+    # the pole count jumps across the cell (0, 1)
+    maps = [R(P([0, 0, 1]))] + [R(P([1]), P.from_roots([0.3])) for _ in range(4)]
+    with pytest.raises(NotAnImmersionError):
+        extend_immersion(maps[0], D0, D1, 1e-3)
+    with pytest.raises(PoleCollisionError):
+        extend_family(maps, ParamGrid.line(5), D0, D1, 1e-3)
+
+
 def test_extend_family_q_member_must_cover_big_disc():
     # derivative zero at -1.7 lies inside the big disc: invalid on Q
     maps = [R(P([1]), P.from_roots([0.3]))
@@ -399,17 +411,50 @@ def test_extend_family_certifies_each_node_once(monkeypatch):
     seen = []
     certify = meroimm.immersions._certify
 
-    def recorder(f, D, *args, **kwargs):
-        seen.append((id(f), D))
-        return certify(f, D, *args, **kwargs)
+    def recorder(F, D, *args, **kwargs):
+        seen.append((F.poles.locations, D))
+        return certify(F, D, *args, **kwargs)
 
     monkeypatch.setattr(meroimm.immersions, "_certify", recorder)
     monkeypatch.setattr(meroimm.extension, "_certify", recorder)
-    maps = [R(P([1]), P.from_roots([0.3 + 0.1 * (i / 4)])) for i in range(5)]
+    poles = [0.3 + 0.1 * (i / 4) for i in range(5)]
+    maps = [R(P([1]), P.from_roots([a])) for a in poles]
     outs = extend_family(maps, ParamGrid.line(5, q_nodes=[0]), D0, D1, 1e-3)
     assert len(outs) == 5
-    assert len(seen) == len(set(seen))
-    assert (id(maps[0]), D1) in seen and (id(maps[1]), D0) in seen
+    # node i is recognized by its pole; Q node 0 is certified on the big disc
+    assert seen == [((complex(a),), D1 if i == 0 else D0) for i, a in enumerate(poles)]
+
+
+def test_extension_solves_each_polynomial_once(monkeypatch):
+    # every singular point on the extension path is read from the map's one
+    # factorization: no coefficient tuple reaches the root solver twice, and
+    # the extension module solves nothing itself
+    import meroimm.rational as rational
+
+    solved = []
+    solve = rational.roots
+
+    def recording(where):
+        def record(p, **kwargs):
+            solved.append((where, p.coeffs))
+            return solve(p, **kwargs)
+        return record
+
+    monkeypatch.setattr(rational, "roots", recording("rational"))
+    monkeypatch.setattr(meroimm.extension, "roots", recording("extension"), raising=False)
+    # the pole at 3 lies outside the big disc and stays a pole of the cleared
+    # derivative h, so the denominator h.num * h.den of eta = h'/h is not h.num
+    f = R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5])) + R(P([0.1]), P.from_roots([3.0]))
+    maps = [R(P([1]), P.from_roots([0.3 + 0.2 * (i / 10)])) for i in range(11)]
+    for run in (
+        lambda: extend_immersion(f, D0, D1, 1e-3),
+        lambda: extend_family(maps, ParamGrid.line(11, q_nodes=[0, 10]), D0, D1, 1e-3),
+    ):
+        solved.clear()
+        run()
+        assert solved and all(where == "rational" for where, _ in solved)
+        coeffs = [c for _, c in solved]
+        assert len(set(coeffs)) == len(coeffs)
 
 
 def test_extend_family_size_mismatch():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import meroimm.poly
 from meroimm import ComplexPolynomial, InputError, RootSolveError, roots
 
 
@@ -138,8 +139,13 @@ def separated(rng, k):
             return [complex(p) for p in pts]
 
 
-def test_roots_nonconvergence_carries_partial():
+def test_roots_nonconvergence_carries_partial(monkeypatch):
+    # one Aberth sweep, and a companion fallback that repeats it
+    monkeypatch.setattr(meroimm.poly, "ROOT_SWEEPS", 1)
+    monkeypatch.setattr(
+        meroimm.poly, "_companion_roots", lambda c: meroimm.poly._aberth(c, 1)
+    )
     p = ComplexPolynomial.from_roots([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(RootSolveError) as exc:
-        roots(p, max_sweeps=1, companion_fallback=False)
+        roots(p)
     assert len(exc.value.partial) >= 1
