@@ -2,13 +2,14 @@
 sampled families of plane-valued maps.
 
 A family sampled over a parameter grid is blended through a net of
-representative nodes: each net member is Taylor-truncated on the disc, and
-the outputs are convex combinations with piecewise-linear net weights.  Each
-stride tried builds one (nodes x net) weight matrix, and so does the blend;
-the per-node loops read its rows.  The two-triangle estimate gives sup
-errors below half the target whenever each covered node stays within a
-quarter of it from its net representative.  A relative variant swaps in
-prescribed exact maps near a marked subset of the grid.
+representative nodes: the net members are Taylor-truncated on the disc in
+blocks of rows, with one FFT and one degree sweep per block, and the outputs
+are convex combinations with piecewise-linear net weights.  Each stride
+tried builds one (nodes x net) weight matrix, and so does the blend.  The
+two-triangle estimate gives sup errors below half the target whenever each
+covered node stays within a quarter of it from its net representative.  A
+relative variant swaps in prescribed exact maps near a marked subset of the
+grid.
 """
 from __future__ import annotations
 
@@ -61,86 +62,108 @@ def sampled_sup_distance(f, g, disc: Disc, *, samples: int = 256) -> float:
     return float(np.max(np.abs(fv - gv)))
 
 
-def _taylor_truncations(
-    sample, center: complex, rho: float, degree_budget: int, singular: Exception
-):
-    """Taylor truncations at center, lowest degree first, of a function
-    holomorphic past the circle |z - center| = rho.
+_BLOCK_ROWS = 8  # a block's samples: 8 rows of 2048 complex values, 256 KiB
 
-    The degrees follow DEGREE_SCHEDULE below degree_budget and end at it.
-    The coefficients come from one FFT of ``sample`` on that circle, taken
-    on the call; a sample that is not finite raises ``singular``.  Each
-    truncation is built in the monomial basis only when it is reached.
+
+def _taylor_truncations(vals, center: complex, rho: float, degree_budget: int, is_open):
+    """Taylor truncations at center, lowest degree first, of the rows of a
+    block of finite samples on ``circle_samples(center, rho, K)``, from one
+    FFT over the block.  Each degree of DEGREE_SCHEDULE below degree_budget,
+    and then degree_budget, yields the rows still open in ``is_open`` with
+    their truncations; the caller closes rows between degrees.
     """
-    K = max(2048, 8 * degree_budget)
-    with np.errstate(all="ignore"):
-        vals = sample(circle_samples(center, rho, K))
-    if not np.all(np.isfinite(vals)):
-        raise singular
-    coeffs_ring = np.fft.fft(vals) / K  # c_k rho^k
-    schedule = [n for n in DEGREE_SCHEDULE if n <= degree_budget]
-    if not schedule or schedule[-1] < degree_budget:
-        schedule.append(degree_budget)
-    return (
-        ComplexPolynomial(
-            coeffs_ring[: N + 1] / rho ** np.arange(N + 1), coeff_tol=0.0
-        ).taylor_shift(-center)
-        for N in schedule
-    )
+    coeffs = np.fft.fft(vals, axis=1)[:, : degree_budget + 1] / vals.shape[1]
+    for N in sorted({n for n in DEGREE_SCHEDULE if n < degree_budget} | {degree_budget}):
+        idx = np.flatnonzero(is_open)
+        if idx.size:
+            scaled = coeffs[idx, : N + 1] / rho ** np.arange(N + 1)
+            yield idx, [
+                ComplexPolynomial(c, coeff_tol=0.0).taylor_shift(-center) for c in scaled
+            ]
+
+
+def _horner_rows(polys: Sequence[ComplexPolynomial], z: np.ndarray) -> np.ndarray:
+    """Each polynomial at z, one row each; zero padding keeps every bit."""
+    width = max(len(p.coeffs) for p in polys)
+    cs = np.array([p.coeffs + (0j,) * (width - len(p.coeffs)) for p in polys])
+    out = np.zeros((len(polys), z.size), dtype=complex)
+    for k in range(cs.shape[1] - 1, -1, -1):
+        out *= z
+        out += cs[:, k : k + 1]
+    return out
+
+
+def _approximate_net(maps: Sequence, disc: Disc, eps: float, degree_budget: int):
+    """Polynomials within eps of each map on the disc, in blocks of
+    _BLOCK_ROWS maps sampled on one shared ring and one shared check ring.
+    A row closes at its first truncation within eps on the check ring.  The
+    first map that fails, in order, raises its error.
+    """
+    center, rho = disc.center, disc.radius
+    ring = circle_samples(center, rho, max(2048, 8 * degree_budget))
+    check = circle_samples(center, rho, 256, offset=0.37)
+    for start in range(0, len(maps), _BLOCK_ROWS):
+        block, rows = list(maps[start : start + _BLOCK_ROWS]), []
+        for r, f in enumerate(block):
+            if isinstance(f, RationalMap) and f.is_polynomial:
+                block[r] = f = f.as_polynomial()
+            if not isinstance(f, ComplexPolynomial):
+                rows.append(r)
+            elif f.degree > degree_budget:
+                block[r] = DegreeBudgetError("polynomial input exceeds the degree budget")
+        vals = np.empty((len(rows), ring.size), dtype=complex)
+        target = np.empty((len(rows), check.size), dtype=complex)
+        with np.errstate(all="ignore"):
+            for i, r in enumerate(rows):
+                fv = _vectorized(block[r])
+                vals[i], target[i] = fv(ring), fv(check)
+        is_open = np.isfinite(vals).all(axis=1)
+        for i in np.flatnonzero(~is_open):
+            block[rows[i]] = PreconditionError("map is singular on the disc boundary")
+        vals[~is_open] = 0.0  # refused rows: keep the FFT free of inf and nan
+        best = np.full(len(rows), math.inf)
+        for idx, polys in _taylor_truncations(vals, center, rho, degree_budget, is_open):
+            err = np.max(np.abs(_horner_rows(polys, check) - target[idx]), axis=1)
+            best[idx] = np.fmin(best[idx], err)
+            for i, g, e in zip(idx, polys, err):
+                if e < eps:
+                    block[rows[i]], is_open[i] = g, False
+        for i in np.flatnonzero(is_open):
+            msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"
+            block[rows[i]] = DegreeBudgetError(msg, achieved=float(best[i]))
+        for g in block:
+            if isinstance(g, Exception):
+                raise g
+            yield g
 
 
 def poly_approx_on_disc(
-    f,
-    disc: Disc,
-    eps: float,
-    *,
-    degree_budget: int = DEGREE_BUDGET,
+    f, disc: Disc, eps: float, *, degree_budget: int = DEGREE_BUDGET
 ) -> ComplexPolynomial:
     """Polynomial within eps of f on the disc (sampled sup norm).
 
     Polynomial inputs of degree within budget pass through unchanged.  For
     everything else the Taylor coefficients at the disc center are recovered
-    by FFT from boundary samples; the truncation degree doubles until an
-    offset boundary sample check clears eps.
+    by FFT from boundary samples, and the truncation degree doubles until an
+    offset boundary sample check clears eps.  This is the one-row case of the
+    block path that ``blend_parametric`` runs over a whole net: a map
+    singular on the boundary raises PreconditionError, and a schedule that
+    runs out raises DegreeBudgetError with the best sampled error.
     """
-    if isinstance(f, ComplexPolynomial):
-        if f.degree <= degree_budget:
-            return f
-        raise DegreeBudgetError("polynomial input exceeds the degree budget")
-    if isinstance(f, RationalMap) and f.is_polynomial:
-        p = f.as_polynomial()
-        if p.degree <= degree_budget:
-            return p
-        raise DegreeBudgetError("polynomial input exceeds the degree budget")
-
-    fv = _vectorized(f)
-    refusal = PreconditionError("map is singular on the disc boundary")
-    truncations = _taylor_truncations(fv, disc.center, disc.radius, degree_budget, refusal)
-    check = circle_samples(disc.center, disc.radius, 256, offset=0.37)
-    target = fv(check)
-    best = math.inf
-    for g in truncations:
-        err = float(np.max(np.abs(g(check) - target)))
-        if err < eps:
-            return g
-        best = min(best, err)
-    raise DegreeBudgetError(
-        f"degree schedule exhausted at sampled error {best:.3e}", achieved=best
-    )
+    return next(_approximate_net([f], disc, eps, degree_budget))
 
 
 def _net_condition_holds(
-    family: SampledFamily, net: Sequence[int], eps_quarter: float
+    family: SampledFamily, net: Sequence[int], points: np.ndarray, eps_quarter: float
 ) -> bool:
     """Check that every node with positive net weight stays eps/4-close to
     its net representatives on the domain."""
-    grid = family.grid
-    for i, w in enumerate(grid.net_weights(net, np.array(grid.points))):
-        for j, wj in zip(net, w):
-            if wj <= 0.0 or j == i:
+    for i, w in enumerate(family.grid.net_weights(net, points)):
+        for k in np.flatnonzero(w > 0.0):
+            if net[k] == i:
                 continue
             d = sampled_sup_distance(
-                family.maps[i], family.maps[j], family.domain, samples=128
+                family.maps[i], family.maps[net[k]], family.domain, samples=128
             )
             if d >= eps_quarter:
                 return False
@@ -172,9 +195,10 @@ def blend_parametric(
             "blending needs a disc domain (polynomial approximation target)"
         )
     grid = family.grid
+    points = np.array(grid.points)
     if net_stride is not None:
         net = grid.net_indices(net_stride)
-        if not _net_condition_holds(family, net, eps / 4.0):
+        if not _net_condition_holds(family, net, points, eps / 4.0):
             raise GridResolutionError(
                 f"net of stride {net_stride} misses the eps/4 closeness "
                 "condition; use a finer net or a finer grid"
@@ -183,7 +207,7 @@ def blend_parametric(
         stride = max(grid.shape) - 1
         while True:
             net = grid.net_indices(stride)
-            if _net_condition_holds(family, net, eps / 4.0):
+            if _net_condition_holds(family, net, points, eps / 4.0):
                 break
             if stride == 1:
                 raise GridResolutionError(
@@ -191,18 +215,13 @@ def blend_parametric(
                 )
             stride = max(1, stride // 2)
 
-    approximants = {
-        j: poly_approx_on_disc(
-            family.maps[j], family.domain, eps / 4.0, degree_budget=degree_budget
-        )
-        for j in net
-    }
+    members = [family.maps[j] for j in net]
+    approximants = list(_approximate_net(members, family.domain, eps / 4.0, degree_budget))
     out = []
-    for w in grid.net_weights(net, np.array(grid.points)):
+    for w in grid.net_weights(net, points):
         blend = ComplexPolynomial.zero()
-        for j, wj in zip(net, w):
-            if wj > 0.0:
-                blend = blend + wj * approximants[j]
+        for k in np.flatnonzero(w > 0.0):
+            blend = blend + w[k] * approximants[k]
         out.append(blend)
     return SampledFamily(grid, tuple(out), family.domain)
 

@@ -166,11 +166,12 @@ def constrained_eta(
     rho = 0.5 * (r_eff + R) if math.isfinite(R) else 2.0 * r_eff
     rho = min(rho, 4.0 * r_eff)
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        return (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
-
-    refusal = InternalConsistencyError("residual sampling hit a singularity")
-    truncations = _taylor_truncations(residual, center, rho, degree_budget, refusal)
+    z = circle_samples(center, rho, max(2048, 8 * degree_budget))
+    with np.errstate(all="ignore"):
+        residual = (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
+    if not np.all(np.isfinite(residual)):
+        raise InternalConsistencyError("residual sampling hit a singularity")
+    truncations = _taylor_truncations(residual[None], center, rho, degree_budget, [True])
 
     # sampled error check on the disc boundary (max principle: the difference
     # is holomorphic on the disc, so the boundary sup bounds the interior)
@@ -181,7 +182,7 @@ def constrained_eta(
         raise InternalConsistencyError("eta is singular on the disc boundary")
 
     best_err = math.inf
-    for sigma in truncations:
+    for _, (sigma,) in truncations:
         expanded = lagrange + sigma * node_product
         err = float(np.max(np.abs(expanded(bdry) - eta_bdry)))
         if err < eps_eta:
@@ -386,8 +387,8 @@ class IntegralImmersion:
         # entry sample: farthest from the poles (any sample works; this keeps
         # the radial leg short of detours when possible)
         if len(self.poles):
-            dists = [min(abs(z - a) for a, _ in self.poles) for z in ring]
-            k0 = int(np.argmax(dists))
+            gaps = ring[:, None] - np.array(self.poles.locations)
+            k0 = int(np.argmax(np.hypot(gaps.real, gaps.imag).min(axis=1)))
         else:
             k0 = 0
         entry = complex(ring[k0])

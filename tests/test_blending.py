@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meroimm import blending
 from meroimm import (
     ComplexPolynomial,
     DegreeBudgetError,
@@ -269,3 +270,92 @@ def test_fix_on_q_inside_a_box_grid():
     again = fix_on_Q(out, {q: fam.maps[q]}, chi, original=fam, eps=1e-3)
     assert seen == fam.grid.points
     assert all(a is b for a, b in zip(again.maps, fixed.maps))
+
+
+def _per_map_reference(f, disc, eps):
+    # one map alone, at the default budget of 256: its own rings, its own
+    # FFT, its own degree walk
+    K = 2048
+    th = 2.0 * np.pi * np.arange(K) / K
+    vals = f(disc.center + disc.radius * np.exp(1j * th))
+    coeffs = np.fft.fft(vals) / K
+    th = 2.0 * np.pi * (np.arange(256) + 0.37) / 256
+    check = disc.center + disc.radius * np.exp(1j * th)
+    target = f(check)
+    for N in (8, 16, 32, 64, 128, 256):
+        c = coeffs[: N + 1] / disc.radius ** np.arange(N + 1)
+        g = P(c, coeff_tol=0.0).taylor_shift(-disc.center)
+        if float(np.max(np.abs(g(check) - target))) < eps:
+            return g
+    raise AssertionError("reference ran out of degrees")
+
+
+@pytest.mark.parametrize("disc", [UNIT, Disc(0.3 - 0.2j, 0.8)])
+def test_block_path_matches_one_row_path(disc):
+    eps = 1e-6
+    # 1/(z - a) needs degree 8, 16 and 32 at |a| = 6, 2.5 and 1.6 on the unit disc
+    mix = [
+        P([1, 2j, 3]),
+        R(P([1, -1, 0.5])),
+        R(P([1]), P.from_roots([6.0])),
+        R(P([1]), P.from_roots([2.5j])),
+        R(P([1]), P.from_roots([-1.6])),
+        lambda z: np.exp(z),
+    ]
+    maps = mix + [R(P([1 + k]), P.from_roots([(2.0 + 0.2 * k) * np.exp(1j * k)]))
+                  for k in range(14)] + mix
+    assert len(maps) > blending._BLOCK_ROWS
+    block = list(blending._approximate_net(maps, disc, eps, 256))
+    assert len(block) == len(maps)
+    for f, g in zip(maps, block):
+        alone = poly_approx_on_disc(f, disc, eps)
+        assert np.array_equal(g.coeffs, alone.coeffs)
+        if isinstance(f, P):
+            assert g is f
+        elif not (isinstance(f, R) and f.is_polynomial):
+            ref = _per_map_reference(f, disc, eps)
+            assert np.array_equal(np.array(g.coeffs), np.array(ref.coeffs))
+    if disc == UNIT:
+        assert [g.degree for g in block[2:6]] == [8, 16, 32, 16]
+
+
+def _precedence_net(budget_row, singular_row):
+    maps = [R(P([1]), P.from_roots([3.0 + 0.1 * k])) for k in range(8)]
+    maps[budget_row] = R(P([1]), P.from_roots([1.01]))
+    maps[singular_row] = R(P([1]), P.from_roots([1.0]))  # a ring sample sits on it
+    return SampledFamily(ParamGrid.line(8), maps, UNIT)
+
+
+def test_block_path_keeps_error_precedence():
+    fam = _precedence_net(2, 5)
+    with pytest.raises(DegreeBudgetError) as alone:
+        poly_approx_on_disc(fam.maps[2], UNIT, 1e-12 / 4.0, degree_budget=32)
+    with pytest.raises(DegreeBudgetError) as net:
+        blend_parametric(fam, 1e-12, net_stride=1, degree_budget=32)
+    assert net.value.achieved == alone.value.achieved
+    assert str(net.value) == str(alone.value)
+    with pytest.raises(PreconditionError):
+        blend_parametric(_precedence_net(5, 2), 1e-12, net_stride=1, degree_budget=32)
+
+
+def test_block_path_memory_does_not_grow_with_the_net():
+    import tracemalloc
+
+    def net(n):
+        return [R(P([1]), P.from_roots([2.5 * np.exp(2j * np.pi * k / n)]))
+                for k in range(n)]
+
+    def peak(maps):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = list(blending._approximate_net(maps, UNIT, 1e-6, 256))
+        assert len(out) == len(maps)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    small, large = net(101), net(404)
+    tracemalloc.start()
+    try:
+        grown = peak(large) - peak(small)
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20
