@@ -19,9 +19,6 @@ COEFF_TOL = 1e-12
 # interpolation nodes must be separated by more than this.
 ROOT_TOL = 1e-8
 
-# Simultaneous-iteration budget for the polynomial root solver.
-ROOT_SWEEPS = 200
-
 # Absolute tolerance for the G7-K15 contour quadrature: the sum of the
 # |K15 - G7| panel estimates along a path, each floored at 50 eps times the
 # panel's integral of |f dz|.

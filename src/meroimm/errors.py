@@ -57,7 +57,7 @@ class NumericalError(MeroimmError):
 
 
 class RootSolveError(NumericalError):
-    """Root finding did not converge within the iteration budget.
+    """A computed root failed the residual acceptance test.
 
     Carries the partial results in ``partial`` as (root, multiplicity) pairs.
     """

@@ -248,24 +248,16 @@ def classify(
 
     Requires a valid immersion for the chosen target.  The integer vector is
     loop-dependent for sphere targets (only its parity is intrinsic there);
-    it is the complete invariant for plane targets.
+    it is the complete invariant for plane targets.  A pole of f within a
+    basis loop's clearance raises PathTooCloseError from the winding of f'.
     """
     M = _as_domain(M)
     F = f.factor(root_tol=root_tol)
     cert, fp = _certify(F, M, target, boundary_samples=256)
     if not cert.valid:
         raise NotAnImmersionError("not an immersion: classification undefined")
-    z_class = []
-    for loop in basis_loops(M, samples=samples):
-        clearance = loop.clearance()
-        for a in F.poles.locations:
-            if loop.distance_to(a) <= clearance:
-                raise PreconditionError(
-                    f"basis loop passes through the pole at {a}; "
-                    "choose a different domain decomposition"
-                )
-        z_class.append(fp.winding(loop))
-    return HomotopyClass(tuple(z_class), tuple(w % 2 for w in z_class), target)
+    z_class = tuple(fp.winding(loop) for loop in basis_loops(M, samples=samples))
+    return HomotopyClass(z_class, tuple(w % 2 for w in z_class), target)
 
 
 def same_component(

@@ -6,9 +6,9 @@ of modulus <= the coefficient tolerance (1e-12 by default), so a nonzero
 polynomial always has |leading| above that tolerance.  Arithmetic on existing
 polynomials never discards computed coefficients (only exact zeros).
 
-The root solver runs simultaneous (Aberth-Ehrlich) iteration with a
-companion-matrix fallback, merges root clusters into multiple roots, and
-polishes each root by Newton steps on the derivative of matching order.
+The root solver takes the eigenvalues of the companion matrix (closed forms
+for degrees 1 and 2), merges root clusters into multiple roots, and polishes
+each root by Newton steps on the derivative of matching order.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import COEFF_TOL, ROOT_TOL, ROOT_SWEEPS
+from .config import COEFF_TOL, ROOT_TOL
 from .errors import InputError, RootSolveError
 
 _EPS = 2.220446049250313e-16
@@ -142,6 +142,9 @@ class ComplexPolynomial:
         cs = list(self.coeffs)
         n = len(cs)
         a = complex(a)
+        # a zero shift leaves every finite nonzero part exactly as it is
+        if a == 0 and all(math.isfinite(x) and x != 0 for c in cs for x in (c.real, c.imag)):
+            return self
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
                 cs[j] += a * cs[j + 1]
@@ -173,59 +176,6 @@ def _as_poly(x) -> ComplexPolynomial:
 # -- root finding -----------------------------------------------------------
 
 
-def _initial_guesses(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    cn = coeffs[-1]
-    cauchy = 1.0 + max(abs(c / cn) for c in coeffs[:-1])
-    if abs(coeffs[0]) > 0.0:
-        r0 = abs(coeffs[0] / cn) ** (1.0 / n)
-    else:
-        r0 = 0.25 * cauchy
-    r0 = min(max(r0, 1e-3 * cauchy), cauchy)
-    k = np.arange(n)
-    # spread over several rings to break symmetric stalls
-    radii = r0 * (0.55 + 0.9 * (k + 0.5) / n)
-    angles = 2.0 * np.pi * k / n + 0.43
-    return radii * np.exp(1j * angles)
-
-
-def _aberth(coeffs: np.ndarray, max_sweeps: int) -> np.ndarray:
-    n = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    z = _initial_guesses(coeffs)
-    guesses = z.copy()
-    cauchy = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
-    with np.errstate(all="ignore"):
-        for sweep in range(max_sweeps):
-            p = np.zeros(n, dtype=complex)
-            for c in coeffs[::-1]:
-                p = p * z + c
-            dp = np.zeros(n, dtype=complex)
-            for c in dcoeffs[::-1]:
-                dp = dp * z + c
-            dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-            newton = p / dp
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            diff = np.where(np.abs(diff) < 1e-300, 1e-300, diff)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            s = inv.sum(axis=1)
-            denom = 1.0 - newton * s
-            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-            w = newton / denom
-            z = z - w
-            # pull escaped or corrupted iterates back inside the root bound
-            bad = ~np.isfinite(z) | (np.abs(z) > 4.0 * cauchy)
-            if bad.any():
-                jitter = np.exp(1j * (0.7 * sweep + np.arange(n)))[bad]
-                z[bad] = guesses[bad] * (0.9 + 0.05 * sweep % 1.0) + 0.1 * jitter
-                continue
-            if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-15:
-                break
-    return z
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     n = len(coeffs) - 1
     monic = coeffs / coeffs[-1]
@@ -251,15 +201,16 @@ def _root_accepted(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> b
     return False
 
 
-def _cluster(p: ComplexPolynomial, approx: np.ndarray, root_tol: float) -> list[list[complex]]:
+def _cluster(
+    p: ComplexPolynomial, dp: ComplexPolynomial, approx: np.ndarray, root_tol: float
+) -> list[list[complex]]:
     """Group approximations whose Newton inclusion discs overlap.
 
-    The disc radius n|p|/|p'| covers the stall distance of simultaneous
-    iteration near an m-fold root, so genuine clusters merge while
-    well-separated simple roots stay apart.
+    The eigenvalues of an m-fold root scatter on a ring of radius about
+    eps^(1/m); the disc radius n|p|/|p'| covers that spread, so genuine
+    clusters merge while well-separated simple roots stay apart.
     """
     n = p.degree
-    dp = p.derivative()
     radii = []
     for z in approx:
         z = complex(z)
@@ -270,8 +221,8 @@ def _cluster(p: ComplexPolynomial, approx: np.ndarray, root_tol: float) -> list[
         if not (math.isfinite(pz) and math.isfinite(d)):
             radii.append(0.0)
             continue
-        # floor the residual at the Horner noise level: at a stalled multiple
-        # root the evaluated p(z) is noise and says nothing about the distance
+        # floor the residual at the Horner noise level: near a multiple root
+        # the evaluated p(z) is noise and says nothing about the distance
         pz = max(pz, 2.0 * n * _EPS * p.horner_scale(abs(z)))
         if d < 1e-300:
             radii.append(10.0 * root_tol)
@@ -293,11 +244,17 @@ def _cluster(p: ComplexPolynomial, approx: np.ndarray, root_tol: float) -> list[
 
 
 def _polish(p: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
-    """Newton steps on the (m-1)-th derivative, where the root is simple."""
+    """Newton steps on the (m-1)-th derivative, where the root is simple.
+
+    At most 6 steps.  A simple root stops once the step is below
+    1e-15 (1 + |z|); a multiple root, which starts from a cluster centroid,
+    steps until the step is exactly 0.
+    """
     q = p
     for _ in range(multiplicity - 1):
         q = q.derivative()
     dq = q.derivative()
+    tol = 1e-15 if multiplicity == 1 else 0.0
     for _ in range(6):
         d = dq(z)
         if abs(d) < 1e-300:
@@ -306,7 +263,7 @@ def _polish(p: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
+        if step == 0 or abs(step) < tol * (1.0 + abs(z)):
             break
     return z
 
@@ -316,16 +273,17 @@ def roots(
 ) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, sorted by (real, imag).
 
-    Raises RootSolveError (carrying partial results) when neither the
-    simultaneous iteration nor the companion-matrix fallback passes the
-    residual acceptance test.
+    Degrees 1 and 2 use closed forms; higher degrees take the eigenvalues of
+    the companion matrix.  Clusters of approximations merge into multiple
+    roots, each polished by Newton steps.  Raises RootSolveError (carrying
+    the polished roots) when a root fails the residual acceptance test.
     """
     if p.degree < 1:
         raise InputError("roots requires degree >= 1")
     coeffs = np.array(p.coeffs, dtype=complex)
 
     if p.degree == 1:
-        candidates = [np.array([-coeffs[0] / coeffs[1]])]
+        approx = np.array([-coeffs[0] / coeffs[1]])
     elif p.degree == 2:
         c, b, a = coeffs[0], coeffs[1], coeffs[2]
         disc = cmath.sqrt(b * b - 4.0 * a * c)
@@ -334,30 +292,23 @@ def roots(
         else:
             qq = -(b - disc) / 2.0
         if abs(qq) > 1e-300:
-            candidates = [np.array([qq / a, c / qq])]
+            approx = np.array([qq / a, c / qq])
         else:
-            candidates = [np.array([0j, -b / a])]
+            approx = np.array([0j, -b / a])
     else:
-        candidates = [_aberth(coeffs, ROOT_SWEEPS), _companion_roots(coeffs)]
+        approx = _companion_roots(coeffs)
 
     dp = p.derivative()
-    best: list[tuple[complex, int]] | None = None
-    for approx in candidates:
-        out: list[tuple[complex, int]] = []
-        for cl in _cluster(p, approx, root_tol):
-            m = len(cl)
-            center = sum(cl) / m
-            spread = max((abs(c - center) for c in cl), default=0.0)
-            z = _polish(p, center, m)
-            if abs(z - center) > 10.0 * max(root_tol, spread):
-                z = center  # polish wandered off; keep the cluster centroid
-            out.append((z, m))
-        out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-        if all(_root_accepted(p, dp, z) for z, _ in out):
-            return out
-        if best is None:
-            best = out
-    raise RootSolveError(
-        f"root solver did not converge within {ROOT_SWEEPS} sweeps",
-        partial=best or (),
-    )
+    out: list[tuple[complex, int]] = []
+    for cl in _cluster(p, dp, approx, root_tol):
+        m = len(cl)
+        center = sum(cl) / m
+        spread = max((abs(c - center) for c in cl), default=0.0)
+        z = _polish(p, center, m)
+        if abs(z - center) > 10.0 * max(root_tol, spread):
+            z = center  # polish wandered off; keep the cluster centroid
+        out.append((z, m))
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    if not all(_root_accepted(p, dp, z) for z, _ in out):
+        raise RootSolveError("a root failed the residual acceptance test", partial=out)
+    return out

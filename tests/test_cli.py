@@ -225,6 +225,17 @@ def test_exit_code_precondition(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_pole_on_basis_loop(tmp_path, capsys):
+    # 1/(z - 1.25) on the annulus: the pole sits on the basis loop |z| = 1.25
+    p = write(tmp_path, "p.json", {
+        "map": {"num": [[1.0, 0.0]], "den": [[-1.25, 0.0], [1.0, 0.0]]},
+        "domain": ANNULUS,
+        "target": "CP1",
+    })
+    code, _, err = run(capsys, "classify", p)
+    assert code == 2
+
+
 def test_exit_code_numerical(tmp_path, capsys):
     p = write(tmp_path, "n.json", {
         "map": {"num": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0.1, 0]],

@@ -270,6 +270,16 @@ def test_classify_requires_immersion():
         classify(R(P([0, 0, 1])), CircularDomain.disc(UNIT), "C")
 
 
+def test_classify_refuses_a_pole_on_a_basis_loop():
+    # the annulus's basis loop is the circle |z| = 1.25, through the pole
+    f = R(P([1]), P([-1.25, 1]))
+    (loop,) = basis_loops(ANNULUS)
+    assert loop.distance_to(1.25) <= loop.clearance()
+    assert verify_immersion(f, ANNULUS, "CP1").valid
+    with pytest.raises(PreconditionError):
+        classify(f, ANNULUS, "CP1")
+
+
 def test_classify_figure_eight():
     # the rational model of the figure eight: on |z|=1 it traces
     # sin(2t) + i sin(t); tangent winding 0, derivative winding -1

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,6 +58,27 @@ def test_taylor_shift_round_trip(rng):
     shifted = p.taylor_shift(a)
     for t in [0.1, -0.3 + 0.2j, 1.0]:
         assert shifted(t) == pytest.approx(complex(p(a + t)), abs=1e-12)
+
+
+def test_taylor_shift_by_zero_matches_the_loop():
+    def loop(cs, a):
+        cs = list(cs)
+        for i in range(len(cs)):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return cs
+
+    inf, nan = float("inf"), float("nan")
+    for cs in (
+        [1 + 2j, -3 - 0.5j, 0.25 + 1j],
+        [complex(-0.0, 1.0), 1 + 1j],
+        [0.5 + 0j, complex(2.0, -0.0), 1 + 1j],
+        [1 + 1j, complex(inf, 1.0), 1 + 1j],
+        [1 + 1j, complex(1.0, nan), 1 + 1j],
+    ):
+        p = ComplexPolynomial(cs, coeff_tol=0.0)
+        for a in (0j, complex(-0.0, -0.0), complex(0.0, -0.0)):
+            assert repr(p.taylor_shift(a).coeffs) == repr(tuple(loop(cs, a)))
 
 
 def test_deflate_inverts_from_roots():
@@ -140,12 +162,39 @@ def separated(rng, k):
 
 
 def test_roots_nonconvergence_carries_partial(monkeypatch):
-    # one Aberth sweep, and a companion fallback that repeats it
-    monkeypatch.setattr(meroimm.poly, "ROOT_SWEEPS", 1)
+    # eigenvalues far from every root: polishing cannot reach the roots
     monkeypatch.setattr(
-        meroimm.poly, "_companion_roots", lambda c: meroimm.poly._aberth(c, 1)
+        meroimm.poly, "_companion_roots", lambda c: np.array([50.0, 60.0, 70.0, 80.0]) + 40j
     )
     p = ComplexPolynomial.from_roots([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(RootSolveError) as exc:
         roots(p)
     assert len(exc.value.partial) >= 1
+
+
+def test_roots_match_mpmath_cluster_means():
+    # The oracle solves the same double-precision coefficients at 50 digits;
+    # an m-fold root is compared with the mean of its m-point cluster there.
+    # The bound is 2e-15 (1 + |a|), widened to 2e-15 kappa for roots whose
+    # condition number kappa = sum |q_k| |a|^k / |q'(a)| is larger, where
+    # q = p^(m-1) is the polynomial the polish steps on.  Forward error
+    # within a few eps kappa is the most double-precision Horner evaluation
+    # allows.
+    rng = np.random.default_rng(4711)
+    with mpmath.workdps(50):
+        for _ in range(20):
+            base = separated(rng, 3)
+            mults = [int(m) for m in rng.integers(1, 4, 3)]
+            p = ComplexPolynomial.from_roots([b for b, m in zip(base, mults) for _ in range(m)])
+            cs = [mpmath.mpc(c) for c in p.coeffs]
+            exact = mpmath.polyroots(cs[::-1], maxsteps=200, extraprec=200)
+            found = roots(p)
+            assert len(found) == 3
+            for z, m in found:
+                assert m == mults[int(np.argmin([abs(z - b) for b in base]))]
+                mean = sum(sorted(exact, key=lambda w: abs(w - z))[:m]) / m
+                q = [c * mpmath.ff(k + m - 1, m - 1) for k, c in enumerate(cs[m - 1:])]
+                scale = sum(abs(c) * abs(mean) ** k for k, c in enumerate(q))
+                slope = abs(sum(k * c * mean ** (k - 1) for k, c in enumerate(q) if k))
+                bound = 2e-15 * max(1.0 + abs(complex(mean)), float(scale / slope))
+                assert abs(z - complex(mean)) <= bound, (z, m, complex(mean))
