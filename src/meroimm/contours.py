@@ -15,9 +15,8 @@ an integer.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,21 +64,28 @@ def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.
 
 @dataclass(frozen=True)
 class Contour:
-    """Piecewise-linear sampled path; closed paths repeat the first sample last."""
+    """Piecewise-linear sampled path; closed paths repeat the first sample last.
+
+    ``points`` holds the samples as a read-only complex array.
+    """
 
     samples: tuple[complex, ...]
     closed: bool
+    points: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        samples = tuple(complex(s) for s in self.samples)
-        object.__setattr__(self, "samples", samples)
-        if len(samples) < 2:
+        zs = np.array([complex(s) for s in self.samples], dtype=complex)
+        zs.flags.writeable = False
+        object.__setattr__(self, "samples", tuple(zs.tolist()))
+        object.__setattr__(self, "points", zs)
+        if len(zs) < 2:
             raise InputError("a contour needs at least two samples")
-        if self.closed and samples[0] != samples[-1]:
+        if not np.all(np.isfinite(zs)):
+            raise InputError("contour samples must be finite")
+        if self.closed and zs[0] != zs[-1]:
             raise InputError("closed contours must repeat the first sample last")
-        for a, b in zip(samples, samples[1:]):
-            if a == b:
-                raise InputError("consecutive contour samples must be distinct")
+        if np.any(zs[1:] == zs[:-1]):
+            raise InputError("consecutive contour samples must be distinct")
 
     @classmethod
     def circle(
@@ -90,21 +96,17 @@ class Contour:
         turns: int = 1,
     ) -> "Contour":
         """Uniformly sampled circle; ``turns`` may be negative for clockwise."""
-        if radius <= 0:
-            raise InputError("circle radius must be positive")
+        if not 0 < radius < math.inf:
+            raise InputError("circle radius must be positive and finite")
         if turns == 0:
             raise InputError("turns must be nonzero")
         if samples < 8:
             raise InputError("need at least 8 samples per turn")
-        n = samples * abs(turns)
         sign = 1 if turns > 0 else -1
-        center = complex(center)
-        pts = [
-            center + radius * cmath.exp(sign * 2j * math.pi * k / samples)
-            for k in range(n)
-        ]
+        th = sign * (2.0 * math.pi * np.arange(samples * abs(turns))) / samples
+        pts = (complex(center) + radius * np.exp(1j * th)).tolist()
         pts.append(pts[0])
-        return cls(tuple(pts), closed=True)
+        return cls(pts, closed=True)
 
     @classmethod
     def segment(cls, a: complex, b: complex, samples: int = 2) -> "Contour":
@@ -136,8 +138,7 @@ class Contour:
     def distance_to(self, z):
         """Distance from z to the polyline; an array of points gives an array."""
         z = np.asarray(z, dtype=complex)[..., None]
-        zs = np.array(self.samples, dtype=complex)
-        a, d = zs[:-1], np.diff(zs)
+        a, d = self.points[:-1], np.diff(self.points)
         # np.hypot rounds as abs() on a Python complex does; np.abs may not
         t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
         w = z - (a + np.clip(t, 0.0, 1.0) * d)
@@ -211,30 +212,37 @@ def integrate_pieces(
     seg = np.arange(n)
     mid, half = np.full(n, 0.5), np.full(n, 0.5)
     tols = tol * lengths / total_len
-    ends = np.concatenate([za, za + d])
+    ds = d
+    nodes = za[:, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
+    fv = fz(np.concatenate([za, za + d, nodes.ravel()]))
     evals = 0
     while True:
-        nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * d[seg, None]
-        fv = fz(np.concatenate([ends, nodes.ravel()]))
         evals += fv.size
-        if not np.all(np.isfinite(fv)):
+        if not np.isfinite(fv).all():
             raise PathTooCloseError("non-finite integrand: path too close to singularity")
-        fv = fv[len(ends):].reshape(nodes.shape)
-        ends = ends[:0]
-        scale = half * d[seg]
+        fv = fv[-nodes.size:].reshape(nodes.shape)  # past round 1's piece endpoints
+        scale = half * ds
+        # three products over the same rows: matmul rounding depends on the
+        # operand's shape, so stacking _WK and _WG into one product, or
+        # slicing rows out of a larger product, changes the bits
         kronrod = scale * (fv @ _WK)
         err = np.abs(kronrod - scale * (fv @ _WG))
         done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
+        if done.all():
+            np.add.at(totals, seg, kronrod)
+            return totals if per_piece else complex(totals.sum())
         np.add.at(totals, seg[done], kronrod[done])
         keep = ~done
-        if not keep.any():
-            return totals if per_piece else complex(np.sum(totals))
         if evals + 30 * np.count_nonzero(keep) > eval_budget:
             np.add.at(totals, seg[keep], kronrod[keep])
-            raise QuadratureBudgetError("quadrature budget exhausted", best=complex(np.sum(totals)))
-        seg, tols = np.repeat(seg[keep], 2), np.repeat(0.5 * tols[keep], 2)
-        half = np.repeat(0.5 * half[keep], 2)
-        mid = np.repeat(mid[keep], 2) + half * np.tile([-1.0, 1.0], len(half) // 2)
+            raise QuadratureBudgetError("quadrature budget exhausted", best=complex(totals.sum()))
+        split = np.flatnonzero(keep).repeat(2)
+        seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
+        mid[0::2] -= half[0::2]
+        mid[1::2] += half[1::2]
+        ds = d[seg]
+        nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
+        fv = fz(nodes.ravel())
 
 
 def integrate(
@@ -252,9 +260,8 @@ def integrate(
     carrying the best estimate.
     """
     fz = _vectorized(f)
-    za = np.array(contour.samples[:-1], dtype=complex)
-    zb = np.array(contour.samples[1:], dtype=complex)
-    return integrate_pieces(fz, za, zb - za, tol, eval_budget=eval_budget)
+    zs = contour.points
+    return integrate_pieces(fz, zs[:-1], zs[1:] - zs[:-1], tol, eval_budget=eval_budget)
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -345,8 +352,7 @@ def argument_principle_count(
             )
         return vals
 
-    zs = np.array(contour.samples, dtype=complex)
-    za, chords = zs[:-1], np.diff(zs)
+    za, chords = contour.points[:-1], np.diff(contour.points)
     fa = logderiv(za)
     total = 0.5 * complex(np.sum(chords * (fa + np.roll(fa, -1))))
     count = total / (2j * math.pi)

@@ -375,15 +375,26 @@ class IntegralImmersion:
         The radial leg runs to the sample farthest from the pole set; the
         sweep then accumulates chord integrals around the circle.  Falls back
         to pointwise evaluation when a pole sits within a detour radius of
-        the circle.
+        the circle, or the entry value is INF; there a value at INF comes
+        back as complex("inf").  n < 1, or a radius not positive and
+        finite, raises InputError.
         """
+        if n < 1:
+            raise InputError("values_on_circle needs at least one sample")
+        if not 0 < radius < math.inf:
+            raise InputError("circle radius must be positive and finite")
         center = complex(center)
         ring = circle_samples(center, radius, n)
+
+        def pointwise() -> np.ndarray:
+            vals = (self.evaluate(z, quad_tol=quad_tol) for z in ring)
+            return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
+
         clearance = self.detour_radius
         if any(
             abs(abs(a - center) - radius) <= clearance for a, _ in self.poles
         ):
-            return np.array([complex(self.evaluate(z)) for z in ring])
+            return pointwise()
         # entry sample: farthest from the poles (any sample works; this keeps
         # the radial leg short of detours when possible)
         if len(self.poles):
@@ -394,18 +405,16 @@ class IntegralImmersion:
         entry = complex(ring[k0])
         base = self.evaluate(entry, quad_tol=quad_tol)
         if is_inf(base):
-            return np.array([complex(self.evaluate(z)) for z in ring])
+            return pointwise()
         starts = np.roll(ring, -k0)
         chords = np.roll(ring, -k0 - 1) - starts  # n chords closing the loop
         per = integrate_pieces(
             self._integrand, starts, chords, quad_tol, per_piece=True
         )
-        vals = np.empty(n, dtype=complex)
-        acc = complex(base)
-        for j in range(n):
-            vals[(k0 + j) % n] = acc
-            acc += per[j]
-        closure = abs(acc - complex(base))
+        # add.accumulate sums in order: each partial sum is one more addition
+        acc = np.cumsum(np.concatenate([[complex(base)], per]))
+        vals = np.roll(acc[:n], k0)
+        closure = abs(complex(acc[n]) - complex(base))
         allowance = 1e4 * quad_tol + 1e-10 * float(np.sum(np.abs(per)))
         if closure > allowance:
             raise InternalConsistencyError(

@@ -68,9 +68,11 @@ class ComplexPolynomial:
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
         if isinstance(z, np.ndarray):
+            # a zero start, not the leading coefficient, keeps signed zeros
             out = np.zeros(z.shape, dtype=complex)
             for c in reversed(self.coeffs):
-                out = out * z + c
+                out *= z
+                out += c
             return out
         acc = 0j
         for c in reversed(self.coeffs):

@@ -404,7 +404,7 @@ class Factored:
                 raise error(f"zero or pole at {w} within clearance of the contour")
             if not ok:
                 raise error(f"the roots near {w} cannot be kept on one side of the contour")
-        zs = np.array(contour.samples, dtype=complex)
+        zs = contour.points
         turns = np.sum(np.angle((zs[1:] - ws[:, None]) / (zs[:-1] - ws[:, None])), axis=1)
         return sum(
             sign * m * round(float(t) / (2.0 * math.pi)) for (_, m, sign), t in zip(points, turns)

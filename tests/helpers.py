@@ -90,3 +90,85 @@ def mpmath_pieces(scale, xi, poles, starts, deltas, dps=30):
             a, d = mpmath.mpc(complex(a)), mpmath.mpc(complex(d))
             out.append(complex(mpmath.quad(lambda t: g(a + t * d), [0, 1]) * d))
         return out
+
+
+def same_bits(a, b):
+    """Equal as stored doubles, so that signed zeros and NaN payloads count."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    return np.array_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64))
+
+
+class Recorder:
+    """Wraps an integrand and keeps a copy of the points of every call."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, z):
+        self.calls.append(np.array(z))
+        return self.f(z)
+
+
+def integrate_pieces_by_loop(fz, za, d, tol, *, eval_budget=400_000, per_piece=False):
+    """Reference copy of the adaptive G7-K15 round loop as first written:
+    endpoints concatenated into every round, the midpoint update through
+    np.tile, and one add.at per outcome."""
+    from meroimm.contours import _ROUNDING_FLOOR, _WG, _WK, _XK
+    from meroimm.errors import PathTooCloseError, QuadratureBudgetError
+
+    lengths = np.abs(d)
+    total_len = float(np.sum(lengths))
+    n = len(za)
+    totals = np.zeros(n, dtype=complex)
+    if total_len == 0.0:
+        return totals if per_piece else 0j
+    seg = np.arange(n)
+    mid, half = np.full(n, 0.5), np.full(n, 0.5)
+    tols = tol * lengths / total_len
+    ends = np.concatenate([za, za + d])
+    evals = 0
+    while True:
+        nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * d[seg, None]
+        fv = fz(np.concatenate([ends, nodes.ravel()]))
+        evals += fv.size
+        if not np.all(np.isfinite(fv)):
+            raise PathTooCloseError("non-finite integrand: path too close to singularity")
+        fv = fv[len(ends):].reshape(nodes.shape)
+        ends = ends[:0]
+        scale = half * d[seg]
+        kronrod = scale * (fv @ _WK)
+        err = np.abs(kronrod - scale * (fv @ _WG))
+        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
+        np.add.at(totals, seg[done], kronrod[done])
+        keep = ~done
+        if not keep.any():
+            return totals if per_piece else complex(np.sum(totals))
+        if evals + 30 * np.count_nonzero(keep) > eval_budget:
+            np.add.at(totals, seg[keep], kronrod[keep])
+            raise QuadratureBudgetError("quadrature budget exhausted", best=complex(np.sum(totals)))
+        seg, tols = np.repeat(seg[keep], 2), np.repeat(0.5 * tols[keep], 2)
+        half = np.repeat(0.5 * half[keep], 2)
+        mid = np.repeat(mid[keep], 2) + half * np.tile([-1.0, 1.0], len(half) // 2)
+
+
+def assert_same_quadrature(fz, za, d, tol, **kw):
+    """integrate_pieces and the reference loop return, or refuse with, the
+    same bits, after the same integrand calls on the same points."""
+    from meroimm.contours import integrate_pieces
+    from meroimm.errors import QuadratureBudgetError
+
+    results = []
+    for kernel in (integrate_pieces, integrate_pieces_by_loop):
+        rec = Recorder(fz)
+        try:
+            results.append(("returned", kernel(rec, za, d, tol, **kw), rec.calls))
+        except QuadratureBudgetError as exc:
+            results.append(("refused", exc.best, rec.calls))
+    (got_how, got, got_calls), (want_how, want, want_calls) = results
+    assert got_how == want_how
+    assert same_bits(got, want)
+    assert len(got_calls) == len(want_calls)
+    assert all(same_bits(a, b) for a, b in zip(got_calls, want_calls))
+    return want_how, want

@@ -236,6 +236,15 @@ def test_exit_code_pole_on_basis_loop(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_non_finite_contour(tmp_path, capsys):
+    # a NaN sample is refused as input, not reported as a zero on the contour
+    contour = {"kind": "polyline", "points": [[0.0, 0.0], [1.0, float("nan")], [0.0, 1.0]],
+               "closed": True}
+    p = write(tmp_path, "w.json", {"map": zpow_json(1), "contour": contour})
+    code, _, err = run(capsys, "wind", p)
+    assert code == 1 and "finite" in err
+
+
 def test_exit_code_numerical(tmp_path, capsys):
     p = write(tmp_path, "n.json", {
         "map": {"num": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0.1, 0]],

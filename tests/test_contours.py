@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -21,23 +23,70 @@ from meroimm import (
     integrate,
     winding_number,
 )
-from meroimm.contours import integrate_pieces
+from meroimm.contours import circle_samples, integrate_pieces
 
-from helpers import mpmath_pieces
+from helpers import assert_same_quadrature, mpmath_pieces, same_bits
 
 P = ComplexPolynomial
 R = RationalMap
 
 
 def test_contour_validation():
-    with pytest.raises(InputError):
-        Contour((0j, 0j), closed=False)
-    with pytest.raises(InputError):
-        Contour((0j, 1j), closed=True)
+    # the checks run in this order, each with its own message; a non-finite
+    # sample is refused here rather than surfacing later as a zero on the contour
+    short = "a contour needs at least two samples"
+    finite = "contour samples must be finite"
+    open_end = "closed contours must repeat the first sample last"
+    repeat = "consecutive contour samples must be distinct"
+    for samples, closed, message in [
+        ((), True, short),
+        ((math.nan,), True, short),
+        ((0j, complex(math.nan, 0.0), 1j), False, finite),
+        ((math.inf, 1.0, math.inf), True, finite),
+        ((1, 2, complex(0.0, -math.inf)), False, finite),
+        ((0j, 1j), True, open_end),
+        ((0j, 1.0, 1.0), True, open_end),
+        ((0j, 1.0, 1.0, 0j), True, repeat),
+        ((0j, 0j), False, repeat),
+        ((0j, -0.0, 1j), False, repeat),
+    ]:
+        with pytest.raises(InputError, match=re.escape(message)):
+            Contour(samples, closed=closed)
+    with pytest.raises(InputError, match=finite):
+        Contour.polyline([0, math.nan, 1j], closed=True)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="radius"):
+            Contour.circle(0, radius)
+    c = Contour((0, 1, 1j, 0), closed=True)
+    assert same_bits(c.points, [0, 1, 1j, 0]) and not c.points.flags.writeable
     c = Contour.circle(0, 1.0, samples=64)
     assert c.samples[0] == c.samples[-1]
     assert c.closed
     assert c.diameter == pytest.approx(2 * math.hypot(1, 1), rel=0.5)
+
+
+def _circle_by_cmath(center, radius, samples, turns):
+    # reference: the samples as first built, one cmath.exp per sample
+    sign = 1 if turns > 0 else -1
+    center = complex(center)
+    pts = [
+        center + radius * cmath.exp(sign * 2j * math.pi * k / samples)
+        for k in range(samples * abs(turns))
+    ]
+    pts.append(pts[0])
+    return pts
+
+
+def test_circle_matches_cmath_samples():
+    for center, radius, samples, turns in itertools.product(
+        (0, -0.0 - 0.0j, 0.3 - 1.2j, -2.5 + 0.7j),
+        (1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 7.3),
+        (8, 16, 33, 64, 100, 256, 1024),
+        (1, -1, 2, -3),
+    ):
+        c = Contour.circle(center, radius, samples=samples, turns=turns)
+        assert same_bits(c.samples, _circle_by_cmath(center, radius, samples, turns))
+        assert same_bits(c.points, c.samples)
 
 
 def test_circle_turns_and_polyline():
@@ -150,6 +199,29 @@ def test_integrate_pieces_per_piece_matches_mpmath():
     want = mpmath_pieces(_H0, _XI, [_POLE], za, d)
     assert got.shape == (len(za),)
     assert np.max(np.abs(got - np.array(want))) < 1e-11
+
+
+def test_integrate_pieces_matches_reference_loop():
+    # the round loop against its first form, bit for bit: totals, refusals
+    # with their best estimate, and the points of every integrand call
+    za, d = _detour_pieces()
+    for per_piece in (False, True):
+        assert_same_quadrature(_h_exp_xi_over_theta, za, d, 1e-10, per_piece=per_piece)
+    leg = np.array([0j]), np.array([1.5 * np.exp(-1j * np.pi / 3)])
+    assert assert_same_quadrature(_h_exp_xi_over_theta, *leg, 1e-10)[0] == "returned"
+    # a 256-chord sweep around |z| = 1, one result per chord
+    ring = circle_samples(0j, 1.0, 256)
+    how, per = assert_same_quadrature(
+        _h_exp_xi_over_theta, ring, np.roll(ring, -1) - ring, 1e-10, per_piece=True
+    )
+    assert how == "returned" and per.shape == (256,)
+    # the needle of test_integrate_budget, refused after one round and after several
+    needle = lambda z: 1.0 / (z - (1.0 + 1e-7j))
+    for budget in (40, 300, 3000):
+        how, best = assert_same_quadrature(
+            needle, np.array([0j]), np.array([2 + 0j]), 1e-14, eval_budget=budget
+        )
+        assert how == "refused" and best is not None
 
 
 def test_winding_examples():

@@ -6,7 +6,7 @@ import pytest
 
 import meroimm.extension
 import meroimm.immersions
-from helpers import mpmath_pieces, separated_points
+from helpers import assert_same_quadrature, mpmath_pieces, same_bits, separated_points
 from meroimm import (
     INF,
     ComplexPolynomial,
@@ -27,6 +27,8 @@ from meroimm import (
     is_inf,
     residue_targets,
 )
+from meroimm.config import QUAD_TOL
+from meroimm.contours import circle_samples, integrate_pieces
 
 P = ComplexPolynomial
 R = RationalMap
@@ -234,6 +236,68 @@ def test_values_on_circle_matches_pointwise():
         assert abs(v - complex(F.evaluate(complex(z)))) < 1e-7
 
 
+def _values_on_circle_by_loop(F, center, radius, n):
+    # reference: the cumulative sweep as first written, one Python complex
+    # addition per sample, for circles clear of the poles
+    ring_ = circle_samples(complex(center), radius, n)
+    k0 = 0
+    if len(F.poles):
+        gaps = ring_[:, None] - np.array(F.poles.locations)
+        k0 = int(np.argmax(np.hypot(gaps.real, gaps.imag).min(axis=1)))
+    base = F.evaluate(complex(ring_[k0]))
+    starts = np.roll(ring_, -k0)
+    chords = np.roll(ring_, -k0 - 1) - starts
+    per = integrate_pieces(F._integrand, starts, chords, QUAD_TOL, per_piece=True)
+    vals = np.empty(n, dtype=complex)
+    acc = complex(base)
+    for j in range(n):
+        vals[(k0 + j) % n] = acc
+        acc += per[j]
+    return vals
+
+
+def test_values_on_circle_matches_python_accumulation():
+    for f in (
+        R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5])),
+        R(P([0.2, 1.0, 0.3j])),
+        R(P([1]), P.from_roots([0.01])),
+        R(P([0, 1, 0, 0.05])),
+    ):
+        F = extend_immersion(f, D0, D1, 1e-3)
+        for center, radius, n in ((0j, 1.0, 256), (0j, 0.9, 16), (0.1j, 0.7, 33), (0j, 1.0, 1), (0j, 1.0, 3)):
+            got = F.values_on_circle(center, radius, n)
+            assert same_bits(got, _values_on_circle_by_loop(F, center, radius, n))
+
+
+def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):
+    # the pole at 1.5 is a sample of the circle: the pointwise fallback runs,
+    # and its value there is INF
+    F = extend_immersion(R(P([1]), P.from_roots([1.5])), D0, D1, 1e-3)
+    evaluate = meroimm.extension.IntegralImmersion.evaluate
+    tols = []
+
+    def recording(self, z, **kw):
+        tols.append(kw.get("quad_tol"))
+        return evaluate(self, z, **kw)
+
+    monkeypatch.setattr(meroimm.extension.IntegralImmersion, "evaluate", recording)
+    vals = F.values_on_circle(0, 1.5, 16, quad_tol=1e-9)
+    assert tols == [1e-9] * 16
+    assert vals[0] == complex("inf")
+    for z, v in zip(circle_samples(0j, 1.5, 16)[1:], vals[1:]):
+        assert v == evaluate(F, complex(z), quad_tol=1e-9)
+    # extension_boundary_error takes the INF entry through chordal_distance
+    f = R(P([1]), P.from_roots([1.5]))
+    assert extension_boundary_error(f, F, Disc(0, 1.5), samples=16) < 1e-3
+
+
+def test_values_on_circle_refuses_bad_circles():
+    F = extend_immersion(R(P([0.2, 1.0, 0.3j])), D0, D1, 1e-3)
+    for radius, n in ((1.0, 0), (1.0, -3), (0.0, 16), (-1.0, 16), (math.nan, 16), (math.inf, 16)):
+        with pytest.raises(InputError):
+            F.values_on_circle(0j, radius, n)
+
+
 def _mpmath_value(F, z):
     """F(z) by mpmath along F's own detour path: an oracle for the quadrature."""
     starts, deltas = F._detour_path(complex(z), 1)
@@ -245,7 +309,7 @@ def _mpmath_value(F, z):
 # Moebius maps with one pole in the big disc, whose paths to |z| = 1.5 pass
 # the pole by arcs of radius 0.04.  Adaptive Simpson exhausted its budget on
 # the first; a G7-K15 rule without a rounding floor did on the second.
-@pytest.mark.parametrize("num, den", [
+_PINNED_MOEBIUS = [
     (
         [-7.0854307248920465 + 1.0433571768311454j, -1.2225277379616517 + 3.2233554772069297j],
         [0.0034101059645046394 - 0.033902135510989195j, 0.012581673174547947 + 0.05175156288048876j],
@@ -254,7 +318,10 @@ def _mpmath_value(F, z):
         [-8.273376763532731 + 4.617983285798465j, -3.9577160560916234 + 2.073235124068424j],
         [-0.05665336276253985 - 0.16615187715398377j, 0.10575881516799202 - 0.2017297520207219j],
     ),
-])
+]
+
+
+@pytest.mark.parametrize("num, den", _PINNED_MOEBIUS)
 def test_evaluate_past_pole_matches_mpmath(num, den):
     F = extend_immersion(R(P(num), P(den)), D0, D1, 1e-3)
     assert len(F.poles) == 1
@@ -262,6 +329,14 @@ def test_evaluate_past_pole_matches_mpmath(num, den):
         got = F.evaluate(complex(z))
         assert not is_inf(got)
         assert abs(complex(got) - _mpmath_value(F, z)) < 1e-10
+
+
+@pytest.mark.parametrize("num, den", _PINNED_MOEBIUS)
+def test_detour_quadrature_matches_reference_loop(num, den):
+    F = extend_immersion(R(P(num), P(den)), D0, D1, 1e-3)
+    for z in ring(1.5, 16):
+        starts, deltas = F._detour_path(complex(z), 1)
+        assert assert_same_quadrature(F._integrand, starts, deltas, QUAD_TOL)[0] == "returned"
 
 
 def _mpmath_entire_values(F, zs, terms=200):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import meroimm.poly
+from helpers import same_bits
 from meroimm import ComplexPolynomial, InputError, RootSolveError, roots
 
 
@@ -32,6 +33,40 @@ def test_eval_vectorized_matches_scalar(rng):
     vec = p(zs)
     for z, v in zip(zs, vec):
         assert abs(p(complex(z)) - v) < 1e-12
+
+
+def _horner_out_of_place(p, z):
+    # reference: the array Horner loop as first written, two temporaries a step
+    out = np.zeros(z.shape, dtype=complex)
+    for c in reversed(p.coeffs):
+        out = out * z + c
+    return out
+
+
+def test_eval_array_matches_out_of_place_horner(rng):
+    specials = np.array([0.0, -0.0, 1.0, -1.0, 1e300, -1e-300, np.inf, -np.inf, np.nan])
+    coeff_sets = [
+        rng.normal(size=9) + 1j * rng.normal(size=9),
+        [1.0, -0.0, complex(0.0, -0.0), 2.0],
+        [complex(-0.0, -0.0), 1.0],
+        [3.0 - 1j],
+        [],
+        [1.0, np.inf, 0.5j, -2.0],
+        [np.nan, 1.0, 1e200],
+    ]
+    zs = [
+        rng.normal(size=40) + 1j * rng.normal(size=40),
+        np.array([complex(a, b) for a in specials for b in specials]),
+        specials,
+        rng.normal(size=(3, 4, 5)) * 1e3 - 1j * rng.normal(size=(3, 4, 5)),
+        np.array(complex(-0.0, 0.0)),
+        np.array([], dtype=complex),
+    ]
+    for cs in coeff_sets:
+        p = ComplexPolynomial(cs, coeff_tol=0.0)
+        for z in zs:
+            with np.errstate(all="ignore"):
+                assert same_bits(p(z), _horner_out_of_place(p, z))
 
 
 def test_arithmetic_and_calculus():
