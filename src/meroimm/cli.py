@@ -1,24 +1,25 @@
 """Command-line front end: JSON in, JSON/CSV out.
 
-Subcommands: verify, wind, classify, same-component, extend, extend-family,
-blend, seed, chart-check.  Every run emits a machine-readable report that
-embeds the tolerances used; identical inputs and configuration produce
-byte-identical reports.  Exit codes: 0 ok, 1 input error, 2 precondition
-failure, 3 numerical-budget failure.
+The subcommands are the keys of COMMANDS.  Every run emits a
+machine-readable report that embeds the tolerances used; identical inputs
+and configuration produce byte-identical reports.  Exit codes: 0 ok, 1 input
+error, 2 precondition failure, 3 numerical-budget failure.
 
-Tolerance flags fall back to MEROIMM_* environment variables, then to the
-built-in defaults (for example MEROIMM_EPS, MEROIMM_TOL_ROOT).
+Each field of RunConfig is a flag (``tol_root`` gives ``--tol-root``) that
+falls back to its MEROIMM_* environment variable (``MEROIMM_TOL_ROOT``),
+then to the built-in default.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .blending import SampledFamily, blend_parametric, fix_on_Q, sampled_sup_distance
-from .config import RunConfig, config_from_env
+from .config import ENV_PREFIX, RunConfig, config_from_env
 from .contours import Disc, circle_samples
 from .errors import InputError, MeroimmError, NumericalError, PreconditionError
 from .extension import extend_family, extend_immersion
@@ -31,7 +32,6 @@ from .immersions import (
 )
 from .serialize import (
     certificate_to_json,
-    complex_to_json,
     contour_from_json,
     disc_from_json,
     domain_from_json,
@@ -56,13 +56,17 @@ EXIT_NUMERICAL = 3
 def _load_input(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON input: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("the JSON input must be an object")
+    return data
 
 
 def _need(data: dict, key: str):
@@ -87,14 +91,14 @@ def _domain(data) -> CircularDomain:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _run_verify(data: dict, cfg: RunConfig) -> dict:
+def _run_verify(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     D = _domain(_need(data, "domain"))
     cert = verify_immersion(f, D, _target(data), root_tol=cfg.tol_root)
     return {"certificate": certificate_to_json(cert)}
 
 
-def _run_wind(data: dict, cfg: RunConfig) -> dict:
+def _run_wind(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     gamma = contour_from_json(_need(data, "contour"))
     F = f.factor(root_tol=cfg.tol_root)
@@ -104,14 +108,14 @@ def _run_wind(data: dict, cfg: RunConfig) -> dict:
     return {"winding": F.winding(gamma)}
 
 
-def _run_classify(data: dict, cfg: RunConfig) -> dict:
+def _run_classify(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     D = _domain(_need(data, "domain"))
     hc = classify(f, D, _target(data), root_tol=cfg.tol_root)
     return {"classification": homotopy_class_to_json(hc)}
 
 
-def _run_same_component(data: dict, cfg: RunConfig) -> dict:
+def _run_same_component(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map1"))
     g = rational_from_json(_need(data, "map2"))
     D = _domain(_need(data, "domain"))
@@ -125,12 +129,12 @@ def _run_same_component(data: dict, cfg: RunConfig) -> dict:
     }
 
 
-def _run_chart_check(data: dict, cfg: RunConfig) -> dict:
+def _run_chart_check(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     gamma = contour_from_json(_need(data, "contour"))
     return {"transition_winding": chart_transition_winding(gamma)}
 
 
-def _run_seed(data: dict, cfg: RunConfig) -> dict:
+def _run_seed(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     seed = seed_from_json(_need(data, "seed"))
     f = seed_disc(seed)
     jet_value = f(seed.base_point)
@@ -219,16 +223,34 @@ def _run_blend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     return result
 
 
-_HANDLERS = {
-    "verify": lambda d, c, o: _run_verify(d, c),
-    "wind": lambda d, c, o: _run_wind(d, c),
-    "classify": lambda d, c, o: _run_classify(d, c),
-    "same-component": lambda d, c, o: _run_same_component(d, c),
-    "chart-check": lambda d, c, o: _run_chart_check(d, c),
-    "seed": lambda d, c, o: _run_seed(d, c),
-    "extend": _run_extend,
-    "extend-family": _run_extend_family,
-    "blend": _run_blend,
+def _verify_summary(result: dict) -> str:
+    c = result["certificate"]
+    return (
+        f"valid={c['valid']} poles={len(c['poles_inside'])} "
+        f"derivative_zeros={c['derivative_zero_count']}"
+    )
+
+
+# name -> (help, handler, one-line summary of the handler's result)
+COMMANDS = {
+    "verify": ("immersion certificate for a map on a domain", _run_verify, _verify_summary),
+    "wind": ("winding number of a map along a contour", _run_wind,
+             lambda r: f"winding={r['winding']}"),
+    "classify": ("winding classes of the derivative on the basis loops", _run_classify,
+                 lambda r: "z_class={z_class} mod2={mod2_class}".format(**r["classification"])),
+    "same-component": ("whether two immersions are isotopic", _run_same_component,
+                       lambda r: f"same_component={r['same_component']}"),
+    "extend": ("extend an immersion from a small disc to a big one", _run_extend,
+               lambda r: f"achieved_eps={r['achieved_eps']:.3e}"),
+    "extend-family": ("extend a sampled family, fixing the Q members", _run_extend_family,
+                      lambda r: f"nodes={len(r['immersions'])} "
+                                f"worst_eps={max(r['achieved_eps']):.3e}"),
+    "blend": ("polynomial blending of a sampled family on a disc", _run_blend,
+              lambda r: f"nodes={len(r['polynomials'])} worst_err={max(r['errors']):.3e}"),
+    "seed": ("affine disc with a prescribed 1-jet", _run_seed,
+             lambda r: f"value_at_base={r['value_at_base']}"),
+    "chart-check": ("winding of the chart-transition frame along a contour", _run_chart_check,
+                    lambda r: f"transition_winding={r['transition_winding']}"),
 }
 
 
@@ -242,49 +264,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("verify", "immersion certificate for a map on a domain"),
-        ("wind", "winding number of a map along a contour"),
-        ("classify", "winding classes of the derivative on the basis loops"),
-        ("same-component", "whether two immersions are isotopic"),
-        ("extend", "extend an immersion from a small disc to a big one"),
-        ("extend-family", "extend a sampled family, fixing the Q members"),
-        ("blend", "polynomial blending of a sampled family on a disc"),
-        ("seed", "affine disc with a prescribed 1-jet"),
-        ("chart-check", "winding of the chart-transition frame along a contour"),
-    ]:
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to the JSON input, or - for stdin")
-        p.add_argument("--eps", type=float, default=None, help="approximation target")
-        p.add_argument("--tol-residue", type=float, default=None)
-        p.add_argument("--tol-root", type=float, default=None)
-        p.add_argument("--tol-quad", type=float, default=None)
-        p.add_argument("--degree-budget", type=int, default=None)
+        for f in fields(RunConfig):
+            p.add_argument(
+                "--" + f.name.replace("_", "-"), type=type(f.default), default=None,
+                help=f"falls back to {ENV_PREFIX}{f.name.upper()}, then {f.default}",
+            )
         p.add_argument("--out", type=str, default=None, help="artifact directory")
-        p.add_argument(
-            "--json", action="store_true", help="print the full JSON report to stdout"
-        )
+        p.add_argument("--json", action="store_true", help="print the full JSON report to stdout")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _, run, summary = COMMANDS[args.command]
     try:
-        cfg = config_from_env(
-            {
-                "eps": args.eps,
-                "tol_residue": args.tol_residue,
-                "tol_root": args.tol_root,
-                "tol_quad": args.tol_quad,
-                "degree_budget": args.degree_budget,
-            }
-        )
+        cfg = config_from_env({f.name: getattr(args, f.name) for f in fields(RunConfig)})
         data = _load_input(args.input)
         outdir = None
         if args.out:
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
-        result = _HANDLERS[args.command](data, cfg, outdir)
+        result = run(data, cfg, outdir)
         report = {
             "command": args.command,
             "config": cfg.tolerances(),
@@ -297,7 +300,7 @@ def main(argv=None) -> int:
         if args.json:
             sys.stdout.write(text)
         else:
-            sys.stdout.write(_summary(args.command, result) + "\n")
+            sys.stdout.write(summary(result) + "\n")
         return EXIT_OK
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -311,34 +314,6 @@ def main(argv=None) -> int:
     except MeroimmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def _summary(command: str, result: dict) -> str:
-    if command == "verify":
-        c = result["certificate"]
-        return (
-            f"valid={c['valid']} poles={len(c['poles_inside'])} "
-            f"derivative_zeros={c['derivative_zero_count']}"
-        )
-    if command == "wind":
-        return f"winding={result['winding']}"
-    if command == "classify":
-        c = result["classification"]
-        return f"z_class={c['z_class']} mod2={c['mod2_class']}"
-    if command == "same-component":
-        return f"same_component={result['same_component']}"
-    if command == "chart-check":
-        return f"transition_winding={result['transition_winding']}"
-    if command == "seed":
-        return f"value_at_base={result['value_at_base']}"
-    if command == "extend":
-        return f"achieved_eps={result['achieved_eps']:.3e}"
-    if command == "extend-family":
-        worst = max(result["achieved_eps"])
-        return f"nodes={len(result['immersions'])} worst_eps={worst:.3e}"
-    if command == "blend":
-        return f"nodes={len(result['polynomials'])} worst_err={max(result['errors']):.3e}"
-    return "done"
 
 
 if __name__ == "__main__":

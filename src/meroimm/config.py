@@ -1,14 +1,14 @@
 """Default tolerances and run configuration.
 
-All tolerances are keyword-overridable in the functions that use them; the
-values here are the desk-scale defaults (degree <= 64 polynomials, domains of
-diameter a few units).
+The values here are the desk-scale defaults (degree <= 64 polynomials,
+domains of diameter a few units); the entry points that take a tolerance as
+a keyword default to them.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
 
@@ -44,8 +44,11 @@ ENV_PREFIX = "MEROIMM_"
 class RunConfig:
     """Tolerances and budgets for a CLI run.
 
-    Values are resolved flag > environment (``MEROIMM_*``) > default.  A
-    tolerance that is not a finite positive number, or a degree budget below
+    These fields are the one list of run settings: the CLI flag
+    ``--tol-root`` and the environment variable ``MEROIMM_TOL_ROOT`` are
+    made from the field ``tol_root``, and each setting's type is its
+    default's.  Values are resolved flag > environment > default.  A float
+    setting that is not a finite positive number, or an int setting below
     1, raises InputError.
     """
 
@@ -56,39 +59,30 @@ class RunConfig:
     degree_budget: int = DEGREE_BUDGET
 
     def __post_init__(self):
-        for name in ("eps", "tol_residue", "tol_root", "tol_quad"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be a finite positive number, not {value}")
-        if self.degree_budget < 1:
-            raise InputError("degree_budget must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if value < 1:
+                    raise InputError(f"{f.name} must be >= 1")
+            elif not (math.isfinite(value) and value > 0):
+                raise InputError(f"{f.name} must be a finite positive number, not {value}")
 
     def tolerances(self) -> dict:
         """The run's settings, plus the fixed boundary clearance factor."""
         return {**asdict(self), "clearance_factor": CLEARANCE_FACTOR}
 
 
-_ENV_FIELDS = {
-    "eps": float,
-    "tol_residue": float,
-    "tol_root": float,
-    "tol_quad": float,
-    "degree_budget": int,
-}
-
-
 def config_from_env(overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from MEROIMM_* environment variables plus overrides."""
     values: dict = {}
-    for name, cast in _ENV_FIELDS.items():
-        raw = os.environ.get(ENV_PREFIX + name.upper())
+    for f in fields(RunConfig):
+        cast, var = type(f.default), ENV_PREFIX + f.name.upper()
+        raw = os.environ.get(var)
         if raw is not None:
             try:
-                values[name] = cast(raw)
+                values[f.name] = cast(raw)
             except ValueError as exc:
-                raise InputError(
-                    f"{ENV_PREFIX + name.upper()}={raw!r} is not a valid {cast.__name__}"
-                ) from exc
+                raise InputError(f"{var}={raw!r} is not a valid {cast.__name__}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)

@@ -40,8 +40,8 @@ class Disc:
         if not (self.radius > 0):
             raise InputError("disc radius must be positive")
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return abs(complex(z) - self.center) <= self.radius - margin
+    def contains(self, z: complex) -> bool:
+        return abs(complex(z) - self.center) <= self.radius
 
     def contains_disc(self, other: "Disc", margin: float = 0.0) -> bool:
         return (
@@ -49,8 +49,8 @@ class Disc:
             <= self.radius - margin
         )
 
-    def boundary(self, samples: int = 256) -> "Contour":
-        return Contour.circle(self.center, self.radius, samples=samples)
+    def boundary(self) -> "Contour":
+        return Contour.circle(self.center, self.radius)
 
     def boundary_distance(self, z: complex) -> float:
         return abs(abs(complex(z) - self.center) - self.radius)
@@ -110,6 +110,8 @@ class Contour:
 
     @classmethod
     def segment(cls, a: complex, b: complex, samples: int = 2) -> "Contour":
+        if samples < 2:
+            raise InputError("a contour needs at least two samples")
         a, b = complex(a), complex(b)
         pts = [a + (b - a) * k / (samples - 1) for k in range(samples)]
         return cls(tuple(pts), closed=False)
@@ -137,13 +139,19 @@ class Contour:
 
     def distance_to(self, z):
         """Distance from z to the polyline; an array of points gives an array."""
-        z = np.asarray(z, dtype=complex)[..., None]
-        a, d = self.points[:-1], np.diff(self.points)
-        # np.hypot rounds as abs() on a Python complex does; np.abs may not
-        t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
-        w = z - (a + np.clip(t, 0.0, 1.0) * d)
-        out = np.min(np.hypot(w.real, w.imag), axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return polyline_distance(self.points, z)
+
+
+def polyline_distance(points: np.ndarray, z):
+    """Distance from z to the polyline through ``points``, whose consecutive
+    points must be distinct; an array of z gives an array."""
+    z = np.asarray(z, dtype=complex)[..., None]
+    a, d = points[:-1], np.diff(points)
+    # np.hypot rounds as abs() on a Python complex does; np.abs may not
+    t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
+    w = z - (a + np.clip(t, 0.0, 1.0) * d)
+    out = np.min(np.hypot(w.real, w.imag), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:

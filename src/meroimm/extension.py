@@ -30,7 +30,7 @@ from .config import (
     ROOT_TOL,
 )
 from .blending import _taylor_truncations
-from .contours import Disc, circle_samples, integrate_pieces
+from .contours import Disc, circle_samples, integrate_pieces, polyline_distance
 from .errors import (
     DegreeBudgetError,
     InputError,
@@ -46,6 +46,9 @@ from .poly import ComplexPolynomial
 from .poly import roots  # noqa: F401  never called here; perfbench's tracer test patches the name
 from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
+
+# chordal target for the Q members of a family, which are reproduced on the big disc
+Q_EPS = 1e-8
 
 
 def residue_targets(A: PoleSet) -> list[complex]:
@@ -338,7 +341,6 @@ class IntegralImmersion:
         *,
         side: int = 1,
         quad_tol: float = QUAD_TOL,
-        root_tol: float = ROOT_TOL,
     ) -> SpherePoint:
         """Value at z by path integration from the base point.
 
@@ -348,7 +350,7 @@ class IntegralImmersion:
         """
         z = complex(z)
         for a, _ in self.poles:
-            if abs(z - a) <= root_tol:
+            if abs(z - a) <= ROOT_TOL:
                 return INF
         starts, deltas = self._detour_path(z, side)
         if len(starts) == 0:
@@ -375,8 +377,8 @@ class IntegralImmersion:
         The radial leg runs to the sample farthest from the pole set; the
         sweep then accumulates chord integrals around the circle.  Falls back
         to pointwise evaluation when a pole sits within a detour radius of
-        the circle, or the entry value is INF; there a value at INF comes
-        back as complex("inf").  n < 1, or a radius not positive and
+        a chord, or the entry value is INF; there a value at INF comes back
+        as complex("inf").  n < 1, or a radius not positive and
         finite, raises InputError.
         """
         if n < 1:
@@ -390,11 +392,16 @@ class IntegralImmersion:
             vals = (self.evaluate(z, quad_tol=quad_tol) for z in ring)
             return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
 
-        clearance = self.detour_radius
-        if any(
-            abs(abs(a - center) - radius) <= clearance for a, _ in self.poles
-        ):
-            return pointwise()
+        # the sweep integrates along the chords, which lie in a band of width
+        # radius (1 - cos(pi/n)) inside the circle, so only a pole near that
+        # band can come within a detour radius of one.  A single sample has no
+        # chord, and there the sweep is one evaluate, as the fallback is
+        band = self.detour_radius + radius * (1.0 - math.cos(math.pi / n))
+        near = [a for a in self.poles.locations if abs(abs(a - center) - radius) <= band]
+        if n > 1 and near:
+            polygon = np.append(ring, ring[0])
+            if np.min(polyline_distance(polygon, near)) <= self.detour_radius:
+                return pointwise()
         # entry sample: farthest from the poles (any sample works; this keeps
         # the radial leg short of detours when possible)
         if len(self.poles):
@@ -423,15 +430,16 @@ class IntegralImmersion:
             )
         return vals
 
-    def certificate(self, *, samples: int = 1024) -> ImmersionCertificate:
+    def certificate(self) -> ImmersionCertificate:
         """Sphere-immersion certificate on the extension disc.
 
         The derivative h0 exp(xi)/Theta is nonvanishing by its form; the
-        sampled check confirms its log-modulus is finite at deterministic
+        sampled check confirms its log-modulus is finite at 1024 deterministic
         sunflower points of the disc (evaluated in log space, so exponent
         overflow cannot fake a zero).
         """
         golden = math.pi * (3.0 - math.sqrt(5.0))
+        samples = 1024
         ks = np.arange(samples)
         r = self.domain.radius * np.sqrt((ks + 0.5) / samples)
         th = golden * ks
@@ -495,7 +503,6 @@ def extend_immersion(
     residue_tol: float = RESIDUE_TOL,
     quad_tol: float = QUAD_TOL,
     degree_budget: int = DEGREE_BUDGET,
-    approx_disc: Disc | None = None,
 ) -> IntegralImmersion:
     """Extend a sphere immersion from the small disc to the big one.
 
@@ -504,15 +511,11 @@ def extend_immersion(
     on the small disc's boundary stays below eps (which bounds the interior
     difference where both maps are finite, by the maximum principle).  That
     measured distance is returned as the output's ``achieved_eps``.
-
-    ``approx_disc`` widens the disc on which f is certified and its
-    log-derivative matched (used by the relative parametric extension to
-    reproduce maps that are already immersions on the big disc).
     """
     return _extend(
         f, f.factor(root_tol=root_tol), d0, d1, eps,
         residue_tol=residue_tol, quad_tol=quad_tol,
-        degree_budget=degree_budget, approx_disc=approx_disc,
+        degree_budget=degree_budget, approx_disc=None,
     )
 
 
@@ -528,13 +531,18 @@ def _extend(
     degree_budget: int,
     approx_disc: Disc | None,
 ) -> IntegralImmersion:
-    """extend_immersion of f, factored as F."""
+    """extend_immersion of f, factored as F.
+
+    ``approx_disc`` widens the disc on which f is certified and its
+    log-derivative matched; extend_family uses it to reproduce Q members,
+    which are already immersions on the big disc.
+    """
     if eps <= 0:
         raise InputError("eps must be positive")
     if not d1.contains_disc(d0, margin=1e-12):
         raise PreconditionError("the small disc must lie inside the big disc")
     disc = approx_disc or d0
-    cert, fp = _certify(F, disc, "CP1", boundary_samples=256)
+    cert, fp = _certify(F, disc, "CP1")
     if not cert.valid:
         raise NotAnImmersionError(
             f"the map does not immerse the disc of center {disc.center:g} and "
@@ -638,14 +646,14 @@ def extend_family(
     residue_tol: float = RESIDUE_TOL,
     quad_tol: float = QUAD_TOL,
     degree_budget: int = DEGREE_BUDGET,
-    q_eps: float = 1e-8,
 ) -> list[IntegralImmersion]:
     """Extend a sampled family, reproducing the members marked by the grid's Q.
 
     Every member must immerse the small disc; Q members must immerse the big
     disc, and their outputs match them there (the log-derivative is fitted on
-    the big disc with tolerance ``q_eps``).  Each map is factored once: the
-    pole-continuity check and the member's extension read the same factors.
+    the big disc, to the chordal target min(eps, Q_EPS)).  Each map is
+    factored once: the pole-continuity check and the member's extension read
+    the same factors.
     Pole count must stay constant across grid cells; a jump raises
     PoleCollisionError naming the cell, before any member is extended.
     """
@@ -657,7 +665,7 @@ def extend_family(
     ])
     return [
         _extend(
-            f, F, d0, d1, min(eps, q_eps) if on_q else eps,
+            f, F, d0, d1, min(eps, Q_EPS) if on_q else eps,
             residue_tol=residue_tol, quad_tol=quad_tol,
             degree_budget=degree_budget, approx_disc=d1 if on_q else None,
         )

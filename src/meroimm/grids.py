@@ -23,17 +23,6 @@ from .errors import InputError
 Params = float | Sequence[float] | np.ndarray
 
 
-def _hat_1d(x: np.ndarray, n: int) -> np.ndarray:
-    """Linear hats of an n-point uniform grid on [0,1], one row per x.
-
-    Values within rounding distance of 0 or 1 snap exactly, so the hats are
-    a true Kronecker basis at the nodes despite binary-fraction dust.
-    """
-    h = 1.0 / (n - 1)
-    t = 1.0 - np.abs(x[:, None] - np.arange(n) * h) / h
-    return np.where(t < 1e-12, 0.0, np.where(t > 1.0 - 1e-12, 1.0, t))
-
-
 def _interp_1d(x: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Linear interpolation weights on the sorted nodes vals, one row per x:
     1 - t and t, t = (x - a) / (b - a), on the first interval [a, b] holding
@@ -154,16 +143,12 @@ class ParamGrid:
         return arr, single
 
     def hat_weights(self, p: Params) -> np.ndarray:
-        """Node hat weights at parameter p; nonnegative and summing to 1.
+        """Node hat weights at parameter p: the net weights of the full grid.
 
         A (k, m) array p gives the (k, npoints) matrix of weights, one row
         per parameter.
         """
-        arr, single = self._params(p)
-        w = np.ones((len(arr), 1))
-        for x, n in zip(arr.T, self.shape):
-            w = (w[:, :, None] * _hat_1d(x, n)[:, None, :]).reshape(len(arr), -1)
-        return w[0] if single else w
+        return self.net_weights(range(self.npoints), p)
 
     def q_cutoff(self, p: Params) -> float | np.ndarray:
         """Cutoff that is 1 on Q and decays to 0 across one cell layer.

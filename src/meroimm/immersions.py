@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 from .config import CLEARANCE_FACTOR, ROOT_TOL
 from .contours import Contour, Disc, argument_principle_count, winding_number
 from .errors import (
@@ -35,7 +33,7 @@ from .errors import (
 from .grids import ParamGrid
 from .poly import ComplexPolynomial
 from .rational import Factored, PoleSet, RationalMap
-from .sphere import INF, SpherePoint, is_inf
+from .sphere import SpherePoint, is_inf
 
 Target = Literal["C", "CP1"]
 
@@ -66,11 +64,11 @@ class CircularDomain:
     def disc(cls, d: Disc) -> "CircularDomain":
         return cls(d, ())
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z: complex) -> bool:
         z = complex(z)
-        if abs(z - self.outer.center) >= self.outer.radius - margin:
+        if abs(z - self.outer.center) >= self.outer.radius:
             return False
-        return all(abs(z - h.center) > h.radius + margin for h in self.holes)
+        return all(abs(z - h.center) > h.radius for h in self.holes)
 
     def boundary_distance(self, z: complex) -> float:
         d = self.outer.boundary_distance(z)
@@ -137,9 +135,7 @@ class HomotopyClass:
         return self.z_class if self.target == "C" else self.mod2_class
 
 
-def _certify(
-    F: Factored, D, target: Target, *, boundary_samples: int
-) -> tuple[ImmersionCertificate, Factored]:
+def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Factored]:
     """The certificate of verify_immersion for the factored f, with the
     factored f' it was computed from."""
     D = _as_domain(D)
@@ -147,14 +143,16 @@ def _certify(
     if fp.map.num.is_zero:
         raise InputError("constant map: the derivative vanishes identically")
     poles, zeros = F.poles, fp.zeros
+    circles = (D.outer, *D.holes)
+    loops = [circle.boundary() for circle in circles]
 
-    # the counts integrate over the inscribed boundary polygons, whose chords
+    # the counts integrate over the inscribed boundary polygons, whose N chords
     # sit up to r (1 - cos(pi/N)) inside each circle: a singular point in that
     # band is inside one route's domain and outside the other's
     clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
-    sag = 1.0 - math.cos(math.pi / boundary_samples)
+    sag = 1.0 - math.cos(math.pi / (len(loops[0].points) - 1))
     singular = list(poles.locations) + [z for z, _ in zeros]
-    for circle in (D.outer, *D.holes):
+    for circle in circles:
         band = clearance + circle.radius * sag
         if any(circle.boundary_distance(s) <= band for s in singular):
             raise SingularityOnBoundaryError(
@@ -168,13 +166,9 @@ def _certify(
     # independent route: clear the poles of f' in the domain and count zeros
     # of h = f' Theta by the argument principle over the domain boundary
     h = fp.cleared(D.contains)
-    count_ap = argument_principle_count(
-        h, D.outer.boundary(boundary_samples), clearance=clearance
-    )
-    for hole in D.holes:
-        count_ap -= argument_principle_count(
-            h, hole.boundary(boundary_samples), clearance=clearance
-        )
+    count_ap = argument_principle_count(h, loops[0], clearance=clearance)
+    for loop in loops[1:]:
+        count_ap -= argument_principle_count(h, loop, clearance=clearance)
     if count_ap != count_roots:
         raise InternalConsistencyError(
             f"derivative zero counts disagree: roots give {count_roots}, "
@@ -190,7 +184,6 @@ def verify_immersion(
     target: Target = "CP1",
     *,
     root_tol: float = ROOT_TOL,
-    boundary_samples: int = 256,
 ) -> ImmersionCertificate:
     """Certify whether f immerses the domain into the chosen target.
 
@@ -203,9 +196,7 @@ def verify_immersion(
     between a boundary circle and its inscribed polygon, or within the
     clearance of either, raises SingularityOnBoundaryError.
     """
-    return _certify(
-        f.factor(root_tol=root_tol), D, target, boundary_samples=boundary_samples
-    )[0]
+    return _certify(f.factor(root_tol=root_tol), D, target)[0]
 
 
 def chart_transition_winding(contour: Contour) -> int:
@@ -219,9 +210,7 @@ def chart_transition_winding(contour: Contour) -> int:
     return winding_number(w, contour)
 
 
-def basis_loops(
-    M: CircularDomain, *, samples: int = 256
-) -> list[Contour]:
+def basis_loops(M: CircularDomain) -> list[Contour]:
     """One deterministic circle per hole, at the mid-radius between the hole
     boundary and the nearest other boundary feature."""
     loops = []
@@ -232,7 +221,7 @@ def basis_loops(
                 continue
             nearest = min(nearest, abs(hole.center - other.center) - other.radius)
         r = 0.5 * (hole.radius + nearest)
-        loops.append(Contour.circle(hole.center, r, samples=samples))
+        loops.append(Contour.circle(hole.center, r))
     return loops
 
 
@@ -242,7 +231,6 @@ def classify(
     target: Target = "CP1",
     *,
     root_tol: float = ROOT_TOL,
-    samples: int = 256,
 ) -> HomotopyClass:
     """Winding classes of f' on the basis loops of the domain.
 
@@ -253,10 +241,10 @@ def classify(
     """
     M = _as_domain(M)
     F = f.factor(root_tol=root_tol)
-    cert, fp = _certify(F, M, target, boundary_samples=256)
+    cert, fp = _certify(F, M, target)
     if not cert.valid:
         raise NotAnImmersionError("not an immersion: classification undefined")
-    z_class = tuple(fp.winding(loop) for loop in basis_loops(M, samples=samples))
+    z_class = tuple(fp.winding(loop) for loop in basis_loops(M))
     return HomotopyClass(z_class, tuple(w % 2 for w in z_class), target)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import COEFF_TOL, ROOT_TOL
+from .config import ROOT_TOL
 from .errors import (
     InputError,
     PathTooCloseError,
@@ -425,7 +425,7 @@ def _series_divide(
     return q
 
 
-def residue(f: RationalMap, a: complex, *, root_tol: float = ROOT_TOL) -> complex:
+def residue(f: RationalMap, a: complex) -> complex:
     """Laurent coefficient c_{-1} of f at a, by truncated series division.
 
     Returns 0 when a is not a pole.  An indeterminate 0/0 (numerator

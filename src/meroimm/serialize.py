@@ -8,6 +8,7 @@ are {"num": ..., "den": ...}.  Encoders and decoders round-trip exactly
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from typing import Any, Sequence
@@ -20,6 +21,25 @@ from .immersions import CircularDomain, FormalSeed, HomotopyClass, ImmersionCert
 from .poly import ComplexPolynomial
 from .rational import PoleSet, RationalMap
 from .sphere import INF, SpherePoint, is_inf
+
+
+def _refusing(what: str):
+    """Decorate a decoder so that a missing field or a value of the wrong
+    kind raises InputError naming ``what``, not a bare KeyError or ValueError."""
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def call(data):
+            try:
+                return decode(data)
+            except KeyError as exc:
+                raise InputError(f"{what} is missing the field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"malformed {what}: {exc}") from exc
+
+        return call
+
+    return wrap
 
 
 # -- scalars ------------------------------------------------------------------
@@ -90,6 +110,7 @@ def disc_to_json(d: Disc) -> dict:
     return {"center": complex_to_json(d.center), "radius": d.radius}
 
 
+@_refusing("disc")
 def disc_from_json(data) -> Disc:
     if not isinstance(data, dict) or "center" not in data or "radius" not in data:
         raise InputError('disc must be {"center": [re, im], "radius": r}')
@@ -103,6 +124,7 @@ def domain_to_json(D: CircularDomain) -> dict:
     }
 
 
+@_refusing("domain")
 def domain_from_json(data) -> CircularDomain:
     if not isinstance(data, dict) or "outer" not in data:
         raise InputError('domain must be {"outer": disc, "holes": [disc, ...]}')
@@ -118,6 +140,7 @@ def contour_to_json(c: Contour) -> dict:
     }
 
 
+@_refusing("contour")
 def contour_from_json(data) -> Contour:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("contour must have a 'kind' field")
@@ -168,6 +191,7 @@ def homotopy_class_to_json(h: HomotopyClass) -> dict:
     }
 
 
+@_refusing("seed")
 def seed_from_json(data) -> FormalSeed:
     if not isinstance(data, dict):
         raise InputError("seed must be an object")
@@ -179,6 +203,7 @@ def seed_from_json(data) -> FormalSeed:
     )
 
 
+@_refusing("grid")
 def grid_from_json(data) -> ParamGrid:
     if not isinstance(data, dict) or "shape" not in data:
         raise InputError('grid must be {"shape": [...], "q": [...]}')

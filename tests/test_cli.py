@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from meroimm import Disc, RationalMap, extension_boundary_error
+from meroimm import Disc, RationalMap, RunConfig, extension_boundary_error
 from meroimm.cli import main
 from meroimm.serialize import immersion_from_json, rational_from_json
 
@@ -288,3 +289,41 @@ def test_invalid_env_is_input_error(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", _verify_input(tmp_path))
     assert code == 1
     assert err.startswith("input error:") and "MEROIMM_EPS" in err
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_every_setting_by_flag_and_env(tmp_path, capsys, monkeypatch, field):
+    flag, var = "--" + field.name.replace("_", "-"), "MEROIMM_" + field.name.upper()
+    value, other = field.default * 2, field.default * 4
+    path = _verify_input(tmp_path)
+    code, out, _ = run(capsys, "verify", path, "--json", flag, str(value))
+    assert code == 0 and json.loads(out)["config"][field.name] == value
+    monkeypatch.setenv(var, str(value))
+    code, out, _ = run(capsys, "verify", path, "--json")
+    assert code == 0 and json.loads(out)["config"][field.name] == value
+    # the flag wins over the environment
+    code, out, _ = run(capsys, "verify", path, "--json", flag, str(other))
+    assert code == 0 and json.loads(out)["config"][field.name] == other
+
+
+# each body lacks a field or holds a value of the wrong kind
+@pytest.mark.parametrize("command,body", [
+    ("wind", {"map": zpow_json(1), "contour": {"kind": "circle", "radius": 1.0}}),
+    ("wind", {"map": zpow_json(1), "contour": {"kind": "polyline"}}),
+    ("chart-check", {"contour": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0,
+                                 "samples": "many"}}),
+    ("seed", {"seed": {"base_point": [0.0, 0.0], "target": [2.0, 1.0], "fiber": [3.0, 0.0]}}),
+    ("verify", {"map": zpow_json(1), "domain": {"center": [0.0, 0.0], "radius": "abc"}}),
+    ("classify", {"map": zpow_json(1),
+                  "domain": {**ANNULUS, "holes": [{"center": [0.0, 0.0], "radius": [1]}]}}),
+    ("classify", {"map": zpow_json(1), "domain": {**ANNULUS, "holes": 5}}),
+    ("verify", 5),
+    ("blend", {"maps": [zpow_json(1)] * 3, "grid": {"shape": [3], "q": ["x"]},
+               "disc": {"center": [0.0, 0.0], "radius": 1.0}}),
+    ("blend", {"maps": [zpow_json(1)] * 3, "grid": {"shape": 3},
+               "disc": {"center": [0.0, 0.0], "radius": 1.0}}),
+])
+def test_malformed_input_is_input_error(tmp_path, capsys, command, body):
+    code, _, err = run(capsys, command, write(tmp_path, "bad.json", body))
+    assert code == 1
+    assert err.startswith("input error:")

@@ -38,20 +38,21 @@ def test_contour_validation():
     finite = "contour samples must be finite"
     open_end = "closed contours must repeat the first sample last"
     repeat = "consecutive contour samples must be distinct"
-    for samples, closed, message in [
-        ((), True, short),
-        ((math.nan,), True, short),
-        ((0j, complex(math.nan, 0.0), 1j), False, finite),
-        ((math.inf, 1.0, math.inf), True, finite),
-        ((1, 2, complex(0.0, -math.inf)), False, finite),
-        ((0j, 1j), True, open_end),
-        ((0j, 1.0, 1.0), True, open_end),
-        ((0j, 1.0, 1.0, 0j), True, repeat),
-        ((0j, 0j), False, repeat),
-        ((0j, -0.0, 1j), False, repeat),
+    for make, args, message in [
+        (Contour, ((), True), short),
+        (Contour, ((math.nan,), True), short),
+        (Contour, ((0j, complex(math.nan, 0.0), 1j), False), finite),
+        (Contour, ((math.inf, 1.0, math.inf), True), finite),
+        (Contour, ((1, 2, complex(0.0, -math.inf)), False), finite),
+        (Contour, ((0j, 1j), True), open_end),
+        (Contour, ((0j, 1.0, 1.0), True), open_end),
+        (Contour, ((0j, 1.0, 1.0, 0j), True), repeat),
+        (Contour, ((0j, 0j), False), repeat),
+        (Contour, ((0j, -0.0, 1j), False), repeat),
+        (Contour.segment, (0j, 1j, 1), short),
     ]:
         with pytest.raises(InputError, match=re.escape(message)):
-            Contour(samples, closed=closed)
+            make(*args)
     with pytest.raises(InputError, match=finite):
         Contour.polyline([0, math.nan, 1j], closed=True)
     for radius in (0.0, -1.0, math.nan, math.inf):

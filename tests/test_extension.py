@@ -236,6 +236,15 @@ def test_values_on_circle_matches_pointwise():
         assert abs(v - complex(F.evaluate(complex(z)))) < 1e-7
 
 
+def test_values_on_circle_falls_back_when_a_chord_passes_a_pole():
+    # both samples of the n = 2 ring lie far from the pole at 0.3, but the
+    # chord from 1 to -1 runs through it: the sweep would integrate across it
+    f = R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5]))
+    F = extend_immersion(f, D0, D1, 1e-3)
+    want = [complex(F.evaluate(complex(z))) for z in circle_samples(0j, 1.0, 2)]
+    assert same_bits(F.values_on_circle(0j, 1.0, 2), want)
+
+
 def _values_on_circle_by_loop(F, center, radius, n):
     # reference: the cumulative sweep as first written, one Python complex
     # addition per sample, for circles clear of the poles
