@@ -75,6 +75,13 @@ def _need(data: dict, key: str):
     return data[key]
 
 
+def _maps(data: dict) -> list:
+    maps = _need(data, "maps")
+    if not isinstance(maps, list):
+        raise InputError("maps must be a list of rational maps")
+    return [rational_from_json(m) for m in maps]
+
+
 def _target(data: dict) -> str:
     t = data.get("target", "CP1")
     if t not in ("C", "CP1"):
@@ -172,7 +179,7 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 
 
 def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
-    maps = [rational_from_json(m) for m in _need(data, "maps")]
+    maps = _maps(data)
     grid = grid_from_json(_need(data, "grid"))
     d0 = disc_from_json(_need(data, "disc0"))
     d1 = disc_from_json(_need(data, "disc1"))
@@ -198,7 +205,7 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 
 
 def _run_blend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
-    maps = [rational_from_json(m) for m in _need(data, "maps")]
+    maps = _maps(data)
     grid = grid_from_json(_need(data, "grid"))
     disc = disc_from_json(_need(data, "disc"))
     fam = SampledFamily(grid, maps, disc)

@@ -3,9 +3,11 @@
 Contours are piecewise-linear paths through the stored samples; circles are
 built analytically from uniform angular samples so that closure is exact.
 Path integrals have one kernel, :func:`integrate_pieces`: an adaptive
-Gauss-Kronrod G7-K15 rule over straight pieces, which accepts a panel when
-|K15 - G7| is within its share of the tolerance or QUADPACK's rounding floor,
-and which refuses a non-finite value at any node or piece endpoint.
+Gauss-Kronrod G7-K15 rule over straight pieces.  It starts the path on a mesh
+of about ten equal panels, as Shampine's vectorized quadgk does, accepts a
+panel when |K15 - G7| is within its share of the tolerance or QUADPACK's
+rounding floor, bisects the others, and refuses a non-finite value at any
+node or piece endpoint.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
@@ -185,6 +187,9 @@ _XK = np.concatenate([-_XK, _XK[-2::-1]])
 _WK = np.concatenate([_WK, _WK[-2::-1]])
 _WG = np.concatenate([_WG, _WG[-2::-1]])
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+# initial panels over the whole path: in a vectorized round extra nodes cost
+# less than extra rounds (Shampine, J. Comput. Appl. Math. 211 (2008) 131-140)
+_MESH = 10
 
 
 def integrate_pieces(
@@ -199,16 +204,21 @@ def integrate_pieces(
     """Adaptive G7-K15 quadrature of fz dz over the straight pieces
     za[k] + t d[k], t in [0, 1].
 
-    Each round evaluates fz once, at the 15 Kronrod nodes of every active
-    panel.  A panel is accepted with its K15 value when |K15 - G7| is at most
-    its length share of ``tol`` or the rounding floor 50 eps times its
-    integral of |fz dz|, which keeps a large integrand from being asked for
-    more digits than doubles carry; a rejected panel is bisected.  The
-    first round also evaluates the piece endpoints, which no node reaches.
-    A non-finite value anywhere raises PathTooCloseError.  Evaluations
-    (15 per panel, 2 per piece) are counted against ``eval_budget``, and a
-    round that would exceed it raises QuadratureBudgetError with the best
-    estimate.  Returns the total, or the per-piece integrals.
+    Piece k starts as ceil(_MESH |d[k]| / L) equal panels, L the path
+    length, so a one-piece path starts as ten panels and a piece shorter
+    than L/_MESH as one.  Each round evaluates fz once, at the 15 Kronrod
+    nodes of every active panel.  A panel is accepted with its K15 value
+    when |K15 - G7| is at most its length share of ``tol`` or the rounding
+    floor 50 eps times its integral of |fz dz|, which keeps a large
+    integrand from being asked for more digits than doubles carry; a
+    rejected panel is bisected.  The first round also evaluates the piece
+    endpoints, which no node reaches.  A non-finite value anywhere raises
+    PathTooCloseError.  Evaluations (15 per panel, 2 per piece) are counted
+    against ``eval_budget``.  The first round is always evaluated in full;
+    after any round, a next round that would take the count past the budget
+    raises QuadratureBudgetError with the best estimate, so a budget smaller
+    than the first round refuses after it.  Returns the total, or the
+    per-piece integrals.
     """
     lengths = np.abs(d)
     total_len = float(np.sum(lengths))
@@ -217,11 +227,17 @@ def integrate_pieces(
     if total_len == 0.0:
         return totals if per_piece else 0j
 
-    seg = np.arange(n)
-    mid, half = np.full(n, 0.5), np.full(n, 0.5)
-    tols = tol * lengths / total_len
-    ds = d
-    nodes = za[:, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
+    # the share before the product, so that a one-piece path gets exactly
+    # _MESH panels: _MESH * L / L can round above _MESH.  fmax gives a NaN
+    # share one panel, so that a non-finite path is refused at its nodes
+    m = np.fmax(np.ceil(_MESH * (lengths / total_len)), 1.0)
+    seg = np.repeat(np.arange(n), m.astype(int))
+    j = np.arange(len(seg)) - np.searchsorted(seg, seg)  # panel index within its piece
+    m = m[seg]
+    mid, half = (j + 0.5) / m, 0.5 / m
+    tols = (tol * lengths / total_len)[seg] / m
+    ds = d[seg]
+    nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
     fv = fz(np.concatenate([za, za + d, nodes.ravel()]))
     evals = 0
     while True:

@@ -221,6 +221,8 @@ class IntegralImmersion:
     # sampled sup chordal distance to the extended map on the small disc's
     # boundary, set by extend_immersion; not serialized, not part of the value
     achieved_eps: float | None = field(default=None, compare=False)
+    # Theta expanded into monomials, as serialize writes it; the integrand
+    # evaluates the product form instead
     theta: ComplexPolynomial = field(init=False)
 
     def __post_init__(self):
@@ -244,9 +246,16 @@ class IntegralImmersion:
         return r
 
     def _integrand(self, z: np.ndarray) -> np.ndarray:
+        # Theta as the product of its factors (z - a)^2: Horner on the
+        # expanded ``theta`` loses relative accuracy to cancellation near a
+        # pole (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
         w = self.xi(z)
+        theta = np.ones(z.shape, dtype=complex)
         with np.errstate(all="ignore"):
-            return self.scale * np.exp(w) / self.theta(z)
+            for a in self.poles.locations:
+                t = z - a
+                theta *= t * t
+            return self.scale * np.exp(w) / theta
 
     def log_abs_derivative(self, z) -> float | np.ndarray:
         """log |derivative|, computable even where exp overflows doubles."""

@@ -1,4 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
+import math
+
 import mpmath
 import numpy as np
 
@@ -114,8 +116,10 @@ class Recorder:
 def integrate_pieces_by_loop(fz, za, d, tol, *, eval_budget=400_000, per_piece=False):
     """Reference copy of the adaptive G7-K15 round loop as first written:
     endpoints concatenated into every round, the midpoint update through
-    np.tile, and one add.at per outcome."""
-    from meroimm.contours import _ROUNDING_FLOOR, _WG, _WK, _XK
+    np.tile, and one add.at per outcome.  The set-up before the loop is the
+    initial mesh: piece k starts as ceil(_MESH |d[k]| / L) equal panels, each
+    with its length share of tol."""
+    from meroimm.contours import _MESH, _ROUNDING_FLOOR, _WG, _WK, _XK
     from meroimm.errors import PathTooCloseError, QuadratureBudgetError
 
     lengths = np.abs(d)
@@ -124,9 +128,13 @@ def integrate_pieces_by_loop(fz, za, d, tol, *, eval_budget=400_000, per_piece=F
     totals = np.zeros(n, dtype=complex)
     if total_len == 0.0:
         return totals if per_piece else 0j
-    seg = np.arange(n)
-    mid, half = np.full(n, 0.5), np.full(n, 0.5)
-    tols = tol * lengths / total_len
+    m = [max(math.ceil(_MESH * (x / total_len)), 1) if math.isfinite(total_len) else 1
+         for x in lengths]
+    seg = np.array([k for k in range(n) for _ in range(m[k])], dtype=int)
+    per = np.array([float(m[k]) for k in seg])
+    mid = np.array([j + 0.5 for k in range(n) for j in range(m[k])]) / per
+    half = 0.5 / per
+    tols = (tol * lengths / total_len)[seg] / per
     ends = np.concatenate([za, za + d])
     evals = 0
     while True:

@@ -322,6 +322,11 @@ def test_every_setting_by_flag_and_env(tmp_path, capsys, monkeypatch, field):
                "disc": {"center": [0.0, 0.0], "radius": 1.0}}),
     ("blend", {"maps": [zpow_json(1)] * 3, "grid": {"shape": 3},
                "disc": {"center": [0.0, 0.0], "radius": 1.0}}),
+    ("blend", {"maps": 5, "grid": {"shape": [3]},
+               "disc": {"center": [0.0, 0.0], "radius": 1.0}}),
+    ("extend-family", {"maps": 5, "grid": {"shape": [3]},
+                       "disc0": {"center": [0.0, 0.0], "radius": 1.0},
+                       "disc1": {"center": [0.0, 0.0], "radius": 2.0}}),
 ])
 def test_malformed_input_is_input_error(tmp_path, capsys, command, body):
     code, _, err = run(capsys, command, write(tmp_path, "bad.json", body))

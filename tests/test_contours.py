@@ -25,7 +25,7 @@ from meroimm import (
 )
 from meroimm.contours import circle_samples, integrate_pieces
 
-from helpers import assert_same_quadrature, mpmath_pieces, same_bits
+from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
 
 P = ComplexPolynomial
 R = RationalMap
@@ -150,6 +150,14 @@ def test_integrate_pole_on_path():
         integrate(f, Contour.circle(0, 1.0, samples=64), 1e-10)
 
 
+def test_integrate_pieces_refuses_non_finite_piece():
+    # a non-finite piece puts non-finite nodes on the path
+    f = R(P([1]), P.from_roots([1.0]))
+    for bad in (complex("nan"), complex("inf")):
+        with pytest.raises(PathTooCloseError), np.errstate(invalid="ignore"):
+            integrate_pieces(f, np.array([0j, 1j]), np.array([1j, bad]), 1e-10)
+
+
 def test_integrate_budget():
     # a needle the subdivision cannot resolve with a handful of evaluations
     f = lambda z: 1.0 / (z - (1.0 + 1e-7j))
@@ -182,6 +190,20 @@ def test_integrate_pieces_long_leg_matches_mpmath():
     got = integrate_pieces(_h_exp_xi_over_theta, za, d, 1e-10)
     want = mpmath_pieces(_H0, _XI, [_POLE], za, d)[0]
     assert abs(got - want) < 1e-10
+
+
+def test_integrate_pieces_starts_one_leg_on_ten_panels():
+    # round 1 evaluates both endpoints and 10 equal panels of 15 nodes; at
+    # most one more round follows
+    za, d = np.array([0j]), np.array([1.5 * np.exp(-1j * np.pi / 3)])
+    rec = Recorder(_h_exp_xi_over_theta)
+    got = integrate_pieces(rec, za, d, 1e-10)
+    first = rec.calls[0]
+    assert len(first) == 2 + 15 * 10
+    centres = first[2:].reshape(10, 15)[:, 7]  # the K15 centre node of each panel
+    assert np.allclose(centres, (np.arange(10) + 0.5) / 10 * d[0], rtol=0, atol=1e-15)
+    assert len(rec.calls) <= 2
+    assert abs(got - mpmath_pieces(_H0, _XI, [_POLE], za, d)[0]) < 1e-11
 
 
 def test_integrate_pieces_near_pole_arc_matches_mpmath():

@@ -348,6 +348,21 @@ def test_detour_quadrature_matches_reference_loop(num, den):
         assert assert_same_quadrature(F._integrand, starts, deltas, QUAD_TOL)[0] == "returned"
 
 
+def test_evaluate_next_to_pole_on_either_side():
+    # f = (beta + alpha z)/(z - a), a pole 0.023 from the point 1.5i: Horner
+    # on the expanded Theta is noisy there above the quadrature's rounding
+    # floor, so the detour arc's panels never pass and the budget runs out
+    a = -0.012103065899004055 + 1.5196080834991943j
+    alpha = -1.2656369792245639 + 1.8671455145806186j
+    beta = -0.969179511082668 - 0.2960838149974946j
+    F = extend_immersion(R(P([beta, alpha]), P([-a, 1])), D0, D1, 1e-3)
+    z = 1.5j
+    exact = (beta + alpha * z) / (z - a)
+    for side in (1, -1):
+        got = complex(F.evaluate(z, side=side))
+        assert abs(got - exact) < 1e-13 * abs(exact)
+
+
 def _mpmath_entire_values(F, zs, terms=200):
     """F(z) for an extension based at 0 without poles, from the Taylor series
     of E = exp(xi) integrated term by term at 30 digits.
