@@ -8,6 +8,9 @@ of about ten equal panels, as Shampine's vectorized quadgk does, accepts a
 panel when |K15 - G7| is within its share of the tolerance or QUADPACK's
 rounding floor, bisects the others, and refuses a non-finite value at any
 node or piece endpoint.
+Circles have one kernel, :func:`circle_primitive`: the periodic trapezoid rule
+(Trefethen & Weideman, SIAM Rev. 2014).  One FFT of equispaced samples, mode k
+divided by ik, and one inverse FFT give the primitive at every sample.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
@@ -141,19 +144,13 @@ class Contour:
 
     def distance_to(self, z):
         """Distance from z to the polyline; an array of points gives an array."""
-        return polyline_distance(self.points, z)
-
-
-def polyline_distance(points: np.ndarray, z):
-    """Distance from z to the polyline through ``points``, whose consecutive
-    points must be distinct; an array of z gives an array."""
-    z = np.asarray(z, dtype=complex)[..., None]
-    a, d = points[:-1], np.diff(points)
-    # np.hypot rounds as abs() on a Python complex does; np.abs may not
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
-    w = z - (a + np.clip(t, 0.0, 1.0) * d)
-    out = np.min(np.hypot(w.real, w.imag), axis=-1)
-    return float(out) if out.ndim == 0 else out
+        z = np.asarray(z, dtype=complex)[..., None]
+        a, d = self.points[:-1], np.diff(self.points)
+        # np.hypot rounds as abs() on a Python complex does; np.abs may not
+        t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
+        w = z - (a + np.clip(t, 0.0, 1.0) * d)
+        out = np.min(np.hypot(w.real, w.imag), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -199,8 +196,7 @@ def integrate_pieces(
     tol: float,
     *,
     eval_budget: int = 400_000,
-    per_piece: bool = False,
-):
+) -> complex:
     """Adaptive G7-K15 quadrature of fz dz over the straight pieces
     za[k] + t d[k], t in [0, 1].
 
@@ -217,15 +213,14 @@ def integrate_pieces(
     against ``eval_budget``.  The first round is always evaluated in full;
     after any round, a next round that would take the count past the budget
     raises QuadratureBudgetError with the best estimate, so a budget smaller
-    than the first round refuses after it.  Returns the total, or the
-    per-piece integrals.
+    than the first round refuses after it.
     """
     lengths = np.abs(d)
     total_len = float(np.sum(lengths))
     n = len(za)
     totals = np.zeros(n, dtype=complex)
     if total_len == 0.0:
-        return totals if per_piece else 0j
+        return 0j
 
     # the share before the product, so that a one-piece path gets exactly
     # _MESH panels: _MESH * L / L can round above _MESH.  fmax gives a NaN
@@ -254,7 +249,7 @@ def integrate_pieces(
         done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
         if done.all():
             np.add.at(totals, seg, kronrod)
-            return totals if per_piece else complex(totals.sum())
+            return complex(totals.sum())
         np.add.at(totals, seg[done], kronrod[done])
         keep = ~done
         if evals + 30 * np.count_nonzero(keep) > eval_budget:
@@ -267,6 +262,41 @@ def integrate_pieces(
         ds = d[seg]
         nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
         fv = fz(nodes.ravel())
+
+
+_RING_START, _RING_CAP = 64, 2 ** 14  # node counts of the periodic rule on circles
+
+
+def circle_primitive(fz, center: complex, radius: float, n: int, tol: float, *, start: int = 0):
+    """Primitive G of fz dz at the n samples circle_samples(center, radius, n),
+    up to one shared constant, by the periodic trapezoid rule.
+
+    g(theta) = fz(z) i (z - center) is sampled at N = n 2^j >= max(start, 64)
+    equispaced angles; mode c_k of one FFT, divided by i k, is mode k of G.  N
+    doubles, reusing its samples, until sum over |k| >= N/4 of |c_k| / |k| is
+    within tol or 50 eps sum |c_k|; ``start`` should pass the frequencies of
+    fz, which the tail cannot see.  Returns (G, closure defect 2 pi c_0, int
+    |g| d theta), or None if a sample is non-finite or N would pass 2^14.
+    """
+    N = n
+    while N < max(start, _RING_START):
+        N *= 2
+    w = circle_samples(0j, radius, N)
+    while N <= _RING_CAP:
+        with np.errstate(all="ignore"):
+            fresh = fz(center + w) * 1j * w
+        g = fresh if len(w) == N else np.stack([g, fresh], axis=1).ravel()
+        if not np.isfinite(g).all():
+            return None
+        c, k = np.fft.fft(g) / N, np.fft.fftfreq(N, 1.0 / N)
+        high = np.abs(k) >= N // 4
+        if np.sum(np.abs(c[high] / k[high])) <= max(tol, _ROUNDING_FLOOR * np.sum(np.abs(c))):
+            defect, mass = 2.0 * math.pi * complex(c[0]), 2.0 * math.pi * float(np.mean(np.abs(g)))
+            c[0], c[1:] = 0.0, c[1:] / (1j * k[1:])
+            return N * np.fft.ifft(c)[:: N // n], defect, mass
+        w = circle_samples(0j, radius, N, offset=0.5)  # the midpoints, which double N
+        N *= 2
+    return None
 
 
 def integrate(

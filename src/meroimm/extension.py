@@ -30,7 +30,7 @@ from .config import (
     ROOT_TOL,
 )
 from .blending import _taylor_truncations
-from .contours import Disc, circle_samples, integrate_pieces, polyline_distance
+from .contours import Disc, circle_primitive, circle_samples, integrate_pieces
 from .errors import (
     DegreeBudgetError,
     InputError,
@@ -239,11 +239,7 @@ class IntegralImmersion:
 
     @property
     def detour_radius(self) -> float:
-        sep = self.poles.min_separation()
-        r = 0.02 * self.domain.radius
-        if math.isfinite(sep):
-            r = min(r, 0.5 * sep)
-        return r
+        return min(0.02 * self.domain.radius, 0.5 * self.poles.min_separation())
 
     def _integrand(self, z: np.ndarray) -> np.ndarray:
         # Theta as the product of its factors (z - a)^2: Horner on the
@@ -353,11 +349,13 @@ class IntegralImmersion:
     ) -> SpherePoint:
         """Value at z by path integration from the base point.
 
-        Pole locations return INF exactly; a value too large for double
-        precision (the integrand overflows) is reported as INF as well,
-        since it is chordally indistinguishable from the point at infinity.
+        A non-finite z raises InputError.  Pole locations return INF
+        exactly; a value too large for double precision (the integrand
+        overflows) is INF as well, chordally indistinguishable from it.
         """
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise InputError("evaluation point must be finite")
         for a, _ in self.poles:
             if abs(z - a) <= ROOT_TOL:
                 return INF
@@ -381,63 +379,35 @@ class IntegralImmersion:
         *,
         quad_tol: float = QUAD_TOL,
     ) -> np.ndarray:
-        """Values at n uniform samples of a circle, by one cumulative sweep.
-
-        The radial leg runs to the sample farthest from the pole set; the
-        sweep then accumulates chord integrals around the circle.  Falls back
-        to pointwise evaluation when a pole sits within a detour radius of
-        a chord, or the entry value is INF; there a value at INF comes back
-        as complex("inf").  n < 1, or a radius not positive and
-        finite, raises InputError.
+        """Values at the n samples circle_samples(center, radius, n): the one
+        farthest from the poles by :meth:`evaluate`, the others from it by the
+        periodic rule (:func:`circle_primitive`) on 64 to 2^14 nodes, at least
+        4 (deg xi + 1), below which exp(xi) aliases unseen.  A closure defect
+        over 1e4 quad_tol + 1e-10 int |dF| is a residue: InternalConsistencyError.
+        A pole within a detour radius of the circle, an INF entry, a non-finite
+        sample or the cap sends every sample to :meth:`evaluate`, whose INF
+        comes back as complex("inf").  n < 1, or a non-finite center or
+        radius <= 0, raises InputError.
         """
-        if n < 1:
-            raise InputError("values_on_circle needs at least one sample")
-        if not 0 < radius < math.inf:
-            raise InputError("circle radius must be positive and finite")
         center = complex(center)
+        if n < 1 or not (0 < radius < math.inf and cmath.isfinite(center)):
+            raise InputError("values_on_circle needs n >= 1, a finite center and radius > 0")
         ring = circle_samples(center, radius, n)
-
-        def pointwise() -> np.ndarray:
-            vals = (self.evaluate(z, quad_tol=quad_tol) for z in ring)
+        locs = np.array(self.poles.locations, dtype=complex)
+        rule = None
+        if np.all(np.abs(np.abs(locs - center) - radius) > self.detour_radius):
+            rule = circle_primitive(self._integrand, center, radius, n, quad_tol,
+                                    start=4 * len(self.xi.coeffs))
+        k0 = int(np.argmax(np.abs(ring[:, None] - locs).min(axis=1, initial=math.inf)))
+        base = self.evaluate(complex(ring[k0]), quad_tol=quad_tol)
+        if rule is None or is_inf(base):
+            vals = (base if k == k0 else self.evaluate(z, quad_tol=quad_tol)
+                    for k, z in enumerate(ring))
             return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
-
-        # the sweep integrates along the chords, which lie in a band of width
-        # radius (1 - cos(pi/n)) inside the circle, so only a pole near that
-        # band can come within a detour radius of one.  A single sample has no
-        # chord, and there the sweep is one evaluate, as the fallback is
-        band = self.detour_radius + radius * (1.0 - math.cos(math.pi / n))
-        near = [a for a in self.poles.locations if abs(abs(a - center) - radius) <= band]
-        if n > 1 and near:
-            polygon = np.append(ring, ring[0])
-            if np.min(polyline_distance(polygon, near)) <= self.detour_radius:
-                return pointwise()
-        # entry sample: farthest from the poles (any sample works; this keeps
-        # the radial leg short of detours when possible)
-        if len(self.poles):
-            gaps = ring[:, None] - np.array(self.poles.locations)
-            k0 = int(np.argmax(np.hypot(gaps.real, gaps.imag).min(axis=1)))
-        else:
-            k0 = 0
-        entry = complex(ring[k0])
-        base = self.evaluate(entry, quad_tol=quad_tol)
-        if is_inf(base):
-            return pointwise()
-        starts = np.roll(ring, -k0)
-        chords = np.roll(ring, -k0 - 1) - starts  # n chords closing the loop
-        per = integrate_pieces(
-            self._integrand, starts, chords, quad_tol, per_piece=True
-        )
-        # add.accumulate sums in order: each partial sum is one more addition
-        acc = np.cumsum(np.concatenate([[complex(base)], per]))
-        vals = np.roll(acc[:n], k0)
-        closure = abs(complex(acc[n]) - complex(base))
-        allowance = 1e4 * quad_tol + 1e-10 * float(np.sum(np.abs(per)))
-        if closure > allowance:
-            raise InternalConsistencyError(
-                f"cumulative sweep failed to close (defect {closure:.2e}); "
-                "a residue of the integrand is nonzero"
-            )
-        return vals
+        prim, defect, mass = rule
+        if abs(defect) > 1e4 * quad_tol + 1e-10 * mass:
+            raise InternalConsistencyError(f"nonzero residue (closure defect {abs(defect):.2e})")
+        return complex(base) + (prim - prim[k0])
 
     def certificate(self) -> ImmersionCertificate:
         """Sphere-immersion certificate on the extension disc.

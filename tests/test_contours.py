@@ -23,7 +23,7 @@ from meroimm import (
     integrate,
     winding_number,
 )
-from meroimm.contours import circle_samples, integrate_pieces
+from meroimm.contours import circle_primitive, circle_samples, integrate_pieces
 
 from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
 
@@ -216,28 +216,17 @@ def test_integrate_pieces_near_pole_arc_matches_mpmath():
     assert abs(got - want) < 1e-10
 
 
-def test_integrate_pieces_per_piece_matches_mpmath():
-    za, d = _detour_pieces()
-    got = integrate_pieces(_h_exp_xi_over_theta, za, d, 1e-10, per_piece=True)
-    want = mpmath_pieces(_H0, _XI, [_POLE], za, d)
-    assert got.shape == (len(za),)
-    assert np.max(np.abs(got - np.array(want))) < 1e-11
-
-
 def test_integrate_pieces_matches_reference_loop():
     # the round loop against its first form, bit for bit: totals, refusals
     # with their best estimate, and the points of every integrand call
     za, d = _detour_pieces()
-    for per_piece in (False, True):
-        assert_same_quadrature(_h_exp_xi_over_theta, za, d, 1e-10, per_piece=per_piece)
+    assert_same_quadrature(_h_exp_xi_over_theta, za, d, 1e-10)
     leg = np.array([0j]), np.array([1.5 * np.exp(-1j * np.pi / 3)])
     assert assert_same_quadrature(_h_exp_xi_over_theta, *leg, 1e-10)[0] == "returned"
-    # a 256-chord sweep around |z| = 1, one result per chord
+    # a 256-chord polygon around |z| = 1
     ring = circle_samples(0j, 1.0, 256)
-    how, per = assert_same_quadrature(
-        _h_exp_xi_over_theta, ring, np.roll(ring, -1) - ring, 1e-10, per_piece=True
-    )
-    assert how == "returned" and per.shape == (256,)
+    how, _ = assert_same_quadrature(_h_exp_xi_over_theta, ring, np.roll(ring, -1) - ring, 1e-10)
+    assert how == "returned"
     # the needle of test_integrate_budget, refused after one round and after several
     needle = lambda z: 1.0 / (z - (1.0 + 1e-7j))
     for budget in (40, 300, 3000):
@@ -245,6 +234,23 @@ def test_integrate_pieces_matches_reference_loop():
             needle, np.array([0j]), np.array([2 + 0j]), 1e-14, eval_budget=budget
         )
         assert how == "refused" and best is not None
+
+
+def test_circle_primitive_of_exp():
+    # the primitive of e^z dz is e^z, and a closed loop has no defect
+    got, defect, mass = circle_primitive(np.exp, 0.2j, 0.8, 16, 1e-12)
+    z = circle_samples(0.2j, 0.8, 16)
+    assert abs(defect) < 1e-14 and mass > 0
+    assert np.max(np.abs((got - got[0]) - (np.exp(z) - np.exp(z[0])))) < 1e-14
+
+
+def test_circle_primitive_defect_and_refusals():
+    # residue 1 inside the circle: g = i, so the closure defect is 2 pi i
+    _, defect, _ = circle_primitive(lambda z: 1 / z, 0j, 1.0, 16, 1e-12)
+    assert abs(defect - 2j * math.pi) < 1e-14
+    # a double pole 1e-4 outside the circle needs about 1e5 nodes, past the cap
+    assert circle_primitive(lambda z: 1 / (z - 1.0001) ** 2, 0j, 1.0, 16, 1e-10) is None
+    assert circle_primitive(lambda z: np.full(z.shape, np.inf + 0j), 0j, 1.0, 16, 1e-10) is None
 
 
 def test_winding_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,13 +7,14 @@ import pytest
 
 import meroimm.extension
 import meroimm.immersions
-from helpers import assert_same_quadrature, mpmath_pieces, same_bits, separated_points
+from helpers import assert_same_quadrature, mpmath_pieces, separated_points
 from meroimm import (
     INF,
     ComplexPolynomial,
     DegreeBudgetError,
     Disc,
     InputError,
+    InternalConsistencyError,
     NotAnImmersionError,
     ParamGrid,
     PoleCollisionError,
@@ -227,55 +229,118 @@ def test_sampled_nonvanishing_derivative(rng):
     assert np.all(np.isfinite(logs) | (logs == np.inf))
 
 
+def _mpmath_value(F, z, via=()):
+    """F(z) by mpmath along F's own detour path, or along the polyline from
+    the base point through ``via`` to z: an oracle for the quadrature."""
+    if via:
+        pts = np.array([F.base_point, *via, z], dtype=complex)
+        starts, deltas = pts[:-1], np.diff(pts)
+    else:
+        starts, deltas = F._detour_path(complex(z), 1)
+    return F.base_value + sum(
+        mpmath_pieces(F.scale, F.xi.coeffs, [a for a, _ in F.poles], starts, deltas)
+    )
+
+
+# Moebius maps with one pole in the big disc, whose paths to |z| = 1.5 pass
+# the pole by arcs of radius 0.04.  Adaptive Simpson exhausted its budget on
+# the first; a G7-K15 rule without a rounding floor did on the second.
+_PINNED_MOEBIUS = [
+    (
+        [-7.0854307248920465 + 1.0433571768311454j, -1.2225277379616517 + 3.2233554772069297j],
+        [0.0034101059645046394 - 0.033902135510989195j, 0.012581673174547947 + 0.05175156288048876j],
+    ),
+    (
+        [-8.273376763532731 + 4.617983285798465j, -3.9577160560916234 + 2.073235124068424j],
+        [-0.05665336276253985 - 0.16615187715398377j, 0.10575881516799202 - 0.2017297520207219j],
+    ),
+]
+
+
+_CIRCLE_MAPS = [
+    R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5])),  # deg xi 130 at eps 1e-3
+    R(P([0.2, 1.0, 0.3j])),
+    R(P([1]), P.from_roots([0.01])),
+    R(P([0, 1, 0, 0.05])),
+]
+_CIRCLES = ((0j, 1.0, 256), (0j, 0.9, 16), (0.1j, 0.7, 33), (0j, 1.0, 1), (0j, 1.0, 2), (0j, 1.0, 3))
+
+
+def _pointwise(F, center, radius, n):
+    return np.array([complex(F.evaluate(complex(z))) for z in circle_samples(center, radius, n)])
+
+
 def test_values_on_circle_matches_pointwise():
-    f = R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5]))
-    F = extend_immersion(f, D0, D1, 1e-3)
-    vals = F.values_on_circle(0j, 1.0, 16)
-    for k, v in enumerate(vals):
-        z = np.exp(2j * np.pi * k / 16)
-        assert abs(v - complex(F.evaluate(complex(z)))) < 1e-7
-
-
-def test_values_on_circle_falls_back_when_a_chord_passes_a_pole():
-    # both samples of the n = 2 ring lie far from the pole at 0.3, but the
-    # chord from 1 to -1 runs through it: the sweep would integrate across it
-    f = R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5]))
-    F = extend_immersion(f, D0, D1, 1e-3)
-    want = [complex(F.evaluate(complex(z))) for z in circle_samples(0j, 1.0, 2)]
-    assert same_bits(F.values_on_circle(0j, 1.0, 2), want)
-
-
-def _values_on_circle_by_loop(F, center, radius, n):
-    # reference: the cumulative sweep as first written, one Python complex
-    # addition per sample, for circles clear of the poles
-    ring_ = circle_samples(complex(center), radius, n)
-    k0 = 0
-    if len(F.poles):
-        gaps = ring_[:, None] - np.array(F.poles.locations)
-        k0 = int(np.argmax(np.hypot(gaps.real, gaps.imag).min(axis=1)))
-    base = F.evaluate(complex(ring_[k0]))
-    starts = np.roll(ring_, -k0)
-    chords = np.roll(ring_, -k0 - 1) - starts
-    per = integrate_pieces(F._integrand, starts, chords, QUAD_TOL, per_piece=True)
-    vals = np.empty(n, dtype=complex)
-    acc = complex(base)
-    for j in range(n):
-        vals[(k0 + j) % n] = acc
-        acc += per[j]
-    return vals
-
-
-def test_values_on_circle_matches_python_accumulation():
-    for f in (
-        R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5])),
-        R(P([0.2, 1.0, 0.3j])),
-        R(P([1]), P.from_roots([0.01])),
-        R(P([0, 1, 0, 0.05])),
-    ):
+    # the periodic rule against path integration from the base point, to
+    # 1e-11 relative; the two agree to about 2e-14 on these circles
+    for f in _CIRCLE_MAPS + [R(P(num), P(den)) for num, den in _PINNED_MOEBIUS]:
         F = extend_immersion(f, D0, D1, 1e-3)
-        for center, radius, n in ((0j, 1.0, 256), (0j, 0.9, 16), (0.1j, 0.7, 33), (0j, 1.0, 1), (0j, 1.0, 3)):
-            got = F.values_on_circle(center, radius, n)
-            assert same_bits(got, _values_on_circle_by_loop(F, center, radius, n))
+        for center, radius, n in _CIRCLES:
+            got, want = F.values_on_circle(center, radius, n), _pointwise(F, center, radius, n)
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - want) <= 1e-11 * (1 + np.abs(want)))
+
+
+def test_values_on_circle_matches_mpmath():
+    # deg xi = 130: a rule of 128 or 256 nodes reads a small Fourier tail
+    # here, but high modes alias into the low ones and the value at z = 1
+    # misses by 3e-10 or 4e-11, so the rule starts at 4 (deg xi + 1) nodes.
+    # The oracle's path runs through i, clear of the pole at 0.3
+    F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    assert F.xi.degree == 130
+    got = F.values_on_circle(0j, 1.0, 2)[0]
+    assert abs(got - _mpmath_value(F, 1.0, via=(1j,))) <= 1e-11 * (1 + abs(got))
+    for num, den in _PINNED_MOEBIUS:
+        F = extend_immersion(R(P(num), P(den)), D0, D1, 1e-3)
+        want = np.array([_mpmath_value(F, z) for z in circle_samples(0j, 1.5, 8)])
+        got = F.values_on_circle(0j, 1.5, 8)
+        assert np.all(np.abs(got - want) <= 1e-11 * (1 + np.abs(want)))
+
+
+def test_values_on_circle_integrates_only_the_entry_path(monkeypatch):
+    F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return integrate_pieces(*args, **kw)
+
+    monkeypatch.setattr(meroimm.extension, "integrate_pieces", counting)
+    F.values_on_circle(0j, 1.0, 256)
+    assert len(calls) == 1
+
+
+def test_values_on_circle_falls_back_where_exp_xi_overflows():
+    # on |z| = 1.5, exp(xi) leaves double range near the positive real axis:
+    # evaluate gives INF at 6 of 16 samples, and the rule, whose samples are
+    # then non-finite, hands the whole circle to evaluate
+    F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    want = [F.evaluate(complex(z)) for z in circle_samples(0j, 1.5, 16)]
+    got = F.values_on_circle(0j, 1.5, 16)
+    assert sum(is_inf(v) for v in want) == 6
+    for v, w in zip(got, want):
+        assert v == (complex("inf") if is_inf(w) else complex(w))
+
+
+def test_values_on_circle_refuses_a_circle_that_does_not_close():
+    # a shifted xi leaves the integrand a residue at the pole 0.3 (residues()
+    # reads eta_parts, not xi): the rule's mode 0 is 2 pi i times it
+    F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    G = dataclasses.replace(F, xi=F.xi + P([0, 0.1]))
+    with pytest.raises(InternalConsistencyError):
+        G.values_on_circle(0j, 1.0, 16)
+    # a circle that leaves the pole outside closes
+    assert np.all(np.isfinite(G.values_on_circle(0.5j - 0.5, 0.3, 16)))
+
+
+def test_evaluate_and_values_on_circle_refuse_non_finite_points():
+    for f in (R(P([0.2, 1.0, 0.3j])), R(P([1]), P.from_roots([0.3]))):
+        F = extend_immersion(f, D0, D1, 1e-3)
+        for z in (math.nan, complex(0, math.nan), math.inf, complex(-math.inf, 1)):
+            with pytest.raises(InputError):
+                F.evaluate(z)
+            with pytest.raises(InputError):
+                F.values_on_circle(z, 1.0, 4)
 
 
 def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):
@@ -305,29 +370,6 @@ def test_values_on_circle_refuses_bad_circles():
     for radius, n in ((1.0, 0), (1.0, -3), (0.0, 16), (-1.0, 16), (math.nan, 16), (math.inf, 16)):
         with pytest.raises(InputError):
             F.values_on_circle(0j, radius, n)
-
-
-def _mpmath_value(F, z):
-    """F(z) by mpmath along F's own detour path: an oracle for the quadrature."""
-    starts, deltas = F._detour_path(complex(z), 1)
-    return F.base_value + sum(
-        mpmath_pieces(F.scale, F.xi.coeffs, [a for a, _ in F.poles], starts, deltas)
-    )
-
-
-# Moebius maps with one pole in the big disc, whose paths to |z| = 1.5 pass
-# the pole by arcs of radius 0.04.  Adaptive Simpson exhausted its budget on
-# the first; a G7-K15 rule without a rounding floor did on the second.
-_PINNED_MOEBIUS = [
-    (
-        [-7.0854307248920465 + 1.0433571768311454j, -1.2225277379616517 + 3.2233554772069297j],
-        [0.0034101059645046394 - 0.033902135510989195j, 0.012581673174547947 + 0.05175156288048876j],
-    ),
-    (
-        [-8.273376763532731 + 4.617983285798465j, -3.9577160560916234 + 2.073235124068424j],
-        [-0.05665336276253985 - 0.16615187715398377j, 0.10575881516799202 - 0.2017297520207219j],
-    ),
-]
 
 
 @pytest.mark.parametrize("num, den", _PINNED_MOEBIUS)
