@@ -20,6 +20,7 @@ an integer.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,8 +43,8 @@ class Disc:
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0):
-            raise InputError("disc radius must be positive")
+        if not (0 < self.radius < math.inf and cmath.isfinite(self.center)):
+            raise InputError("a disc needs a finite center and a finite radius > 0")
 
     def contains(self, z: complex) -> bool:
         return abs(complex(z) - self.center) <= self.radius

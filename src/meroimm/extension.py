@@ -87,17 +87,21 @@ def _lagrange_basis(locs: Sequence[complex]) -> list[ComplexPolynomial]:
 class ConstrainedEta:
     """Polynomial log-derivative replacement, kept in structured form.
 
-    expanded = lagrange + sigma * node_product, where node_product is the
-    monic product of (z - a) over the interpolation nodes.  The structured
-    parts evaluate the interpolation conditions exactly (the node product
-    vanishes by construction), which the expanded coefficients only do to
-    rounding.
+    Stored: ``lagrange``, ``sigma`` and the interpolation ``nodes``.  Derived:
+    ``expanded = lagrange + sigma * node_product``, where node_product is the
+    monic product of (z - a) over the nodes.  The structured parts evaluate
+    the interpolation conditions exactly (the node product vanishes by
+    construction), which the expanded coefficients only do to rounding.
     """
 
     lagrange: ComplexPolynomial
     sigma: ComplexPolynomial
     nodes: tuple[complex, ...]
-    expanded: ComplexPolynomial
+    expanded: ComplexPolynomial = field(init=False, compare=False)
+
+    def __post_init__(self):
+        node_product = ComplexPolynomial.from_roots(self.nodes)
+        object.__setattr__(self, "expanded", self.lagrange + self.sigma * node_product)
 
     def value_at_node(self, i: int) -> complex:
         # node_product(node) = 0 exactly in the factored form
@@ -156,15 +160,10 @@ def constrained_eta(
             "the map fails to immerse a neighborhood of it"
         )
 
-    if locs:
-        lag_basis = _lagrange_basis(locs)
-        lagrange = ComplexPolynomial.zero()
-        for c, phi in zip(targets, lag_basis):
-            lagrange = lagrange + c * phi
-        node_product = ComplexPolynomial.from_roots(locs)
-    else:
-        lagrange = ComplexPolynomial.zero()
-        node_product = ComplexPolynomial.one()
+    lagrange = ComplexPolynomial.zero()
+    for c, phi in zip(targets, _lagrange_basis(locs)):
+        lagrange = lagrange + c * phi
+    node_product = ComplexPolynomial.from_roots(locs)
 
     rho = 0.5 * (r_eff + R) if math.isfinite(R) else 2.0 * r_eff
     rho = min(rho, 4.0 * r_eff)
@@ -186,10 +185,10 @@ def constrained_eta(
 
     best_err = math.inf
     for _, (sigma,) in truncations:
-        expanded = lagrange + sigma * node_product
-        err = float(np.max(np.abs(expanded(bdry) - eta_bdry)))
+        parts = ConstrainedEta(lagrange, sigma, tuple(locs))
+        err = float(np.max(np.abs(parts.expanded(bdry) - eta_bdry)))
         if err < eps_eta:
-            return ConstrainedEta(lagrange, sigma, tuple(locs), expanded)
+            return parts
         best_err = min(best_err, err)
     raise DegreeBudgetError(
         f"degree schedule exhausted at sampled error {best_err:.3e} "
@@ -205,35 +204,34 @@ def constrained_eta(
 class IntegralImmersion:
     """Extension in integral form: f0 + integral of h0 exp(xi)/Theta.
 
-    Theta is the exact squared product over the pole set, and the
-    interpolation conditions hold exactly in the structured form carried by
-    ``eta_parts``, so every residue of the integrand vanishes analytically;
+    Stored: ``base_point`` z0, ``base_value`` f0, ``scale`` h0, ``poles``,
+    ``domain`` and ``eta_parts``, whose nodes must be the pole locations.
+    Derived: ``xi``, the primitive of ``eta_parts.expanded`` vanishing at z0.
+    Theta, the squared product of (z - a) over the poles, is evaluated as
+    that product.  The interpolation conditions hold exactly in the
+    structured form, so every residue of the integrand vanishes analytically;
     the derivative h0 exp(xi)/Theta never vanishes away from the poles.
     """
 
     base_point: complex
     base_value: complex
     scale: complex
-    xi: ComplexPolynomial
     poles: PoleSet
     domain: Disc
     eta_parts: ConstrainedEta
     # sampled sup chordal distance to the extended map on the small disc's
     # boundary, set by extend_immersion; not serialized, not part of the value
     achieved_eps: float | None = field(default=None, compare=False)
-    # Theta expanded into monomials, as serialize writes it; the integrand
-    # evaluates the product form instead
-    theta: ComplexPolynomial = field(init=False)
+    xi: ComplexPolynomial = field(init=False, compare=False)
 
     def __post_init__(self):
         if any(m != 1 for _, m in self.poles):
             raise InputError("integral immersions carry only simple poles")
         if self.scale == 0:
             raise InputError("the derivative scale h0 must be nonzero")
-        theta = ComplexPolynomial.from_roots(
-            [a for a, _ in self.poles for _ in range(2)]
-        )
-        object.__setattr__(self, "theta", theta)
+        if self.eta_parts.nodes != self.poles.locations:
+            raise InputError("the eta interpolation nodes must be the pole locations")
+        object.__setattr__(self, "xi", self.eta_parts.expanded.antiderivative(self.base_point))
 
     # -- integrand ----------------------------------------------------------
 
@@ -243,7 +241,7 @@ class IntegralImmersion:
 
     def _integrand(self, z: np.ndarray) -> np.ndarray:
         # Theta as the product of its factors (z - a)^2: Horner on the
-        # expanded ``theta`` loses relative accuracy to cancellation near a
+        # expanded Theta loses relative accuracy to cancellation near a
         # pole (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
         w = self.xi(z)
         theta = np.ones(z.shape, dtype=complex)
@@ -547,12 +545,10 @@ def _extend(
             center=z0,
             degree_budget=degree_budget,
         )
-        xi = parts.expanded.antiderivative(z0)
         out = IntegralImmersion(
             base_point=z0,
             base_value=complex(f0),
             scale=complex(h0),
-            xi=xi,
             poles=poles,
             domain=d1,
             eta_parts=parts,

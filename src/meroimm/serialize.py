@@ -2,8 +2,10 @@
 
 Complex numbers are [re, im] pairs; the point at infinity is the string
 "inf".  Polynomials are arrays of pairs in ascending degree; rational maps
-are {"num": ..., "den": ...}.  Encoders and decoders round-trip exactly
-(floats pass through repr-faithful JSON).
+are {"num": ..., "den": ...}.  Values the package writes read back exactly
+(floats pass through repr-faithful JSON).  A map read as input drops leading
+coefficients of modulus <= COEFF_TOL, as every ComplexPolynomial built from
+raw coefficients does; an immersion's computed polynomials are read untrimmed.
 """
 from __future__ import annotations
 
@@ -117,27 +119,12 @@ def disc_from_json(data) -> Disc:
     return Disc(complex_from_json(data["center"]), float(data["radius"]))
 
 
-def domain_to_json(D: CircularDomain) -> dict:
-    return {
-        "outer": disc_to_json(D.outer),
-        "holes": [disc_to_json(h) for h in D.holes],
-    }
-
-
 @_refusing("domain")
 def domain_from_json(data) -> CircularDomain:
     if not isinstance(data, dict) or "outer" not in data:
         raise InputError('domain must be {"outer": disc, "holes": [disc, ...]}')
     holes = tuple(disc_from_json(h) for h in data.get("holes", []))
     return CircularDomain(disc_from_json(data["outer"]), holes)
-
-
-def contour_to_json(c: Contour) -> dict:
-    return {
-        "kind": "polyline",
-        "points": [complex_to_json(z) for z in c.samples],
-        "closed": c.closed,
-    }
 
 
 @_refusing("contour")
@@ -167,6 +154,7 @@ def pole_set_to_json(ps: PoleSet) -> list[dict]:
     ]
 
 
+@_refusing("pole set")
 def pole_set_from_json(data) -> PoleSet:
     return PoleSet(
         [(complex_from_json(e["location"]), int(e["order"])) for e in data]
@@ -216,17 +204,14 @@ def grid_from_json(data) -> ParamGrid:
     raise InputError("grid shape must have 1 or 2 axes")
 
 
-def grid_to_json(g: ParamGrid) -> dict:
-    return {"shape": list(g.shape), "q": g.q_indices}
-
-
 def immersion_to_json(F: IntegralImmersion) -> dict:
+    theta = ComplexPolynomial.from_roots([a for a, _ in F.poles for _ in range(2)])
     return {
         "base_point": complex_to_json(F.base_point),
         "base_value": complex_to_json(F.base_value),
         "scale": complex_to_json(F.scale),
         "xi": poly_to_json(F.xi),
-        "theta": poly_to_json(F.theta),
+        "theta": poly_to_json(theta),
         "poles": pole_set_to_json(F.poles),
         "domain": disc_to_json(F.domain),
         "eta": {
@@ -238,23 +223,30 @@ def immersion_to_json(F: IntegralImmersion) -> dict:
     }
 
 
+@_refusing("immersion")
 def immersion_from_json(data) -> IntegralImmersion:
-    eta = data["eta"]
-    parts = ConstrainedEta(
-        lagrange=poly_from_json(eta["lagrange"]),
-        sigma=poly_from_json(eta["sigma"]),
-        nodes=tuple(complex_from_json(a) for a in eta["nodes"]),
-        expanded=poly_from_json(eta["expanded"]),
+    """The immersion written as ``data`` by :func:`immersion_to_json`.
+
+    Only the independent fields are read, the computed polynomials without
+    trimming; the derived ones (xi, theta, the eta nodes and expansion) must
+    then match what the immersion computes, or the input is refused.
+    """
+    poles = pole_set_from_json(data["poles"])
+    lagrange, sigma = (
+        ComplexPolynomial([complex_from_json(c) for c in data["eta"][k]], coeff_tol=0.0)
+        for k in ("lagrange", "sigma")
     )
-    return IntegralImmersion(
+    F = IntegralImmersion(
         base_point=complex_from_json(data["base_point"]),
         base_value=complex_from_json(data["base_value"]),
         scale=complex_from_json(data["scale"]),
-        xi=poly_from_json(data["xi"]),
-        poles=pole_set_from_json(data["poles"]),
+        poles=poles,
         domain=disc_from_json(data["domain"]),
-        eta_parts=parts,
+        eta_parts=ConstrainedEta(lagrange, sigma, poles.locations),
     )
+    if immersion_to_json(F) != data:
+        raise InputError("immersion fields disagree with the values they derive from")
+    return F
 
 
 # -- files ----------------------------------------------------------------------
@@ -263,16 +255,6 @@ def immersion_from_json(data) -> IntegralImmersion:
 def dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, repr-faithful floats, newline end."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def write_curve_csv(path, ts: Sequence[float], zs: Sequence[complex]) -> None:
-    """Curve trace rows t, re, im."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "re", "im"])
-        for t, z in zip(ts, zs):
-            z = complex(z)
-            w.writerow([repr(float(t)), repr(z.real), repr(z.imag)])
 
 
 def write_map_samples_csv(path, zs: Sequence[complex], fs: Sequence[SpherePoint]) -> None:

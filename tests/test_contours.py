@@ -469,5 +469,7 @@ def test_disc_geometry():
     assert not d.contains(3.5)
     assert d.boundary_distance(1 + 0j) == pytest.approx(2.0)
     assert Disc(0, 3.0).contains_disc(d)
-    with pytest.raises(InputError):
-        Disc(0, 0.0)
+    for center, radius in ((0, 0.0), (0, math.nan), (0, math.inf), (math.nan, 1.0),
+                           (complex(0, math.inf), 1.0)):
+        with pytest.raises(InputError):
+            Disc(center, radius)

@@ -11,6 +11,7 @@ from helpers import assert_same_quadrature, mpmath_pieces, separated_points
 from meroimm import (
     INF,
     ComplexPolynomial,
+    ConstrainedEta,
     DegreeBudgetError,
     Disc,
     InputError,
@@ -323,14 +324,32 @@ def test_values_on_circle_falls_back_where_exp_xi_overflows():
 
 
 def test_values_on_circle_refuses_a_circle_that_does_not_close():
-    # a shifted xi leaves the integrand a residue at the pole 0.3 (residues()
-    # reads eta_parts, not xi): the rule's mode 0 is 2 pi i times it
+    # a shifted Lagrange part misses the residue target at the pole 0.3, so
+    # the integrand keeps a residue there: the rule's mode 0 is 2 pi i times it
     F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
-    G = dataclasses.replace(F, xi=F.xi + P([0, 0.1]))
+    eta = dataclasses.replace(F.eta_parts, lagrange=F.eta_parts.lagrange + 0.1)
+    G = dataclasses.replace(F, eta_parts=eta)
+    assert abs(G.residues()[0]) > 0.1
     with pytest.raises(InternalConsistencyError):
         G.values_on_circle(0j, 1.0, 16)
     # a circle that leaves the pole outside closes
     assert np.all(np.isfinite(G.values_on_circle(0.5j - 0.5, 0.3, 16)))
+
+
+def test_integral_immersion_derives_xi_and_checks_its_nodes():
+    # xi and the expanded eta are computed from the structured parts, so they
+    # cannot be set apart from them; the eta nodes must be the poles
+    F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    eta = F.eta_parts
+    assert eta.expanded == eta.lagrange + eta.sigma * P.from_roots(eta.nodes)
+    assert F.xi == eta.expanded.antiderivative(F.base_point)
+    with pytest.raises(ValueError):
+        dataclasses.replace(F, xi=F.xi + P([0, 0.1]))
+    with pytest.raises(TypeError):
+        ConstrainedEta(eta.lagrange, eta.sigma, eta.nodes, eta.expanded)
+    for nodes in ((0.31 + 0j,), (), (0.3 + 0j, 1.5 + 0j)):
+        with pytest.raises(InputError):
+            dataclasses.replace(F, eta_parts=dataclasses.replace(eta, nodes=nodes))
 
 
 def test_evaluate_and_values_on_circle_refuse_non_finite_points():

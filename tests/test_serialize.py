@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,10 @@ import pytest
 
 from meroimm import (
     INF,
-    CircularDomain,
     ComplexPolynomial,
     Contour,
     Disc,
     InputError,
-    ParamGrid,
     RationalMap,
     extend_immersion,
     verify_immersion,
@@ -21,23 +20,20 @@ from meroimm.serialize import (
     complex_from_json,
     complex_to_json,
     contour_from_json,
-    contour_to_json,
     disc_from_json,
     disc_to_json,
     domain_from_json,
-    domain_to_json,
     dumps,
     grid_from_json,
-    grid_to_json,
     immersion_from_json,
     immersion_to_json,
+    pole_set_from_json,
     poly_from_json,
     poly_to_json,
     rational_from_json,
     rational_to_json,
     sphere_point_from_json,
     sphere_point_to_json,
-    write_curve_csv,
     write_map_samples_csv,
 )
 
@@ -76,9 +72,13 @@ def test_rational_round_trip():
 def test_disc_domain_round_trip():
     d = Disc(1 - 1j, 2.5)
     assert disc_from_json(disc_to_json(d)) == d
-    D = CircularDomain(Disc(0, 3.0), (Disc(1, 0.5), Disc(-1.5, 0.4)))
-    D2 = domain_from_json(domain_to_json(D))
-    assert D2.outer == D.outer and D2.holes == D.holes
+    D = domain_from_json({
+        "outer": {"center": [0, 0], "radius": 3.0},
+        "holes": [{"center": [1, 0], "radius": 0.5}, {"center": [-1.5, 0], "radius": 0.4}],
+    })
+    assert D.outer == Disc(0, 3.0) and D.holes == (Disc(1, 0.5), Disc(-1.5, 0.4))
+    with pytest.raises(InputError):
+        domain_from_json({"outer": {"center": [0, 0], "radius": math.inf}})
 
 
 def test_contour_round_trip_and_circle():
@@ -86,16 +86,15 @@ def test_contour_round_trip_and_circle():
         {"kind": "circle", "center": [0, 0], "radius": 1.0, "samples": 64}
     )
     assert c.closed and len(c.samples) == 65
-    p = contour_from_json(contour_to_json(c))
-    assert p.samples == c.samples
+    p = contour_from_json({"kind": "polyline", "points": [[0, 0], [1, 0.5], [0, 1]], "closed": True})
+    assert p.closed and p.samples == (0j, 1 + 0.5j, 1j, 0j)
     with pytest.raises(InputError):
         contour_from_json({"kind": "spline"})
 
 
 def test_grid_round_trip():
-    g = ParamGrid.line(7, q_nodes=[0, 6])
-    g2 = grid_from_json(grid_to_json(g))
-    assert g2.shape == g.shape and g2.q_mask == g.q_mask
+    g = grid_from_json({"shape": [7], "q": [0, 6]})
+    assert g.shape == (7,) and g.q_indices == [0, 6]
     g3 = grid_from_json({"shape": [3, 4], "q": [0]})
     assert g3.ndim == 2
 
@@ -113,27 +112,55 @@ def test_immersion_round_trip_evaluates_identically():
     G = immersion_from_json(immersion_to_json(F))
     for z in (0.9, -0.5 + 0.2j, 0.2 + 0.6j):
         assert complex(G.evaluate(z)) == pytest.approx(complex(F.evaluate(z)), abs=1e-12)
-    assert G.theta == F.theta
+    assert immersion_to_json(G) == immersion_to_json(F)
     assert max(abs(r) for r in G.residues()) < 1e-9
     # the measured boundary error is not serialized and not part of the value
     assert F.achieved_eps is not None and G.achieved_eps is None
     assert G == F
 
 
+def _quintic_extension():
+    return extend_immersion(R(P([0, 1, 0, 0, 0, 0.1])), Disc(0, 1.0), Disc(0, 2.0), 1e-3)
+
+
+def test_immersion_reads_back_exactly():
+    # the computed polynomials are read untrimmed: trimming at COEFF_TOL drops
+    # the leading coefficient of this xi and moves its values on |z| = 1.9
+    F = _quintic_extension()
+    text = dumps(immersion_to_json(F))
+    G = immersion_from_json(json.loads(text))
+    assert G == F and G.xi == F.xi and G.eta_parts.expanded == F.eta_parts.expanded
+    assert dumps(immersion_to_json(G)) == text
+
+
+def test_immersion_reader_refuses_derived_fields_that_disagree():
+    data = json.loads(dumps(immersion_to_json(_quintic_extension())))
+    data["xi"][1][0] += 0.1
+    with pytest.raises(InputError):
+        immersion_from_json(data)
+    for field in ("theta", "expanded", "nodes"):
+        data = json.loads(dumps(immersion_to_json(_quintic_extension())))
+        where = data["eta"] if field in data["eta"] else data
+        where[field] = where[field] + [[0.0, 1.0]]
+        with pytest.raises(InputError):
+            immersion_from_json(data)
+
+
+def test_immersion_reader_refuses_malformed_input():
+    data = immersion_to_json(_quintic_extension())
+    with pytest.raises(InputError):
+        immersion_from_json({k: v for k, v in data.items() if k != "scale"})
+    with pytest.raises(InputError):
+        immersion_from_json({**data, "eta": 5})
+    for poles in ([5], [{"location": [0, 0], "order": "x"}]):
+        with pytest.raises(InputError):
+            pole_set_from_json(poles)
+
+
 def test_dumps_deterministic():
     obj = {"b": 1.5, "a": [1e-9, "inf"], "nested": {"y": 2, "x": 1}}
     assert dumps(obj) == dumps(obj)
     assert dumps(obj).endswith("\n")
-
-
-def test_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    ts = [0.0, 0.5, 1.0]
-    zs = [0j, 1 + 1j, 2 - 0.25j]
-    write_curve_csv(path, ts, zs)
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["t", "re", "im"]
-    assert float(rows[2][1]) == 1.0 and float(rows[2][2]) == 1.0
 
 
 def test_map_samples_csv_with_infinity(tmp_path):
