@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEGREE_BUDGET, DEGREE_SCHEDULE
+from .config import DEGREE_BUDGET, DEGREE_SCHEDULE, check_eps
 from .contours import Disc, _vectorized, circle_samples
 from .errors import (
     DegreeBudgetError,
@@ -65,15 +65,15 @@ def sampled_sup_distance(f, g, disc: Disc, *, samples: int = 256) -> float:
 _BLOCK_ROWS = 8  # a block's samples: 8 rows of 2048 complex values, 256 KiB
 
 
-def _taylor_truncations(vals, center: complex, rho: float, degree_budget: int, is_open):
+def _taylor_truncations(vals, center: complex, rho: float, is_open):
     """Taylor truncations at center, lowest degree first, of the rows of a
     block of finite samples on ``circle_samples(center, rho, K)``, from one
-    FFT over the block.  Each degree of DEGREE_SCHEDULE below degree_budget,
-    and then degree_budget, yields the rows still open in ``is_open`` with
-    their truncations; the caller closes rows between degrees.
+    FFT over the block.  Each degree of DEGREE_SCHEDULE yields the rows
+    still open in ``is_open`` with their truncations; the caller closes rows
+    between degrees.
     """
-    coeffs = np.fft.fft(vals, axis=1)[:, : degree_budget + 1] / vals.shape[1]
-    for N in sorted({n for n in DEGREE_SCHEDULE if n < degree_budget} | {degree_budget}):
+    coeffs = np.fft.fft(vals, axis=1)[:, : DEGREE_BUDGET + 1] / vals.shape[1]
+    for N in DEGREE_SCHEDULE:
         idx = np.flatnonzero(is_open)
         if idx.size:
             scaled = coeffs[idx, : N + 1] / rho ** np.arange(N + 1)
@@ -93,14 +93,14 @@ def _horner_rows(polys: Sequence[ComplexPolynomial], z: np.ndarray) -> np.ndarra
     return out
 
 
-def _approximate_net(maps: Sequence, disc: Disc, eps: float, degree_budget: int):
+def _approximate_net(maps: Sequence, disc: Disc, eps: float):
     """Polynomials within eps of each map on the disc, in blocks of
     _BLOCK_ROWS maps sampled on one shared ring and one shared check ring.
     A row closes at its first truncation within eps on the check ring.  The
     first map that fails, in order, raises its error.
     """
     center, rho = disc.center, disc.radius
-    ring = circle_samples(center, rho, max(2048, 8 * degree_budget))
+    ring = circle_samples(center, rho, max(2048, 8 * DEGREE_BUDGET))
     check = circle_samples(center, rho, 256, offset=0.37)
     for start in range(0, len(maps), _BLOCK_ROWS):
         block, rows = list(maps[start : start + _BLOCK_ROWS]), []
@@ -109,7 +109,7 @@ def _approximate_net(maps: Sequence, disc: Disc, eps: float, degree_budget: int)
                 block[r] = f = f.as_polynomial()
             if not isinstance(f, ComplexPolynomial):
                 rows.append(r)
-            elif f.degree > degree_budget:
+            elif f.degree > DEGREE_BUDGET:
                 block[r] = DegreeBudgetError("polynomial input exceeds the degree budget")
         vals = np.empty((len(rows), ring.size), dtype=complex)
         target = np.empty((len(rows), check.size), dtype=complex)
@@ -122,7 +122,7 @@ def _approximate_net(maps: Sequence, disc: Disc, eps: float, degree_budget: int)
             block[rows[i]] = PreconditionError("map is singular on the disc boundary")
         vals[~is_open] = 0.0  # refused rows: keep the FFT free of inf and nan
         best = np.full(len(rows), math.inf)
-        for idx, polys in _taylor_truncations(vals, center, rho, degree_budget, is_open):
+        for idx, polys in _taylor_truncations(vals, center, rho, is_open):
             err = np.max(np.abs(_horner_rows(polys, check) - target[idx]), axis=1)
             best[idx] = np.fmin(best[idx], err)
             for i, g, e in zip(idx, polys, err):
@@ -137,9 +137,7 @@ def _approximate_net(maps: Sequence, disc: Disc, eps: float, degree_budget: int)
             yield g
 
 
-def poly_approx_on_disc(
-    f, disc: Disc, eps: float, *, degree_budget: int = DEGREE_BUDGET
-) -> ComplexPolynomial:
+def poly_approx_on_disc(f, disc: Disc, eps: float) -> ComplexPolynomial:
     """Polynomial within eps of f on the disc (sampled sup norm).
 
     Polynomial inputs of degree within budget pass through unchanged.  For
@@ -148,9 +146,11 @@ def poly_approx_on_disc(
     offset boundary sample check clears eps.  This is the one-row case of the
     block path that ``blend_parametric`` runs over a whole net: a map
     singular on the boundary raises PreconditionError, and a schedule that
-    runs out raises DegreeBudgetError with the best sampled error.
+    runs out raises DegreeBudgetError with the best sampled error.  An eps
+    that is not a finite positive number raises InputError.
     """
-    return next(_approximate_net([f], disc, eps, degree_budget))
+    check_eps(eps)
+    return next(_approximate_net([f], disc, eps))
 
 
 def _net_condition_holds(
@@ -175,7 +175,6 @@ def blend_parametric(
     eps: float,
     *,
     net_stride: int | None = None,
-    degree_budget: int = DEGREE_BUDGET,
 ) -> SampledFamily:
     """Replace the family by polynomial blends with sup error below eps/2.
 
@@ -186,10 +185,10 @@ def blend_parametric(
     triangle inequality then bounds every node's error by eps/2.
 
     A caller-forced ``net_stride`` that violates the closeness condition
-    raises GridResolutionError asking for a finer net.
+    raises GridResolutionError asking for a finer net.  An eps that is not
+    a finite positive number raises InputError.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    check_eps(eps)
     if not isinstance(family.domain, Disc):
         raise InputError(
             "blending needs a disc domain (polynomial approximation target)"
@@ -216,7 +215,7 @@ def blend_parametric(
             stride = max(1, stride // 2)
 
     members = [family.maps[j] for j in net]
-    approximants = list(_approximate_net(members, family.domain, eps / 4.0, degree_budget))
+    approximants = list(_approximate_net(members, family.domain, eps / 4.0))
     out = []
     for w in grid.net_weights(net, points):
         blend = ComplexPolynomial.zero()
@@ -244,8 +243,11 @@ def fix_on_Q(
     unchanged, so equality there is exact.
 
     When ``original`` and ``eps`` are given, the prescribed extension is
-    checked to stay within eps/2 of the original family on the neighborhood.
+    checked to stay within eps/2 of the original family on the neighborhood;
+    an eps that is not a finite positive number raises InputError.
     """
+    if eps is not None:
+        check_eps(eps)
     grid = blended.grid
     q_nodes = set(grid.q_indices)
     if set(q_maps.keys()) != q_nodes:

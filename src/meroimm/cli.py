@@ -5,9 +5,10 @@ machine-readable report that embeds the tolerances used; identical inputs
 and configuration produce byte-identical reports.  Exit codes: 0 ok, 1 input
 error, 2 precondition failure, 3 numerical-budget failure.
 
-Each field of RunConfig is a flag (``tol_root`` gives ``--tol-root``) that
-falls back to its MEROIMM_* environment variable (``MEROIMM_TOL_ROOT``),
-then to the built-in default.
+Each field of RunConfig is a flag (``eps`` gives ``--eps``) that falls back
+to its MEROIMM_* environment variable (``MEROIMM_EPS``), then to the
+built-in default.  The tolerances are constants (see :mod:`meroimm.config`);
+the report's ``config`` lists them next to eps.
 """
 from __future__ import annotations
 
@@ -101,14 +102,14 @@ def _domain(data) -> CircularDomain:
 def _run_verify(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     D = _domain(_need(data, "domain"))
-    cert = verify_immersion(f, D, _target(data), root_tol=cfg.tol_root)
+    cert = verify_immersion(f, D, _target(data))
     return {"certificate": certificate_to_json(cert)}
 
 
 def _run_wind(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     gamma = contour_from_json(_need(data, "contour"))
-    F = f.factor(root_tol=cfg.tol_root)
+    F = f.factor()
     if data.get("of") == "derivative":
         # the factored derivative knows its poles; its denominator is not solved
         F = F.derivative()
@@ -118,7 +119,7 @@ def _run_wind(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 def _run_classify(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     D = _domain(_need(data, "domain"))
-    hc = classify(f, D, _target(data), root_tol=cfg.tol_root)
+    hc = classify(f, D, _target(data))
     return {"classification": homotopy_class_to_json(hc)}
 
 
@@ -127,8 +128,8 @@ def _run_same_component(data: dict, cfg: RunConfig, outdir: Path | None) -> dict
     g = rational_from_json(_need(data, "map2"))
     D = _domain(_need(data, "domain"))
     target = _target(data)
-    hf = classify(f, D, target, root_tol=cfg.tol_root)
-    hg = classify(g, D, target, root_tol=cfg.tol_root)
+    hf = classify(f, D, target)
+    hg = classify(g, D, target)
     return {
         "same_component": hf.component == hg.component,
         "class1": homotopy_class_to_json(hf),
@@ -151,8 +152,8 @@ def _run_seed(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     }
 
 
-def _write_boundary_csv(path: Path, F, d0: Disc, n: int, cfg: RunConfig) -> None:
-    vals = F.values_on_circle(d0.center, d0.radius, n, quad_tol=cfg.tol_quad)
+def _write_boundary_csv(path: Path, F, d0: Disc, n: int) -> None:
+    vals = F.values_on_circle(d0.center, d0.radius, n)
     write_map_samples_csv(path, circle_samples(d0.center, d0.radius, n), list(vals))
 
 
@@ -160,11 +161,7 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     d0 = disc_from_json(_need(data, "disc0"))
     d1 = disc_from_json(_need(data, "disc1"))
-    F = extend_immersion(
-        f, d0, d1, cfg.eps,
-        root_tol=cfg.tol_root, residue_tol=cfg.tol_residue,
-        quad_tol=cfg.tol_quad, degree_budget=cfg.degree_budget,
-    )
+    F = extend_immersion(f, d0, d1, cfg.eps)
     result = {
         "immersion": immersion_to_json(F),
         "achieved_eps": F.achieved_eps,
@@ -172,7 +169,7 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
         "certificate": certificate_to_json(F.certificate()),
     }
     if outdir is not None:
-        _write_boundary_csv(outdir / "extend_samples.csv", F, d0, 256, cfg)
+        _write_boundary_csv(outdir / "extend_samples.csv", F, d0, 256)
         (outdir / "immersion.json").write_text(dumps(result["immersion"]))
         result["artifacts"] = ["extend_samples.csv", "immersion.json"]
     return result
@@ -183,11 +180,7 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     grid = grid_from_json(_need(data, "grid"))
     d0 = disc_from_json(_need(data, "disc0"))
     d1 = disc_from_json(_need(data, "disc1"))
-    outs = extend_family(
-        maps, grid, d0, d1, cfg.eps,
-        root_tol=cfg.tol_root, residue_tol=cfg.tol_residue,
-        quad_tol=cfg.tol_quad, degree_budget=cfg.degree_budget,
-    )
+    outs = extend_family(maps, grid, d0, d1, cfg.eps)
     result = {
         "immersions": [immersion_to_json(F) for F in outs],
         "achieved_eps": [F.achieved_eps for F in outs],
@@ -197,7 +190,7 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
         names = []
         for i, F in enumerate(outs):
             name = f"extend_family_node{i:03d}.csv"
-            _write_boundary_csv(outdir / name, F, d0, 64, cfg)
+            _write_boundary_csv(outdir / name, F, d0, 64)
             names.append(name)
         (outdir / "immersions.json").write_text(dumps(result["immersions"]))
         result["artifacts"] = names + ["immersions.json"]
@@ -209,9 +202,7 @@ def _run_blend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     grid = grid_from_json(_need(data, "grid"))
     disc = disc_from_json(_need(data, "disc"))
     fam = SampledFamily(grid, maps, disc)
-    blended = blend_parametric(
-        fam, cfg.eps, degree_budget=cfg.degree_budget
-    )
+    blended = blend_parametric(fam, cfg.eps)
     if grid.q_indices:
         q_maps = {i: maps[i] for i in grid.q_indices}
         blended = fix_on_Q(blended, q_maps, original=fam, eps=cfg.eps)

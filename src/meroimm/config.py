@@ -1,8 +1,8 @@
-"""Default tolerances and run configuration.
+"""Tolerances and run configuration.
 
-The values here are the desk-scale defaults (degree <= 64 polynomials,
-domains of diameter a few units); the entry points that take a tolerance as
-a keyword default to them.
+The tolerances here are constants at desk scale (degree <= 64 polynomials,
+domains of diameter a few units); each layer reads its own from this module.
+The one run setting is the accuracy target eps.
 """
 from __future__ import annotations
 
@@ -35,54 +35,60 @@ COUNT_EVAL_BUDGET = 400_000
 
 # Truncation degrees tried by the disc approximation routines.
 DEGREE_SCHEDULE = (8, 16, 32, 64, 128, 256)
-DEGREE_BUDGET = 256
+DEGREE_BUDGET = DEGREE_SCHEDULE[-1]
 
 ENV_PREFIX = "MEROIMM_"
 
 
+def check_eps(eps: float) -> None:
+    """Refuse an accuracy target that is not a finite positive number."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be a finite positive number, not {eps}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances and budgets for a CLI run.
+    """The settings of a CLI run: the accuracy target ``eps``.
 
-    These fields are the one list of run settings: the CLI flag
-    ``--tol-root`` and the environment variable ``MEROIMM_TOL_ROOT`` are
-    made from the field ``tol_root``, and each setting's type is its
-    default's.  Values are resolved flag > environment > default.  A float
-    setting that is not a finite positive number, or an int setting below
-    1, raises InputError.
+    These fields are the one list of run settings: the CLI flag ``--eps``
+    and the environment variable ``MEROIMM_EPS`` are made from the field
+    ``eps``.  Values are resolved flag > environment > default.  An eps that
+    is not a finite positive number raises InputError.
     """
 
     eps: float = 1e-3
-    tol_residue: float = RESIDUE_TOL
-    tol_root: float = ROOT_TOL
-    tol_quad: float = QUAD_TOL
-    degree_budget: int = DEGREE_BUDGET
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, int):
-                if value < 1:
-                    raise InputError(f"{f.name} must be >= 1")
-            elif not (math.isfinite(value) and value > 0):
-                raise InputError(f"{f.name} must be a finite positive number, not {value}")
+        check_eps(self.eps)
 
     def tolerances(self) -> dict:
-        """The run's settings, plus the fixed boundary clearance factor."""
-        return {**asdict(self), "clearance_factor": CLEARANCE_FACTOR}
+        """The run's settings plus the fixed tolerances, as reports list them."""
+        return {
+            **asdict(self),
+            "tol_residue": RESIDUE_TOL,
+            "tol_root": ROOT_TOL,
+            "tol_quad": QUAD_TOL,
+            "degree_budget": DEGREE_BUDGET,
+            "clearance_factor": CLEARANCE_FACTOR,
+        }
 
 
 def config_from_env(overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from MEROIMM_* environment variables plus overrides."""
+    """Build a RunConfig from MEROIMM_* environment variables plus overrides.
+
+    A MEROIMM_* variable that names no setting raises InputError.
+    """
     values: dict = {}
-    for f in fields(RunConfig):
-        cast, var = type(f.default), ENV_PREFIX + f.name.upper()
-        raw = os.environ.get(var)
-        if raw is not None:
-            try:
-                values[f.name] = cast(raw)
-            except ValueError as exc:
-                raise InputError(f"{var}={raw!r} is not a valid {cast.__name__}") from exc
+    known = {ENV_PREFIX + f.name.upper(): f for f in fields(RunConfig)}
+    for var in sorted(v for v in os.environ if v.startswith(ENV_PREFIX)):
+        if var not in known:
+            raise InputError(f"{var} names no setting; the settings are {', '.join(known)}")
+        raw, f = os.environ[var], known[var]
+        cast = type(f.default)
+        try:
+            values[f.name] = cast(raw)
+        except ValueError as exc:
+            raise InputError(f"{var}={raw!r} is not a valid {cast.__name__}") from exc
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)

@@ -18,17 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .config import (
-    DEGREE_BUDGET,
-    QUAD_TOL,
-    RESIDUE_TOL,
-    ROOT_TOL,
-)
+from .config import DEGREE_BUDGET, QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
 from .blending import _taylor_truncations
 from .contours import Disc, circle_primitive, circle_samples, integrate_pieces
 from .errors import (
@@ -116,7 +111,6 @@ def constrained_eta(
     *,
     disc: Disc,
     center: complex,
-    degree_budget: int = DEGREE_BUDGET,
 ) -> ConstrainedEta:
     """Polynomial eta-tilde with eta-tilde(a) = c_a exactly at every pole and
     sampled sup |eta-tilde - eta| < eps_eta on the disc, for eta = h'/h.
@@ -168,12 +162,12 @@ def constrained_eta(
     rho = 0.5 * (r_eff + R) if math.isfinite(R) else 2.0 * r_eff
     rho = min(rho, 4.0 * r_eff)
 
-    z = circle_samples(center, rho, max(2048, 8 * degree_budget))
+    z = circle_samples(center, rho, max(2048, 8 * DEGREE_BUDGET))
     with np.errstate(all="ignore"):
         residual = (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
     if not np.all(np.isfinite(residual)):
         raise InternalConsistencyError("residual sampling hit a singularity")
-    truncations = _taylor_truncations(residual[None], center, rho, degree_budget, [True])
+    truncations = _taylor_truncations(residual[None], center, rho, [True])
 
     # sampled error check on the disc boundary (max principle: the difference
     # is holomorphic on the disc, so the boundary sup bounds the interior)
@@ -338,14 +332,9 @@ class IntegralImmersion:
         keep = deltas != 0
         return starts[keep], deltas[keep]
 
-    def evaluate(
-        self,
-        z: complex,
-        *,
-        side: int = 1,
-        quad_tol: float = QUAD_TOL,
-    ) -> SpherePoint:
-        """Value at z by path integration from the base point.
+    def evaluate(self, z: complex, *, side: int = 1) -> SpherePoint:
+        """Value at z by path integration from the base point, to the
+        quadrature tolerance QUAD_TOL.
 
         A non-finite z raises InputError.  Pole locations return INF
         exactly; a value too large for double precision (the integrand
@@ -361,7 +350,7 @@ class IntegralImmersion:
         if len(starts) == 0:
             return self.base_value
         try:
-            val = integrate_pieces(self._integrand, starts, deltas, quad_tol)
+            val = integrate_pieces(self._integrand, starts, deltas, QUAD_TOL)
         except PathTooCloseError:
             return INF  # integrand overflow: the value has left double range
         return self.base_value + val
@@ -369,19 +358,13 @@ class IntegralImmersion:
     def __call__(self, z: complex) -> SpherePoint:
         return self.evaluate(z)
 
-    def values_on_circle(
-        self,
-        center: complex,
-        radius: float,
-        n: int,
-        *,
-        quad_tol: float = QUAD_TOL,
-    ) -> np.ndarray:
+    def values_on_circle(self, center: complex, radius: float, n: int) -> np.ndarray:
         """Values at the n samples circle_samples(center, radius, n): the one
         farthest from the poles by :meth:`evaluate`, the others from it by the
-        periodic rule (:func:`circle_primitive`) on 64 to 2^14 nodes, at least
-        4 (deg xi + 1), below which exp(xi) aliases unseen.  A closure defect
-        over 1e4 quad_tol + 1e-10 int |dF| is a residue: InternalConsistencyError.
+        periodic rule (:func:`circle_primitive`) to the quadrature tolerance
+        QUAD_TOL on 64 to 2^14 nodes, at least 4 (deg xi + 1), below which
+        exp(xi) aliases unseen.  A closure defect
+        over 1e4 QUAD_TOL + 1e-10 int |dF| is a residue: InternalConsistencyError.
         A pole within a detour radius of the circle, an INF entry, a non-finite
         sample or the cap sends every sample to :meth:`evaluate`, whose INF
         comes back as complex("inf").  n < 1, or a non-finite center or
@@ -394,16 +377,15 @@ class IntegralImmersion:
         locs = np.array(self.poles.locations, dtype=complex)
         rule = None
         if np.all(np.abs(np.abs(locs - center) - radius) > self.detour_radius):
-            rule = circle_primitive(self._integrand, center, radius, n, quad_tol,
+            rule = circle_primitive(self._integrand, center, radius, n, QUAD_TOL,
                                     start=4 * len(self.xi.coeffs))
         k0 = int(np.argmax(np.abs(ring[:, None] - locs).min(axis=1, initial=math.inf)))
-        base = self.evaluate(complex(ring[k0]), quad_tol=quad_tol)
+        base = self.evaluate(complex(ring[k0]))
         if rule is None or is_inf(base):
-            vals = (base if k == k0 else self.evaluate(z, quad_tol=quad_tol)
-                    for k, z in enumerate(ring))
+            vals = (base if k == k0 else self.evaluate(z) for k, z in enumerate(ring))
             return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
         prim, defect, mass = rule
-        if abs(defect) > 1e4 * quad_tol + 1e-10 * mass:
+        if abs(defect) > 1e4 * QUAD_TOL + 1e-10 * mass:
             raise InternalConsistencyError(f"nonzero residue (closure defect {abs(defect):.2e})")
         return complex(base) + (prim - prim[k0])
 
@@ -444,15 +426,12 @@ class IntegralImmersion:
 def _pipeline_data(F: Factored, fp: Factored, d1: Disc):
     """Pole set in the big disc and the factored cleared derivative h, from
     the factored map and derivative."""
-    def in_big(a):
-        return abs(a - d1.center) <= d1.radius
-
-    inside = F.poles.filter(in_big)
+    inside = F.poles.filter(d1.contains)
     if any(m != 1 for _, m in inside):
         raise PreconditionError(
             "extension requires simple, pairwise distinct poles in the big disc"
         )
-    return inside, fp.cleared(in_big)
+    return inside, fp.cleared(d1.contains)
 
 
 def _choose_base_point(d0: Disc, poles: PoleSet) -> complex:
@@ -475,11 +454,6 @@ def extend_immersion(
     d0: Disc,
     d1: Disc,
     eps: float,
-    *,
-    root_tol: float = ROOT_TOL,
-    residue_tol: float = RESIDUE_TOL,
-    quad_tol: float = QUAD_TOL,
-    degree_budget: int = DEGREE_BUDGET,
 ) -> IntegralImmersion:
     """Extend a sphere immersion from the small disc to the big one.
 
@@ -489,11 +463,7 @@ def extend_immersion(
     difference where both maps are finite, by the maximum principle).  That
     measured distance is returned as the output's ``achieved_eps``.
     """
-    return _extend(
-        f, f.factor(root_tol=root_tol), d0, d1, eps,
-        residue_tol=residue_tol, quad_tol=quad_tol,
-        degree_budget=degree_budget, approx_disc=None,
-    )
+    return _extend(f, f.factor(), d0, d1, eps)
 
 
 def _extend(
@@ -502,20 +472,16 @@ def _extend(
     d0: Disc,
     d1: Disc,
     eps: float,
-    *,
-    residue_tol: float,
-    quad_tol: float,
-    degree_budget: int,
-    approx_disc: Disc | None,
+    approx_disc: Disc | None = None,
 ) -> IntegralImmersion:
     """extend_immersion of f, factored as F.
 
     ``approx_disc`` widens the disc on which f is certified and its
     log-derivative matched; extend_family uses it to reproduce Q members,
-    which are already immersions on the big disc.
+    which are already immersions on the big disc.  An eps that is not a
+    finite positive number raises InputError.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    check_eps(eps)
     if not d1.contains_disc(d0, margin=1e-12):
         raise PreconditionError("the small disc must lie inside the big disc")
     disc = approx_disc or d0
@@ -543,7 +509,6 @@ def _extend(
             eps_eta,
             disc=disc,
             center=z0,
-            degree_budget=degree_budget,
         )
         out = IntegralImmersion(
             base_point=z0,
@@ -554,13 +519,15 @@ def _extend(
             eta_parts=parts,
         )
         worst_res = max((abs(r) for r in out.residues()), default=0.0)
-        if worst_res > residue_tol:
+        if worst_res > RESIDUE_TOL:
             raise InternalConsistencyError(
                 f"constructed integrand has residue {worst_res:.2e}"
             )
-        sup = extension_boundary_error(f, out, d0, samples=256, quad_tol=quad_tol)
+        sup = extension_boundary_error(f, out, d0, samples=256)
         if sup < eps:
-            return replace(out, achieved_eps=sup)
+            # out is not shared yet: set the field, as a copy would derive xi again
+            object.__setattr__(out, "achieved_eps", sup)
+            return out
         last_err = min(last_err, sup)
         eps_eta /= 32.0
     raise DegreeBudgetError(
@@ -575,7 +542,6 @@ def extension_boundary_error(
     d0: Disc,
     *,
     samples: int = 256,
-    quad_tol: float = QUAD_TOL,
 ) -> float:
     """Sampled sup of the chordal distance between f and F on the disc boundary.
 
@@ -583,7 +549,7 @@ def extension_boundary_error(
     entry that is non-finite or above 1e140 in either goes through the
     scalar f and :func:`chordal_distance`, which handle poles and INF.
     """
-    vals = F.values_on_circle(d0.center, d0.radius, samples, quad_tol=quad_tol)
+    vals = F.values_on_circle(d0.center, d0.radius, samples)
     ring = circle_samples(d0.center, d0.radius, samples)
     fv = f(ring)
     # np.hypot rounds as abs() on a Python complex does
@@ -616,11 +582,6 @@ def extend_family(
     d0: Disc,
     d1: Disc,
     eps: float,
-    *,
-    root_tol: float = ROOT_TOL,
-    residue_tol: float = RESIDUE_TOL,
-    quad_tol: float = QUAD_TOL,
-    degree_budget: int = DEGREE_BUDGET,
 ) -> list[IntegralImmersion]:
     """Extend a sampled family, reproducing the members marked by the grid's Q.
 
@@ -630,19 +591,15 @@ def extend_family(
     factored once: the pole-continuity check and the member's extension read
     the same factors.
     Pole count must stay constant across grid cells; a jump raises
-    PoleCollisionError naming the cell, before any member is extended.
+    PoleCollisionError naming the cell, before any member is extended.  An
+    eps that is not a finite positive number raises InputError.
     """
+    check_eps(eps)  # Q members alone would see only min(eps, Q_EPS)
     if len(maps) != grid.npoints:
         raise InputError("one map per grid point required")
-    factors = [f.factor(root_tol=root_tol) for f in maps]
-    _check_pole_continuity(grid, [
-        F.poles.filter(lambda a: abs(a - d1.center) <= d1.radius) for F in factors
-    ])
+    factors = [f.factor() for f in maps]
+    _check_pole_continuity(grid, [F.poles.filter(d1.contains) for F in factors])
     return [
-        _extend(
-            f, F, d0, d1, min(eps, Q_EPS) if on_q else eps,
-            residue_tol=residue_tol, quad_tol=quad_tol,
-            degree_budget=degree_budget, approx_disc=d1 if on_q else None,
-        )
+        _extend(f, F, d0, d1, min(eps, Q_EPS) if on_q else eps, d1 if on_q else None)
         for f, F, on_q in zip(maps, factors, grid.q_mask)
     ]

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .config import CLEARANCE_FACTOR, ROOT_TOL
+from .config import CLEARANCE_FACTOR
 from .contours import Contour, Disc, argument_principle_count, winding_number
 from .errors import (
     InputError,
@@ -182,8 +182,6 @@ def verify_immersion(
     f: RationalMap,
     D,
     target: Target = "CP1",
-    *,
-    root_tol: float = ROOT_TOL,
 ) -> ImmersionCertificate:
     """Certify whether f immerses the domain into the chosen target.
 
@@ -196,7 +194,7 @@ def verify_immersion(
     between a boundary circle and its inscribed polygon, or within the
     clearance of either, raises SingularityOnBoundaryError.
     """
-    return _certify(f.factor(root_tol=root_tol), D, target)[0]
+    return _certify(f.factor(), D, target)[0]
 
 
 def chart_transition_winding(contour: Contour) -> int:
@@ -229,8 +227,6 @@ def classify(
     f: RationalMap,
     M: CircularDomain,
     target: Target = "CP1",
-    *,
-    root_tol: float = ROOT_TOL,
 ) -> HomotopyClass:
     """Winding classes of f' on the basis loops of the domain.
 
@@ -240,7 +236,7 @@ def classify(
     basis loop's clearance raises PathTooCloseError from the winding of f'.
     """
     M = _as_domain(M)
-    F = f.factor(root_tol=root_tol)
+    F = f.factor()
     cert, fp = _certify(F, M, target)
     if not cert.valid:
         raise NotAnImmersionError("not an immersion: classification undefined")
@@ -253,16 +249,14 @@ def same_component(
     g: RationalMap,
     M: CircularDomain,
     target: Target = "CP1",
-    *,
-    root_tol: float = ROOT_TOL,
 ) -> bool:
     """Whether f and g can be joined by a path of immersions into the target.
 
     Plane targets compare the integer winding vectors; sphere targets only
     their parities.
     """
-    cf = classify(f, M, target, root_tol=root_tol)
-    cg = classify(g, M, target, root_tol=root_tol)
+    cf = classify(f, M, target)
+    cg = classify(g, M, target)
     return cf.component == cg.component
 
 

@@ -204,7 +204,7 @@ def _root_accepted(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> b
 
 
 def _cluster(
-    p: ComplexPolynomial, dp: ComplexPolynomial, approx: np.ndarray, root_tol: float
+    p: ComplexPolynomial, dp: ComplexPolynomial, approx: np.ndarray
 ) -> list[list[complex]]:
     """Group approximations whose Newton inclusion discs overlap.
 
@@ -227,7 +227,7 @@ def _cluster(
         # the evaluated p(z) is noise and says nothing about the distance
         pz = max(pz, 2.0 * n * _EPS * p.horner_scale(abs(z)))
         if d < 1e-300:
-            radii.append(10.0 * root_tol)
+            radii.append(10.0 * ROOT_TOL)
         else:
             radii.append(min(0.1, 4.0 * n * pz / d))
     order = sorted(range(len(approx)), key=lambda i: (approx[i].real, approx[i].imag))
@@ -235,7 +235,7 @@ def _cluster(
     for i in order:
         for cl in clusters:
             if any(
-                abs(approx[i] - approx[j]) <= 2.0 * root_tol + radii[i] + radii[j]
+                abs(approx[i] - approx[j]) <= 2.0 * ROOT_TOL + radii[i] + radii[j]
                 for j in cl
             ):
                 cl.append(i)
@@ -270,9 +270,7 @@ def _polish(p: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
     return z
 
 
-def roots(
-    p: ComplexPolynomial, *, root_tol: float = ROOT_TOL
-) -> list[tuple[complex, int]]:
+def roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, sorted by (real, imag).
 
     Degrees 1 and 2 use closed forms; higher degrees take the eigenvalues of
@@ -302,12 +300,12 @@ def roots(
 
     dp = p.derivative()
     out: list[tuple[complex, int]] = []
-    for cl in _cluster(p, dp, approx, root_tol):
+    for cl in _cluster(p, dp, approx):
         m = len(cl)
         center = sum(cl) / m
         spread = max((abs(c - center) for c in cl), default=0.0)
         z = _polish(p, center, m)
-        if abs(z - center) > 10.0 * max(root_tol, spread):
+        if abs(z - center) > 10.0 * max(ROOT_TOL, spread):
             z = center  # polish wandered off; keep the cluster centroid
         out.append((z, m))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))

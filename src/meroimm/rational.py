@@ -37,12 +37,13 @@ from .sphere import INF, SpherePoint
 class PoleSet:
     """Pole locations with orders, sorted by (real, imag).
 
-    Locations must be pairwise distinct beyond the root-separation tolerance.
+    Locations must be pairwise distinct beyond the root-separation tolerance
+    ROOT_TOL.
     """
 
     entries: tuple[tuple[complex, int], ...]
 
-    def __init__(self, entries, *, root_tol: float = ROOT_TOL):
+    def __init__(self, entries):
         es = sorted(
             ((complex(a), int(m)) for a, m in entries),
             key=lambda e: (e[0].real, e[0].imag),
@@ -51,7 +52,7 @@ class PoleSet:
             if es[i][1] < 1:
                 raise InputError("pole orders must be positive")
             for j in range(i):
-                if abs(es[i][0] - es[j][0]) <= root_tol:
+                if abs(es[i][0] - es[j][0]) <= ROOT_TOL:
                     raise InputError(
                         f"poles {es[j][0]} and {es[i][0]} coincide within tolerance"
                     )
@@ -172,7 +173,7 @@ class RationalMap:
 
     # -- structure ----------------------------------------------------------
 
-    def factor(self, *, root_tol: float = ROOT_TOL) -> "Factored":
+    def factor(self) -> "Factored":
         """The reduced map with its zeros and poles, each polynomial solved once.
 
         Reduction cancels common roots of num and den, found by matching the
@@ -185,10 +186,10 @@ class RationalMap:
         num, den = self.num, self.den
         num_roots = den_roots = None
         if den.degree >= 1 and num.degree >= 1:
-            den_roots = roots(den, root_tol=root_tol)
-            num_roots = roots(num, root_tol=root_tol)
+            den_roots = roots(den)
+            num_roots = roots(num)
             for a, m in den_roots:
-                matches = [(b, k) for b, k in num_roots if abs(b - a) <= root_tol]
+                matches = [(b, k) for b, k in num_roots if abs(b - a) <= ROOT_TOL]
                 k_total = sum(k for _, k in matches)
                 t = min(m, k_total)
                 if t == 0:
@@ -210,34 +211,33 @@ class RationalMap:
                 return []
             if known is not None and p.coeffs == given.coeffs:
                 return known
-            return roots(p, root_tol=root_tol)
+            return roots(p)
 
         return Factored(
             red,
             tuple(solved(red.num, self.num, num_roots)),
-            PoleSet(solved(red.den, self.den, den_roots), root_tol=root_tol),
-            root_tol,
+            PoleSet(solved(red.den, self.den, den_roots)),
         )
 
-    def reduced(self, *, root_tol: float = ROOT_TOL) -> "RationalMap":
+    def reduced(self) -> "RationalMap":
         """Common roots of num and den cancelled, den monic (see :meth:`factor`)."""
-        return self.factor(root_tol=root_tol).map
+        return self.factor().map
 
-    def derivative(self, *, root_tol: float = ROOT_TOL) -> "RationalMap":
+    def derivative(self) -> "RationalMap":
         """The derivative, with the common pole factors cancelled (see
         :meth:`Factored.derivative`); its numerator is not solved."""
         if self.is_polynomial:
             return RationalMap(self.as_polynomial().derivative())
-        F = self.factor(root_tol=root_tol)
+        F = self.factor()
         return _quotient_rule(F.map, F.poles)
 
-    def pole_set(self, *, root_tol: float = ROOT_TOL) -> PoleSet:
+    def pole_set(self) -> PoleSet:
         """Denominator roots with multiplicities, after reduction."""
-        return self.factor(root_tol=root_tol).poles
+        return self.factor().poles
 
-    def zero_set(self, *, root_tol: float = ROOT_TOL) -> list[tuple[complex, int]]:
+    def zero_set(self) -> list[tuple[complex, int]]:
         """Numerator roots of the reduced map."""
-        return list(self.factor(root_tol=root_tol).zeros)
+        return list(self.factor().zeros)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -342,7 +342,6 @@ class Factored:
     map: RationalMap
     zeros: tuple[tuple[complex, int], ...]
     poles: PoleSet
-    root_tol: float = ROOT_TOL
 
     def derivative(self) -> "Factored":
         """f' with poles (a, m+1) from the poles (a, m) of f.
@@ -351,9 +350,9 @@ class Factored:
         of the (z-a)^(m+1) factors and never reaches the root solver.
         """
         fp = _quotient_rule(self.map, self.poles)
-        zeros = roots(fp.num, root_tol=self.root_tol) if fp.num.degree >= 1 else []
-        poles = PoleSet([(a, m + 1) for a, m in self.poles], root_tol=self.root_tol)
-        return Factored(fp, tuple(zeros), poles, self.root_tol)
+        zeros = roots(fp.num) if fp.num.degree >= 1 else []
+        poles = PoleSet([(a, m + 1) for a, m in self.poles])
+        return Factored(fp, tuple(zeros), poles)
 
     def cleared(self, drop) -> "Factored":
         """The map times the product of (z-a)^m over its poles a with drop(a).
@@ -365,7 +364,7 @@ class Factored:
         """
         rest = self.poles.filter(lambda a: not drop(a))
         den = ComplexPolynomial.from_roots([a for a, m in rest for _ in range(m)])
-        return Factored(RationalMap(self.map.num, den), self.zeros, rest, self.root_tol)
+        return Factored(RationalMap(self.map.num, den), self.zeros, rest)
 
     def winding(self, contour) -> int:
         """Winding number of the map along a closed polyline, from its factors.

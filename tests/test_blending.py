@@ -59,7 +59,7 @@ def test_poly_approx_exponential():
 def test_poly_approx_budget():
     f = R(P([1]), P.from_roots([1.01]))
     with pytest.raises(DegreeBudgetError):
-        poly_approx_on_disc(f, UNIT, 1e-12, degree_budget=32)
+        poly_approx_on_disc(f, UNIT, 1e-12)
 
 
 def test_poly_approx_offcenter_disc():
@@ -305,7 +305,7 @@ def test_block_path_matches_one_row_path(disc):
     maps = mix + [R(P([1 + k]), P.from_roots([(2.0 + 0.2 * k) * np.exp(1j * k)]))
                   for k in range(14)] + mix
     assert len(maps) > blending._BLOCK_ROWS
-    block = list(blending._approximate_net(maps, disc, eps, 256))
+    block = list(blending._approximate_net(maps, disc, eps))
     assert len(block) == len(maps)
     for f, g in zip(maps, block):
         alone = poly_approx_on_disc(f, disc, eps)
@@ -329,13 +329,13 @@ def _precedence_net(budget_row, singular_row):
 def test_block_path_keeps_error_precedence():
     fam = _precedence_net(2, 5)
     with pytest.raises(DegreeBudgetError) as alone:
-        poly_approx_on_disc(fam.maps[2], UNIT, 1e-12 / 4.0, degree_budget=32)
+        poly_approx_on_disc(fam.maps[2], UNIT, 1e-12 / 4.0)
     with pytest.raises(DegreeBudgetError) as net:
-        blend_parametric(fam, 1e-12, net_stride=1, degree_budget=32)
+        blend_parametric(fam, 1e-12, net_stride=1)
     assert net.value.achieved == alone.value.achieved
     assert str(net.value) == str(alone.value)
     with pytest.raises(PreconditionError):
-        blend_parametric(_precedence_net(5, 2), 1e-12, net_stride=1, degree_budget=32)
+        blend_parametric(_precedence_net(5, 2), 1e-12, net_stride=1)
 
 
 def test_block_path_memory_does_not_grow_with_the_net():
@@ -348,7 +348,7 @@ def test_block_path_memory_does_not_grow_with_the_net():
     def peak(maps):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = list(blending._approximate_net(maps, UNIT, 1e-6, 256))
+        out = list(blending._approximate_net(maps, UNIT, 1e-6))
         assert len(out) == len(maps)
         return tracemalloc.get_traced_memory()[1] - before
 

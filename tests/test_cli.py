@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from meroimm import Disc, RationalMap, RunConfig, extension_boundary_error
+from meroimm import Disc, RunConfig, extension_boundary_error
 from meroimm.cli import main
 from meroimm.serialize import immersion_from_json, rational_from_json
 
@@ -43,11 +43,12 @@ def test_verify_valid(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["certificate"]["valid"] is True
-    assert report["config"]["tol_root"] == 1e-8
-    assert sorted(report["config"]) == [
-        "clearance_factor", "degree_budget", "eps", "tol_quad", "tol_residue",
-        "tol_root",
-    ]
+    # eps is the one setting; the report lists the fixed tolerances with it
+    assert report["config"] == {
+        "clearance_factor": 1e-6, "degree_budget": 256, "eps": 1e-3,
+        "tol_quad": 1e-10, "tol_residue": 1e-9, "tol_root": 1e-8,
+    }
+    assert type(report["config"]["degree_budget"]) is int
 
 
 def test_verify_false_verdict_is_ok_exit(tmp_path, capsys):
@@ -91,30 +92,6 @@ def test_wind_and_chart_check(tmp_path, capsys):
     p = write(tmp_path, "c.json", {"contour": circ})
     code, out, _ = run(capsys, "chart-check", p, "--json")
     assert code == 0 and json.loads(out)["result"]["transition_winding"] == -2
-
-
-def test_wind_factors_with_tol_root(tmp_path, capsys, monkeypatch):
-    seen = []
-    factor = RationalMap.factor
-
-    def recorder(self, **kwargs):
-        seen.append(kwargs.get("root_tol"))
-        return factor(self, **kwargs)
-
-    monkeypatch.setattr(RationalMap, "factor", recorder)
-    circ = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
-    for of, want in ((None, 3), ("derivative", 2)):
-        seen.clear()
-        body = {"map": zpow_json(3), "contour": circ}
-        if of:
-            body["of"] = of
-        p = write(tmp_path, "w.json", body)
-        code, out, _ = run(capsys, "wind", p, "--json", "--tol-root", "1e-7")
-        assert code == 0
-        report = json.loads(out)
-        assert report["result"]["winding"] == want
-        assert report["config"]["tol_root"] == 1e-7
-        assert seen == [1e-7]
 
 
 def test_seed(tmp_path, capsys):
@@ -257,18 +234,6 @@ def test_exit_code_numerical(tmp_path, capsys):
     assert code == 3
 
 
-def test_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MEROIMM_TOL_ROOT", "1e-7")
-    p = write(tmp_path, "in.json", {
-        "map": zpow_json(1),
-        "domain": {"center": [0.0, 0.0], "radius": 1.0},
-        "target": "C",
-    })
-    code, out, _ = run(capsys, "verify", p, "--json")
-    assert code == 0
-    assert json.loads(out)["config"]["tol_root"] == 1e-7
-
-
 def _verify_input(tmp_path):
     return write(tmp_path, "in.json", {
         "map": zpow_json(1),
@@ -277,7 +242,7 @@ def _verify_input(tmp_path):
     })
 
 
-@pytest.mark.parametrize("flags", [("--eps", "-1"), ("--tol-residue", "nan")])
+@pytest.mark.parametrize("flags", [("--eps", "-1"), ("--eps", "nan")])
 def test_invalid_flag_is_input_error(tmp_path, capsys, flags):
     code, _, err = run(capsys, "verify", _verify_input(tmp_path), *flags)
     assert code == 1
@@ -304,6 +269,21 @@ def test_every_setting_by_flag_and_env(tmp_path, capsys, monkeypatch, field):
     # the flag wins over the environment
     code, out, _ = run(capsys, "verify", path, "--json", flag, str(other))
     assert code == 0 and json.loads(out)["config"][field.name] == other
+
+
+@pytest.mark.parametrize("name", ["degree_budget", "tol_quad", "tol_residue", "tol_root"])
+def test_removed_setting_is_refused(tmp_path, capsys, monkeypatch, name):
+    # the tolerances are constants: a leftover flag or variable is refused,
+    # never silently ignored
+    path = _verify_input(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--" + name.replace("_", "-"), "1e-7"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    var = "MEROIMM_" + name.upper()
+    monkeypatch.setenv(var, "1e-7")
+    code, _, err = run(capsys, "verify", path)
+    assert code == 1
+    assert err.startswith("input error:") and var in err
 
 
 # each body lacks a field or holds a value of the wrong kind

@@ -22,15 +22,19 @@ from meroimm import (
     PoleSet,
     PreconditionError,
     RationalMap,
+    SampledFamily,
+    blend_parametric,
     chordal_distance,
     constrained_eta,
     extend_family,
     extend_immersion,
     extension_boundary_error,
+    fix_on_Q,
     is_inf,
+    poly_approx_on_disc,
     residue_targets,
 )
-from meroimm.config import QUAD_TOL
+from meroimm.config import QUAD_TOL, RESIDUE_TOL
 from meroimm.contours import circle_samples, integrate_pieces
 
 P = ComplexPolynomial
@@ -131,8 +135,7 @@ def test_constrained_eta_singular_on_disc():
 def test_constrained_eta_degree_budget():
     h = R(P.from_roots([1.05]))  # eta = 1/(z-1.05): hugs the disc
     with pytest.raises(DegreeBudgetError) as exc:
-        constrained_eta(h, PoleSet(()), [], 1e-12, disc=D0, center=0j,
-                        degree_budget=16)
+        constrained_eta(h, PoleSet(()), [], 1e-12, disc=D0, center=0j)
     assert exc.value.achieved is not None
 
 
@@ -219,6 +222,88 @@ def test_extend_base_point_nudges_off_pole():
     F = extend_immersion(f, D0, D1, 1e-3)
     assert abs(F.base_point - 0.01) > 0.05
     assert F.achieved_eps == extension_boundary_error(f, F, D0) < 1e-3
+
+
+def test_extend_derives_xi_once_per_round(monkeypatch):
+    # achieved_eps goes on the extension the round built, not on a copy that
+    # would take the antiderivative again
+    calls = []
+    antiderivative = P.antiderivative
+
+    def counting(self, *args):
+        calls.append(self)
+        return antiderivative(self, *args)
+
+    monkeypatch.setattr(P, "antiderivative", counting)
+    f = R(P([1]), P.from_roots([0.3]))
+    F = extend_immersion(f, D0, D1, 1e-3)
+    assert len(calls) == 1
+    assert F.achieved_eps == extension_boundary_error(f, F, D0) < 1e-3
+
+
+def test_extend_tightens_eta_after_a_boundary_miss(monkeypatch):
+    fitted = []
+    fit = meroimm.extension.constrained_eta
+    measure = meroimm.extension.extension_boundary_error
+    misses = [0.5]
+
+    def recording(h, poles, targets, eps_eta, **kwargs):
+        fitted.append(eps_eta)
+        return fit(h, poles, targets, eps_eta, **kwargs)
+
+    def boundary_error(f, F, d0, **kwargs):
+        return misses.pop() if misses else measure(f, F, d0, **kwargs)
+
+    monkeypatch.setattr(meroimm.extension, "constrained_eta", recording)
+    monkeypatch.setattr(meroimm.extension, "extension_boundary_error", boundary_error)
+    f = R(P([0, 1, 0, 0, 0, 0.1]))
+    F = extend_immersion(f, D0, D1, 1e-3)
+    assert fitted == [1e-3 / 128.0, 1e-3 / 128.0 / 32.0]
+    assert F.achieved_eps == measure(f, F, D0) < 1e-3
+
+
+def test_extend_reports_its_best_miss(monkeypatch):
+    misses = [0.2, 0.1, 0.3, 0.4]  # popped from the end, one per round
+    monkeypatch.setattr(meroimm.extension, "extension_boundary_error",
+                        lambda *args, **kwargs: misses.pop())
+    with pytest.raises(DegreeBudgetError, match="chordal target 0.001 not reached") as exc:
+        extend_immersion(R(P([0, 1])), D0, D1, 1e-3)
+    assert exc.value.achieved == 0.1 and not misses
+
+
+def test_extend_refuses_a_residue_above_tolerance(monkeypatch):
+    f = R(P([1]), P.from_roots([0.3]))
+    Immersion = meroimm.extension.IntegralImmersion
+    monkeypatch.setattr(Immersion, "residues", lambda self: [RESIDUE_TOL])
+    assert extend_immersion(f, D0, D1, 1e-3).achieved_eps < 1e-3
+    monkeypatch.setattr(Immersion, "residues", lambda self: [0j, 2.0 * RESIDUE_TOL])
+    with pytest.raises(InternalConsistencyError, match="residue 2.00e-09"):
+        extend_immersion(f, D0, D1, 1e-3)
+
+
+_IDENTITY_FAMILY = SampledFamily(ParamGrid.line(2, q_nodes=[0, 1]), [R(P([0, 1]))] * 2, D0)
+
+# every entry point that takes an accuracy target; the family is all Q, whose
+# members are fitted to min(eps, Q_EPS)
+_EPS_ENTRY_POINTS = {
+    "extend_immersion": lambda eps: extend_immersion(R(P([0, 1])), D0, D1, eps),
+    "extend_family": lambda eps: extend_family(
+        list(_IDENTITY_FAMILY.maps), _IDENTITY_FAMILY.grid, D0, D1, eps),
+    "blend_parametric": lambda eps: blend_parametric(_IDENTITY_FAMILY, eps),
+    "poly_approx_on_disc": lambda eps: poly_approx_on_disc(
+        R(P([1]), P.from_roots([2.0])), D0, eps),
+    "fix_on_Q": lambda eps: fix_on_Q(
+        _IDENTITY_FAMILY, dict(enumerate(_IDENTITY_FAMILY.maps)),
+        original=_IDENTITY_FAMILY, eps=eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-3])
+@pytest.mark.parametrize("entry", sorted(_EPS_ENTRY_POINTS))
+def test_entry_points_refuse_a_bad_eps(entry, eps):
+    with pytest.raises(InputError, match="finite positive"):
+        _EPS_ENTRY_POINTS[entry](eps)
+    _EPS_ENTRY_POINTS[entry](1e-3)
 
 
 def test_sampled_nonvanishing_derivative(rng):
@@ -367,18 +452,18 @@ def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):
     # and its value there is INF
     F = extend_immersion(R(P([1]), P.from_roots([1.5])), D0, D1, 1e-3)
     evaluate = meroimm.extension.IntegralImmersion.evaluate
-    tols = []
+    seen = []
 
     def recording(self, z, **kw):
-        tols.append(kw.get("quad_tol"))
+        seen.append(z)
         return evaluate(self, z, **kw)
 
     monkeypatch.setattr(meroimm.extension.IntegralImmersion, "evaluate", recording)
-    vals = F.values_on_circle(0, 1.5, 16, quad_tol=1e-9)
-    assert tols == [1e-9] * 16
+    vals = F.values_on_circle(0, 1.5, 16)
+    assert len(seen) == 16
     assert vals[0] == complex("inf")
     for z, v in zip(circle_samples(0j, 1.5, 16)[1:], vals[1:]):
-        assert v == evaluate(F, complex(z), quad_tol=1e-9)
+        assert v == evaluate(F, complex(z))
     # extension_boundary_error takes the INF entry through chordal_distance
     f = R(P([1]), P.from_roots([1.5]))
     assert extension_boundary_error(f, F, Disc(0, 1.5), samples=16) < 1e-3
@@ -477,7 +562,7 @@ class _FixedValues:
     def __init__(self, vals):
         self.vals = vals
 
-    def values_on_circle(self, center, radius, n, *, quad_tol):
+    def values_on_circle(self, center, radius, n):
         return self.vals
 
 
