@@ -3,7 +3,8 @@
 The subcommands are the keys of COMMANDS.  Every run emits a
 machine-readable report that embeds the tolerances used; identical inputs
 and configuration produce byte-identical reports.  Exit codes: 0 ok, 1 input
-error, 2 precondition failure, 3 numerical-budget failure.
+error (a bad command line too), 2 precondition failure, 3 numerical-budget
+failure.
 
 Each field of RunConfig is a flag (``eps`` gives ``--eps``) that falls back
 to its MEROIMM_* environment variable (``MEROIMM_EPS``), then to the
@@ -252,8 +253,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with InputError, so that it exits 1 as any
+    other bad input does; argparse would exit 2, a precondition failure."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meroimm",
         description=(
             "Verify, classify, extend, and blend meromorphic immersions of "
@@ -276,9 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    _, run, summary = COMMANDS[args.command]
     try:
+        args = _build_parser().parse_args(argv)
+        _, run, summary = COMMANDS[args.command]
         cfg = config_from_env({f.name: getattr(args, f.name) for f in fields(RunConfig)})
         data = _load_input(args.input)
         outdir = None

@@ -17,10 +17,15 @@ because samples cannot rule out a full turn between two of them.
 Zero/pole counts come independently from the argument-principle integral,
 taken by a trapezoid rule that doubles its nodes until the count settles at
 an integer.
+Fixed geometry is built once per process and shared read-only.  Unit roots,
+sampled circles and first quadrature meshes are memoized in LRU caches of
+_CACHE_SIZE entries each, which keep no set of more than _CACHE_NODES nodes;
+a contour computes its chords and diameter once.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,6 +36,15 @@ from .config import CLEARANCE_FACTOR, COUNT_EVAL_BUDGET, QUAD_TOL
 from .errors import InputError, PathTooCloseError, QuadratureBudgetError
 from .poly import ComplexPolynomial
 from .rational import Factored, RationalMap
+
+_CACHE_SIZE = 32  # entries per cache of fixed geometry
+_CACHE_NODES = 2 ** 14  # largest node set a cache keeps
+
+
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 @dataclass(frozen=True)
@@ -62,17 +76,29 @@ class Disc:
         return abs(abs(complex(z) - self.center) - self.radius)
 
 
-def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.0) -> np.ndarray:
-    """The n points center + radius exp(2 pi i (k + offset)/n), k = 0..n-1."""
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _unit_roots(n: int, offset: float) -> np.ndarray:
     th = 2.0 * math.pi * (np.arange(n) + offset) / n
-    return center + radius * np.exp(1j * th)
+    return _read_only(np.exp(1j * th))
+
+
+def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.0) -> np.ndarray:
+    """The n points center + radius exp(2 pi i (k + offset)/n), k = 0..n-1.
+
+    The unit roots are memoized by (n, offset) and shared read-only; the
+    returned array is new on every call and writeable.
+    """
+    roots = (_unit_roots if n <= _CACHE_NODES else _unit_roots.__wrapped__)(n, offset)
+    return center + radius * roots
 
 
 @dataclass(frozen=True)
 class Contour:
     """Piecewise-linear sampled path; closed paths repeat the first sample last.
 
-    ``points`` holds the samples as a read-only complex array.
+    ``points`` holds the samples as a read-only complex array.  A contour is
+    immutable: :meth:`circle` shares one instance between equal calls, and
+    the chords and diameter are computed once per contour, read-only.
     """
 
     samples: tuple[complex, ...]
@@ -101,18 +127,22 @@ class Contour:
         samples: int = 256,
         turns: int = 1,
     ) -> "Contour":
-        """Uniformly sampled circle; ``turns`` may be negative for clockwise."""
-        if not 0 < radius < math.inf:
+        """Uniformly sampled circle; ``turns`` may be negative for clockwise.
+
+        Equal arguments, as complex, float and int, give one shared
+        instance: circles of up to _CACHE_NODES samples are memoized.
+        """
+        key = (complex(center), float(radius), int(samples), int(turns))
+        if not 0 < key[1] < math.inf:
             raise InputError("circle radius must be positive and finite")
+        if key[2:] != (samples, turns):
+            raise InputError("samples and turns must be integers")
         if turns == 0:
             raise InputError("turns must be nonzero")
         if samples < 8:
             raise InputError("need at least 8 samples per turn")
-        sign = 1 if turns > 0 else -1
-        th = sign * (2.0 * math.pi * np.arange(samples * abs(turns))) / samples
-        pts = (complex(center) + radius * np.exp(1j * th)).tolist()
-        pts.append(pts[0])
-        return cls(pts, closed=True)
+        build = _circle if key[2] * abs(key[3]) <= _CACHE_NODES else _circle.__wrapped__
+        return build(cls, *key)
 
     @classmethod
     def segment(cls, a: complex, b: complex, samples: int = 2) -> "Contour":
@@ -129,11 +159,17 @@ class Contour:
             pts.append(pts[0])
         return cls(tuple(pts), closed=closed)
 
-    @property
+    @functools.cached_property
     def diameter(self) -> float:
-        xs = [s.real for s in self.samples]
-        ys = [s.imag for s in self.samples]
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        zs = self.points
+        return math.hypot(float(np.ptp(zs.real)), float(np.ptp(zs.imag)))
+
+    @functools.cached_property
+    def _chords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """points[:-1], the chords and their squared lengths."""
+        d = np.diff(self.points)
+        # np.hypot rounds as abs() on a Python complex does; np.abs may not
+        return _read_only(self.points[:-1], d, np.hypot(d.real, d.imag) ** 2)
 
     @property
     def length(self) -> float:
@@ -146,12 +182,20 @@ class Contour:
     def distance_to(self, z):
         """Distance from z to the polyline; an array of points gives an array."""
         z = np.asarray(z, dtype=complex)[..., None]
-        a, d = self.points[:-1], np.diff(self.points)
-        # np.hypot rounds as abs() on a Python complex does; np.abs may not
-        t = ((z - a).real * d.real + (z - a).imag * d.imag) / np.hypot(d.real, d.imag) ** 2
+        a, d, dd = self._chords
+        t = ((z - a).real * d.real + (z - a).imag * d.imag) / dd
         w = z - (a + np.clip(t, 0.0, 1.0) * d)
         out = np.min(np.hypot(w.real, w.imag), axis=-1)
         return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _circle(cls, center: complex, radius: float, samples: int, turns: int) -> Contour:
+    sign = 1 if turns > 0 else -1
+    th = sign * (2.0 * math.pi * np.arange(samples * abs(turns))) / samples
+    pts = (center + radius * np.exp(1j * th)).tolist()
+    pts.append(pts[0])
+    return cls(pts, closed=True)
 
 
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -190,6 +234,18 @@ _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 _MESH = 10
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _first_round(counts: tuple[int, ...]):
+    """The first mesh for pieces of counts[k] equal panels: each panel's
+    piece, its piece's panel count, midpoint and half-width in t, and its 15
+    nodes in t."""
+    seg = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(seg)) - np.searchsorted(seg, seg)  # panel index within its piece
+    m = np.array(counts, dtype=float)[seg]
+    mid, half = (j + 0.5) / m, 0.5 / m
+    return _read_only(seg, m, mid, half, mid[:, None] + half[:, None] * _XK)
+
+
 def integrate_pieces(
     fz: Callable[[np.ndarray], np.ndarray],
     za: np.ndarray,
@@ -214,10 +270,12 @@ def integrate_pieces(
     against ``eval_budget``.  The first round is always evaluated in full;
     after any round, a next round that would take the count past the budget
     raises QuadratureBudgetError with the best estimate, so a budget smaller
-    than the first round refuses after it.
+    than the first round refuses after it.  The first mesh depends only on
+    the panel counts; meshes of up to _CACHE_NODES nodes are memoized by
+    them and shared read-only.
     """
     lengths = np.abs(d)
-    total_len = float(np.sum(lengths))
+    total_len = float(lengths.sum())
     n = len(za)
     totals = np.zeros(n, dtype=complex)
     if total_len == 0.0:
@@ -226,14 +284,15 @@ def integrate_pieces(
     # the share before the product, so that a one-piece path gets exactly
     # _MESH panels: _MESH * L / L can round above _MESH.  fmax gives a NaN
     # share one panel, so that a non-finite path is refused at its nodes
-    m = np.fmax(np.ceil(_MESH * (lengths / total_len)), 1.0)
-    seg = np.repeat(np.arange(n), m.astype(int))
-    j = np.arange(len(seg)) - np.searchsorted(seg, seg)  # panel index within its piece
-    m = m[seg]
-    mid, half = (j + 0.5) / m, 0.5 / m
+    if n == 1 and math.isfinite(total_len):
+        counts = (_MESH,)  # its share is L / L = 1
+    else:
+        counts = tuple(np.fmax(np.ceil(_MESH * (lengths / total_len)), 1.0).astype(int).tolist())
+    build = _first_round if len(_XK) * sum(counts) <= _CACHE_NODES else _first_round.__wrapped__
+    seg, m, mid, half, template = build(counts)
     tols = (tol * lengths / total_len)[seg] / m
     ds = d[seg]
-    nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
+    nodes = za[seg, None] + template * ds[:, None]
     fv = fz(np.concatenate([za, za + d, nodes.ravel()]))
     evals = 0
     while True:
@@ -314,9 +373,8 @@ def integrate(
     PathTooCloseError, and an exhausted budget raises QuadratureBudgetError
     carrying the best estimate.
     """
-    fz = _vectorized(f)
-    zs = contour.points
-    return integrate_pieces(fz, zs[:-1], zs[1:] - zs[:-1], tol, eval_budget=eval_budget)
+    za, d, _ = contour._chords
+    return integrate_pieces(_vectorized(f), za, d, tol, eval_budget=eval_budget)
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -407,7 +465,7 @@ def argument_principle_count(
             )
         return vals
 
-    za, chords = contour.points[:-1], np.diff(contour.points)
+    za, chords, _ = contour._chords
     fa = logderiv(za)
     total = 0.5 * complex(np.sum(chords * (fa + np.roll(fa, -1))))
     count = total / (2j * math.pi)

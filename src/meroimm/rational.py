@@ -16,6 +16,7 @@ indeterminate 0/0 of an unreduced fraction raises.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ from .errors import (
     ZeroOnContourError,
 )
 from .poly import ComplexPolynomial, _as_poly, roots, _EPS
-from .sphere import INF, SpherePoint
+from .sphere import INF, SpherePoint, _is_nan
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,13 @@ class RationalMap:
     def __call__(self, z) -> SpherePoint:
         """Evaluate on the sphere.  Arrays evaluate by plain division
         (poles produce non-finite entries); scalars get the full
-        pole/indeterminacy treatment."""
+        pole/indeterminacy treatment; a scalar NaN raises InputError."""
         if isinstance(z, np.ndarray):
             with np.errstate(all="ignore"):
                 return self.num(z) / self.den(z)
         z = complex(z)
+        if _is_nan(z):
+            raise InputError("a rational map is evaluated at points of the sphere, not NaN")
         dval = self.den(z)
         dnoise = 8.0 * max(len(self.den.coeffs), 1) * _EPS * max(
             self.den.horner_scale(abs(z)), 1e-300
@@ -431,9 +434,12 @@ def residue(f: RationalMap, a: complex) -> complex:
     vanishing at a to at least the denominator's order) raises
     UnreducedFractionError.  A determinate common factor (numerator vanishing
     to lower order) is deflated at a before the series division; this keeps
-    the division away from noise-dominated leading coefficients.
+    the division away from noise-dominated leading coefficients.  A NaN or
+    infinite a raises InputError: the expansion is about a point of the plane.
     """
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise InputError("residues are taken at finite points")
     num, den = f.num, f.den
     m_den = _first_above_noise(den, a)
     if m_den is None:

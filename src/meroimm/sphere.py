@@ -1,8 +1,11 @@
 """Points on the Riemann sphere and the chordal metric."""
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Union
+
+from .errors import InputError
 
 
 class _Infinity:
@@ -39,13 +42,23 @@ def is_inf(p: SpherePoint) -> bool:
     return False
 
 
+def _is_nan(p) -> bool:
+    """Whether p is NaN, no point of the sphere: a NaN part and no infinite
+    one, since C99 Annex G counts a complex with an infinite part as
+    infinite whatever its other part is."""
+    return not isinstance(p, _Infinity) and cmath.isnan(p) and not cmath.isinf(p)
+
+
 def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
     """Chordal distance on the sphere of diameter 2.
 
     For finite points, 2|p-q| / sqrt((1+|p|^2)(1+|q|^2)); the limits apply
     when an argument is INF.  Values lie in [0, 2]; antipodal points (for
-    instance 0 and INF) are at distance exactly 2.
+    instance 0 and INF) are at distance exactly 2.  A NaN argument raises
+    InputError.
     """
+    if _is_nan(p) or _is_nan(q):
+        raise InputError("chordal distance needs two points of the sphere, not NaN")
     pi, qi = is_inf(p), is_inf(q)
     if pi and qi:
         return 0.0

@@ -192,6 +192,19 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 1 and "map" in err
 
 
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--json"), ("bogus", "in.json"), ()])
+def test_usage_error_is_input_error(capsys, argv):
+    # argparse would exit 2, the code of a failed precondition
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("input error:")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0 and "--eps" in capsys.readouterr().out
+
+
 def test_exit_code_precondition(tmp_path, capsys):
     # z^2 on a disc domain: classification needs an immersion
     p = write(tmp_path, "p.json", {
@@ -276,9 +289,9 @@ def test_removed_setting_is_refused(tmp_path, capsys, monkeypatch, name):
     # the tolerances are constants: a leftover flag or variable is refused,
     # never silently ignored
     path = _verify_input(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", path, "--" + name.replace("_", "-"), "1e-7"])
-    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    code, _, err = run(capsys, "verify", path, "--" + name.replace("_", "-"), "1e-7")
+    assert code == 1
+    assert err.startswith("input error:") and "unrecognized arguments" in err
     var = "MEROIMM_" + name.upper()
     monkeypatch.setenv(var, "1e-7")
     code, _, err = run(capsys, "verify", path)

@@ -90,6 +90,61 @@ def test_circle_matches_cmath_samples():
         assert same_bits(c.points, c.samples)
 
 
+def test_circle_samples_match_the_direct_formula():
+    # the memoized unit roots give the bits of the formula, on a first call
+    # and a repeated one; n above the cache's node bound is built afresh
+    sizes = [2 ** k for k in range(4, 15)] + [17, 100, 257, 2 ** 14 + 1]
+    for n, offset in itertools.product(sizes, (0.0, 0.37, 0.5)):
+        th = 2.0 * math.pi * (np.arange(n) + offset) / n
+        for center, radius in ((0j, 1.0), (0.3 - 1.2j, 2.0)):
+            want = center + radius * np.exp(1j * th)
+            for _ in range(2):
+                assert same_bits(circle_samples(center, radius, n, offset=offset), want)
+
+
+def test_shared_geometry_is_read_only():
+    from meroimm.contours import _first_round, _unit_roots
+
+    c = Contour.circle(0j, 1.0, samples=64)
+    shared = [_unit_roots(64, 0.0), c.points, *c._chords, *_first_round((10,))]
+    for a in shared:
+        with pytest.raises(ValueError):
+            a[0] = 7
+    # what circle_samples returns is new on every call and the caller's to write
+    a, b = circle_samples(0j, 1.0, 64), circle_samples(0j, 1.0, 64)
+    assert a is not b and a.flags.writeable and b.flags.writeable
+    a[0] = 7
+    assert b[0] == 1 and _unit_roots(64, 0.0)[0] == 1
+
+
+def test_equal_circle_arguments_share_one_contour():
+    first = Contour.circle(0, 1, 64, 1)
+    for args in [
+        (0.0, 1.0, 64, 1),
+        (0j, 1.0, 64.0, 1.0),
+        (np.complex128(0), np.float64(1), np.int64(64), np.int32(1)),
+        (np.float32(0), np.int16(1), np.uint8(64), np.int8(1)),
+    ]:
+        c = Contour.circle(*args)
+        assert c == first and same_bits(c.points, first.points)
+    # a center of signed zeros shares the entry of 0j: -0.0 + 0.0 is 0.0, so the bits agree
+    for center in (0j, complex(-0.0, -0.0), complex(0.0, -0.0)):
+        c = Contour.circle(center, 1.0, samples=64, turns=-1)
+        assert same_bits(c.samples, _circle_by_cmath(center, 1.0, 64, -1))
+
+
+def test_bad_circle_arguments_are_refused_every_call():
+    Contour.circle(0, 1.0, samples=64, turns=1)
+    for _ in range(2):
+        for kwargs in [
+            dict(radius=0.0), dict(radius=-1.0), dict(radius=math.nan), dict(radius=math.inf),
+            dict(turns=0), dict(turns=0.5), dict(turns=1.5),
+            dict(samples=7), dict(samples=0), dict(samples=64.5),
+        ]:
+            with pytest.raises(InputError):
+                Contour.circle(0, **{"radius": 1.0, "samples": 64, "turns": 1, **kwargs})
+
+
 def test_circle_turns_and_polyline():
     c2 = Contour.circle(0, 1.0, samples=32, turns=2)
     assert len(c2.samples) == 65
@@ -227,6 +282,20 @@ def test_integrate_pieces_matches_reference_loop():
     ring = circle_samples(0j, 1.0, 256)
     how, _ = assert_same_quadrature(_h_exp_xi_over_theta, ring, np.roll(ring, -1) - ring, 1e-10)
     assert how == "returned"
+    # one straight piece accepted after 1, 2 and 5 rounds, each round one call
+    for offset, rounds in ((0.5, 1), (0.2, 2), (0.03, 5)):
+        rec = Recorder(lambda z, w=1.0 + offset * 1j: 1.0 / (z - w))  # sees both kernels' calls
+        assert assert_same_quadrature(rec, np.array([0j]), np.array([2 + 0j]), 1e-10)[0] == "returned"
+        assert len(rec.calls) == 2 * rounds and len(rec.calls[0]) == 2 + 15 * 10
+    # the first of two pieces gets m = 1..10 panels and the second 11 - m; then three pieces
+    for m in range(1, 11):
+        share = (m - 0.5) / 10
+        za, d = np.array([0j, share]), np.array([share, (1 - share) * 1j])
+        rec = Recorder(_h_exp_xi_over_theta)
+        assert_same_quadrature(rec, za, d, 1e-10)
+        assert len(rec.calls[0]) == 4 + 15 * 11
+    za, d = np.array([0j, 0.05, 0.05 + 0.3j]), np.array([0.05, 0.3j, 0.65])
+    assert_same_quadrature(_h_exp_xi_over_theta, za, d, 1e-10)
     # the needle of test_integrate_budget, refused after one round and after several
     needle = lambda z: 1.0 / (z - (1.0 + 1e-7j))
     for budget in (40, 300, 3000):

@@ -107,6 +107,20 @@ def test_residue_matches_cauchy_oracle(rng):
             assert residue(f, a) == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("a", [np.nan, complex(0.5, np.nan), complex("inf")])
+def test_residue_refuses_a_nonfinite_point(a):
+    # residue(1/(z - 0.5), nan) once returned 1
+    with pytest.raises(InputError):
+        residue(RationalMap(P([1]), P.from_roots([0.5])), a)
+
+
+@pytest.mark.parametrize("z", [np.nan, complex(np.nan, 1.0), np.complex128(complex(0.5, np.nan))])
+def test_scalar_call_refuses_nan(z):
+    # a scalar NaN once evaluated to INF
+    with pytest.raises(InputError):
+        RationalMap(P([1]), P.from_roots([0.5]))(z)
+
+
 def test_residue_unreduced_raises():
     g = RationalMap(P([-1, 0, 1]), P.from_roots([1.0]))
     with pytest.raises(UnreducedFractionError):

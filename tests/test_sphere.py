@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meroimm import INF, chordal_distance, is_inf
+from meroimm import INF, InputError, chordal_distance, is_inf
 
 
 def test_examples():
@@ -43,3 +43,21 @@ def test_range_symmetry_triangle(rng):
         assert 0.0 <= dab <= 2.0
         assert dab == pytest.approx(chordal_distance(b, a))
         assert dab <= chordal_distance(a, c) + chordal_distance(c, b) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(np.nan, 0j), (complex(1, np.nan), 1 + 0j), (0j, complex(np.nan, 0)), (INF, np.nan)],
+)
+def test_chordal_distance_refuses_nan(p, q):
+    # NaN is no point of the sphere; it once read 2.0, or 1.414 as INF
+    with pytest.raises(InputError):
+        chordal_distance(p, q)
+
+
+def test_chordal_distance_keeps_infinity():
+    # INF, complex("inf") and a complex with one infinite part are the pole
+    for inf in (INF, complex("inf"), complex(np.inf, np.nan)):
+        assert chordal_distance(inf, 0j) == 2.0
+        assert chordal_distance(inf, INF) == 0.0
+
