@@ -12,7 +12,6 @@ from .contours import (
     Contour,
     Disc,
     argument_principle_count,
-    integrate,
     winding_number,
 )
 from .errors import (
@@ -114,7 +113,6 @@ __all__ = [
     "extend_immersion",
     "extension_boundary_error",
     "fix_on_Q",
-    "integrate",
     "is_inf",
     "poly_approx_on_disc",
     "residue",

@@ -30,8 +30,12 @@ RESIDUE_TOL = 1e-9
 # "On the boundary" clearance, as a fraction of the contour diameter.
 CLEARANCE_FACTOR = 1e-6
 
-# Integrand evaluations the argument-principle count may spend before refusing.
-COUNT_EVAL_BUDGET = 400_000
+# Integrand evaluations one G7-K15 path integral may spend before refusing.
+QUAD_EVAL_BUDGET = 400_000
+
+# Most nodes of the periodic rule that counts zeros and poles on a circle; a
+# zero or pole within 2 pi r / COUNT_NODE_CAP of the circle is out of its reach.
+COUNT_NODE_CAP = 2 ** 18
 
 # Truncation degrees tried by the disc approximation routines.
 DEGREE_SCHEDULE = (8, 16, 32, 64, 128, 256)

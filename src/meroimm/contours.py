@@ -8,15 +8,15 @@ of about ten equal panels, as Shampine's vectorized quadgk does, accepts a
 panel when |K15 - G7| is within its share of the tolerance or QUADPACK's
 rounding floor, bisects the others, and refuses a non-finite value at any
 node or piece endpoint.
-Circles have one kernel, :func:`circle_primitive`: the periodic trapezoid rule
-(Trefethen & Weideman, SIAM Rev. 2014).  One FFT of equispaced samples, mode k
-divided by ik, and one inverse FFT give the primitive at every sample.
+Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
+SIAM Rev. 2014), which doubles its equispaced nodes by adding the midpoints:
+:func:`circle_primitive` takes one FFT of the samples, divides mode k by ik
+and inverts it, and :func:`argument_principle_count` takes their mean.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
-Zero/pole counts come independently from the argument-principle integral,
-taken by a trapezoid rule that doubles its nodes until the count settles at
-an integer.
+Zero/pole counts in a disc come independently from the argument-principle
+integral over its circle, settled at an integer.
 Fixed geometry is built once per process and shared read-only.  Unit roots,
 sampled circles and first quadrature meshes are memoized in LRU caches of
 _CACHE_SIZE entries each, which keep no set of more than _CACHE_NODES nodes;
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import CLEARANCE_FACTOR, COUNT_EVAL_BUDGET, QUAD_TOL
+from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET
 from .errors import InputError, PathTooCloseError, QuadratureBudgetError
 from .poly import ComplexPolynomial
 from .rational import Factored, RationalMap
@@ -68,9 +68,6 @@ class Disc:
             abs(other.center - self.center) + other.radius
             <= self.radius - margin
         )
-
-    def boundary(self) -> "Contour":
-        return Contour.circle(self.center, self.radius)
 
     def boundary_distance(self, z: complex) -> float:
         return abs(abs(complex(z) - self.center) - self.radius)
@@ -145,14 +142,6 @@ class Contour:
         return build(cls, *key)
 
     @classmethod
-    def segment(cls, a: complex, b: complex, samples: int = 2) -> "Contour":
-        if samples < 2:
-            raise InputError("a contour needs at least two samples")
-        a, b = complex(a), complex(b)
-        pts = [a + (b - a) * k / (samples - 1) for k in range(samples)]
-        return cls(tuple(pts), closed=False)
-
-    @classmethod
     def polyline(cls, points: Sequence[complex], closed: bool = False) -> "Contour":
         pts = [complex(p) for p in points]
         if closed and pts[0] != pts[-1]:
@@ -170,10 +159,6 @@ class Contour:
         d = np.diff(self.points)
         # np.hypot rounds as abs() on a Python complex does; np.abs may not
         return _read_only(self.points[:-1], d, np.hypot(d.real, d.imag) ** 2)
-
-    @property
-    def length(self) -> float:
-        return sum(abs(b - a) for a, b in zip(self.samples, self.samples[1:]))
 
     def clearance(self) -> float:
         """Default geometric clearance: a small fraction of the diameter."""
@@ -251,8 +236,6 @@ def integrate_pieces(
     za: np.ndarray,
     d: np.ndarray,
     tol: float,
-    *,
-    eval_budget: int = 400_000,
 ) -> complex:
     """Adaptive G7-K15 quadrature of fz dz over the straight pieces
     za[k] + t d[k], t in [0, 1].
@@ -267,7 +250,7 @@ def integrate_pieces(
     rejected panel is bisected.  The first round also evaluates the piece
     endpoints, which no node reaches.  A non-finite value anywhere raises
     PathTooCloseError.  Evaluations (15 per panel, 2 per piece) are counted
-    against ``eval_budget``.  The first round is always evaluated in full;
+    against QUAD_EVAL_BUDGET.  The first round is always evaluated in full;
     after any round, a next round that would take the count past the budget
     raises QuadratureBudgetError with the best estimate, so a budget smaller
     than the first round refuses after it.  The first mesh depends only on
@@ -312,7 +295,7 @@ def integrate_pieces(
             return complex(totals.sum())
         np.add.at(totals, seg[done], kronrod[done])
         keep = ~done
-        if evals + 30 * np.count_nonzero(keep) > eval_budget:
+        if evals + 30 * np.count_nonzero(keep) > QUAD_EVAL_BUDGET:
             np.add.at(totals, seg[keep], kronrod[keep])
             raise QuadratureBudgetError("quadrature budget exhausted", best=complex(totals.sum()))
         split = np.flatnonzero(keep).repeat(2)
@@ -325,6 +308,20 @@ def integrate_pieces(
 
 
 _RING_START, _RING_CAP = 64, 2 ** 14  # node counts of the periodic rule on circles
+
+
+def _periodic_samples(fz, center: complex, radius: float, N: int, cap: int):
+    """Yield g(theta) = fz(z) i (z - center) at the N, 2N, 4N, ... <= cap nodes
+    z = circle_samples(center, radius, .), in angular order.  Each doubling
+    reuses the samples before it and evaluates fz only at their midpoints."""
+    w = circle_samples(0j, radius, N)
+    while N <= cap:
+        with np.errstate(all="ignore"):
+            fresh = fz(center + w) * 1j * w
+        g = fresh if len(w) == N else np.stack([g, fresh], axis=1).ravel()
+        yield g
+        w = circle_samples(0j, radius, N, offset=0.5)  # the midpoints, which double N
+        N *= 2
 
 
 def circle_primitive(fz, center: complex, radius: float, n: int, tol: float, *, start: int = 0):
@@ -341,40 +338,17 @@ def circle_primitive(fz, center: complex, radius: float, n: int, tol: float, *, 
     N = n
     while N < max(start, _RING_START):
         N *= 2
-    w = circle_samples(0j, radius, N)
-    while N <= _RING_CAP:
-        with np.errstate(all="ignore"):
-            fresh = fz(center + w) * 1j * w
-        g = fresh if len(w) == N else np.stack([g, fresh], axis=1).ravel()
+    for g in _periodic_samples(fz, center, radius, N, _RING_CAP):
         if not np.isfinite(g).all():
             return None
+        N = len(g)
         c, k = np.fft.fft(g) / N, np.fft.fftfreq(N, 1.0 / N)
         high = np.abs(k) >= N // 4
         if np.sum(np.abs(c[high] / k[high])) <= max(tol, _ROUNDING_FLOOR * np.sum(np.abs(c))):
             defect, mass = 2.0 * math.pi * complex(c[0]), 2.0 * math.pi * float(np.mean(np.abs(g)))
             c[0], c[1:] = 0.0, c[1:] / (1j * k[1:])
             return N * np.fft.ifft(c)[:: N // n], defect, mass
-        w = circle_samples(0j, radius, N, offset=0.5)  # the midpoints, which double N
-        N *= 2
     return None
-
-
-def integrate(
-    f,
-    contour: Contour,
-    tol: float = QUAD_TOL,
-    *,
-    eval_budget: int = 400_000,
-) -> complex:
-    """Integral of f dz along the contour by :func:`integrate_pieces`, one
-    piece per chord, with ``tol`` the absolute target for the whole path.
-
-    f must be finite on the path; a non-finite value raises
-    PathTooCloseError, and an exhausted budget raises QuadratureBudgetError
-    carrying the best estimate.
-    """
-    za, d, _ = contour._chords
-    return integrate_pieces(_vectorized(f), za, d, tol, eval_budget=eval_budget)
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -409,83 +383,63 @@ def winding_number(
     return f.winding(contour)
 
 
-def argument_principle_count(
-    f: RationalMap | Factored,
-    contour: Contour,
-    *,
-    clearance: float | None = None,
-) -> int:
-    """(1/2 pi i) times the contour integral of f'/f, settled at an integer.
+_COUNT_START = 256  # first node count of the argument-principle rule
 
-    Counts zeros minus poles enclosed, with multiplicity.  Zeros and poles of
-    f must stay off the contour by the geometric clearance.  A Factored map
-    brings its zeros and poles along and nothing is solved; a RationalMap is
-    factored once on entry.
 
-    The integral is taken by the composite trapezoid rule on the chords of
-    the contour.  The first rule uses the samples as nodes; each further rule
-    halves every panel and reuses the values already computed.  On a circle
-    sampled at N uniform angles the first rule is the circle's own N-point
-    trapezoid rule times N sin(2 pi/N)/(2 pi), and the error decays
-    geometrically in the node count once the panels are shorter than the
-    distance from the contour to the nearest zero or pole (Trefethen &
+def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
+    """(1/2 pi i) times the integral of f'/f over the circle of the disc,
+    settled at an integer.
+
+    Counts zeros minus poles in the open disc, with multiplicity.  A zero or
+    pole within CLEARANCE_FACTOR times the diameter of the circle raises
+    PathTooCloseError.  A Factored map brings its zeros and poles along and
+    nothing is solved; a RationalMap is factored once on entry.
+
+    The integral is taken by the periodic trapezoid rule on the circle: the
+    count is the mean of f'/f(z) i (z - c) over N equispaced nodes, divided
+    by i.  N starts at 256 and doubles by adding the midpoints, so the rule
+    at N nodes has evaluated exactly N points.  Its error decays
+    geometrically in N once the node spacing 2 pi r / N is below the
+    distance from the circle to the nearest zero or pole (Trefethen &
     Weideman, SIAM Rev. 2014).
 
     Refinement stops when two successive counts lie within 0.1 of the same
-    integer and the panels of the finer rule are no longer than that
+    integer and the spacing of the finer rule is no longer than that
     distance, where the error is about exp(-2 pi) per unit of multiplicity.
     No finer accuracy is asked for.  Coarser rules can step over a nearby
     zero or pole and agree on a wrong integer, so they never end the
-    refinement.  If the next rule would take the total above
-    COUNT_EVAL_BUDGET integrand evaluations, the count refuses with
-    QuadratureBudgetError carrying the latest estimate in ``best``; it never
-    returns an integer that has not settled.
+    refinement.  The finest rule has COUNT_NODE_CAP nodes, so a zero or pole
+    within 2 pi r / COUNT_NODE_CAP of the circle is out of reach: the count
+    then refuses with QuadratureBudgetError carrying the latest estimate in
+    ``best``.  It never returns an integer that has not settled.
     """
-    if not contour.closed:
-        raise InputError("argument principle needs a closed contour")
-    if clearance is None:
-        clearance = contour.clearance()
     F = f if isinstance(f, Factored) else f.factor()
-    singular = [a for a, _ in F.zeros] + list(F.poles.locations)
-    dists = contour.distance_to(np.array(singular, dtype=complex))
+    singular = np.array([a for a, _ in F.zeros] + list(F.poles.locations), dtype=complex)
+    dists = np.abs(np.abs(singular - disc.center) - disc.radius)
     for s, dist in zip(singular, dists):
-        if dist <= clearance:
-            raise PathTooCloseError(
-                f"zero or pole at {s} within clearance of the contour"
-            )
+        if dist <= CLEARANCE_FACTOR * 2.0 * disc.radius:
+            raise PathTooCloseError(f"zero or pole at {s} within clearance of the circle")
     reach = float(np.min(dists, initial=math.inf))
     n, d = F.map.num, F.map.den
     dn, dd = n.derivative(), d.derivative()
 
     def logderiv(z: np.ndarray) -> np.ndarray:
-        vals = (dn(z) * d(z) - n(z) * dd(z)) / (n(z) * d(z))
-        if not np.all(np.isfinite(vals)):
-            raise PathTooCloseError(
-                "non-finite integrand: path too close to singularity"
-            )
-        return vals
+        return (dn(z) * d(z) - n(z) * dd(z)) / (n(z) * d(z))
 
-    za, chords, _ = contour._chords
-    fa = logderiv(za)
-    total = 0.5 * complex(np.sum(chords * (fa + np.roll(fa, -1))))
-    count = total / (2j * math.pi)
-    longest = float(np.max(np.abs(chords)))
-    panels = 1
-    # the values reused so far plus the new midpoints: 2 * panels per chord
-    while 2 * panels * len(za) <= COUNT_EVAL_BUDGET:
-        t = (np.arange(panels) + 0.5) / panels
-        mids = logderiv(za[:, None] + chords[:, None] * t)
-        total = 0.5 * (total + complex(np.sum(chords * mids.sum(axis=1))) / panels)
-        panels *= 2
-        previous, count = count, total / (2j * math.pi)
+    count = None
+    for g in _periodic_samples(logderiv, disc.center, disc.radius, _COUNT_START, COUNT_NODE_CAP):
+        if not np.all(np.isfinite(g)):
+            raise PathTooCloseError("non-finite integrand: path too close to singularity")
+        previous, count = count, complex(np.mean(g)) / 1j
         nearest = round(count.real)
         if (
-            longest / panels <= reach
+            previous is not None
+            and 2.0 * math.pi * disc.radius / len(g) <= reach
             and abs(count - nearest) < 0.1
             and abs(previous - nearest) < 0.1
         ):
             return int(nearest)
     raise QuadratureBudgetError(
-        "argument-principle count did not settle at an integer within the budget",
+        "argument-principle count did not settle at an integer within the node cap",
         best=count,
     )

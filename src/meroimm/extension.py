@@ -45,6 +45,13 @@ from .sphere import INF, SpherePoint, chordal_distance, is_inf
 # chordal target for the Q members of a family, which are reproduced on the big disc
 Q_EPS = 1e-8
 
+# the certificate's 1024 sample points of the unit disc, on Vogel's sunflower
+# spiral, built once and shared read-only
+_SUNFLOWER = np.sqrt((np.arange(1024) + 0.5) / 1024) * np.exp(
+    1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(1024)
+)
+_SUNFLOWER.flags.writeable = False
+
 
 def residue_targets(A: PoleSet) -> list[complex]:
     """Logarithmic-residue targets g'(a)/g(a), g = prod over the other poles
@@ -397,12 +404,7 @@ class IntegralImmersion:
         sunflower points of the disc (evaluated in log space, so exponent
         overflow cannot fake a zero).
         """
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        samples = 1024
-        ks = np.arange(samples)
-        r = self.domain.radius * np.sqrt((ks + 0.5) / samples)
-        th = golden * ks
-        pts = self.domain.center + r * np.exp(1j * th)
+        pts = self.domain.center + self.domain.radius * _SUNFLOWER
         keep = np.ones(len(pts), dtype=bool)
         for a, _ in self.poles:
             keep &= np.abs(pts - a) > 1e-9

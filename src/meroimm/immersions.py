@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .config import CLEARANCE_FACTOR
+from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP
 from .contours import Contour, Disc, argument_principle_count, winding_number
 from .errors import (
     InputError,
@@ -144,16 +144,14 @@ def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Fact
         raise InputError("constant map: the derivative vanishes identically")
     poles, zeros = F.poles, fp.zeros
     circles = (D.outer, *D.holes)
-    loops = [circle.boundary() for circle in circles]
 
-    # the counts integrate over the inscribed boundary polygons, whose N chords
-    # sit up to r (1 - cos(pi/N)) inside each circle: a singular point in that
-    # band is inside one route's domain and outside the other's
+    # the count settles only once its node spacing on a circle is within the
+    # distance to the nearest zero or pole, and its finest spacing is
+    # 2 pi r / COUNT_NODE_CAP: a singular point nearer than that is refused
     clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
-    sag = 1.0 - math.cos(math.pi / (len(loops[0].points) - 1))
     singular = list(poles.locations) + [z for z, _ in zeros]
     for circle in circles:
-        band = clearance + circle.radius * sag
+        band = clearance + 2.0 * math.pi * circle.radius / COUNT_NODE_CAP
         if any(circle.boundary_distance(s) <= band for s in singular):
             raise SingularityOnBoundaryError(
                 f"pole or derivative zero within {band:g} of a boundary circle"
@@ -164,11 +162,11 @@ def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Fact
     count_roots = sum(m for z, m in zeros if D.contains(z))
 
     # independent route: clear the poles of f' in the domain and count zeros
-    # of h = f' Theta by the argument principle over the domain boundary
+    # of h = f' Theta by the argument principle on each boundary circle
     h = fp.cleared(D.contains)
-    count_ap = argument_principle_count(h, loops[0], clearance=clearance)
-    for loop in loops[1:]:
-        count_ap -= argument_principle_count(h, loop, clearance=clearance)
+    count_ap = argument_principle_count(h, D.outer)
+    for hole in D.holes:
+        count_ap -= argument_principle_count(h, hole)
     if count_ap != count_roots:
         raise InternalConsistencyError(
             f"derivative zero counts disagree: roots give {count_roots}, "
@@ -190,9 +188,13 @@ def verify_immersion(
     filtering the solved zeros of f' to the domain, and the argument-principle
     count over the boundary of h = f' Theta, the derivative with its poles in
     the domain cleared, whose zeros and remaining poles are known from the
-    factors.  Disagreement raises InternalConsistencyError.  A pole or zero
-    between a boundary circle and its inscribed polygon, or within the
-    clearance of either, raises SingularityOnBoundaryError.
+    factors.  Disagreement raises InternalConsistencyError.  The count runs
+    on each boundary circle with at most COUNT_NODE_CAP nodes and settles
+    only once the node spacing is within the distance to the nearest pole or
+    zero, so its reach on a circle of radius r ends at 2 pi r /
+    COUNT_NODE_CAP.  A pole of f or zero of f' within that distance plus
+    CLEARANCE_FACTOR times the outer diameter of a boundary circle raises
+    SingularityOnBoundaryError before anything is counted.
     """
     return _certify(f.factor(), D, target)[0]
 

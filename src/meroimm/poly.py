@@ -1,10 +1,11 @@
 """Complex polynomials with double-precision coefficients.
 
 Coefficients are stored in ascending degree order; the zero polynomial is the
-empty tuple.  Construction from raw coefficients drops leading coefficients
-of modulus <= the coefficient tolerance (1e-12 by default), so a nonzero
-polynomial always has |leading| above that tolerance.  Arithmetic on existing
-polynomials never discards computed coefficients (only exact zeros).
+empty tuple.  Construction from raw coefficients refuses a non-finite one with
+InputError and drops leading coefficients of modulus <= the coefficient
+tolerance (1e-12 by default), so a nonzero polynomial always has |leading|
+above that tolerance.  Arithmetic on existing polynomials (coeff_tol=0.0)
+neither checks nor discards computed coefficients (only exact zeros).
 
 The root solver takes the eigenvalues of the companion matrix (closed forms
 for degrees 1 and 2), merges root clusters into multiple roots, and polishes
@@ -27,6 +28,8 @@ _EPS = 2.220446049250313e-16
 
 def _trim(coeffs: Sequence[complex], tol: float) -> tuple[complex, ...]:
     cs = [complex(c) for c in coeffs]
+    if tol and not all(map(cmath.isfinite, cs)):
+        raise InputError("polynomial coefficients must be finite")
     while cs and abs(cs[-1]) <= tol:
         cs.pop()
     return tuple(cs)

@@ -31,7 +31,7 @@ from .errors import (
     ZeroOnContourError,
 )
 from .poly import ComplexPolynomial, _as_poly, roots, _EPS
-from .sphere import INF, SpherePoint, _is_nan
+from .sphere import INF, SpherePoint, _is_nan, is_inf
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,21 @@ class RationalMap:
     def __call__(self, z) -> SpherePoint:
         """Evaluate on the sphere.  Arrays evaluate by plain division
         (poles produce non-finite entries); scalars get the full
-        pole/indeterminacy treatment; a scalar NaN raises InputError."""
+        pole/indeterminacy treatment; a scalar NaN raises InputError.  At
+        infinity the value is the degree limit: 0, the ratio of the leading
+        coefficients, or INF as deg num is below, equal to or above deg den."""
         if isinstance(z, np.ndarray):
             with np.errstate(all="ignore"):
                 return self.num(z) / self.den(z)
-        z = complex(z)
-        if _is_nan(z):
-            raise InputError("a rational map is evaluated at points of the sphere, not NaN")
+        if z is not INF:
+            z = complex(z)
+            if _is_nan(z):
+                raise InputError("a rational map is evaluated at points of the sphere, not NaN")
+        if is_inf(z):
+            excess = self.num.degree - self.den.degree
+            if excess == 0:
+                return self.num.coeffs[-1] / self.den.coeffs[-1]
+            return 0j if excess < 0 else INF
         dval = self.den(z)
         dnoise = 8.0 * max(len(self.den.coeffs), 1) * _EPS * max(
             self.den.horner_scale(abs(z)), 1e-300

@@ -212,7 +212,7 @@ def test_criterion_10_property_suites(rng):
                     1 for r in dr if abs(r) < 1
                 )
                 ok = ok and winding_number(f, circ) == expected
-                ok = ok and argument_principle_count(f, circ) == expected
+                ok = ok and argument_principle_count(f, Disc(0, 1.0)) == expected
 
     # mod-2 loop invariance across pole-separating homologous circles
     cases = 0

@@ -236,6 +236,18 @@ def test_exit_code_non_finite_contour(tmp_path, capsys):
     assert code == 1 and "finite" in err
 
 
+def test_exit_code_non_finite_coefficient(tmp_path, capsys):
+    # json reads NaN; the coefficient is refused as input (exit 1), where it
+    # once reached the root solver and exited 3
+    path = write(tmp_path, "nan.json", {
+        "map": {"num": [[float("nan"), 0.0], [1.0, 0.0]], "den": [[1.0, 0.0]]},
+        "domain": {"center": [0.0, 0.0], "radius": 1.0},
+        "target": "CP1",
+    })
+    code, _, err = run(capsys, "verify", path)
+    assert code == 1 and err.startswith("input error:") and "finite" in err
+
+
 def test_exit_code_numerical(tmp_path, capsys):
     p = write(tmp_path, "n.json", {
         "map": {"num": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0.1, 0]],

@@ -20,15 +20,16 @@ from meroimm import (
     RationalMap,
     ZeroOnContourError,
     argument_principle_count,
-    integrate,
     winding_number,
 )
+from meroimm import contours
 from meroimm.contours import circle_primitive, circle_samples, integrate_pieces
 
 from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
 
 P = ComplexPolynomial
 R = RationalMap
+UNIT = Disc(0, 1.0)
 
 
 def test_contour_validation():
@@ -49,7 +50,6 @@ def test_contour_validation():
         (Contour, ((0j, 1.0, 1.0, 0j), True), repeat),
         (Contour, ((0j, 0j), False), repeat),
         (Contour, ((0j, -0.0, 1j), False), repeat),
-        (Contour.segment, (0j, 1j, 1), short),
     ]:
         with pytest.raises(InputError, match=re.escape(message)):
             make(*args)
@@ -150,11 +150,10 @@ def test_circle_turns_and_polyline():
     assert len(c2.samples) == 65
     p = Contour.polyline([0, 1, 1 + 1j], closed=True)
     assert p.samples[-1] == p.samples[0]
-    assert Contour.segment(0, 1).length == pytest.approx(1.0)
 
 
 def test_distance_to():
-    c = Contour.segment(0, 2)
+    c = Contour.polyline([0, 2])
     assert c.distance_to(1 + 1j) == pytest.approx(1.0)
     assert c.distance_to(-1.0) == pytest.approx(1.0)
 
@@ -184,25 +183,30 @@ def test_distance_to_matches_loop(rng):
                 assert c.distance_to(z) == _distance_by_loop(c, z)
 
 
+def _chords(contour):
+    return contour.points[:-1], np.diff(contour.points)
+
+
 def test_integrate_constant_segment():
-    assert integrate(lambda z: np.ones_like(z), Contour.segment(0, 1), 1e-12) == pytest.approx(1.0)
+    got = integrate_pieces(np.ones_like, np.array([0j]), np.array([1 + 0j]), 1e-12)
+    assert got == pytest.approx(1.0)
 
 
 def test_integrate_cauchy():
-    v = integrate(lambda z: 1.0 / z, Contour.circle(0, 1.0), 1e-12)
+    v = integrate_pieces(lambda z: 1.0 / z, *_chords(Contour.circle(0, 1.0)), 1e-12)
     assert v == pytest.approx(2j * math.pi, abs=1e-10)
 
 
 def test_integrate_double_pole_no_residue():
     f = R(P([1]), P.from_roots([0.3, 0.3]))
-    v = integrate(f, Contour.circle(0, 1.0), 1e-12)
+    v = integrate_pieces(f, *_chords(Contour.circle(0, 1.0)), 1e-12)
     assert abs(v) < 1e-10
 
 
 def test_integrate_pole_on_path():
     f = R(P([1]), P.from_roots([1.0]))
     with pytest.raises(PathTooCloseError):
-        integrate(f, Contour.circle(0, 1.0, samples=64), 1e-10)
+        integrate_pieces(f, *_chords(Contour.circle(0, 1.0, samples=64)), 1e-10)
 
 
 def test_integrate_pieces_refuses_non_finite_piece():
@@ -213,11 +217,12 @@ def test_integrate_pieces_refuses_non_finite_piece():
             integrate_pieces(f, np.array([0j, 1j]), np.array([1j, bad]), 1e-10)
 
 
-def test_integrate_budget():
+def test_integrate_budget(monkeypatch):
     # a needle the subdivision cannot resolve with a handful of evaluations
+    monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", 40)
     f = lambda z: 1.0 / (z - (1.0 + 1e-7j))
     with pytest.raises(QuadratureBudgetError) as exc:
-        integrate(f, Contour.segment(0, 2, samples=2), 1e-14, eval_budget=40)
+        integrate_pieces(f, np.array([0j]), np.array([2 + 0j]), 1e-14)
     assert exc.value.best is not None
 
 
@@ -271,7 +276,7 @@ def test_integrate_pieces_near_pole_arc_matches_mpmath():
     assert abs(got - want) < 1e-10
 
 
-def test_integrate_pieces_matches_reference_loop():
+def test_integrate_pieces_matches_reference_loop(monkeypatch):
     # the round loop against its first form, bit for bit: totals, refusals
     # with their best estimate, and the points of every integrand call
     za, d = _detour_pieces()
@@ -299,9 +304,8 @@ def test_integrate_pieces_matches_reference_loop():
     # the needle of test_integrate_budget, refused after one round and after several
     needle = lambda z: 1.0 / (z - (1.0 + 1e-7j))
     for budget in (40, 300, 3000):
-        how, best = assert_same_quadrature(
-            needle, np.array([0j]), np.array([2 + 0j]), 1e-14, eval_budget=budget
-        )
+        monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", budget)
+        how, best = assert_same_quadrature(needle, np.array([0j]), np.array([2 + 0j]), 1e-14)
         assert how == "refused" and best is not None
 
 
@@ -357,7 +361,7 @@ def test_rational_winding_refuses_near_zero_or_pole():
 
 def test_winding_needs_closed():
     with pytest.raises(InputError):
-        winding_number(P([0, 1]), Contour.segment(1, 2))
+        winding_number(P([0, 1]), Contour.polyline([1, 2]))
 
 
 def test_winding_resampling_invariance():
@@ -390,33 +394,30 @@ def test_winding_multiplicativity(rng):
 
 
 def test_argument_principle_examples():
-    circ = Contour.circle(0, 1.0)
-    assert argument_principle_count(R(P([0, 0, 0, 1])), circ) == 3
-    assert argument_principle_count(R(P([1]), P.from_roots([0.3])), circ) == -1
-    assert argument_principle_count(R(P([1, 0, 0, 0, 0.5])), Contour.circle(0, 2.0)) == 4
+    assert argument_principle_count(R(P([0, 0, 0, 1])), UNIT) == 3
+    assert argument_principle_count(R(P([1]), P.from_roots([0.3])), UNIT) == -1
+    assert argument_principle_count(R(P([1, 0, 0, 0, 0.5])), Disc(0, 2.0)) == 4
 
 
 def test_argument_principle_clearance():
     f = R(P.from_roots([1.0 + 1e-9]), P([1]))
     with pytest.raises(PathTooCloseError):
-        argument_principle_count(f, Contour.circle(0, 1.0))
+        argument_principle_count(f, UNIT)
 
 
 def test_argument_principle_refuses_unresolved_pole():
-    # a pole 1e-5 outside the circle needs panels shorter than 1e-5, more
-    # nodes than the evaluation budget allows; a triple pole 0.004 out settles
-    circ = Contour.circle(0, 1.0)
+    # a pole 1e-5 outside the circle needs a node spacing below 1e-5, more
+    # nodes than the node cap allows; a triple pole 0.004 out settles
     with pytest.raises(QuadratureBudgetError) as info:
-        argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), circ)
+        argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), UNIT)
     assert isinstance(info.value.best, complex)
-    assert argument_principle_count(R(P([1]), P.from_roots([1.004j] * 3)), circ) == 0
+    assert argument_principle_count(R(P([1]), P.from_roots([1.004j] * 3)), UNIT) == 0
 
 
 def test_argument_principle_near_contour_sound(rng):
     # zeros and poles of order <= 3 placed 1e-3 to 1e-2 inside or outside
     # the unit circle, plus far ones: each count matches the numpy.roots
     # oracle or refuses with a typed error, never a wrong integer
-    circ = Contour.circle(0, 1.0)
     decided = 0
     for _ in range(60):
         k = int(rng.integers(1, 4))
@@ -436,12 +437,42 @@ def test_argument_principle_near_contour_sound(rng):
                 found = np.roots(np.array(poly.coeffs[::-1]))
                 expected += sign * int(np.sum(np.abs(found) < 1.0))
         try:
-            got = argument_principle_count(f, circ)
+            got = argument_principle_count(f, UNIT)
         except MeroimmError:
             continue
         assert got == expected
         decided += 1
     assert decided >= 55
+
+
+_placed = st.tuples(
+    st.one_of(st.floats(0.0, 0.95), st.floats(1.05, 2.5)),  # |z - center| / radius
+    st.floats(0.0, 2 * math.pi),
+    st.integers(1, 2),  # order
+    st.booleans(),  # zero or pole
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    center=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    radius=st.floats(0.3, 4.0),
+    points=st.lists(_placed, min_size=1, max_size=4),
+    lead=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+)
+def test_count_on_scaled_discs_matches_numpy_roots(center, radius, points, lead):
+    # zeros and poles at least 0.05 radii from the circle of an off-centre
+    # disc of any radius: the count is the numpy.roots count in the disc
+    placed = [(center + radius * rho * cmath.exp(1j * angle), m, zero) for rho, angle, m, zero in points]
+    nr = [p for p, m, zero in placed if zero for _ in range(m)]
+    dr = [p for p, m, zero in placed if not zero for _ in range(m)]
+    f = R(P.from_roots(nr, leading=lead), P.from_roots(dr))
+    expected = 0
+    for poly, sign in ((f.num, 1), (f.den, -1)):
+        if poly.degree >= 1:
+            found = np.roots(np.array(poly.coeffs[::-1]))
+            expected += sign * int(np.sum(np.abs(found - center) < radius))
+    assert argument_principle_count(f, Disc(center, radius)) == expected
 
 
 def _mp_count_inside(poly: ComplexPolynomial) -> int:
@@ -499,9 +530,9 @@ def test_counts_near_contour_match_mpmath_or_refuse(near, far, lead):
     dr = [p for p, m, zero in points if not zero for _ in range(m)]
     f = R(P.from_roots(nr, leading=lead), P.from_roots(dr))
     expected = _mp_count_inside(f.num) - _mp_count_inside(f.den)
-    for count in (winding_number, argument_principle_count):
+    for count, boundary in ((winding_number, circ), (argument_principle_count, UNIT)):
         try:
-            got = count(f, circ)
+            got = count(f, boundary)
         except MeroimmError:
             continue
         assert got == expected
@@ -529,7 +560,7 @@ def test_winding_argument_principle_oracle_exhaustive():
                     1 for r in dr if abs(r) < 1
                 )
                 assert winding_number(f, circ) == expected
-                assert argument_principle_count(f, circ) == expected
+                assert argument_principle_count(f, UNIT) == expected
 
 
 def test_disc_geometry():

@@ -178,17 +178,40 @@ def test_derivative_winding_near_pole_is_exact(num, den, winding):
     assert winding_number(fp, Contour.circle(0, 1.0)) == winding
 
 
-def test_verify_refuses_zero_between_polygon_and_circle():
-    # f' = (z - z0)(z + 3) with z0 between the unit circle and the chord of
-    # its 256-gon: the disc holds the zero, the polygon does not
-    z0 = (1 - 3e-5) * np.exp(1j * np.pi / 256)
+def _zero_near_circle(gap):
+    # f' = (z - z0)(z + 3), z0 = (1 - gap) e^{i pi/256}: between the unit
+    # circle and the chord of its 256-gon for 0 < gap < 7.5e-5
+    z0 = (1 - gap) * np.exp(1j * np.pi / 256)
     f = R(P([0, -3 * z0, (3 - z0) / 2, 1 / 3]))
-    with pytest.raises(SingularityOnBoundaryError):
-        verify_immersion(f, UNIT)
-    # the band is scaled to each circle, holes included
-    hole = CircularDomain(Disc(0, 4.0), (Disc(0, 1.0),))
-    with pytest.raises(SingularityOnBoundaryError):
-        verify_immersion(f, hole)
+    return f, np.roots([1, 3 - z0, -3 * z0])
+
+
+def test_verify_counts_zero_near_the_circle():
+    # the count runs on the circle, not on a polygon, so a zero 3e-5 from it
+    # is counted on the side it lies; the numpy.roots oracle agrees
+    for gap, inside in ((3e-5, 1), (-3e-5, 0)):
+        f, oracle = _zero_near_circle(gap)
+        assert int(np.sum(np.abs(oracle) < 1)) == inside
+        cert = verify_immersion(f, UNIT)
+        assert cert.derivative_zero_count == inside and cert.valid == (inside == 0)
+    # on the ring 1 < |z| < 4 the zero at -3 is inside; z0 is in the hole
+    ring = CircularDomain(Disc(0, 4.0), (Disc(0, 1.0),))
+    for gap in (5e-5, -5e-5):
+        f, oracle = _zero_near_circle(gap)
+        inside = int(np.sum((np.abs(oracle) > 1) & (np.abs(oracle) < 4)))
+        assert verify_immersion(f, ring).derivative_zero_count == inside == 1 + (gap < 0)
+
+
+def test_verify_refuses_zero_within_the_count_reach():
+    # within CLEARANCE_FACTOR times the outer diameter plus 2 pi r / 2^18 of a
+    # circle the count cannot settle: refused before counting, on the disc
+    # and on the hole of a ring, whose band is scaled to each circle
+    ring = CircularDomain(Disc(0, 4.0), (Disc(0, 1.0),))
+    for gap in (2e-5, -2e-5, 0.0):
+        f, _ = _zero_near_circle(gap)
+        for domain in (UNIT, ring):
+            with pytest.raises(SingularityOnBoundaryError):
+                verify_immersion(f, domain)
 
 
 def test_each_polynomial_solved_once(monkeypatch):

@@ -23,14 +23,9 @@ OPTIONS = {
     "contours.Contour.circle(samples)",
     "contours.Contour.circle(turns)",
     "contours.Contour.polyline(closed)",
-    "contours.Contour.segment(samples)",
     "contours.Disc.contains_disc(margin)",
-    "contours.argument_principle_count(clearance)",
     "contours.circle_primitive(start)",
     "contours.circle_samples(offset)",
-    "contours.integrate(eval_budget)",
-    "contours.integrate(tol)",
-    "contours.integrate_pieces(eval_budget)",
     "extension.IntegralImmersion.evaluate(side)",
     "extension.extension_boundary_error(samples)",
     "grids.ParamGrid.box(q_nodes)",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,37 @@ def test_scalar_call_refuses_nan(z):
     # a scalar NaN once evaluated to INF
     with pytest.raises(InputError):
         RationalMap(P([1]), P.from_roots([0.5]))(z)
+
+
+_INFINITIES = [complex("inf"), INF, math.inf]
+
+
+@pytest.mark.parametrize("z", _INFINITIES)
+def test_value_at_infinity_below_the_denominator_degree_is_zero(z):
+    # 1/(z - 0.5) once gave INF at complex("inf")
+    assert RationalMap(P([1]), P.from_roots([0.5]))(z) == 0
+
+
+@pytest.mark.parametrize("z", _INFINITIES)
+def test_value_at_infinity_of_equal_degrees_is_the_leading_ratio(z):
+    # (2z + 1)/(4z + 3) once raised UnreducedFractionError at complex("inf")
+    assert RationalMap(P([1, 2]), P([3, 4]))(z) == 0.5
+
+
+@pytest.mark.parametrize("z", _INFINITIES)
+def test_value_at_infinity_above_the_denominator_degree_is_inf(z):
+    # z^2 once gave nan+nanj at complex("inf"), and INF raised TypeError
+    assert RationalMap(P([0, 0, 1]))(z) is INF
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.nan), math.inf, complex(0.0, -math.inf)])
+def test_raw_coefficients_must_be_finite(bad):
+    # RationalMap([nan, 1], [1]) was accepted and failed later in the root solver
+    for make in (lambda: P([bad, 1]), lambda: RationalMap([bad, 1], [1]), lambda: RationalMap([1], [1, bad])):
+        with pytest.raises(InputError, match="finite"):
+            make()
+    # arithmetic results are not checked, so hot paths pay nothing
+    assert len(P([bad, 1], coeff_tol=0.0).coeffs) == 2
 
 
 def test_residue_unreduced_raises():
