@@ -28,7 +28,6 @@ from .errors import (
     QuadratureBudgetError,
     RootSolveError,
     SingularityOnBoundaryError,
-    SupportViolationError,
     UnreducedFractionError,
     ZeroOnContourError,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "SampledFamily",
     "SingularityOnBoundaryError",
     "SpherePoint",
-    "SupportViolationError",
     "UnreducedFractionError",
     "ZeroOnContourError",
     "argument_principle_count",

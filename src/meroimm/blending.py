@@ -4,18 +4,19 @@ sampled families of plane-valued maps.
 A family sampled over a parameter grid is blended through a net of
 representative nodes: the net members are Taylor-truncated on the disc in
 blocks of rows, with one FFT and one degree sweep per block, and the outputs
-are convex combinations with piecewise-linear net weights.  Each stride
-tried builds one (nodes x net) weight matrix, and so does the blend.  The
-two-triangle estimate gives sup errors below half the target whenever each
-covered node stays within a quarter of it from its net representative.  A
-relative variant swaps in prescribed exact maps near a marked subset of the
-grid.
+are convex combinations with piecewise-linear net weights.  Each coarser
+stride tried builds one (nodes x net) weight matrix, and so does the blend;
+the full grid is taken without a test, since there each node weighs only
+itself.  The two-triangle estimate gives sup errors below half the target
+whenever each covered node stays within a quarter of it from its net
+representative.  A relative variant swaps in prescribed exact maps on the
+grid's marked subset Q.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .errors import (
     GridResolutionError,
     InputError,
     PreconditionError,
-    SupportViolationError,
 )
 from .grids import ParamGrid
 from .poly import ComplexPolynomial
@@ -204,15 +204,11 @@ def blend_parametric(
             )
     else:
         stride = max(grid.shape) - 1
-        while True:
-            net = grid.net_indices(stride)
-            if _net_condition_holds(family, net, points, eps / 4.0):
-                break
-            if stride == 1:
-                raise GridResolutionError(
-                    "even the full grid misses the eps/4 closeness condition"
-                )
-            stride = max(1, stride // 2)
+        while stride > 1 and not _net_condition_holds(
+            family, grid.net_indices(stride), points, eps / 4.0
+        ):
+            stride //= 2
+        net = grid.net_indices(stride)
 
     members = [family.maps[j] for j in net]
     approximants = list(_approximate_net(members, family.domain, eps / 4.0))
@@ -228,75 +224,37 @@ def blend_parametric(
 def fix_on_Q(
     blended: SampledFamily,
     q_maps: Mapping[int, object],
-    chi: Callable[[tuple[float, ...]], float] | None = None,
     *,
     original: SampledFamily | None = None,
     eps: float | None = None,
 ) -> SampledFamily:
-    """Swap in prescribed exact maps on Q, interpolating across one cell layer.
+    """Swap in prescribed exact maps on Q.
 
-    q_maps gives the exact maps on the grid's Q nodes; they extend to the
-    one-cell neighborhood of Q by nearest-Q-node copy.  chi defaults to the
-    grid's Q-cutoff (1 on Q, 0 beyond the neighborhood), evaluated at every
-    node in one call; a caller's chi is called node by node and must vanish
-    outside the neighborhood.  Q nodes receive their prescribed map object
-    unchanged, so equality there is exact.
+    q_maps gives one map per Q node of the grid, and no other.  Each Q node
+    receives its prescribed map object unchanged, so equality there is
+    exact; every other node keeps its blend.  An empty Q returns the blend
+    itself.
 
-    When ``original`` and ``eps`` are given, the prescribed extension is
-    checked to stay within eps/2 of the original family on the neighborhood;
-    an eps that is not a finite positive number raises InputError.
+    When ``original`` and ``eps`` are given, each prescribed map must stay
+    within eps/2 of the original family at its node (sampled on the domain
+    boundary), or PreconditionError is raised; an eps that is not a finite
+    positive number raises InputError.
     """
     if eps is not None:
         check_eps(eps)
     grid = blended.grid
-    q_nodes = set(grid.q_indices)
-    if set(q_maps.keys()) != q_nodes:
+    q_nodes = grid.q_indices
+    if set(q_maps.keys()) != set(q_nodes):
         raise InputError("q_maps must prescribe exactly the grid's Q nodes")
     if not q_nodes:
         return blended
-    hood = grid.q_neighborhood()
-    points = grid.points
-    cutoffs = grid.q_cutoff(np.array(points)) if chi is None else map(chi, points)
-
-    xi = {i: q_maps[grid.nearest_q_node(i)] for i in hood}
     out = list(blended.maps)
-    for i, t in enumerate(cutoffs):
-        t = float(t)
-        if t < 0.0 or t > 1.0:
-            raise InputError("chi must take values in [0,1]")
-        if t > 0.0 and i not in hood:
-            raise SupportViolationError(
-                f"chi is positive at node {i}, outside the Q neighborhood"
-            )
-        if i in q_nodes:
-            if t != 1.0:
-                raise SupportViolationError(f"chi must equal 1 on Q (node {i})")
-            out[i] = q_maps[i]
-        elif t > 0.0:
-            # a genuine mix happens here, so the prescribed extension must
-            # still track the family (the paper-side smallness of P0)
-            if original is not None and eps is not None:
-                d = sampled_sup_distance(
-                    xi[i], original.maps[i], blended.domain, samples=128
+    for i in q_nodes:
+        if original is not None and eps is not None:
+            d = sampled_sup_distance(q_maps[i], original.maps[i], blended.domain, samples=128)
+            if d >= eps / 2.0:
+                raise PreconditionError(
+                    f"prescribed map at Q node {i} drifts {d:.3e} from the family"
                 )
-                if d >= eps / 2.0:
-                    raise PreconditionError(
-                        f"prescribed data at node {i} drifts {d:.3e} from the "
-                        "family; shrink the cutoff support or refine the grid"
-                    )
-            out[i] = _convex_combination(t, xi[i], blended.maps[i])
+        out[i] = q_maps[i]
     return SampledFamily(grid, tuple(out), blended.domain)
-
-
-def _convex_combination(t: float, f, g):
-    """t f + (1-t) g, staying polynomial when both sides are."""
-    if isinstance(f, ComplexPolynomial) and isinstance(g, ComplexPolynomial):
-        return t * f + (1.0 - t) * g
-    fv, gv = _vectorized(f), _vectorized(g)
-
-    def combo(z):
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        vals = t * fv(zs) + (1.0 - t) * gv(zs)
-        return vals if isinstance(z, np.ndarray) else complex(vals[0])
-
-    return combo

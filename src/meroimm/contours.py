@@ -410,8 +410,10 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
     zero or pole and agree on a wrong integer, so they never end the
     refinement.  The finest rule has COUNT_NODE_CAP nodes, so a zero or pole
     within 2 pi r / COUNT_NODE_CAP of the circle is out of reach: the count
-    then refuses with QuadratureBudgetError carrying the latest estimate in
-    ``best``.  It never returns an integer that has not settled.
+    then refuses with QuadratureBudgetError after the first rule, carrying
+    that rule's estimate in ``best``.  A count that does not settle by the
+    finest rule refuses the same way with the finest rule's estimate.  It
+    never returns an integer that has not settled.
     """
     F = f if isinstance(f, Factored) else f.factor()
     singular = np.array([a for a, _ in F.zeros] + list(F.poles.locations), dtype=complex)
@@ -439,6 +441,8 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
             and abs(previous - nearest) < 0.1
         ):
             return int(nearest)
+        if 2.0 * math.pi * disc.radius / COUNT_NODE_CAP > reach:
+            break  # no rule within the cap can settle
     raise QuadratureBudgetError(
         "argument-principle count did not settle at an integer within the node cap",
         best=count,

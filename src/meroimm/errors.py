@@ -44,10 +44,6 @@ class PoleCollisionError(PreconditionError):
     """Poles of a parametric family collide or change count across the grid."""
 
 
-class SupportViolationError(PreconditionError):
-    """A cutoff function is positive outside its allowed support."""
-
-
 class GridResolutionError(PreconditionError):
     """The parameter net cannot satisfy the closeness condition; a finer grid is needed."""
 

@@ -1,13 +1,17 @@
-"""Uniform parameter grids on [0,1]^m with hat-function partitions of unity.
+"""Uniform parameter grids on [0,1]^m with piecewise-linear net weights.
 
 Grids carry a boolean mask marking the relative subset Q (a union of grid
-faces).  Node weights are the usual piecewise-linear hats (products of 1-d
-hats in two dimensions): nonnegative, summing to one everywhere, each
-supported on the cells touching its node.
+faces).  A net is a tensor subgrid of nodes, every ``stride`` along each
+axis with the axis ends kept.  Its weights at a parameter are products of
+1-d linear interpolation weights on the net's axis values: nonnegative,
+summing to one, supported on the net cell holding the parameter, and
+exactly 1 at the parameter's own net node.  The net of stride 1 is the
+whole grid, whose weights are the usual hat functions.
 
-The weight methods take one parameter (a float or an m-tuple) or a (k, m)
-array of them.  An array gives one row per parameter, built from per-axis
-1-d hat matrices; each row equals the single-parameter result bit for bit.
+The weights take one parameter (a float or an m-tuple) or a (k, m) array of
+them.  An array gives one row per parameter, built from per-axis 1-d
+interpolation matrices; each row equals the single-parameter result bit for
+bit.
 """
 from __future__ import annotations
 
@@ -117,19 +121,14 @@ class ParamGrid:
                     out.append((self.node_index((i, j)), self.node_index((i, j + 1))))
         return out
 
-    def neighbors(self, i: int) -> list[int]:
-        """Nodes within one grid step (the cell neighborhood), excluding i."""
-        multi = self.node_multi(i)
-        out = []
-        for delta in product((-1, 0, 1), repeat=self.ndim):
-            if all(d == 0 for d in delta):
-                continue
-            cand = tuple(m + d for m, d in zip(multi, delta))
-            if all(0 <= c < s for c, s in zip(cand, self.shape)):
-                out.append(self.node_index(cand))
-        return out
+    # -- coarse nets and their weights ------------------------------------------
 
-    # -- partition of unity ---------------------------------------------------
+    def net_indices(self, stride: int) -> list[int]:
+        """A subsample including the axis endpoints, every ``stride`` nodes."""
+        if stride < 1:
+            raise InputError("stride must be >= 1")
+        axes = [sorted({*range(0, s, stride), s - 1}) for s in self.shape]
+        return [self.node_index(multi) for multi in product(*axes)]
 
     def _params(self, p: Params) -> tuple[np.ndarray, bool]:
         """p as a (k, m) array, and whether it was a single parameter."""
@@ -141,51 +140,6 @@ class ParamGrid:
         if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
             raise InputError("parameters live in [0,1]^m")
         return arr, single
-
-    def hat_weights(self, p: Params) -> np.ndarray:
-        """Node hat weights at parameter p: the net weights of the full grid.
-
-        A (k, m) array p gives the (k, npoints) matrix of weights, one row
-        per parameter.
-        """
-        return self.net_weights(range(self.npoints), p)
-
-    def q_cutoff(self, p: Params) -> float | np.ndarray:
-        """Cutoff that is 1 on Q and decays to 0 across one cell layer.
-
-        A (k, m) array p gives an array of k cutoffs.  The Q weights are
-        summed in node order.
-        """
-        arr, single = self._params(p)
-        w = self.hat_weights(arr)
-        out = sum((w[:, i] for i in self.q_indices), np.zeros(len(arr)))
-        return float(out[0]) if single else out
-
-    def q_neighborhood(self) -> list[int]:
-        """Node indices within one cell of Q (including Q itself)."""
-        out = set(self.q_indices)
-        for i in self.q_indices:
-            out.update(self.neighbors(i))
-        return sorted(out)
-
-    def nearest_q_node(self, i: int) -> int:
-        """Index of the Q node closest to node i (ties to the lower index)."""
-        qs = self.q_indices
-        if not qs:
-            raise InputError("grid has no Q nodes")
-        pi = np.array(self.point(i))
-        dists = [float(np.linalg.norm(pi - np.array(self.point(q)))) for q in qs]
-        best = min(range(len(qs)), key=lambda k: (dists[k], qs[k]))
-        return qs[best]
-
-    # -- coarse nets over the grid ---------------------------------------------
-
-    def net_indices(self, stride: int) -> list[int]:
-        """A subsample including the axis endpoints, every ``stride`` nodes."""
-        if stride < 1:
-            raise InputError("stride must be >= 1")
-        axes = [sorted({*range(0, s, stride), s - 1}) for s in self.shape]
-        return [self.node_index(multi) for multi in product(*axes)]
 
     def net_weights(self, net: Sequence[int], p: Params) -> np.ndarray:
         """Piecewise-linear partition of unity over the net nodes, at p.

@@ -17,6 +17,7 @@ classes are reported relative to the chosen loops.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -33,7 +34,7 @@ from .errors import (
 from .grids import ParamGrid
 from .poly import ComplexPolynomial
 from .rational import Factored, PoleSet, RationalMap
-from .sphere import SpherePoint, is_inf
+from .sphere import SpherePoint, _is_nan, is_inf
 
 Target = Literal["C", "CP1"]
 
@@ -272,7 +273,9 @@ class FormalSeed:
 
     The fiber value is read in the chart containing the target value: the
     plane chart for finite targets, the reciprocal chart when the target is
-    the point at infinity.
+    the point at infinity.  A NaN target, or a base point, fiber value or
+    frame constant that is not finite, raises InputError; INF is a legal
+    target.
     """
 
     base_point: complex
@@ -284,6 +287,10 @@ class FormalSeed:
         object.__setattr__(self, "base_point", complex(self.base_point))
         object.__setattr__(self, "fiber_value", complex(self.fiber_value))
         object.__setattr__(self, "frame_constant", complex(self.frame_constant))
+        if not all(map(cmath.isfinite, (self.base_point, self.fiber_value, self.frame_constant))):
+            raise InputError("base point, fiber value and frame constant must be finite")
+        if _is_nan(self.target_value):
+            raise InputError("target value must be a point of the sphere, not NaN")
         if self.fiber_value == 0:
             raise InputError("fiber value must be nonzero")
         if self.frame_constant == 0:

@@ -35,11 +35,9 @@ SpherePoint = Union[complex, _Infinity]
 
 
 def is_inf(p: SpherePoint) -> bool:
-    if isinstance(p, _Infinity):
-        return True
-    if isinstance(p, complex):
-        return not (math.isfinite(p.real) and math.isfinite(p.imag))
-    return False
+    """Whether p is the point at infinity: INF, or a complex with an
+    infinite part (C99 Annex G).  A NaN is not infinite; see ``_is_nan``."""
+    return isinstance(p, _Infinity) or (isinstance(p, complex) and cmath.isinf(p))
 
 
 def _is_nan(p) -> bool:

@@ -12,7 +12,6 @@ from meroimm import (
     PreconditionError,
     RationalMap,
     SampledFamily,
-    SupportViolationError,
     blend_parametric,
     fix_on_Q,
     poly_approx_on_disc,
@@ -119,7 +118,7 @@ def test_fix_on_q_exact_objects():
     fixed = fix_on_Q(out, {0: maps[0], 100: maps[100]}, original=fam, eps=1e-3)
     assert fixed.maps[0] is maps[0]
     assert fixed.maps[100] is maps[100]
-    # everything else untouched (default cutoff vanishes off Q at nodes)
+    # everything else keeps its blend
     assert fixed.maps[50] is out.maps[50]
 
 
@@ -129,37 +128,20 @@ def test_fix_on_q_empty_is_identity():
     assert fix_on_Q(out, {}) is out
 
 
-def test_fix_on_q_interior_mix_convexity():
-    # chi = 0.5 at a node: the output is the midpoint map and its error is
-    # bounded by the worse of the two ingredients
-    grid = ParamGrid.line(5, q_nodes=[0])
-    maps = [R(P([0, 1]))] * 5  # constant family: prescribed data has no drift
-    fam = SampledFamily(grid, maps, UNIT)
-    out = blend_parametric(fam, 1e-3)
-    chi = lambda p: max(0.0, 1.0 - 2.0 * p[0])
-    fixed = fix_on_Q(out, {0: maps[0]}, chi, original=fam, eps=1e-3)
-    e_blend = sampled_sup_distance(out.maps[1], maps[1], UNIT)
-    e_fixed = sampled_sup_distance(fixed.maps[1], maps[1], UNIT)
-    assert e_fixed <= max(e_blend, 0.0) + 1e-12
-
-
 def test_fix_on_q_drift_check():
+    # a prescribed Q map that is not the family's own member: the check
+    # measures it against the original at its node
     grid = ParamGrid.line(5, q_nodes=[0])
-    maps = moebius_family(5)  # varies along the grid
+    maps = moebius_family(5)
     fam = SampledFamily(grid, maps, UNIT)
     out = blend_parametric(fam, 1e-3)
-    chi = lambda p: max(0.0, 1.0 - 2.0 * p[0])  # forces a mix at node 1
-    with pytest.raises(PreconditionError):
-        fix_on_Q(out, {0: maps[0]}, chi, original=fam, eps=1e-6)
-
-
-def test_fix_on_q_support_violation():
-    grid = ParamGrid.line(7, q_nodes=[0])
-    maps = [R(P([0, 1]))] * 7
-    fam = SampledFamily(grid, maps, UNIT)
-    out = blend_parametric(fam, 1e-3)
-    with pytest.raises(SupportViolationError):
-        fix_on_Q(out, {0: maps[0]}, lambda p: 0.5 if p[0] > 0.9 else (1.0 if p[0] == 0 else 0.0))
+    drifted = maps[0] + R(P([1e-3]))
+    with pytest.raises(PreconditionError, match="drifts"):
+        fix_on_Q(out, {0: drifted}, original=fam, eps=1e-3)
+    # within eps/2 it is put in place as given; without original no check
+    near = maps[0] + R(P([1e-4]))
+    assert fix_on_Q(out, {0: near}, original=fam, eps=1e-3).maps[0] is near
+    assert fix_on_Q(out, {0: drifted}).maps[0] is drifted
 
 
 def test_fix_on_q_wrong_nodes():
@@ -256,20 +238,7 @@ def test_fix_on_q_inside_a_box_grid():
     out = blend_parametric(fam, 1e-3)
     fixed = fix_on_Q(out, {q: fam.maps[q]}, original=fam, eps=1e-3)
     assert fixed.maps[q] is fam.maps[q]
-    # the default cutoff is 1 on Q and 0 at every other node, its
-    # neighbours included, so nothing else is touched
-    assert len(fam.grid.q_neighborhood()) == 9
     assert all(fixed.maps[i] is out.maps[i] for i in range(fam.grid.npoints) if i != q)
-    # a caller's own chi is still called node by node, with the same result
-    seen = []
-
-    def chi(p):
-        seen.append(p)
-        return fam.grid.q_cutoff(p)
-
-    again = fix_on_Q(out, {q: fam.maps[q]}, chi, original=fam, eps=1e-3)
-    assert seen == fam.grid.points
-    assert all(a is b for a, b in zip(again.maps, fixed.maps))
 
 
 def _per_map_reference(f, disc, eps):

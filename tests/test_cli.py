@@ -236,6 +236,16 @@ def test_exit_code_non_finite_contour(tmp_path, capsys):
     assert code == 1 and "finite" in err
 
 
+def test_exit_code_nan_seed_target(tmp_path, capsys):
+    # json reads NaN; the target is refused as input, where it once printed
+    # value_at_base=inf and exited 0
+    path = write(tmp_path, "nan.json", {"seed": {
+        "base_point": [0, 0], "target": [float("nan"), 0],
+        "fiber": [1, 0], "frame": [1, 0]}})
+    code, out, err = run(capsys, "seed", path)
+    assert code == 1 and out == "" and err.startswith("input error:") and "NaN" in err
+
+
 def test_exit_code_non_finite_coefficient(tmp_path, capsys):
     # json reads NaN; the coefficient is refused as input (exit 1), where it
     # once reached the root solver and exited 3

@@ -414,6 +414,24 @@ def test_argument_principle_refuses_unresolved_pole():
     assert argument_principle_count(R(P([1]), P.from_roots([1.004j] * 3)), UNIT) == 0
 
 
+def test_argument_principle_refuses_an_unreachable_pole_after_one_rule(monkeypatch):
+    # the pole is nearer the circle than 2 pi / COUNT_NODE_CAP, which is known
+    # before the first node: one 256-node rule is evaluated, not 2^18 nodes
+    rules = []
+
+    def recorded(fz, *args):
+        rec = Recorder(fz)
+        rules.append(rec)
+        return periodic(rec, *args)
+
+    periodic = contours._periodic_samples
+    monkeypatch.setattr(contours, "_periodic_samples", recorded)
+    with pytest.raises(QuadratureBudgetError) as info:
+        argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), UNIT)
+    assert isinstance(info.value.best, complex)
+    assert sum(z.size for rec in rules for z in rec.calls) <= 256
+
+
 def test_argument_principle_near_contour_sound(rng):
     # zeros and poles of order <= 3 placed 1e-3 to 1e-2 inside or outside
     # the unit circle, plus far ones: each count matches the numpy.roots

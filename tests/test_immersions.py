@@ -405,6 +405,21 @@ def test_seed_disc_validation():
         FormalSeed(0, 0j, 1.0, 0.0)
 
 
+def test_seed_refuses_nan_and_non_finite_data():
+    nan, inf = float("nan"), float("inf")
+    # a NaN target is no point of the sphere
+    for target in (complex(nan, 0), complex(0, nan), nan):
+        with pytest.raises(InputError, match="NaN"):
+            FormalSeed(0, target, 1.0, 1.0)
+    for x1, v, c in [(complex(nan, 0), 1, 1), (complex(0, inf), 1, 1), (0, complex(inf, 1), 1),
+                     (0, complex(nan, 1), 1), (0, 1, complex(1, nan)), (0, 1, -inf)]:
+        with pytest.raises(InputError, match="finite"):
+            FormalSeed(x1, 1.0, v, c)
+    # INF, and a complex with an infinite part, stay legal targets
+    for target in (INF, complex(inf, nan)):
+        assert seed_disc(FormalSeed(0, target, 1.0, 1.0)).den.degree == 1
+
+
 def test_seeds_pass_verify_near_base(rng):
     for _ in range(10):
         x1 = complex(rng.normal(), rng.normal())

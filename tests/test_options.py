@@ -14,7 +14,6 @@ from meroimm import RunConfig
 
 OPTIONS = {
     "blending.blend_parametric(net_stride)",
-    "blending.fix_on_Q(chi)",
     "blending.fix_on_Q(eps)",
     "blending.fix_on_Q(original)",
     "blending.sampled_sup_distance(samples)",

@@ -30,6 +30,9 @@ def test_is_inf():
     assert is_inf(INF)
     assert is_inf(complex(np.inf, 0))
     assert not is_inf(5 + 1j)
+    # C99 Annex G: an infinite part makes a complex infinite, a NaN part alone does not
+    assert is_inf(complex(np.inf, np.nan))
+    assert not is_inf(complex(np.nan, 0))
 
 
 def test_range_symmetry_triangle(rng):
