@@ -1,16 +1,21 @@
 """Polynomial approximation on discs and partition-of-unity blending of
 sampled families of plane-valued maps.
 
-A family sampled over a parameter grid is blended through a net of
-representative nodes: the net members are Taylor-truncated on the disc in
-blocks of rows, with one FFT and one degree sweep per block, and the outputs
-are convex combinations with piecewise-linear net weights.  Each coarser
-stride tried builds one (nodes x net) weight matrix, and so does the blend;
-the full grid is taken without a test, since there each node weighs only
-itself.  The two-triangle estimate gives sup errors below half the target
-whenever each covered node stays within a quarter of it from its net
-representative.  A relative variant swaps in prescribed exact maps on the
-grid's marked subset Q.
+A map is Taylor-truncated at the disc center by the periodic trapezoid rule
+(Trefethen & Weideman, SIAM Rev. 56 (2014)): degree N of the schedule is
+fitted by one FFT from 8N equispaced boundary samples, and the ring doubles
+with the degree by adding its midpoints, so a map that closes at degree 8
+costs 64 samples.  A family sampled over a parameter grid is blended through
+a net of representative nodes: the net members are truncated in blocks of
+rows, with one padded Horner evaluation of the rational rows, one FFT per
+degree and one degree sweep per block, and the outputs are convex
+combinations with piecewise-linear net weights.  Each coarser stride tried
+builds one (nodes x net) weight matrix, and so does the blend on a coarser
+net; the full grid is taken without a test, since there each node weighs
+only itself, and its blend is its member's approximant.  The two-triangle
+estimate gives sup errors below half the target whenever each covered node
+stays within a quarter of it from its net representative.  A relative
+variant swaps in prescribed exact maps on the grid's marked subset Q.
 """
 from __future__ import annotations
 
@@ -62,76 +67,134 @@ def sampled_sup_distance(f, g, disc: Disc, *, samples: int = 256) -> float:
     return float(np.max(np.abs(fv - gv)))
 
 
-_BLOCK_ROWS = 8  # a block's samples: 8 rows of 2048 complex values, 256 KiB
+# a block's samples at the top degree: 8 rows of 2048 complex values, 256 KiB
+_BLOCK_ROWS = 8
 
 
-def _taylor_truncations(vals, center: complex, rho: float, is_open):
-    """Taylor truncations at center, lowest degree first, of the rows of a
-    block of finite samples on ``circle_samples(center, rho, K)``, from one
-    FFT over the block.  Each degree of DEGREE_SCHEDULE yields the rows
-    still open in ``is_open`` with their truncations; the caller closes rows
-    between degrees.
+def _taylor_truncations(sample, center: complex, rho: float, is_open: np.ndarray):
+    """Taylor coefficients at center of the rows of a block, lowest degree
+    first, by the periodic trapezoid rule on the circle |z - center| = rho.
+
+    Degree N of DEGREE_SCHEDULE is fitted by one FFT from 8N equispaced
+    samples; the ring doubles with the schedule by adding its midpoints, so
+    each sample is taken once and the top degree sees 2048.  Aliasing folds
+    mode k + 8N onto mode k: for a row holomorphic out to radius rho/q that
+    is about q^(8N), far below the truncation tail q^(N+1).
+    ``sample(idx, z)`` returns the rows idx at the points z, one row each; it
+    is asked only for the rows still open in ``is_open``, and it may close
+    the rows it refuses.  Yields (idx, c) per degree, where c[j, k] is the
+    coefficient of ((z - center)/rho)^k in row idx[j], k <= N; the caller
+    closes rows between degrees.
     """
-    coeffs = np.fft.fft(vals, axis=1)[:, : DEGREE_BUDGET + 1] / vals.shape[1]
-    for N in DEGREE_SCHEDULE:
-        idx = np.flatnonzero(is_open)
+    idx = np.flatnonzero(is_open)
+    vals = np.empty((idx.size, 0), dtype=complex)
+    for N in DEGREE_SCHEDULE:  # each degree doubles the one before it
+        idx, vals = idx[is_open[idx]], vals[is_open[idx]]
+        if not idx.size:
+            return
+        K = 8 * N
+        if vals.shape[1]:
+            fresh = sample(idx, circle_samples(center, rho, K // 2, offset=0.5))
+            vals = np.stack([vals, fresh], axis=2).reshape(idx.size, K)
+        else:
+            vals = sample(idx, circle_samples(center, rho, K))
+        idx, vals = idx[is_open[idx]], vals[is_open[idx]]
         if idx.size:
-            scaled = coeffs[idx, : N + 1] / rho ** np.arange(N + 1)
-            yield idx, [
-                ComplexPolynomial(c, coeff_tol=0.0).taylor_shift(-center) for c in scaled
-            ]
+            yield idx, np.fft.fft(vals, axis=1)[:, : N + 1] / K
 
 
-def _horner_rows(polys: Sequence[ComplexPolynomial], z: np.ndarray) -> np.ndarray:
-    """Each polynomial at z, one row each; zero padding keeps every bit."""
-    width = max(len(p.coeffs) for p in polys)
-    cs = np.array([p.coeffs + (0j,) * (width - len(p.coeffs)) for p in polys])
-    out = np.zeros((len(polys), z.size), dtype=complex)
+def _truncation(c: np.ndarray, center: complex, rho: float) -> ComplexPolynomial:
+    """The polynomial in z with coefficients c of ((z - center)/rho)^k."""
+    scaled = (c / rho ** np.arange(c.size)).tolist()
+    return ComplexPolynomial(scaled, coeff_tol=0.0).taylor_shift(-center)
+
+
+def _padded(polys: Sequence[ComplexPolynomial]) -> np.ndarray:
+    """The coefficients of the polynomials, one zero-padded row each."""
+    width = max((len(p.coeffs) for p in polys), default=1)
+    return np.array([p.coeffs + (0j,) * (width - len(p.coeffs)) for p in polys],
+                    dtype=complex).reshape(len(polys), width)
+
+
+def _horner_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of ascending coefficients at z, one row each; zero padding
+    keeps every bit of ``ComplexPolynomial.__call__``."""
+    out = np.zeros((cs.shape[0], z.size), dtype=complex)
     for k in range(cs.shape[1] - 1, -1, -1):
         out *= z
         out += cs[:, k : k + 1]
     return out
 
 
+def _row_sampler(fs: Sequence):
+    """sample(idx, z): the maps fs[idx] at the points z, one row each.  The
+    RationalMap rows are evaluated together, by one padded Horner over their
+    numerators and one over their denominators; other callables one by one."""
+    rational = np.array([isinstance(f, RationalMap) for f in fs], dtype=bool)
+    one = ComplexPolynomial.one()  # the placeholder fraction of the other rows
+    num = _padded([f.num if r else one for f, r in zip(fs, rational)])
+    den = _padded([f.den if r else one for f, r in zip(fs, rational)])
+    calls = [_vectorized(f) for f in fs]
+
+    def sample(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+        out = np.empty((idx.size, z.size), dtype=complex)
+        rat = rational[idx]
+        with np.errstate(all="ignore"):
+            if rat.any():
+                out[rat] = _horner_rows(num[idx[rat]], z) / _horner_rows(den[idx[rat]], z)
+            for j in np.flatnonzero(~rat):
+                out[j] = calls[idx[j]](z)
+        return out
+
+    return sample
+
+
+def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -> list:
+    """The block's maps replaced by polynomials within eps on the disc, or
+    by the errors they raise.  A row closes at its first truncation within
+    eps at the points ``check`` of the boundary, evaluated in the variable
+    (z - center)/rho."""
+    rows = []
+    for r, f in enumerate(block):
+        if isinstance(f, RationalMap) and f.is_polynomial:
+            block[r] = f = f.as_polynomial()
+        if not isinstance(f, ComplexPolynomial):
+            rows.append(r)
+        elif f.degree > DEGREE_BUDGET:
+            block[r] = DegreeBudgetError("polynomial input exceeds the degree budget")
+    center, rho = disc.center, disc.radius
+    sample = _row_sampler([block[r] for r in rows])
+    is_open = np.ones(len(rows), dtype=bool)
+
+    def refuse_singular(idx, z):
+        vals = sample(idx, z)
+        for i in idx[~np.isfinite(vals).all(axis=1)]:
+            block[rows[i]] = PreconditionError("map is singular on the disc boundary")
+            is_open[i] = False
+        return vals
+
+    target = sample(np.arange(len(rows)), check)
+    unit = (check - center) / rho
+    best = np.full(len(rows), math.inf)
+    for idx, c in _taylor_truncations(refuse_singular, center, rho, is_open):
+        err = np.max(np.abs(_horner_rows(c, unit) - target[idx]), axis=1)
+        best[idx] = np.fmin(best[idx], err)
+        for j in np.flatnonzero(err < eps):
+            block[rows[idx[j]]], is_open[idx[j]] = _truncation(c[j], center, rho), False
+    for i in np.flatnonzero(is_open):
+        msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"
+        block[rows[i]] = DegreeBudgetError(msg, achieved=float(best[i]))
+    return block
+
+
 def _approximate_net(maps: Sequence, disc: Disc, eps: float):
     """Polynomials within eps of each map on the disc, in blocks of
-    _BLOCK_ROWS maps sampled on one shared ring and one shared check ring.
-    A row closes at its first truncation within eps on the check ring.  The
+    _BLOCK_ROWS maps sampled on shared rings and one shared check ring.  The
     first map that fails, in order, raises its error.
     """
-    center, rho = disc.center, disc.radius
-    ring = circle_samples(center, rho, max(2048, 8 * DEGREE_BUDGET))
-    check = circle_samples(center, rho, 256, offset=0.37)
+    check = circle_samples(disc.center, disc.radius, 256, offset=0.37)
     for start in range(0, len(maps), _BLOCK_ROWS):
-        block, rows = list(maps[start : start + _BLOCK_ROWS]), []
-        for r, f in enumerate(block):
-            if isinstance(f, RationalMap) and f.is_polynomial:
-                block[r] = f = f.as_polynomial()
-            if not isinstance(f, ComplexPolynomial):
-                rows.append(r)
-            elif f.degree > DEGREE_BUDGET:
-                block[r] = DegreeBudgetError("polynomial input exceeds the degree budget")
-        vals = np.empty((len(rows), ring.size), dtype=complex)
-        target = np.empty((len(rows), check.size), dtype=complex)
-        with np.errstate(all="ignore"):
-            for i, r in enumerate(rows):
-                fv = _vectorized(block[r])
-                vals[i], target[i] = fv(ring), fv(check)
-        is_open = np.isfinite(vals).all(axis=1)
-        for i in np.flatnonzero(~is_open):
-            block[rows[i]] = PreconditionError("map is singular on the disc boundary")
-        vals[~is_open] = 0.0  # refused rows: keep the FFT free of inf and nan
-        best = np.full(len(rows), math.inf)
-        for idx, polys in _taylor_truncations(vals, center, rho, is_open):
-            err = np.max(np.abs(_horner_rows(polys, check) - target[idx]), axis=1)
-            best[idx] = np.fmin(best[idx], err)
-            for i, g, e in zip(idx, polys, err):
-                if e < eps:
-                    block[rows[i]], is_open[i] = g, False
-        for i in np.flatnonzero(is_open):
-            msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"
-            block[rows[i]] = DegreeBudgetError(msg, achieved=float(best[i]))
-        for g in block:
+        for g in _approximate_block(list(maps[start : start + _BLOCK_ROWS]), disc, eps, check):
             if isinstance(g, Exception):
                 raise g
             yield g
@@ -141,13 +204,17 @@ def poly_approx_on_disc(f, disc: Disc, eps: float) -> ComplexPolynomial:
     """Polynomial within eps of f on the disc (sampled sup norm).
 
     Polynomial inputs of degree within budget pass through unchanged.  For
-    everything else the Taylor coefficients at the disc center are recovered
-    by FFT from boundary samples, and the truncation degree doubles until an
-    offset boundary sample check clears eps.  This is the one-row case of the
-    block path that ``blend_parametric`` runs over a whole net: a map
-    singular on the boundary raises PreconditionError, and a schedule that
-    runs out raises DegreeBudgetError with the best sampled error.  An eps
-    that is not a finite positive number raises InputError.
+    everything else the Taylor coefficients at the disc center of degree N
+    are recovered by FFT from 8N equispaced boundary samples, and N doubles
+    along DEGREE_SCHEDULE until an offset 256-point boundary check clears
+    eps; each doubling samples only the midpoints of the ring before it.
+    Aliasing puts mode k + 8N into mode k, which is about q^(8N) for a map
+    holomorphic out to radius rho/q, far below the truncation tail q^(N+1),
+    so the check still decides every degree.  This is the one-row case of
+    the block path that ``blend_parametric`` runs over a whole net: a map
+    singular at a sample of a ring it takes raises PreconditionError, and a
+    schedule that runs out raises DegreeBudgetError with the best sampled
+    error.  An eps that is not a finite positive number raises InputError.
     """
     check_eps(eps)
     return next(_approximate_net([f], disc, eps))
@@ -212,6 +279,9 @@ def blend_parametric(
 
     members = [family.maps[j] for j in net]
     approximants = list(_approximate_net(members, family.domain, eps / 4.0))
+    if net == list(range(grid.npoints)):
+        # each node weighs only itself: its blend is its own approximant
+        return SampledFamily(grid, tuple(approximants), family.domain)
     out = []
     for w in grid.net_weights(net, points):
         blend = ComplexPolynomial.zero()

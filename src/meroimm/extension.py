@@ -17,14 +17,15 @@ samples on a circle between the small disc and the nearest singularity.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .config import DEGREE_BUDGET, QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
-from .blending import _taylor_truncations
+from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
+from .blending import _taylor_truncations, _truncation
 from .contours import Disc, circle_primitive, circle_samples, integrate_pieces
 from .errors import (
     DegreeBudgetError,
@@ -93,7 +94,8 @@ class ConstrainedEta:
     ``expanded = lagrange + sigma * node_product``, where node_product is the
     monic product of (z - a) over the nodes.  The structured parts evaluate
     the interpolation conditions exactly (the node product vanishes by
-    construction), which the expanded coefficients only do to rounding.
+    construction), which the expanded coefficients only do to rounding.  A
+    node that is not finite raises InputError.
     """
 
     lagrange: ComplexPolynomial
@@ -102,6 +104,8 @@ class ConstrainedEta:
     expanded: ComplexPolynomial = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, self.nodes)):
+            raise InputError("interpolation nodes must be finite")
         node_product = ComplexPolynomial.from_roots(self.nodes)
         object.__setattr__(self, "expanded", self.lagrange + self.sigma * node_product)
 
@@ -129,7 +133,13 @@ def constrained_eta(
     the disc must already satisfy eta(a) = c_a, or the input was not an
     immersion there.  The residual after removing the Lagrange interpolant is
     Taylor-truncated at ``center``, with the degree raised along the doubling
-    schedule until the sampled bound holds.
+    schedule until the sampled bound on the disc boundary holds.  Degree N is
+    fitted from 8N samples on a circle about ``center`` halfway to the
+    nearest singularity, whose ring doubles with the degree by adding its
+    midpoints; the aliasing that 8N samples leave, about q^(8N) for the
+    radius ratio q < 1 of that circle to the singularity, stays far below the
+    truncation tail q^(N+1).  A non-finite residual sample on any ring taken
+    raises InternalConsistencyError.
     """
     center = complex(center)
     locs = list(poles.locations)
@@ -169,12 +179,15 @@ def constrained_eta(
     rho = 0.5 * (r_eff + R) if math.isfinite(R) else 2.0 * r_eff
     rho = min(rho, 4.0 * r_eff)
 
-    z = circle_samples(center, rho, max(2048, 8 * DEGREE_BUDGET))
-    with np.errstate(all="ignore"):
-        residual = (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
-    if not np.all(np.isfinite(residual)):
-        raise InternalConsistencyError("residual sampling hit a singularity")
-    truncations = _taylor_truncations(residual[None], center, rho, [True])
+    def residual(_, z):
+        with np.errstate(all="ignore"):
+            vals = (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
+        if not np.all(np.isfinite(vals)):
+            raise InternalConsistencyError("residual sampling hit a singularity")
+        return vals[None]
+
+    truncations = _taylor_truncations(residual, center, rho, np.ones(1, dtype=bool))
+    first = next(truncations)  # the first ring is sampled before the boundary
 
     # sampled error check on the disc boundary (max principle: the difference
     # is holomorphic on the disc, so the boundary sup bounds the interior)
@@ -185,8 +198,8 @@ def constrained_eta(
         raise InternalConsistencyError("eta is singular on the disc boundary")
 
     best_err = math.inf
-    for _, (sigma,) in truncations:
-        parts = ConstrainedEta(lagrange, sigma, tuple(locs))
+    for _, c in itertools.chain([first], truncations):
+        parts = ConstrainedEta(lagrange, _truncation(c[0], center, rho), tuple(locs))
         err = float(np.max(np.abs(parts.expanded(bdry) - eta_bdry)))
         if err < eps_eta:
             return parts

@@ -34,7 +34,7 @@ from .errors import (
 from .grids import ParamGrid
 from .poly import ComplexPolynomial
 from .rational import Factored, PoleSet, RationalMap
-from .sphere import SpherePoint, _is_nan, is_inf
+from .sphere import INF, SpherePoint, _is_nan, is_inf
 
 Target = Literal["C", "CP1"]
 
@@ -274,8 +274,9 @@ class FormalSeed:
     The fiber value is read in the chart containing the target value: the
     plane chart for finite targets, the reciprocal chart when the target is
     the point at infinity.  A NaN target, or a base point, fiber value or
-    frame constant that is not finite, raises InputError; INF is a legal
-    target.
+    frame constant that is not finite, raises InputError.  The target is
+    stored as INF when it is infinite (INF, a real or a complex infinity) and
+    as a complex otherwise.
     """
 
     base_point: complex
@@ -291,6 +292,8 @@ class FormalSeed:
             raise InputError("base point, fiber value and frame constant must be finite")
         if _is_nan(self.target_value):
             raise InputError("target value must be a point of the sphere, not NaN")
+        target = INF if is_inf(self.target_value) else complex(self.target_value)
+        object.__setattr__(self, "target_value", target)
         if self.fiber_value == 0:
             raise InputError("fiber value must be nonzero")
         if self.frame_constant == 0:

@@ -38,8 +38,8 @@ from .sphere import INF, SpherePoint, _is_nan, is_inf
 class PoleSet:
     """Pole locations with orders, sorted by (real, imag).
 
-    Locations must be pairwise distinct beyond the root-separation tolerance
-    ROOT_TOL.
+    Locations must be finite and pairwise distinct beyond the
+    root-separation tolerance ROOT_TOL; InputError otherwise.
     """
 
     entries: tuple[tuple[complex, int], ...]
@@ -49,6 +49,8 @@ class PoleSet:
             ((complex(a), int(m)) for a, m in entries),
             key=lambda e: (e[0].real, e[0].imag),
         )
+        if not all(cmath.isfinite(a) for a, _ in es):
+            raise InputError("pole locations must be finite")
         for i in range(len(es)):
             if es[i][1] < 1:
                 raise InputError("pole orders must be positive")

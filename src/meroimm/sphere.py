@@ -35,9 +35,10 @@ SpherePoint = Union[complex, _Infinity]
 
 
 def is_inf(p: SpherePoint) -> bool:
-    """Whether p is the point at infinity: INF, or a complex with an
-    infinite part (C99 Annex G).  A NaN is not infinite; see ``_is_nan``."""
-    return isinstance(p, _Infinity) or (isinstance(p, complex) and cmath.isinf(p))
+    """Whether p is the point at infinity: INF, an infinite real, or a
+    complex with an infinite part (C99 Annex G).  A NaN is not infinite; see
+    ``_is_nan``."""
+    return isinstance(p, _Infinity) or (isinstance(p, (complex, float)) and cmath.isinf(p))
 
 
 def _is_nan(p) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meroimm import blending
+from meroimm.contours import circle_samples
 from meroimm import (
     ComplexPolynomial,
     DegreeBudgetError,
@@ -242,16 +243,15 @@ def test_fix_on_q_inside_a_box_grid():
 
 
 def _per_map_reference(f, disc, eps):
-    # one map alone, at the default budget of 256: its own rings, its own
-    # FFT, its own degree walk
-    K = 2048
-    th = 2.0 * np.pi * np.arange(K) / K
-    vals = f(disc.center + disc.radius * np.exp(1j * th))
-    coeffs = np.fft.fft(vals) / K
+    # one map alone, at the default budget of 256: its own ring of 8N nodes
+    # for each degree N, its own FFT, its own degree walk
     th = 2.0 * np.pi * (np.arange(256) + 0.37) / 256
     check = disc.center + disc.radius * np.exp(1j * th)
     target = f(check)
     for N in (8, 16, 32, 64, 128, 256):
+        K = 8 * N
+        th = 2.0 * np.pi * np.arange(K) / K
+        coeffs = np.fft.fft(f(disc.center + disc.radius * np.exp(1j * th))) / K
         c = coeffs[: N + 1] / disc.radius ** np.arange(N + 1)
         g = P(c, coeff_tol=0.0).taylor_shift(-disc.center)
         if float(np.max(np.abs(g(check) - target))) < eps:
@@ -286,6 +286,49 @@ def test_block_path_matches_one_row_path(disc):
             assert np.array_equal(np.array(g.coeffs), np.array(ref.coeffs))
     if disc == UNIT:
         assert [g.degree for g in block[2:6]] == [8, 16, 32, 16]
+
+
+def test_fit_samples_a_ring_that_grows_with_the_degree():
+    # exp at 1e-8 closes at degree 16: 64 ring samples for degree 8, their 64
+    # midpoints for degree 16 and the 256-point check, where one fixed ring of
+    # 2048 samples and the check took 2304
+    sizes = []
+
+    def counting_exp(z):
+        sizes.append(np.size(z))
+        return np.exp(z)
+
+    g = poly_approx_on_disc(counting_exp, UNIT, 1e-8)
+    assert g.degree == 16
+    assert sum(sizes) == 384
+
+
+def test_a_pole_on_a_later_ring_is_refused_when_the_ring_reaches_it():
+    # the pole sits on a midpoint of the 64-point ring of degree 8, which the
+    # 128-point ring of degree 16 samples
+    pole = circle_samples(0j, 1.0, 64, offset=0.5)[3]
+    with pytest.raises(PreconditionError, match="singular"):
+        poly_approx_on_disc(R(P([1]), P.from_roots([pole])), UNIT, 1e-6)
+
+
+def test_family_class_blend_is_within_a_quarter_eps_by_polyval():
+    # c/(z - p) with 1.05 < |p| < 3 needs every degree from 8 to 256 at eps
+    # 1e-3; each member against its blend on a dense offset ring, evaluated by
+    # numpy alone
+    rng = np.random.default_rng(23)
+    n, eps = 101, 1e-3
+    p = (1.05 + 1.95 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    c = (0.5 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    fam = SampledFamily(ParamGrid.line(n), [R(P([ck]), P.from_roots([pk])) for ck, pk in zip(c, p)],
+                        UNIT)
+    blended = blend_parametric(fam, eps, net_stride=1)
+    z = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+    degrees = set()
+    for ck, pk, g in zip(c, p, blended.maps):
+        degrees.add(g.degree)
+        err = np.max(np.abs(np.polyval(np.array(g.coeffs)[::-1], z) - ck / (z - pk)))
+        assert err < eps / 4.0
+    assert degrees == {8, 16, 32, 64, 128, 256}
 
 
 def _precedence_net(budget_row, singular_row):

@@ -77,6 +77,17 @@ def test_residue_targets_need_simple_poles():
 # -- constrained log-derivative --------------------------------------------------
 
 
+def test_non_finite_nodes_are_refused_before_residue_targets():
+    nan = float("nan")
+    # residue_targets reads its nodes from a PoleSet, which refuses them: it cannot return NaN
+    with pytest.raises(InputError, match="finite"):
+        residue_targets(PoleSet([(0.5, 1), (nan, 1)]))
+    for node in (nan, complex(0, nan), float("inf")):
+        with pytest.raises(InputError, match="finite"):
+            ConstrainedEta(P([1]), P([0]), (0.5 + 0j, complex(node)))
+    assert all(np.isfinite(residue_targets(PoleSet([(0.5, 1), (-0.5j, 1)]))))
+
+
 def test_constrained_eta_zero_input():
     h = R(P([1]))  # eta = h'/h = 0
     poles = PoleSet([(0.3, 1)])
@@ -260,6 +271,57 @@ def test_extend_tightens_eta_after_a_boundary_miss(monkeypatch):
     F = extend_immersion(f, D0, D1, 1e-3)
     assert fitted == [1e-3 / 128.0, 1e-3 / 128.0 / 32.0]
     assert F.achieved_eps == measure(f, F, D0) < 1e-3
+
+
+def _extend_class_map(rng, d):
+    # the extend class, as numpy coefficients, highest degree first: d = 0 a
+    # cubic; d >= 1 (alpha T^d + beta)/(T^d - c), T = (z - p)/(z - q), whose
+    # derivative vanishes only at p and q, 1.7 < |p|, |q| < 3, with a pole at
+    # 0.15 < |a| < 0.95 and its other poles inside 0.95 or beyond 1.7
+    def polar(lo, hi):
+        return rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.random())
+
+    while True:
+        if d == 0:
+            num = np.array([polar(0, 0.1), polar(0, 0.3), polar(0.5, 1.5), polar(0, 1)])
+            den = np.array([1.0 + 0j])
+        else:
+            p, q, a = polar(1.7, 3.0), polar(1.7, 3.0), polar(0.15, 0.95)
+            A, B = np.poly([p] * d), np.poly([q] * d)
+            alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+            num, den = alpha * A + beta * B, A - ((a - p) / (a - q)) ** d * B
+        w = np.polysub(np.polymul(np.polyder(num), den), np.polymul(num, np.polyder(den)))
+        poles = np.roots(den)
+        if all((abs(x) < 0.95 or abs(x) > 1.7) and abs(abs(x) - 2.0) > 0.05 for x in poles) and all(
+                abs(x) > 1.7 for x in np.roots(w)):
+            return num, den, w, poles[np.abs(poles) > 2.0]
+
+
+def test_constrained_eta_meets_eps_eta_on_a_dense_ring_by_polyval(monkeypatch, rng):
+    # every eta that extend_immersion fits, against h'/h on a dense offset ring
+    # of the small disc's boundary, evaluated by numpy alone: h = f' Theta, with
+    # Theta the squared product over the poles in the big disc, is w = num' den
+    # - num den' divided by the squared factors of the poles beyond it
+    fitted = []
+    fit = meroimm.extension.constrained_eta
+
+    def recording(h, poles, targets, eps_eta, **kwargs):
+        out = fit(h, poles, targets, eps_eta, **kwargs)
+        fitted.append((eps_eta, out))
+        return out
+
+    monkeypatch.setattr(meroimm.extension, "constrained_eta", recording)
+    z = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+    for d in (0, 0, 1, 1, 2, 2, 2, 2):
+        num, den, w, beyond = _extend_class_map(rng, d)
+        start = len(fitted)
+        extend_immersion(R(P(num[::-1]), P(den[::-1])), D0, D1, 1e-3)
+        eta = np.polyval(np.polyder(w), z) / np.polyval(w, z)
+        eta -= sum(2.0 / (z - b) for b in beyond)
+        for eps_eta, out in fitted[start:]:
+            expanded = np.array(out.expanded.coeffs)[::-1]
+            assert np.max(np.abs(np.polyval(expanded, z) - eta)) < eps_eta
+    assert len(fitted) >= 8
 
 
 def test_extend_reports_its_best_miss(monkeypatch):

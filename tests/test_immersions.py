@@ -420,6 +420,18 @@ def test_seed_refuses_nan_and_non_finite_data():
         assert seed_disc(FormalSeed(0, target, 1.0, 1.0)).den.degree == 1
 
 
+def test_seed_stores_its_target_as_complex_or_inf():
+    inf = float("inf")
+    pole_map = seed_disc(FormalSeed(0, complex("inf"), 1, 1))
+    for target in (inf, -inf, np.float64(inf), complex(inf, 1), INF):
+        seed = FormalSeed(0, target, 1, 1)
+        assert seed.target_value is INF
+        assert seed_disc(seed) == pole_map
+    for target in (2, 2.0, np.float64(2.0), 2 + 0j):
+        seed = FormalSeed(0, target, 1, 1)
+        assert type(seed.target_value) is complex and seed.target_value == 2
+
+
 def test_seeds_pass_verify_near_base(rng):
     for _ in range(10):
         x1 = complex(rng.normal(), rng.normal())

@@ -23,6 +23,9 @@ def test_pole_set_validation():
         PoleSet([(0.0, 1), (1e-9, 1)])
     with pytest.raises(InputError):
         PoleSet([(0.0, 0)])
+    for bad in (float("nan"), complex(0, float("nan")), float("inf"), complex(1, float("-inf"))):
+        with pytest.raises(InputError, match="finite"):
+            PoleSet([(0.5, 1), (bad, 1)])
     ps = PoleSet([(1.0, 2), (-2.0, 1)])
     assert ps.locations == (-2 + 0j, 1 + 0j)
     assert ps.orders == (1, 2)

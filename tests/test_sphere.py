@@ -33,6 +33,10 @@ def test_is_inf():
     # C99 Annex G: an infinite part makes a complex infinite, a NaN part alone does not
     assert is_inf(complex(np.inf, np.nan))
     assert not is_inf(complex(np.nan, 0))
+    # a real infinity is the point at infinity too, whatever its float type
+    for x in (float("inf"), float("-inf"), np.float64(np.inf)):
+        assert is_inf(x)
+    assert not is_inf(2.5) and not is_inf(np.float64(2.5)) and not is_inf(float("nan"))
 
 
 def test_range_symmetry_triangle(rng):
