@@ -20,11 +20,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .blending import SampledFamily, blend_parametric, fix_on_Q, sampled_sup_distance
 from .config import ENV_PREFIX, RunConfig, config_from_env
 from .contours import Disc, circle_samples
 from .errors import InputError, MeroimmError, NumericalError, PreconditionError
-from .extension import extend_family, extend_immersion
 from .immersions import (
     CircularDomain,
     chart_transition_winding,
@@ -153,12 +151,18 @@ def _run_seed(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     }
 
 
+# The extend and blend handlers import extension and blending when they run,
+# so that the other commands start without them.
+
+
 def _write_boundary_csv(path: Path, F, d0: Disc, n: int) -> None:
     vals = F.values_on_circle(d0.center, d0.radius, n)
     write_map_samples_csv(path, circle_samples(d0.center, d0.radius, n), list(vals))
 
 
 def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
+    from .extension import extend_immersion
+
     f = rational_from_json(_need(data, "map"))
     d0 = disc_from_json(_need(data, "disc0"))
     d1 = disc_from_json(_need(data, "disc1"))
@@ -177,6 +181,8 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 
 
 def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
+    from .extension import extend_family
+
     maps = _maps(data)
     grid = grid_from_json(_need(data, "grid"))
     d0 = disc_from_json(_need(data, "disc0"))
@@ -199,6 +205,8 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 
 
 def _run_blend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
+    from .blending import SampledFamily, blend_parametric, fix_on_Q, sampled_sup_distance
+
     maps = _maps(data)
     grid = grid_from_json(_need(data, "grid"))
     disc = disc_from_json(_need(data, "disc"))

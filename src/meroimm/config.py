@@ -27,7 +27,8 @@ QUAD_TOL = 1e-10
 # Numerical residues of constructed integrands must stay below this.
 RESIDUE_TOL = 1e-9
 
-# "On the boundary" clearance, as a fraction of the contour diameter.
+# "On the boundary" clearance, as a fraction of the diameter: the largest
+# distance between two samples of a contour, 2 r for a circle of radius r.
 CLEARANCE_FACTOR = 1e-6
 
 # Integrand evaluations one G7-K15 path integral may spend before refusing.

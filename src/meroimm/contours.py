@@ -150,8 +150,8 @@ class Contour:
 
     @functools.cached_property
     def diameter(self) -> float:
-        zs = self.points
-        return math.hypot(float(np.ptp(zs.real)), float(np.ptp(zs.imag)))
+        """The largest distance between two samples: 2 r on a circle."""
+        return _diameter(self.samples)
 
     @functools.cached_property
     def _chords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,6 +172,30 @@ class Contour:
         w = z - (a + np.clip(t, 0.0, 1.0) * d)
         out = np.min(np.hypot(w.real, w.imag), axis=-1)
         return float(out) if out.ndim == 0 else out
+
+
+def _diameter(zs: Sequence[complex]) -> float:
+    """The largest distance between two of the points, from the antipodal
+    pairs of their convex hull (rotating calipers; Preparata & Shamos,
+    Computational Geometry, 1985, 4.2.3), in O(n log n) for n points."""
+    pts = sorted(set(zs), key=lambda z: (z.real, z.imag))
+
+    def chain(seq):  # Andrew's monotone chain: half the hull, counter-clockwise
+        out = []
+        for p in seq:
+            while len(out) > 1 and ((out[-1] - out[-2]).conjugate() * (p - out[-2])).imag <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = np.array(chain(pts) + chain(reversed(pts)), dtype=complex)
+    nxt = np.roll(hull, -1)
+    # the edge directions turn once around; the vertex antipodal to an edge
+    # is where they have turned by pi more, give or take one vertex
+    turn = np.maximum.accumulate(np.unwrap(np.angle(nxt - hull)))
+    j = np.searchsorted(np.concatenate([turn, turn + 2.0 * math.pi]), turn + math.pi)
+    far = hull[(j[:, None] + np.arange(-1, 2)) % len(hull)]
+    return float(max(np.max(np.abs(far - hull[:, None])), np.max(np.abs(far - nxt[:, None]))))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -426,7 +450,8 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
     dn, dd = n.derivative(), d.derivative()
 
     def logderiv(z: np.ndarray) -> np.ndarray:
-        return (dn(z) * d(z) - n(z) * dd(z)) / (n(z) * d(z))
+        nz, dz = n(z), d(z)
+        return (dn(z) * dz - nz * dd(z)) / (nz * dz)
 
     count = None
     for g in _periodic_samples(logderiv, disc.center, disc.radius, _COUNT_START, COUNT_NODE_CAP):

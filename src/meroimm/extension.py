@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     InternalConsistencyError,
     NotAnImmersionError,
+    NumericalError,
     PathTooCloseError,
     PoleCollisionError,
     PreconditionError,
@@ -280,7 +281,10 @@ class IntegralImmersion:
         """Numerical residues of the integrand at the poles.
 
         Res = h(a) (eta(a) - c_a) / g(a) with g = Theta/(z-a)^2; the
-        structured eta evaluation makes eta(a) - c_a pure rounding.
+        structured eta evaluation makes eta(a) - c_a pure rounding.  A
+        residue that is not finite in double precision, as when h(a) =
+        scale exp(xi(a)) overflows, cannot be checked and raises
+        NumericalError.
         """
         out = []
         targets = residue_targets(self.poles)
@@ -290,9 +294,14 @@ class IntegralImmersion:
             for j, b in enumerate(locs):
                 if j != i:
                     g *= (a - b) ** 2
-            h_at = self.scale * cmath.exp(self.xi(a))
             eta_at = self.eta_parts.value_at_node(i)
-            out.append(h_at * (eta_at - targets[i]) / g)
+            try:
+                res = self.scale * cmath.exp(self.xi(a)) * (eta_at - targets[i]) / g
+            except OverflowError:
+                res = complex(math.nan)
+            if not cmath.isfinite(res):  # NaN compares false, so a tolerance test would pass it
+                raise NumericalError(f"the residue at the pole {a} is out of double range")
+            out.append(res)
         return out
 
     # -- evaluation -----------------------------------------------------------

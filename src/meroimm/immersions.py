@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP
 from .contours import Contour, Disc, argument_principle_count, winding_number
@@ -31,10 +31,12 @@ from .errors import (
     PreconditionError,
     SingularityOnBoundaryError,
 )
-from .grids import ParamGrid
 from .poly import ComplexPolynomial
 from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, _is_nan, is_inf
+
+if TYPE_CHECKING:
+    from .grids import ParamGrid
 
 Target = Literal["C", "CP1"]
 

@@ -150,7 +150,8 @@ class RationalMap:
 
     def __call__(self, z) -> SpherePoint:
         """Evaluate on the sphere.  Arrays evaluate by plain division
-        (poles produce non-finite entries); scalars get the full
+        (poles produce non-finite entries, and a NaN entry gives NaN, by
+        design: no entry is checked); scalars get the full
         pole/indeterminacy treatment; a scalar NaN raises InputError.  At
         infinity the value is the degree limit: 0, the ratio of the leading
         coefficients, or INF as deg num is below, equal to or above deg den."""

@@ -13,16 +13,18 @@ import csv
 import functools
 import json
 import math
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .contours import Contour, Disc
 from .errors import InputError
-from .extension import ConstrainedEta, IntegralImmersion
-from .grids import ParamGrid
 from .immersions import CircularDomain, FormalSeed, HomotopyClass, ImmersionCertificate
 from .poly import ComplexPolynomial
 from .rational import PoleSet, RationalMap
 from .sphere import INF, SpherePoint, is_inf
+
+if TYPE_CHECKING:  # annotations only; the decoders import them when they run
+    from .extension import IntegralImmersion
+    from .grids import ParamGrid
 
 
 def _refusing(what: str):
@@ -193,6 +195,8 @@ def seed_from_json(data) -> FormalSeed:
 
 @_refusing("grid")
 def grid_from_json(data) -> ParamGrid:
+    from .grids import ParamGrid
+
     if not isinstance(data, dict) or "shape" not in data:
         raise InputError('grid must be {"shape": [...], "q": [...]}')
     shape = [int(s) for s in data["shape"]]
@@ -231,6 +235,8 @@ def immersion_from_json(data) -> IntegralImmersion:
     trimming; the derived ones (xi, theta, the eta nodes and expansion) must
     then match what the immersion computes, or the input is refused.
     """
+    from .extension import ConstrainedEta, IntegralImmersion
+
     poles = pole_set_from_json(data["poles"])
     lagrange, sigma = (
         ComplexPolynomial([complex_from_json(c) for c in data["eta"][k]], coeff_tol=0.0)

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import meroimm
 from meroimm import Disc, RunConfig, extension_boundary_error
 from meroimm.cli import main
 from meroimm.serialize import immersion_from_json, rational_from_json
@@ -267,6 +271,50 @@ def test_exit_code_numerical(tmp_path, capsys):
     })
     code, _, err = run(capsys, "extend", p, "--eps", "1e-16")
     assert code == 3
+
+
+def test_exit_code_residue_out_of_double_range(tmp_path, capsys):
+    # exp(xi) overflows at a pole outside disc0; this was a traceback and exit 1
+    num = [[-4.5029, 4.6032], [5.1451, -4.6031], [0.0039, 1.3718], [-1.6901, 0.4869], [0.8016, -0.4695]]
+    den = [[0.6918, -0.076], [2.5391, 0.2959], [-2.0514, -0.3219], [1, 0]]
+    p = write(tmp_path, "o.json", {
+        "map": {"num": num, "den": den},
+        "disc0": {"center": [0.0, 0.0], "radius": 1.0},
+        "disc1": {"center": [0.0, 0.0], "radius": 2.0},
+    })
+    code, _, err = run(capsys, "extend", p)
+    assert code == 3 and err.startswith("numerical budget exhausted:") and "double range" in err
+
+
+def _loaded_modules(tmp_path, command, body):
+    """The meroimm modules a fresh interpreter has loaded after one command."""
+    script = (
+        "import json, sys, meroimm.cli\n"
+        f"code = meroimm.cli.main([{command!r}, {write(tmp_path, command + '.json', body)!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('meroimm'))]))\n"
+    )
+    src = str(Path(meroimm.__file__).resolve().parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    unit = {"center": [0.0, 0.0], "radius": 1.0}
+    heavy = {"meroimm.extension", "meroimm.blending", "meroimm.grids"}
+    light = {
+        "verify": {"map": zpow_json(1), "domain": unit, "target": "C"},
+        "classify": {"map": zpow_json(3), "domain": ANNULUS, "target": "C"},
+    }
+    for command, body in light.items():
+        loaded = _loaded_modules(tmp_path, command, body)
+        assert "meroimm.immersions" in loaded and not loaded & heavy, command
+    extend = {"map": zpow_json(1), "disc0": unit, "disc1": {"center": [0.0, 0.0], "radius": 2.0}}
+    assert heavy <= _loaded_modules(tmp_path, "extend", extend)
 
 
 def _verify_input(tmp_path):

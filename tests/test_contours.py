@@ -23,6 +23,7 @@ from meroimm import (
     winding_number,
 )
 from meroimm import contours
+from meroimm.config import CLEARANCE_FACTOR
 from meroimm.contours import circle_primitive, circle_samples, integrate_pieces
 
 from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
@@ -343,6 +344,25 @@ def test_winding_zero_on_contour():
         winding_number(P.from_roots([1.0]), Contour.circle(0, 1.0, samples=64))
 
 
+def test_diameter_is_the_largest_distance_between_samples(rng):
+    # a circle's clearance is CLEARANCE_FACTOR * 2 r, as in the certificate
+    # and the count; the bounding box's diagonal made it 2.83 r
+    for center, r in ((0j, 1.0), (0.3 + 1j, 3.7), (-2j, 0.2)):
+        c = Contour.circle(center, r)
+        assert c.clearance() == pytest.approx(CLEARANCE_FACTOR * 2.0 * r, rel=1e-15)
+    assert Contour.polyline([0, 3, 3 + 4j], closed=True).diameter == 5.0
+    # against every pair of samples, scattered and collinear
+    for zs in (rng.normal(size=40) + 1j * rng.normal(size=40), (1 + 2j) * rng.normal(size=40)):
+        assert Contour.polyline(zs).diameter == np.max(np.abs(zs[:, None] - zs))
+
+
+def test_winding_clearance_is_two_millionths_of_the_radius():
+    circ = Contour.circle(0, 1.0)
+    assert winding_number(P.from_roots([1 + 2.5e-6]), circ) == 0
+    with pytest.raises(ZeroOnContourError):
+        winding_number(P.from_roots([1 + 1.5e-6]), circ)
+
+
 def test_rational_winding_refuses_near_zero_or_pole():
     circ = Contour.circle(0, 1.0)
     with pytest.raises(ZeroOnContourError):
@@ -397,6 +417,29 @@ def test_argument_principle_examples():
     assert argument_principle_count(R(P([0, 0, 0, 1])), UNIT) == 3
     assert argument_principle_count(R(P([1]), P.from_roots([0.3])), UNIT) == -1
     assert argument_principle_count(R(P([1, 0, 0, 0, 0.5])), Disc(0, 2.0)) == 4
+
+
+def test_count_evaluates_each_polynomial_once_per_rule(monkeypatch):
+    F = R(P.from_roots([0.5, 0.99]), P.from_roots([-0.3])).factor()
+    calls = {"poly": 0, "rule": 0}
+    call, sampler = ComplexPolynomial.__call__, contours._periodic_samples
+
+    def counted_call(self, z):
+        calls["poly"] += 1
+        return call(self, z)
+
+    def counted_sampler(fz, *args):
+        def rule(z):
+            calls["rule"] += 1
+            return fz(z)
+
+        return sampler(rule, *args)
+
+    monkeypatch.setattr(ComplexPolynomial, "__call__", counted_call)
+    monkeypatch.setattr(contours, "_periodic_samples", counted_sampler)
+    assert argument_principle_count(F, UNIT) == 1
+    # the numerator, the denominator and their derivatives, once each
+    assert calls["rule"] > 1 and calls["poly"] == 4 * calls["rule"]
 
 
 def test_argument_principle_clearance():

@@ -17,6 +17,7 @@ from meroimm import (
     InputError,
     InternalConsistencyError,
     NotAnImmersionError,
+    NumericalError,
     ParamGrid,
     PoleCollisionError,
     PoleSet,
@@ -341,6 +342,28 @@ def test_extend_refuses_a_residue_above_tolerance(monkeypatch):
     monkeypatch.setattr(Immersion, "residues", lambda self: [0j, 2.0 * RESIDUE_TOL])
     with pytest.raises(InternalConsistencyError, match="residue 2.00e-09"):
         extend_immersion(f, D0, D1, 1e-3)
+
+
+# poles at |a| = 0.23, 1.64 and 1.88, critical points at |z| = 1.40 to 1.47:
+# exp(xi) leaves double range at the pole 1.16 + 1.47i
+_OVERFLOWING_RESIDUE_MAP = R(
+    P([-4.5029 + 4.6032j, 5.1451 - 4.6031j, 0.0039 + 1.3718j, -1.6901 + 0.4869j, 0.8016 - 0.4695j]),
+    P([0.6918 - 0.076j, 2.5391 + 0.2959j, -2.0514 - 0.3219j, 1]),
+)
+
+
+def test_extend_refuses_a_residue_out_of_double_range():
+    # cmath.exp raised a bare OverflowError here
+    with pytest.raises(NumericalError, match="out of double range"):
+        extend_immersion(_OVERFLOWING_RESIDUE_MAP, D0, D1, 1e-3)
+
+
+def test_a_nan_residue_is_refused():
+    # NaN compares false against any tolerance, so it must not reach one
+    F = extend_immersion(R(P([1]), P.from_roots([1.5])), D0, D1, 1e-3)
+    assert F.residues() == [0j]
+    with pytest.raises(NumericalError, match="out of double range"):
+        dataclasses.replace(F, scale=complex(math.nan, 0.0)).residues()
 
 
 _IDENTITY_FAMILY = SampledFamily(ParamGrid.line(2, q_nodes=[0, 1]), [R(P([0, 1]))] * 2, D0)

@@ -126,6 +126,14 @@ def test_scalar_call_refuses_nan(z):
         RationalMap(P([1]), P.from_roots([0.5]))(z)
 
 
+def test_array_call_gives_nan_for_a_nan_entry():
+    # by design: arrays evaluate by plain division, and no entry is checked
+    f = RationalMap(P([1]), P.from_roots([0.5]))
+    out = f(np.array([0.0, np.nan, complex(0.5, np.nan), 2.0]))
+    assert np.isnan(out[1]) and np.isnan(out[2])
+    assert out[0] == f(0.0) and out[3] == f(2.0)
+
+
 _INFINITIES = [complex("inf"), INF, math.inf]
 
 
