@@ -8,11 +8,14 @@ with the degree by adding its midpoints, so a map that closes at degree 8
 costs 64 samples.  A family sampled over a parameter grid is blended through
 a net of representative nodes: the net members are truncated in blocks of
 rows, with one padded Horner evaluation of the rational rows, one FFT per
-degree and one degree sweep per block, and the outputs are convex
-combinations with piecewise-linear net weights.  Each coarser stride tried
-builds one (nodes x net) weight matrix, and so does the blend on a coarser
-net; the full grid is taken without a test, since there each node weighs
-only itself, and its blend is its member's approximant.  The two-triangle
+degree and one degree sweep per block.  Each truncation is checked at 256
+equispaced points of the same circle, offset by 0.37 of a step, which is one
+inverse FFT of its twisted coefficients (at N = 256 the top coefficient
+folds onto the constant one).  The outputs are convex combinations with
+piecewise-linear net weights, taken a few rows at a time, so each stride
+tried and the blend on a coarser net hold at most 2^16 weights at once; the
+full grid is taken without a test, since there each node weighs only
+itself, and its blend is its member's approximant.  The two-triangle
 estimate gives sup errors below half the target whenever each covered node
 stays within a quarter of it from its net representative.  A relative
 variant swaps in prescribed exact maps on the grid's marked subset Q.
@@ -67,8 +70,14 @@ def sampled_sup_distance(f, g, disc: Disc, *, samples: int = 256) -> float:
     return float(np.max(np.abs(fv - gv)))
 
 
-# a block's samples at the top degree: 8 rows of 2048 complex values, 256 KiB
-_BLOCK_ROWS = 8
+# a block's samples at the top degree: 32 rows of 2048 complex values, 1 MiB
+_BLOCK_ROWS = 32
+
+# the check ring: 256 points offset by 0.37 of a step from the fitting rings
+_CHECK_POINTS, _CHECK_OFFSET = 256, 0.37
+
+# net weights per net_weights call: 2^16 of them, 512 KiB
+_WEIGHT_ENTRIES = 1 << 16
 
 
 def _taylor_truncations(sample, center: complex, rho: float, is_open: np.ndarray):
@@ -126,6 +135,22 @@ def _horner_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_values(c: np.ndarray) -> np.ndarray:
+    """Each row of c, the coefficients of u^k, at the check points
+    u_j = exp(2 pi i (j + offset)/n), n = _CHECK_POINTS, one row each.
+
+    Sum_k c_k u_j^k = Sum_k (c_k twist_k) exp(2 pi i j k/n) with twist_k =
+    exp(2 pi i offset k/n), one unscaled inverse FFT; a column k >= n folds
+    onto k - n, since u_j^n = twist_n for every j.
+    """
+    n = _CHECK_POINTS
+    t = c * np.exp(2j * np.pi * _CHECK_OFFSET / n * np.arange(c.shape[1]))
+    if t.shape[1] > n:
+        t[:, : t.shape[1] - n] += t[:, n:]
+        t = t[:, :n]
+    return np.fft.ifft(t, n=n, axis=1, norm="forward")
+
+
 def _row_sampler(fs: Sequence):
     """sample(idx, z): the maps fs[idx] at the points z, one row each.  The
     RationalMap rows are evaluated together, by one padded Horner over their
@@ -152,8 +177,10 @@ def _row_sampler(fs: Sequence):
 def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -> list:
     """The block's maps replaced by polynomials within eps on the disc, or
     by the errors they raise.  A row closes at its first truncation within
-    eps at the points ``check`` of the boundary, evaluated in the variable
-    (z - center)/rho."""
+    eps at the points ``check`` of the boundary, the check ring.  Each
+    degree's truncations are evaluated there by one inverse FFT of their
+    twisted coefficients (``_check_values``), with the top degree's
+    coefficient of u^256 folded onto the constant."""
     rows = []
     for r, f in enumerate(block):
         if isinstance(f, RationalMap) and f.is_polynomial:
@@ -174,10 +201,9 @@ def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -
         return vals
 
     target = sample(np.arange(len(rows)), check)
-    unit = (check - center) / rho
     best = np.full(len(rows), math.inf)
     for idx, c in _taylor_truncations(refuse_singular, center, rho, is_open):
-        err = np.max(np.abs(_horner_rows(c, unit) - target[idx]), axis=1)
+        err = np.max(np.abs(_check_values(c) - target[idx]), axis=1)
         best[idx] = np.fmin(best[idx], err)
         for j in np.flatnonzero(err < eps):
             block[rows[idx[j]]], is_open[idx[j]] = _truncation(c[j], center, rho), False
@@ -192,7 +218,7 @@ def _approximate_net(maps: Sequence, disc: Disc, eps: float):
     _BLOCK_ROWS maps sampled on shared rings and one shared check ring.  The
     first map that fails, in order, raises its error.
     """
-    check = circle_samples(disc.center, disc.radius, 256, offset=0.37)
+    check = circle_samples(disc.center, disc.radius, _CHECK_POINTS, offset=_CHECK_OFFSET)
     for start in range(0, len(maps), _BLOCK_ROWS):
         for g in _approximate_block(list(maps[start : start + _BLOCK_ROWS]), disc, eps, check):
             if isinstance(g, Exception):
@@ -220,12 +246,21 @@ def poly_approx_on_disc(f, disc: Disc, eps: float) -> ComplexPolynomial:
     return next(_approximate_net([f], disc, eps))
 
 
+def _weight_rows(grid: ParamGrid, net: Sequence[int], points: np.ndarray):
+    """(i, net weights at points[i]) for every i in order, from one
+    net_weights call per _WEIGHT_ENTRIES weights, so memory stays linear in
+    the net; the rows are those of one whole-grid call, bit for bit."""
+    step = max(1, _WEIGHT_ENTRIES // len(net))
+    for start in range(0, len(points), step):
+        yield from enumerate(grid.net_weights(net, points[start : start + step]), start)
+
+
 def _net_condition_holds(
     family: SampledFamily, net: Sequence[int], points: np.ndarray, eps_quarter: float
 ) -> bool:
     """Check that every node with positive net weight stays eps/4-close to
     its net representatives on the domain."""
-    for i, w in enumerate(family.grid.net_weights(net, points)):
+    for i, w in _weight_rows(family.grid, net, points):
         for k in np.flatnonzero(w > 0.0):
             if net[k] == i:
                 continue
@@ -283,7 +318,7 @@ def blend_parametric(
         # each node weighs only itself: its blend is its own approximant
         return SampledFamily(grid, tuple(approximants), family.domain)
     out = []
-    for w in grid.net_weights(net, points):
+    for _, w in _weight_rows(grid, net, points):
         blend = ComplexPolynomial.zero()
         for k in np.flatnonzero(w > 0.0):
             blend = blend + w[k] * approximants[k]

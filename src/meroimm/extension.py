@@ -221,6 +221,7 @@ class IntegralImmersion:
 
     Stored: ``base_point`` z0, ``base_value`` f0, ``scale`` h0, ``poles``,
     ``domain`` and ``eta_parts``, whose nodes must be the pole locations.
+    z0, f0 and h0 must be finite and h0 nonzero, or InputError is raised.
     Derived: ``xi``, the primitive of ``eta_parts.expanded`` vanishing at z0.
     Theta, the squared product of (z - a) over the poles, is evaluated as
     that product.  The interpolation conditions hold exactly in the
@@ -242,6 +243,9 @@ class IntegralImmersion:
     def __post_init__(self):
         if any(m != 1 for _, m in self.poles):
             raise InputError("integral immersions carry only simple poles")
+        for name in ("base_point", "base_value", "scale"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise InputError(f"the {name} of an integral immersion must be finite")
         if self.scale == 0:
             raise InputError("the derivative scale h0 must be nonzero")
         if self.eta_parts.nodes != self.poles.locations:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meroimm import blending
+from meroimm.config import DEGREE_SCHEDULE
 from meroimm.contours import circle_samples
 from meroimm import (
     ComplexPolynomial,
@@ -272,7 +273,7 @@ def test_block_path_matches_one_row_path(disc):
         lambda z: np.exp(z),
     ]
     maps = mix + [R(P([1 + k]), P.from_roots([(2.0 + 0.2 * k) * np.exp(1j * k)]))
-                  for k in range(14)] + mix
+                  for k in range(40)] + mix
     assert len(maps) > blending._BLOCK_ROWS
     block = list(blending._approximate_net(maps, disc, eps))
     assert len(block) == len(maps)
@@ -371,3 +372,49 @@ def test_block_path_memory_does_not_grow_with_the_net():
     finally:
         tracemalloc.stop()
     assert grown < 2**20
+
+
+@pytest.mark.parametrize("N", DEGREE_SCHEDULE)
+def test_check_by_inverse_fft_matches_horner(N):
+    # unit-size coefficients up to u^N: a top coefficient of u^256 that missed
+    # the fold onto the constant would be off by about 1.  Horner's own
+    # rounding is up to 2N eps sum |c_k| on the circle (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 5.1)
+    rng = np.random.default_rng(N)
+    c = rng.standard_normal((4, N + 1)) + 1j * rng.standard_normal((4, N + 1))
+    unit = circle_samples(0, 1.0, 256, offset=0.37)
+    gap = np.abs(blending._check_values(c) - blending._horner_rows(c, unit))
+    bound = 2 * (N + 1) * np.finfo(float).eps * np.sum(np.abs(c), axis=1)
+    assert np.all(np.max(gap, axis=1) <= bound)
+
+
+def test_check_sends_no_truncation_through_horner(monkeypatch):
+    widths = []
+    horner = blending._horner_rows
+
+    def counting_horner(cs, z):
+        widths.append(cs.shape[1])
+        return horner(cs, z)
+
+    monkeypatch.setattr(blending, "_horner_rows", counting_horner)
+    g = poly_approx_on_disc(R(P([1]), P.from_roots([1.6])), UNIT, 1e-6)
+    assert g.degree == 32
+    # only the sampler's numerator (1 coefficient) and denominator (2)
+    assert widths and set(widths) <= {1, 2}
+    assert not {w - 1 for w in widths} & set(DEGREE_SCHEDULE)
+
+
+def test_full_grid_blend_memory_is_linear_in_the_grid():
+    import tracemalloc
+
+    grid = ParamGrid.box(60, 60)
+    fam = SampledFamily(grid, [P([1, 0.5 * k / grid.npoints]) for k in range(grid.npoints)], UNIT)
+    tracemalloc.start()
+    try:
+        out = blend_parametric(fam, 1e-3, net_stride=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.maps == fam.maps
+    # one 3600 x 3600 weight matrix alone is 99 MiB
+    assert peak < 10 * 2**20

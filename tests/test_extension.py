@@ -359,11 +359,29 @@ def test_extend_refuses_a_residue_out_of_double_range():
 
 
 def test_a_nan_residue_is_refused():
-    # NaN compares false against any tolerance, so it must not reach one
+    # NaN compares false against any tolerance, so it must not reach one.  A
+    # finite scale of 1e308 times exp(xi(a)) = e overflows to inf, and inf
+    # times the exact zero eta(a) - c_a is NaN
     F = extend_immersion(R(P([1]), P.from_roots([1.5])), D0, D1, 1e-3)
     assert F.residues() == [0j]
+    parts = F.eta_parts
+    assert parts.lagrange.is_zero and parts.sigma.is_zero
+    sigma = P([-2.0 / (F.base_point - 1.5) ** 2])  # xi(1.5) = 1
+    G = dataclasses.replace(
+        F, scale=1e308 + 0j, eta_parts=ConstrainedEta(parts.lagrange, sigma, parts.nodes)
+    )
     with pytest.raises(NumericalError, match="out of double range"):
-        dataclasses.replace(F, scale=complex(math.nan, 0.0)).residues()
+        G.residues()
+
+
+@pytest.mark.parametrize("field", ["scale", "base_value", "base_point"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_field_is_refused(field, bad):
+    # a NaN or infinite scale evaluated to INF, a NaN base_value to NaN, and a
+    # NaN base_point raised a bare ValueError
+    F = extend_immersion(R(P([1]), P.from_roots([1.5])), D0, D1, 1e-3)
+    with pytest.raises(InputError, match=f"{field} of an integral immersion must be finite"):
+        dataclasses.replace(F, **{field: complex(bad, 0.0)})
 
 
 _IDENTITY_FAMILY = SampledFamily(ParamGrid.line(2, q_nodes=[0, 1]), [R(P([0, 1]))] * 2, D0)
