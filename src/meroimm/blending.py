@@ -29,11 +29,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEGREE_BUDGET, DEGREE_SCHEDULE, check_eps
-from .contours import Disc, _vectorized, circle_samples
+from .contours import Disc, _unit_roots, _vectorized, circle_samples
 from .errors import (
     DegreeBudgetError,
     GridResolutionError,
     InputError,
+    MeroimmError,
     PreconditionError,
 )
 from .grids import ParamGrid
@@ -80,36 +81,45 @@ _CHECK_POINTS, _CHECK_OFFSET = 256, 0.37
 _WEIGHT_ENTRIES = 1 << 16
 
 
-def _taylor_truncations(sample, center: complex, rho: float, is_open: np.ndarray):
-    """Taylor coefficients at center of the rows of a block, lowest degree
-    first, by the periodic trapezoid rule on the circle |z - center| = rho.
+def _taylor_truncations(sample, is_open: np.ndarray):
+    """Taylor coefficients of the rows of a block, lowest degree first, by
+    the periodic trapezoid rule on each row's circle |z - center| = rho.
 
     Degree N of DEGREE_SCHEDULE is fitted by one FFT from 8N equispaced
     samples; the ring doubles with the schedule by adding its midpoints, so
     each sample is taken once and the top degree sees 2048.  Aliasing folds
     mode k + 8N onto mode k: for a row holomorphic out to radius rho/q that
     is about q^(8N), far below the truncation tail q^(N+1).
-    ``sample(idx, z)`` returns the rows idx at the points z, one row each; it
-    is asked only for the rows still open in ``is_open``, and it may close
-    the rows it refuses.  Yields (idx, c) per degree, where c[j, k] is the
-    coefficient of ((z - center)/rho)^k in row idx[j], k <= N; the caller
-    closes rows between degrees.
+    ``sample(idx, u)`` returns the rows idx at the points center + rho u of
+    their circles, one row each (a single row may come back as one array),
+    for points u of the unit circle; mapped as center + rho * u, each point
+    is that of circle_samples, bit for bit.  It is asked only for the rows
+    still open in ``is_open``, and it may close the rows it refuses.  Yields
+    (idx, c) per degree, where c[j, k] is the coefficient of
+    ((z - center)/rho)^k in row idx[j], k <= N; the caller closes rows
+    between degrees.
     """
-    idx = np.flatnonzero(is_open)
-    vals = np.empty((idx.size, 0), dtype=complex)
+    idx, vals = np.flatnonzero(is_open), None
+
+    def still_open(idx, vals):
+        keep = is_open[idx]
+        if keep.all():
+            return idx, vals
+        return idx[keep], None if vals is None else vals.reshape(idx.size, -1)[keep]
+
     for N in DEGREE_SCHEDULE:  # each degree doubles the one before it
-        idx, vals = idx[is_open[idx]], vals[is_open[idx]]
+        idx, vals = still_open(idx, vals)
         if not idx.size:
             return
         K = 8 * N
-        if vals.shape[1]:
-            fresh = sample(idx, circle_samples(center, rho, K // 2, offset=0.5))
-            vals = np.stack([vals, fresh], axis=2).reshape(idx.size, K)
+        if vals is None:
+            vals = sample(idx, _unit_roots(K, 0.0))
         else:
-            vals = sample(idx, circle_samples(center, rho, K))
-        idx, vals = idx[is_open[idx]], vals[is_open[idx]]
+            fresh = sample(idx, _unit_roots(K // 2, 0.5))
+            vals = np.stack([vals, fresh], axis=-1).reshape(*vals.shape[:-1], K)
+        idx, vals = still_open(idx, vals)
         if idx.size:
-            yield idx, np.fft.fft(vals, axis=1)[:, : N + 1] / K
+            yield idx, (np.fft.fft(vals, axis=-1)[..., : N + 1] / K).reshape(idx.size, N + 1)
 
 
 def _truncation(c: np.ndarray, center: complex, rho: float) -> ComplexPolynomial:
@@ -118,21 +128,57 @@ def _truncation(c: np.ndarray, center: complex, rho: float) -> ComplexPolynomial
     return ComplexPolynomial(scaled, coeff_tol=0.0).taylor_shift(-center)
 
 
-def _padded(polys: Sequence[ComplexPolynomial]) -> np.ndarray:
-    """The coefficients of the polynomials, one zero-padded row each."""
-    width = max((len(p.coeffs) for p in polys), default=1)
-    return np.array([p.coeffs + (0j,) * (width - len(p.coeffs)) for p in polys],
-                    dtype=complex).reshape(len(polys), width)
+def _padded(rows: Sequence) -> np.ndarray:
+    """Coefficient sequences, ascending, as one zero-padded row each."""
+    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
 
 
 def _horner_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of ascending coefficients at z, one row each; zero padding
+    """Each row of ascending coefficients at z, one row each, where z holds
+    the points shared by all rows or one row of points per row; zero padding
     keeps every bit of ``ComplexPolynomial.__call__``."""
-    out = np.zeros((cs.shape[0], z.size), dtype=complex)
+    out = np.zeros((cs.shape[0], z.shape[-1]), dtype=complex)
     for k in range(cs.shape[1] - 1, -1, -1):
         out *= z
         out += cs[:, k : k + 1]
     return out
+
+
+def _rows(a, idx: np.ndarray | None):
+    """The rows idx of a, for increasing idx: a itself when idx takes them
+    all or is None, or when a is not an array (a single row's value)."""
+    if not isinstance(a, np.ndarray) or idx is None or idx.size == len(a):
+        return a
+    return a[idx]
+
+
+def _column(values: Sequence):
+    """One value per row, as a column that broadcasts against the rows'
+    points; a single row's value is left as it is, so that its row stays
+    one-dimensional, where numpy's arithmetic is fastest."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+class _PolyRows:
+    """Polynomials as the rows of a block: ``rows(idx, z)`` is the
+    polynomials idx (increasing, or None for all) at the points z, one row
+    each, by one Horner over their zero-padded coefficients.  A single
+    polynomial is evaluated by its own Horner, which gives the same bits, and
+    its row keeps the shape of z."""
+
+    __slots__ = ("polys", "coeffs")
+
+    def __init__(self, polys: Sequence[ComplexPolynomial]):
+        self.polys = polys
+        self.coeffs = None if len(polys) == 1 else _padded([p.coeffs for p in polys])
+
+    def __call__(self, idx: np.ndarray | None, z: np.ndarray) -> np.ndarray:
+        if self.coeffs is None:
+            return self.polys[0](z)
+        return _horner_rows(_rows(self.coeffs, idx), z)
 
 
 def _check_values(c: np.ndarray) -> np.ndarray:
@@ -157,8 +203,8 @@ def _row_sampler(fs: Sequence):
     numerators and one over their denominators; other callables one by one."""
     rational = np.array([isinstance(f, RationalMap) for f in fs], dtype=bool)
     one = ComplexPolynomial.one()  # the placeholder fraction of the other rows
-    num = _padded([f.num if r else one for f, r in zip(fs, rational)])
-    den = _padded([f.den if r else one for f, r in zip(fs, rational)])
+    num = _padded([(f.num if r else one).coeffs for f, r in zip(fs, rational)])
+    den = _padded([(f.den if r else one).coeffs for f, r in zip(fs, rational)])
     calls = [_vectorized(f) for f in fs]
 
     def sample(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -193,8 +239,8 @@ def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -
     sample = _row_sampler([block[r] for r in rows])
     is_open = np.ones(len(rows), dtype=bool)
 
-    def refuse_singular(idx, z):
-        vals = sample(idx, z)
+    def refuse_singular(idx, u):
+        vals = sample(idx, center + rho * u)
         for i in idx[~np.isfinite(vals).all(axis=1)]:
             block[rows[i]] = PreconditionError("map is singular on the disc boundary")
             is_open[i] = False
@@ -202,15 +248,32 @@ def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -
 
     target = sample(np.arange(len(rows)), check)
     best = np.full(len(rows), math.inf)
-    for idx, c in _taylor_truncations(refuse_singular, center, rho, is_open):
+    for idx, c in _taylor_truncations(refuse_singular, is_open):
         err = np.max(np.abs(_check_values(c) - target[idx]), axis=1)
         best[idx] = np.fmin(best[idx], err)
         for j in np.flatnonzero(err < eps):
             block[rows[idx[j]]], is_open[idx[j]] = _truncation(c[j], center, rho), False
     for i in np.flatnonzero(is_open):
         msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"
-        block[rows[i]] = DegreeBudgetError(msg, achieved=float(best[i]))
+        block[rows[i]] = _pole_inside(block[rows[i]], disc) or DegreeBudgetError(
+            msg, achieved=float(best[i]))
     return block
+
+
+def _pole_inside(f, disc: Disc) -> PreconditionError | None:
+    """The refusal of a rational map with a pole in the closed disc, which no
+    polynomial approximates there, or None; asked only of rows that ran out
+    of degrees, so only a failing fit pays for the factorization."""
+    if not isinstance(f, RationalMap):
+        return None
+    try:
+        poles = f.factor().poles.locations
+    except MeroimmError:
+        return None  # the row's budget failure stands
+    for a in poles:
+        if disc.contains(a):
+            return PreconditionError(f"the map has a pole at {a:.6g} in the closed disc")
+    return None
 
 
 def _approximate_net(maps: Sequence, disc: Disc, eps: float):
@@ -240,7 +303,9 @@ def poly_approx_on_disc(f, disc: Disc, eps: float) -> ComplexPolynomial:
     the block path that ``blend_parametric`` runs over a whole net: a map
     singular at a sample of a ring it takes raises PreconditionError, and a
     schedule that runs out raises DegreeBudgetError with the best sampled
-    error.  An eps that is not a finite positive number raises InputError.
+    error, unless the map is rational with a pole in the closed disc, which
+    no polynomial approximates: that raises PreconditionError naming the
+    pole.  An eps that is not a finite positive number raises InputError.
     """
     check_eps(eps)
     return next(_approximate_net([f], disc, eps))

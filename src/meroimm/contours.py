@@ -11,7 +11,9 @@ node or piece endpoint.
 Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
 SIAM Rev. 2014), which doubles its equispaced nodes by adding the midpoints:
 :func:`circle_primitive` takes one FFT of the samples, divides mode k by ik
-and inverts it, and :func:`argument_principle_count` takes their mean.
+and inverts it, and :func:`argument_principle_count` takes their mean;
+:func:`circle_primitives` runs the first over a block of rows, and
+circle_primitive is its one-row case.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
@@ -358,21 +360,73 @@ def circle_primitive(fz, center: complex, radius: float, n: int, tol: float, *, 
     within tol or 50 eps sum |c_k|; ``start`` should pass the frequencies of
     fz, which the tail cannot see.  Returns (G, closure defect 2 pi c_0, int
     |g| d theta), or None if a sample is non-finite or N would pass 2^14.
+    This is the one-row case of :func:`circle_primitives`.
     """
-    N = n
-    while N < max(start, _RING_START):
+    return circle_primitives(lambda idx, z: fz(z), center, radius, n, tol, [start])[0]
+
+
+def circle_primitives(fz, center: complex, radius: float, n: int, tol: float, starts):
+    """:func:`circle_primitive` for a block of rows on one circle, row i from
+    its own ``starts[i]``.
+
+    ``fz(idx, z)`` returns the rows idx at the points z, one row each, or a
+    single row's values as one array.  The rows at one node count are
+    sampled together, by one call at the midpoints of their last ring and
+    one for the rows that start there, and share one FFT; a row leaves the
+    block once its tail converges or a sample is non-finite.  Rows are the
+    leading axis, and a block of one row has none, so that its arithmetic
+    stays one-dimensional.  Entry i is what circle_primitive returns for row
+    i, bit for bit.
+    """
+    first = []
+    for s in starts:
+        N = n
+        while N < max(s, _RING_START):
+            N *= 2
+        first.append(N)
+    out = [None] * len(first)
+    idx = g = None  # the rows in the block, in order, and their samples
+    N, last = n, max(first, default=0)
+    while N <= _RING_CAP and (idx is not None or N <= last):
+        with np.errstate(all="ignore"):
+            if idx is not None:
+                w = circle_samples(0j, radius, N // 2, offset=0.5)  # the midpoints, which double N
+                fresh = fz(idx, center + w) * 1j * w
+                g = np.stack([g, fresh], axis=-1).reshape(*g.shape[:-1], N)
+            join = [i for i, f in enumerate(first) if f == N]
+            if join:
+                w = circle_samples(0j, radius, N)
+                join = np.array(join)
+                fresh = fz(join, center + w) * 1j * w
+                if idx is None:
+                    idx, g = join, fresh
+                else:  # rows from lower starts go on: keep the rows in order
+                    idx = np.concatenate([idx, join])
+                    g = np.concatenate([g.reshape(-1, N), fresh.reshape(-1, N)])
+                    order = np.argsort(idx)
+                    idx, g = idx[order], g[order]
+        if idx is not None and not np.isfinite(g).all():
+            g = g.reshape(idx.size, N)
+            finite = np.isfinite(g).all(axis=1)
+            idx, g = (idx[finite], g[finite]) if finite.any() else (None, None)
+        if idx is not None:
+            c, k = np.fft.fft(g, axis=-1) / N, np.fft.fftfreq(N, 1.0 / N)
+            # |k| >= N/4, a contiguous slice, so that each row sums as one row alone does
+            high = slice(N // 4, N - N // 4 + 1)
+            done = np.abs(c[..., high] / k[high]).sum(axis=-1) <= np.maximum(
+                tol, _ROUNDING_FLOOR * np.abs(c).sum(axis=-1))
+            n_done = np.count_nonzero(done)
+            if n_done:
+                rows, c, gd = (idx, c, g) if n_done == idx.size else (idx[done], c[done], g[done])
+                modes0 = c[..., :1].ravel().tolist()
+                c[..., 0], c[..., 1:] = 0.0, c[..., 1:] / (1j * k[1:])
+                prims = (N * np.fft.ifft(c, axis=-1)[..., :: N // n]).reshape(rows.size, n)
+                for j, i in enumerate(rows.tolist()):
+                    mass = 2.0 * math.pi * float(np.mean(np.abs(gd.reshape(rows.size, N)[j])))
+                    out[i] = prims[j], 2.0 * math.pi * modes0[j], mass
+                idx, g = (None, None) if rows is idx else (idx[~done], g[~done])
         N *= 2
-    for g in _periodic_samples(fz, center, radius, N, _RING_CAP):
-        if not np.isfinite(g).all():
-            return None
-        N = len(g)
-        c, k = np.fft.fft(g) / N, np.fft.fftfreq(N, 1.0 / N)
-        high = np.abs(k) >= N // 4
-        if np.sum(np.abs(c[high] / k[high])) <= max(tol, _ROUNDING_FLOOR * np.sum(np.abs(c))):
-            defect, mass = 2.0 * math.pi * complex(c[0]), 2.0 * math.pi * float(np.mean(np.abs(g)))
-            c[0], c[1:] = 0.0, c[1:] / (1j * k[1:])
-            return N * np.fft.ifft(c)[:: N // n], defect, mass
-    return None
+    return out
 
 
 # -- winding numbers ----------------------------------------------------------

@@ -13,6 +13,22 @@ drifts outside the small one.
 The disc approximation realizes polynomial (Runge-type) approximation as
 Taylor truncation at a base point, with coefficients recovered by FFT from
 samples on a circle between the small disc and the nearest singularity.
+
+A family is extended as one block of rows, one row per member, by the
+periodic trapezoid rule (Trefethen & Weideman, SIAM Rev. 56 (2014)) applied
+to many rows at once.  Each member is set up on its own: its certificate,
+poles, base point and eta = h'/h, with every refusal of extending it alone.
+The eta fits of all members then share one padded Horner per polynomial on
+their rings and one FFT per degree, each row checked on its own disc; the
+boundary values on the small circle share one padded Horner over xi and one
+FFT per node count of the rule, each row from its own start, with one
+:meth:`~IntegralImmersion.evaluate` per row for its base value.  A row keeps
+its own error, and a block raises the first in member order, which is the
+error extending the members one by one raises.  ``extend_immersion``,
+``constrained_eta``, ``IntegralImmersion.values_on_circle`` and
+``extension_boundary_error`` are the one-row case; a single row stays
+one-dimensional, and each polynomial of it is evaluated by its own Horner.
+Every row's result is bit for bit the one-row result.
 """
 from __future__ import annotations
 
@@ -20,17 +36,18 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
-from .blending import _taylor_truncations, _truncation
-from .contours import Disc, circle_primitive, circle_samples, integrate_pieces
+from .blending import _column, _PolyRows, _rows, _taylor_truncations, _truncation
+from .contours import Disc, _unit_roots, circle_primitives, circle_samples, integrate_pieces
 from .errors import (
     DegreeBudgetError,
     InputError,
     InternalConsistencyError,
+    MeroimmError,
     NotAnImmersionError,
     NumericalError,
     PathTooCloseError,
@@ -87,6 +104,24 @@ def _lagrange_basis(locs: Sequence[complex]) -> list[ComplexPolynomial]:
     return basis
 
 
+def _expanded(lagrange: ComplexPolynomial, sigma: ComplexPolynomial,
+              node_product: ComplexPolynomial) -> np.ndarray:
+    """The coefficients of lagrange + sigma * node_product, bit for bit as the
+    polynomial arithmetic gives them (one convolution, its trailing zeros
+    trimmed, then both zero-padded and added), before the trailing zeros of
+    the sum are trimmed."""
+    prod = np.zeros(0, dtype=complex)
+    if sigma.coeffs and node_product.coeffs:
+        prod = np.convolve(np.array(sigma.coeffs), np.array(node_product.coeffs))
+        while prod.size and prod[-1] == 0:
+            prod = prod[:-1]
+    out = np.zeros(max(len(lagrange.coeffs), prod.size), dtype=complex)
+    out[: len(lagrange.coeffs)] = lagrange.coeffs
+    out[: prod.size] += prod
+    out[prod.size :] += 0.0  # the padding is added too, which clears a signed zero
+    return out
+
+
 @dataclass(frozen=True)
 class ConstrainedEta:
     """Polynomial log-derivative replacement, kept in structured form.
@@ -108,40 +143,31 @@ class ConstrainedEta:
         if not all(map(cmath.isfinite, self.nodes)):
             raise InputError("interpolation nodes must be finite")
         node_product = ComplexPolynomial.from_roots(self.nodes)
-        object.__setattr__(self, "expanded", self.lagrange + self.sigma * node_product)
+        expanded = _expanded(self.lagrange, self.sigma, node_product).tolist()
+        object.__setattr__(self, "expanded", ComplexPolynomial(expanded, coeff_tol=0.0))
 
     def value_at_node(self, i: int) -> complex:
         # node_product(node) = 0 exactly in the factored form
         return self.lagrange(self.nodes[i])
 
 
-def constrained_eta(
-    h: Factored | RationalMap,
-    poles: PoleSet,
-    targets: Sequence[complex],
-    eps_eta: float,
-    *,
-    disc: Disc,
-    center: complex,
-) -> ConstrainedEta:
-    """Polynomial eta-tilde with eta-tilde(a) = c_a exactly at every pole and
-    sampled sup |eta-tilde - eta| < eps_eta on the disc, for eta = h'/h.
+class _EtaFit(NamedTuple):
+    """One member's eta fit, set up: eta = h'/h, the Lagrange part and node
+    product of its interpolation nodes, the disc it must match eta on, and
+    the circle |z - center| = rho its residual is sampled on."""
 
-    h is the pole-cleared derivative of the map being extended; a
-    RationalMap is factored once on entry.  The singularities of eta are the
-    zeros and poles of h, read from its factors, and none may lie on a
-    neighborhood of the disc.  Poles of the map being extended that lie in
-    the disc must already satisfy eta(a) = c_a, or the input was not an
-    immersion there.  The residual after removing the Lagrange interpolant is
-    Taylor-truncated at ``center``, with the degree raised along the doubling
-    schedule until the sampled bound on the disc boundary holds.  Degree N is
-    fitted from 8N samples on a circle about ``center`` halfway to the
-    nearest singularity, whose ring doubles with the degree by adding its
-    midpoints; the aliasing that 8N samples leave, about q^(8N) for the
-    radius ratio q < 1 of that circle to the singularity, stays far below the
-    truncation tail q^(N+1).  A non-finite residual sample on any ring taken
-    raises InternalConsistencyError.
-    """
+    eta: RationalMap
+    lagrange: ComplexPolynomial
+    node_product: ComplexPolynomial
+    nodes: tuple[complex, ...]
+    disc: Disc
+    center: complex
+    rho: float
+
+
+def _eta_fit(h: Factored | RationalMap, poles: PoleSet, targets: Sequence[complex],
+             disc: Disc, center: complex) -> _EtaFit:
+    """The set-up of :func:`constrained_eta`, with its refusals."""
     center = complex(center)
     locs = list(poles.locations)
     if len(targets) != len(locs):
@@ -175,41 +201,121 @@ def constrained_eta(
     lagrange = ComplexPolynomial.zero()
     for c, phi in zip(targets, _lagrange_basis(locs)):
         lagrange = lagrange + c * phi
-    node_product = ComplexPolynomial.from_roots(locs)
-
     rho = 0.5 * (r_eff + R) if math.isfinite(R) else 2.0 * r_eff
     rho = min(rho, 4.0 * r_eff)
+    return _EtaFit(eta, lagrange, ComplexPolynomial.from_roots(locs), tuple(locs), disc,
+                   center, rho)
 
-    def residual(_, z):
+
+def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
+    """The eta of each set-up fit to its eps_eta, or the error it raises: the
+    block path of :func:`constrained_eta`.
+
+    The residuals (eta - lagrange)/node_product of the open rows are sampled
+    together, each on its own ring, by one padded Horner per polynomial, and
+    fitted by one FFT per degree (``_taylor_truncations``).  Each row is
+    checked on its own disc boundary, and closes at its first degree within
+    its eps_eta.
+    """
+    out: list = [None] * len(fits)
+    num, den = _PolyRows([f.eta.num for f in fits]), _PolyRows([f.eta.den for f in fits])
+    lag, node = _PolyRows([f.lagrange for f in fits]), _PolyRows([f.node_product for f in fits])
+    centers, rhos = _column([f.center for f in fits]), _column([f.rho for f in fits])
+    is_open = np.ones(len(fits), dtype=bool)
+
+    def refuse_non_finite(vals, message, idx=None) -> bool:
+        # an open row of vals (the rows idx, or all) with a non-finite value closes
+        if np.isfinite(vals).all():
+            return False
+        idx = np.arange(len(fits)) if idx is None else idx
+        for i in idx[~np.isfinite(vals.reshape(idx.size, -1)).all(axis=1) & is_open[idx]]:
+            out[i], is_open[i] = InternalConsistencyError(message), False
+        return True
+
+    def residual(idx, u):
+        z = _rows(centers, idx) + _rows(rhos, idx) * u
         with np.errstate(all="ignore"):
-            vals = (eta.num(z) / eta.den(z) - lagrange(z)) / node_product(z)
-        if not np.all(np.isfinite(vals)):
-            raise InternalConsistencyError("residual sampling hit a singularity")
-        return vals[None]
+            vals = (num(idx, z) / den(idx, z) - lag(idx, z)) / node(idx, z)
+        refuse_non_finite(vals, "residual sampling hit a singularity", idx)
+        return vals
 
-    truncations = _taylor_truncations(residual, center, rho, np.ones(1, dtype=bool))
-    first = next(truncations)  # the first ring is sampled before the boundary
+    truncations = _taylor_truncations(residual, is_open)
+    first = next(truncations, None)  # the first ring is sampled before the boundary
 
     # sampled error check on the disc boundary (max principle: the difference
-    # is holomorphic on the disc, so the boundary sup bounds the interior)
-    bdry = circle_samples(disc.center, disc.radius, 256)
+    # is holomorphic on the disc, so the boundary sup bounds the interior);
+    # rows on one disc share its ring
+    disc = fits[0].disc
+    if all(f.disc is disc or f.disc == disc for f in fits):
+        bdry = circle_samples(disc.center, disc.radius, 256)
+    else:
+        bdry = (np.array([f.disc.center for f in fits], dtype=complex)[:, None]
+                + np.array([f.disc.radius for f in fits])[:, None] * _unit_roots(256, 0.0))
     with np.errstate(all="ignore"):
-        eta_bdry = eta.num(bdry) / eta.den(bdry)
-    if not np.all(np.isfinite(eta_bdry)):
-        raise InternalConsistencyError("eta is singular on the disc boundary")
+        eta_bdry = (num(None, bdry) / den(None, bdry)).reshape(len(fits), -1)
+    if refuse_non_finite(eta_bdry, "eta is singular on the disc boundary") and first:
+        keep = is_open[first[0]]
+        first = first[0][keep], first[1][keep]
 
-    best_err = math.inf
-    for _, c in itertools.chain([first], truncations):
-        parts = ConstrainedEta(lagrange, _truncation(c[0], center, rho), tuple(locs))
-        err = float(np.max(np.abs(parts.expanded(bdry) - eta_bdry)))
-        if err < eps_eta:
-            return parts
-        best_err = min(best_err, err)
-    raise DegreeBudgetError(
-        f"degree schedule exhausted at sampled error {best_err:.3e} "
-        f"(target {eps_eta:.3e})",
-        achieved=best_err,
-    )
+    best = [math.inf] * len(fits)
+    for idx, c in itertools.chain([first] if first else [], truncations):
+        rows = idx.tolist()
+        parts = [ConstrainedEta(fits[i].lagrange, _truncation(row, fits[i].center, fits[i].rho),
+                                fits[i].nodes) for i, row in zip(rows, c)]
+        at = bdry if bdry.ndim == 1 else _rows(bdry, idx)
+        vals = _PolyRows([p.expanded for p in parts])(None, at)
+        err = np.abs(vals - _rows(eta_bdry, idx)).max(axis=1)
+        for i, p, e in zip(rows, parts, err.tolist()):
+            if e < eps_etas[i]:
+                out[i], is_open[i] = p, False
+            best[i] = min(best[i], e)
+    for i, still in enumerate(is_open.tolist()):
+        if still:
+            out[i] = DegreeBudgetError(
+                f"degree schedule exhausted at sampled error {best[i]:.3e} "
+                f"(target {eps_etas[i]:.3e})",
+                achieved=best[i],
+            )
+    return out
+
+
+def constrained_eta(
+    h: Factored | RationalMap,
+    poles: PoleSet,
+    targets: Sequence[complex],
+    eps_eta: float,
+    *,
+    disc: Disc,
+    center: complex,
+) -> ConstrainedEta:
+    """Polynomial eta-tilde with eta-tilde(a) = c_a exactly at every pole and
+    sampled sup |eta-tilde - eta| < eps_eta on the disc, for eta = h'/h.
+
+    h is the pole-cleared derivative of the map being extended; a
+    RationalMap is factored once on entry.  The singularities of eta are the
+    zeros and poles of h, read from its factors, and none may lie on a
+    neighborhood of the disc.  Poles of the map being extended that lie in
+    the disc must already satisfy eta(a) = c_a, or the input was not an
+    immersion there.  The residual after removing the Lagrange interpolant is
+    Taylor-truncated at ``center``, with the degree raised along the doubling
+    schedule until the sampled bound on the disc boundary holds.  Degree N is
+    fitted from 8N samples on a circle about ``center`` halfway to the
+    nearest singularity, whose ring doubles with the degree by adding its
+    midpoints; the aliasing that 8N samples leave, about q^(8N) for the
+    radius ratio q < 1 of that circle to the singularity, stays far below the
+    truncation tail q^(N+1).  A non-finite residual sample on any ring taken
+    raises InternalConsistencyError.  This is the one-row case of the block
+    path that :func:`extend_family` runs over all its members at once.
+    """
+    fit = _eta_fit(h, poles, targets, disc, center)
+    return _result(_fit_etas([fit], [eps_eta])[0])
+
+
+def _result(x):
+    """x, unless it is the error a row of a block raised: then raise it."""
+    if isinstance(x, Exception):
+        raise x
+    return x
 
 
 # -- reconstructed immersions -------------------------------------------------
@@ -401,26 +507,13 @@ class IntegralImmersion:
         A pole within a detour radius of the circle, an INF entry, a non-finite
         sample or the cap sends every sample to :meth:`evaluate`, whose INF
         comes back as complex("inf").  n < 1, or a non-finite center or
-        radius <= 0, raises InputError.
+        radius <= 0, raises InputError.  This is the one-row case of the
+        block that :func:`extend_family` checks all its members with.
         """
         center = complex(center)
         if n < 1 or not (0 < radius < math.inf and cmath.isfinite(center)):
             raise InputError("values_on_circle needs n >= 1, a finite center and radius > 0")
-        ring = circle_samples(center, radius, n)
-        locs = np.array(self.poles.locations, dtype=complex)
-        rule = None
-        if np.all(np.abs(np.abs(locs - center) - radius) > self.detour_radius):
-            rule = circle_primitive(self._integrand, center, radius, n, QUAD_TOL,
-                                    start=4 * len(self.xi.coeffs))
-        k0 = int(np.argmax(np.abs(ring[:, None] - locs).min(axis=1, initial=math.inf)))
-        base = self.evaluate(complex(ring[k0]))
-        if rule is None or is_inf(base):
-            vals = (base if k == k0 else self.evaluate(z) for k, z in enumerate(ring))
-            return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
-        prim, defect, mass = rule
-        if abs(defect) > 1e4 * QUAD_TOL + 1e-10 * mass:
-            raise InternalConsistencyError(f"nonzero residue (closure defect {abs(defect):.2e})")
-        return complex(base) + (prim - prim[k0])
+        return _result(_circle_values([self], center, radius, n)[0])
 
     def certificate(self) -> ImmersionCertificate:
         """Sphere-immersion certificate on the extension disc.
@@ -446,6 +539,70 @@ class IntegralImmersion:
         for a, _ in poles_inside:
             bclear = min(bclear, self.domain.boundary_distance(a))
         return ImmersionCertificate.assemble(poles_inside, 0, bclear, "CP1")
+
+
+def _integrands(Fs: Sequence[IntegralImmersion]):
+    """fz(idx, z): the integrands h0 exp(xi)/Theta of the extensions Fs[idx]
+    at the points z, one row each, by one padded Horner over xi and the
+    arithmetic of ``IntegralImmersion._integrand``, so each row keeps its
+    bits.  idx is increasing, as circle_primitives keeps it.  The rows have
+    one pole count, as the members of a family do: extend_family refuses a
+    count that changes across the grid, whose cells connect every node."""
+    xi, scale = _PolyRows([F.xi for F in Fs]), _column([F.scale for F in Fs])
+    width = len(Fs[0].poles) if Fs else 0
+    if any(len(F.poles) != width for F in Fs):
+        raise InternalConsistencyError("the rows of a block differ in their pole counts")
+    poles = [_column([F.poles.locations[j] for F in Fs]) for j in range(width)]
+
+    def fz(idx, z):
+        w = xi(idx, z)
+        theta = np.ones(w.shape, dtype=complex)
+        for a in poles:
+            t = z - _rows(a, idx)
+            theta *= t * t
+        return _rows(scale, idx) * np.exp(w) / theta
+
+    return fz
+
+
+def _circle_values(Fs: Sequence[IntegralImmersion], center: complex, radius: float,
+                   n: int) -> list:
+    """values_on_circle(center, radius, n) of each extension, or the error it
+    raises.  The rows whose poles clear the circle run one block of the
+    periodic rule (:func:`circle_primitives`), each from its own start
+    4 (deg xi + 1); each row then takes its base value by one
+    :meth:`~IntegralImmersion.evaluate`."""
+    ring = circle_samples(center, radius, n)
+    locs = [np.array(F.poles.locations, dtype=complex) for F in Fs]
+    ruled = [i for i, F in enumerate(Fs)
+             if np.all(np.abs(np.abs(locs[i] - center) - radius) > F.detour_radius)]
+    rules = circle_primitives(_integrands([Fs[i] for i in ruled]), center, radius, n, QUAD_TOL,
+                              [4 * len(Fs[i].xi.coeffs) for i in ruled])
+    rule_of = dict(zip(ruled, rules))
+    return [_per_row(_ring_values, F, ring, locs[i], rule_of.get(i)) for i, F in enumerate(Fs)]
+
+
+def _ring_values(F: IntegralImmersion, ring: np.ndarray, locs: np.ndarray, rule) -> np.ndarray:
+    """The values of F at the ring from its periodic rule (None if it had
+    none) and the value at the sample farthest from the poles."""
+    k0 = int(np.argmax(np.abs(ring[:, None] - locs).min(axis=1, initial=math.inf)))
+    base = F.evaluate(complex(ring[k0]))
+    if rule is None or is_inf(base):
+        vals = (base if k == k0 else F.evaluate(z) for k, z in enumerate(ring))
+        return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
+    prim, defect, mass = rule
+    if abs(defect) > 1e4 * QUAD_TOL + 1e-10 * mass:
+        raise InternalConsistencyError(f"nonzero residue (closure defect {abs(defect):.2e})")
+    return complex(base) + (prim - prim[k0])
+
+
+def _per_row(stage, *args):
+    """stage(*args), or the package error it raises: a row of a block keeps
+    its own error, so the block can raise errors in row order."""
+    try:
+        return stage(*args)
+    except MeroimmError as exc:
+        return exc
 
 
 # -- the extension pipeline ---------------------------------------------------
@@ -489,30 +646,17 @@ def extend_immersion(
     the same simple poles f has there, and its sampled chordal distance to f
     on the small disc's boundary stays below eps (which bounds the interior
     difference where both maps are finite, by the maximum principle).  That
-    measured distance is returned as the output's ``achieved_eps``.
+    measured distance is returned as the output's ``achieved_eps``.  This is
+    the one-member case of :func:`extend_family`'s block.
     """
-    return _extend(f, f.factor(), d0, d1, eps)
-
-
-def _extend(
-    f: RationalMap,
-    F: Factored,
-    d0: Disc,
-    d1: Disc,
-    eps: float,
-    approx_disc: Disc | None = None,
-) -> IntegralImmersion:
-    """extend_immersion of f, factored as F.
-
-    ``approx_disc`` widens the disc on which f is certified and its
-    log-derivative matched; extend_family uses it to reproduce Q members,
-    which are already immersions on the big disc.  An eps that is not a
-    finite positive number raises InputError.
-    """
+    F = f.factor()
     check_eps(eps)
-    if not d1.contains_disc(d0, margin=1e-12):
-        raise PreconditionError("the small disc must lie inside the big disc")
-    disc = approx_disc or d0
+    return _result(_extend([(f, F, eps, d0)], d0, d1)[0])
+
+
+def _set_up(f: RationalMap, F: Factored, d0: Disc, d1: Disc, disc: Disc):
+    """A member's certificate, poles, base point, base value, scale and eta
+    fit, with their refusals."""
     cert, fp = _certify(F, disc, "CP1")
     if not cert.valid:
         raise NotAnImmersionError(
@@ -526,42 +670,79 @@ def _extend(
     h0 = h.map(z0)
     if is_inf(f0) or is_inf(h0) or complex(h0) == 0:
         raise PreconditionError("base point landed on a singular value")
+    return poles, z0, complex(f0), complex(h0), _eta_fit(h, poles, targets, disc, z0)
 
-    eps_eta = eps / (64.0 * max(1.0, d1.radius))
-    last_err = math.inf
-    for _ in range(4):
-        parts = constrained_eta(
-            h,
-            poles,
-            targets,
-            eps_eta,
-            disc=disc,
-            center=z0,
-        )
-        out = IntegralImmersion(
-            base_point=z0,
-            base_value=complex(f0),
-            scale=complex(h0),
-            poles=poles,
-            domain=d1,
-            eta_parts=parts,
-        )
-        worst_res = max((abs(r) for r in out.residues()), default=0.0)
-        if worst_res > RESIDUE_TOL:
-            raise InternalConsistencyError(
-                f"constructed integrand has residue {worst_res:.2e}"
-            )
-        sup = extension_boundary_error(f, out, d0, samples=256)
-        if sup < eps:
-            # out is not shared yet: set the field, as a copy would derive xi again
-            object.__setattr__(out, "achieved_eps", sup)
-            return out
-        last_err = min(last_err, sup)
-        eps_eta /= 32.0
-    raise DegreeBudgetError(
-        f"chordal target {eps} not reached (best {last_err:.3e})",
-        achieved=last_err,
+
+def _integral(set_up, parts: ConstrainedEta, d1: Disc) -> IntegralImmersion:
+    """The extension a round builds from a member's set-up and its eta."""
+    poles, z0, f0, h0, _ = set_up
+    out = IntegralImmersion(
+        base_point=z0, base_value=f0, scale=h0, poles=poles, domain=d1, eta_parts=parts
     )
+    worst_res = max((abs(r) for r in out.residues()), default=0.0)
+    if worst_res > RESIDUE_TOL:
+        raise InternalConsistencyError(f"constructed integrand has residue {worst_res:.2e}")
+    return out
+
+
+def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
+    """The extension of each member (f, F, eps, disc), or the error that
+    extending it alone raises: f, factored as F, to the chordal target eps,
+    certified and its log-derivative matched on ``disc``.  extend_family
+    passes d1 there to reproduce Q members, which are already immersions on
+    the big disc.
+
+    Each member is set up on its own (``_certify`` among the rest); the list
+    ends at the first member whose set-up fails, since no later one can be
+    raised before it.  The rest run as one block: one ``_fit_etas`` and one
+    ``_circle_values`` over d0 per round.  A member that misses eps there
+    tightens its eps_eta by 32 and refits, alone with the other misses, for
+    up to 4 rounds.
+    """
+    if not d1.contains_disc(d0, margin=1e-12):
+        raise PreconditionError("the small disc must lie inside the big disc")
+    out: list = []
+    set_ups = []
+    for f, F, _, disc in members:
+        set_up = _per_row(_set_up, f, F, d0, d1, disc)
+        out.append(set_up)
+        if isinstance(set_up, Exception):
+            break
+        set_ups.append(set_up)
+
+    eps_eta = [eps / (64.0 * max(1.0, d1.radius)) for _, _, eps, _ in members]
+    best = [math.inf] * len(set_ups)
+    todo = list(range(len(set_ups)))
+    for _ in range(4):
+        if not todo:
+            break
+        etas = _fit_etas([set_ups[i][4] for i in todo], [eps_eta[i] for i in todo])
+        for i, eta in zip(todo, etas):
+            out[i] = eta if isinstance(eta, Exception) else _per_row(_integral, set_ups[i], eta, d1)
+        todo = [i for i in todo if not isinstance(out[i], Exception)]
+        measured = []
+        for i, vals in zip(todo, _circle_values([out[i] for i in todo], d0.center, d0.radius, 256)):
+            if isinstance(vals, Exception):
+                out[i] = vals
+            else:
+                measured.append((i, vals))
+        sups = _boundary_errors([members[i][0] for i, _ in measured],
+                                np.reshape([v for _, v in measured], (len(measured), 256)), d0)
+        misses = []
+        for (i, _), sup in zip(measured, sups):
+            if sup < members[i][2]:
+                # out[i] is not shared yet: set the field, as a copy would derive xi again
+                object.__setattr__(out[i], "achieved_eps", sup)
+            else:
+                best[i] = min(best[i], sup)
+                eps_eta[i] /= 32.0
+                misses.append(i)
+        todo = misses
+    for i in todo:
+        eps = members[i][2]
+        out[i] = DegreeBudgetError(f"chordal target {eps} not reached (best {best[i]:.3e})",
+                                   achieved=best[i])
+    return out
 
 
 def extension_boundary_error(
@@ -575,20 +756,34 @@ def extension_boundary_error(
 
     Both maps are sampled as arrays and the distance is taken in numpy; an
     entry that is non-finite or above 1e140 in either goes through the
-    scalar f and :func:`chordal_distance`, which handle poles and INF.
+    scalar f and :func:`chordal_distance`, which handle poles and INF.  This
+    is the one-row case of the block that :func:`extend_family` measures
+    all its members with.
     """
     vals = F.values_on_circle(d0.center, d0.radius, samples)
-    ring = circle_samples(d0.center, d0.radius, samples)
-    fv = f(ring)
-    # np.hypot rounds as abs() on a Python complex does
-    ap, aq = np.hypot(fv.real, fv.imag), np.hypot(vals.real, vals.imag)
-    plain = (ap <= 1e140) & (aq <= 1e140)
-    diff = fv[plain] - vals[plain]
-    ap, aq = ap[plain], aq[plain]
-    dist = 2.0 * np.hypot(diff.real, diff.imag) / np.sqrt((1.0 + ap * ap) * (1.0 + aq * aq))
-    worst = min(2.0, float(np.max(dist, initial=0.0)))
-    for z, v in zip(ring[~plain], vals[~plain]):
-        worst = max(worst, chordal_distance(f(complex(z)), v))
+    return _boundary_errors([f], vals[None], d0)[0]
+
+
+def _boundary_errors(fs: Sequence[RationalMap], vals: np.ndarray, d0: Disc) -> list[float]:
+    """extension_boundary_error of each map fs[i] against the values vals[i]
+    of its extension at circle_samples(d0.center, d0.radius, vals.shape[1]);
+    the maps are sampled by one padded Horner over their numerators and one
+    over their denominators, which keeps the bits of f(ring)."""
+    ring = circle_samples(d0.center, d0.radius, vals.shape[1])
+    with np.errstate(all="ignore"):
+        fv = _PolyRows([f.num for f in fs])(None, ring) / _PolyRows([f.den for f in fs])(None, ring)
+        fv = fv.reshape(vals.shape)
+        # np.hypot rounds as abs() on a Python complex does
+        ap, aq = np.hypot(fv.real, fv.imag), np.hypot(vals.real, vals.imag)
+        plain = (ap <= 1e140) & (aq <= 1e140)
+        diff = fv - vals
+        dist = 2.0 * np.hypot(diff.real, diff.imag) / np.sqrt((1.0 + ap * ap) * (1.0 + aq * aq))
+    if plain.all():
+        return np.minimum(2.0, np.max(dist, axis=1)).tolist()
+    worst = np.minimum(2.0, np.max(dist, axis=1, where=plain, initial=0.0)).tolist()
+    for i in np.flatnonzero(~plain.all(axis=1)):
+        for z, v in zip(ring[~plain[i]], vals[i][~plain[i]]):
+            worst[i] = max(worst[i], chordal_distance(fs[i](complex(z)), v))
     return worst
 
 
@@ -617,7 +812,10 @@ def extend_family(
     disc, and their outputs match them there (the log-derivative is fitted on
     the big disc, to the chordal target min(eps, Q_EPS)).  Each map is
     factored once: the pole-continuity check and the member's extension read
-    the same factors.
+    the same factors.  The members are extended as one block (see the module
+    notes): each output is bit for bit extend_immersion's for its member, or
+    for a Q member the one-member block on the big disc, and a failure
+    raises the error of the first member that fails, in order.
     Pole count must stay constant across grid cells; a jump raises
     PoleCollisionError naming the cell, before any member is extended.  An
     eps that is not a finite positive number raises InputError.
@@ -627,7 +825,6 @@ def extend_family(
         raise InputError("one map per grid point required")
     factors = [f.factor() for f in maps]
     _check_pole_continuity(grid, [F.poles.filter(d1.contains) for F in factors])
-    return [
-        _extend(f, F, d0, d1, min(eps, Q_EPS) if on_q else eps, d1 if on_q else None)
-        for f, F, on_q in zip(maps, factors, grid.q_mask)
-    ]
+    members = [(f, F, min(eps, Q_EPS) if on_q else eps, d1 if on_q else d0)
+               for f, F, on_q in zip(maps, factors, grid.q_mask)]
+    return [_result(F) for F in _extend(members, d0, d1)]

@@ -312,6 +312,22 @@ def test_a_pole_on_a_later_ring_is_refused_when_the_ring_reaches_it():
         poly_approx_on_disc(R(P([1]), P.from_roots([pole])), UNIT, 1e-6)
 
 
+def test_a_pole_inside_the_disc_is_refused_as_a_precondition():
+    # the Taylor series at the centre never reaches the boundary, so the
+    # schedule runs out; the map's pole in the closed disc is the reason
+    with pytest.raises(PreconditionError, match=r"pole at 0\.5\+0j in the closed disc"):
+        poly_approx_on_disc(R(P([1]), P.from_roots([0.5])), UNIT, 1e-3)
+    on_boundary = np.exp(0.3j)  # no sample of any ring or of the check ring
+    with pytest.raises(PreconditionError, match="in the closed disc"):
+        poly_approx_on_disc(R(P([1]), P.from_roots([on_boundary])), UNIT, 1e-3)
+    fam = SampledFamily(ParamGrid.line(3), [R(P([1]), P.from_roots([a])) for a in (2.0, 0.5, 2.5)], UNIT)
+    with pytest.raises(PreconditionError, match=r"pole at 0\.5\+0j"):
+        blend_parametric(fam, 1e-3)
+    # a pole outside the disc still runs out of degrees as a budget failure
+    with pytest.raises(DegreeBudgetError):
+        poly_approx_on_disc(R(P([1]), P.from_roots([1.0005])), UNIT, 1e-9)
+
+
 def test_family_class_blend_is_within_a_quarter_eps_by_polyval():
     # c/(z - p) with 1.05 < |p| < 3 needs every degree from 8 to 256 at eps
     # 1e-3; each member against its blend on a dense offset ring, evaluated by

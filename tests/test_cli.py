@@ -220,6 +220,18 @@ def test_exit_code_precondition(tmp_path, capsys):
     assert code == 2
 
 
+def test_blend_refuses_a_pole_inside_the_disc_as_a_precondition(tmp_path, capsys):
+    maps = [{"num": [[1.0, 0.0]], "den": [[-a, 0.0], [1.0, 0.0]]} for a in (2.0, 0.5, 2.5)]
+    p = write(tmp_path, "b.json", {
+        "maps": maps,
+        "grid": {"shape": [3], "q": []},
+        "disc": {"center": [0.0, 0.0], "radius": 1.0},
+    })
+    code, _, err = run(capsys, "blend", p, "--eps", "1e-3")
+    assert code == 2
+    assert err.startswith("precondition failed: the map has a pole at 0.5+0j")
+
+
 def test_exit_code_pole_on_basis_loop(tmp_path, capsys):
     # 1/(z - 1.25) on the annulus: the pole sits on the basis loop |z| = 1.25
     p = write(tmp_path, "p.json", {

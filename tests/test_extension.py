@@ -255,19 +255,20 @@ def test_extend_derives_xi_once_per_round(monkeypatch):
 
 def test_extend_tightens_eta_after_a_boundary_miss(monkeypatch):
     fitted = []
-    fit = meroimm.extension.constrained_eta
+    fit = meroimm.extension._fit_etas
     measure = meroimm.extension.extension_boundary_error
+    measure_rows = meroimm.extension._boundary_errors
     misses = [0.5]
 
-    def recording(h, poles, targets, eps_eta, **kwargs):
-        fitted.append(eps_eta)
-        return fit(h, poles, targets, eps_eta, **kwargs)
+    def recording(fits, eps_etas):
+        fitted.extend(eps_etas)
+        return fit(fits, eps_etas)
 
-    def boundary_error(f, F, d0, **kwargs):
-        return misses.pop() if misses else measure(f, F, d0, **kwargs)
+    def boundary_errors(fs, vals, d0):
+        return [misses.pop()] if misses else measure_rows(fs, vals, d0)
 
-    monkeypatch.setattr(meroimm.extension, "constrained_eta", recording)
-    monkeypatch.setattr(meroimm.extension, "extension_boundary_error", boundary_error)
+    monkeypatch.setattr(meroimm.extension, "_fit_etas", recording)
+    monkeypatch.setattr(meroimm.extension, "_boundary_errors", boundary_errors)
     f = R(P([0, 1, 0, 0, 0, 0.1]))
     F = extend_immersion(f, D0, D1, 1e-3)
     assert fitted == [1e-3 / 128.0, 1e-3 / 128.0 / 32.0]
@@ -304,14 +305,14 @@ def test_constrained_eta_meets_eps_eta_on_a_dense_ring_by_polyval(monkeypatch, r
     # Theta the squared product over the poles in the big disc, is w = num' den
     # - num den' divided by the squared factors of the poles beyond it
     fitted = []
-    fit = meroimm.extension.constrained_eta
+    fit = meroimm.extension._fit_etas
 
-    def recording(h, poles, targets, eps_eta, **kwargs):
-        out = fit(h, poles, targets, eps_eta, **kwargs)
-        fitted.append((eps_eta, out))
-        return out
+    def recording(fits, eps_etas):
+        outs = fit(fits, eps_etas)
+        fitted.extend(zip(eps_etas, outs))
+        return outs
 
-    monkeypatch.setattr(meroimm.extension, "constrained_eta", recording)
+    monkeypatch.setattr(meroimm.extension, "_fit_etas", recording)
     z = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
     for d in (0, 0, 1, 1, 2, 2, 2, 2):
         num, den, w, beyond = _extend_class_map(rng, d)
@@ -327,8 +328,8 @@ def test_constrained_eta_meets_eps_eta_on_a_dense_ring_by_polyval(monkeypatch, r
 
 def test_extend_reports_its_best_miss(monkeypatch):
     misses = [0.2, 0.1, 0.3, 0.4]  # popped from the end, one per round
-    monkeypatch.setattr(meroimm.extension, "extension_boundary_error",
-                        lambda *args, **kwargs: misses.pop())
+    monkeypatch.setattr(meroimm.extension, "_boundary_errors",
+                        lambda fs, vals, d0: [misses.pop() for _ in fs])
     with pytest.raises(DegreeBudgetError, match="chordal target 0.001 not reached") as exc:
         extend_immersion(R(P([0, 1])), D0, D1, 1e-3)
     assert exc.value.achieved == 0.1 and not misses
@@ -808,3 +809,129 @@ def test_extension_solves_each_polynomial_once(monkeypatch):
 def test_extend_family_size_mismatch():
     with pytest.raises(InputError):
         extend_family([R(P([0, 1]))], ParamGrid.line(5), D0, D1, 1e-3)
+
+
+# -- a family as one block ---------------------------------------------------------
+
+
+def _extension_bits(F):
+    eta = F.eta_parts
+    return (F.xi.coeffs, F.scale, F.base_point, F.base_value, F.poles.entries,
+            eta.lagrange.coeffs, eta.sigma.coeffs, eta.nodes, F.achieved_eps)
+
+
+def _alone(f, on_q, eps=1e-3):
+    # the one-member block: a Q member is fitted on the big disc to min(eps, Q_EPS)
+    if not on_q:
+        return extend_immersion(f, D0, D1, eps)
+    q_eps = min(eps, meroimm.extension.Q_EPS)
+    return meroimm.extension._extend([(f, f.factor(), q_eps, D1)], D0, D1)[0]
+
+
+# one family per pole count in the big disc, which a family cannot change; the
+# maps on Q immerse the big disc, and the two 0.01 from the centre have their
+# base points nudged off that pole
+_BLOCK_FAMILIES = [
+    (ParamGrid.line(4, q_nodes=[0, 3]),
+     [R(P([0, 1, 0, c])) for c in (0.01, 0.05, 0.1, 0.02)], 0),
+    (ParamGrid.line(4, q_nodes=[0]),
+     [R(P([1]), P.from_roots([0.01])),
+      R(P([1]), P.from_roots([0.01])) + R(P([0, 0.3])),
+      R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5])),
+      R(P([1]), P.from_roots([0.5j])) + R(P([0, 0.2]))], 2),
+    (ParamGrid.line(3),
+     [R(P([1]), P.from_roots([0.3])) + R(P([0.2]), P.from_roots([1.5])),
+      R(P([1]), P.from_roots([0.3])) + R(P([0.2]), P.from_roots([1.6])),
+      R(P([1]), P.from_roots([0.3j])) + R(P([0.2]), P.from_roots([1.5]))], 0),
+]
+
+
+@pytest.mark.parametrize("grid, maps, nudged", _BLOCK_FAMILIES)
+def test_each_member_of_a_block_is_its_one_member_extension(grid, maps, nudged):
+    outs = extend_family(maps, grid, D0, D1, 1e-3)
+    for f, on_q, F in zip(maps, grid.q_mask, outs):
+        assert _extension_bits(F) == _extension_bits(_alone(f, on_q))
+    assert sum(F.base_point != 0 for F in outs) == nudged
+
+
+def test_a_block_raises_the_error_of_its_first_failing_member():
+    # z - z^2/2.1 has its critical point 0.05 outside the small disc: its eta
+    # fit runs out of degrees; z^2 fails its certificate, before any fit
+    late = R(P([0, 1, -1 / 2.1]))
+    early = R(P([0, 0, 1]))
+    ident = R(P([0, 1]))
+    for maps in ([ident, late, early, ident], [ident, early, late, ident]):
+        alone = []
+        for f in maps:
+            try:
+                extend_immersion(f, D0, D1, 1e-3)
+            except Exception as exc:  # noqa: BLE001  the first member error, whatever it is
+                alone.append(exc)
+        with pytest.raises(type(alone[0])) as exc:
+            extend_family(maps, ParamGrid.line(4), D0, D1, 1e-3)
+        assert str(exc.value) == str(alone[0])
+        assert getattr(exc.value, "achieved", None) == getattr(alone[0], "achieved", None)
+    assert isinstance(alone[0], NotAnImmersionError)  # the second order: z^2 comes first
+
+
+def test_a_boundary_miss_refits_only_its_row(monkeypatch):
+    fitted = []
+    fit = meroimm.extension._fit_etas
+    measure_rows = meroimm.extension._boundary_errors
+
+    def recording(fits, eps_etas):
+        fitted.append(list(eps_etas))
+        return fit(fits, eps_etas)
+
+    def boundary_errors(fs, vals, d0):
+        sups = measure_rows(fs, vals, d0)
+        if len(fitted) == 1:
+            sups[1] = 0.5  # row 1 misses in the first round
+        return sups
+
+    monkeypatch.setattr(meroimm.extension, "_fit_etas", recording)
+    monkeypatch.setattr(meroimm.extension, "_boundary_errors", boundary_errors)
+    maps = [R(P([0, 1, 0, c])) for c in (0.01, 0.05, 0.1)]
+    outs = extend_family(maps, ParamGrid.line(3), D0, D1, 1e-3)
+    eps_eta = 1e-3 / 128.0
+    assert fitted == [[eps_eta] * 3, [eps_eta / 32.0]]
+    monkeypatch.undo()
+    for i in (0, 2):
+        assert _extension_bits(outs[i]) == _extension_bits(extend_immersion(maps[i], D0, D1, 1e-3))
+    assert outs[1].achieved_eps == extension_boundary_error(maps[1], outs[1], D0) < 1e-3
+
+
+def test_expanded_eta_is_the_polynomial_sum_bit_for_bit():
+    # ConstrainedEta expands lagrange + sigma * node_product in numpy: the
+    # coefficients, signed zeros included, are those of the polynomial sum
+    rng = np.random.default_rng(26)
+
+    def poly(n):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        signed = rng.choice([0.0, -0.0], size=(2, n))
+        re = np.where(rng.random(n) < 0.3, signed[0], c.real)
+        im = np.where(rng.random(n) < 0.3, signed[1], c.imag)
+        return P((re + 1j * im).tolist(), coeff_tol=0.0)
+
+    for _ in range(2000):
+        lag, sigma = poly(rng.integers(0, 5)), poly(rng.integers(0, 40))
+        nodes = tuple((rng.normal(size=rng.integers(0, 4)) + 1j * rng.normal()).tolist())
+        want = lag + sigma * P.from_roots(nodes)
+        assert repr(ConstrainedEta(lag, sigma, nodes).expanded.coeffs) == repr(want.coeffs)
+
+
+def test_circle_values_of_a_block_are_the_one_row_values():
+    # a plain row, a row with a pole on the circle (the pointwise fallback), a
+    # row whose xi needs a later start of the rule, and a row that keeps a
+    # residue, whose error stays in its row
+    F = extend_immersion(_CIRCLE_MAPS[2], D0, D1, 1e-3)
+    on_circle = extend_immersion(R(P([1]), P.from_roots([1.1])), D0, D1, 1e-3)
+    late = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    assert 4 * len(late.xi.coeffs) > 256
+    eta = dataclasses.replace(late.eta_parts, lagrange=late.eta_parts.lagrange + 0.1)
+    residue = dataclasses.replace(late, eta_parts=eta)
+    rows = meroimm.extension._circle_values([F, on_circle, late, residue], 0j, 1.1, 16)
+    for G, got in zip((F, on_circle, late), rows):
+        want = G.values_on_circle(0j, 1.1, 16)
+        assert got.tobytes() == want.tobytes()
+    assert np.isinf(rows[1]).any() and isinstance(rows[3], InternalConsistencyError)
