@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEGREE_BUDGET, DEGREE_SCHEDULE, check_eps
-from .contours import Disc, _unit_roots, _vectorized, circle_samples
+from .contours import Disc, _rings, _vectorized, circle_samples
 from .errors import (
     DegreeBudgetError,
     GridResolutionError,
@@ -85,41 +85,22 @@ def _taylor_truncations(sample, is_open: np.ndarray):
     """Taylor coefficients of the rows of a block, lowest degree first, by
     the periodic trapezoid rule on each row's circle |z - center| = rho.
 
-    Degree N of DEGREE_SCHEDULE is fitted by one FFT from 8N equispaced
-    samples; the ring doubles with the schedule by adding its midpoints, so
-    each sample is taken once and the top degree sees 2048.  Aliasing folds
-    mode k + 8N onto mode k: for a row holomorphic out to radius rho/q that
-    is about q^(8N), far below the truncation tail q^(N+1).
-    ``sample(idx, u)`` returns the rows idx at the points center + rho u of
-    their circles, one row each (a single row may come back as one array),
-    for points u of the unit circle; mapped as center + rho * u, each point
-    is that of circle_samples, bit for bit.  It is asked only for the rows
-    still open in ``is_open``, and it may close the rows it refuses.  Yields
-    (idx, c) per degree, where c[j, k] is the coefficient of
-    ((z - center)/rho)^k in row idx[j], k <= N; the caller closes rows
-    between degrees.
+    Degree N of DEGREE_SCHEDULE is fitted by one FFT from the ring of 8N
+    samples that :func:`~meroimm.contours._rings` takes, which doubles with
+    the schedule by adding its midpoints, so each sample is taken once and
+    the top degree sees 2048.  Aliasing folds mode k + 8N onto mode k: for a
+    row holomorphic out to radius rho/q that is about q^(8N), far below the
+    truncation tail q^(N+1).  ``sample(idx, u)`` returns the rows idx at the
+    points center + rho u of their circles, one row each (a single row may
+    come back as one array), for points u of the unit circle; mapped as
+    center + rho * u, each point is that of circle_samples, bit for bit.  It
+    is asked only for the rows still open in ``is_open``; a row with a
+    non-finite sample closes there without a truncation.  Yields (idx, c)
+    per degree, where c[j, k] is the coefficient of ((z - center)/rho)^k in
+    row idx[j], k <= N; the caller closes rows between degrees.
     """
-    idx, vals = np.flatnonzero(is_open), None
-
-    def still_open(idx, vals):
-        keep = is_open[idx]
-        if keep.all():
-            return idx, vals
-        return idx[keep], None if vals is None else vals.reshape(idx.size, -1)[keep]
-
-    for N in DEGREE_SCHEDULE:  # each degree doubles the one before it
-        idx, vals = still_open(idx, vals)
-        if not idx.size:
-            return
-        K = 8 * N
-        if vals is None:
-            vals = sample(idx, _unit_roots(K, 0.0))
-        else:
-            fresh = sample(idx, _unit_roots(K // 2, 0.5))
-            vals = np.stack([vals, fresh], axis=-1).reshape(*vals.shape[:-1], K)
-        idx, vals = still_open(idx, vals)
-        if idx.size:
-            yield idx, (np.fft.fft(vals, axis=-1)[..., : N + 1] / K).reshape(idx.size, N + 1)
+    for K, idx, vals in _rings(sample, 8 * DEGREE_SCHEDULE[0], is_open, 8 * DEGREE_SCHEDULE[-1]):
+        yield idx, (np.fft.fft(vals, axis=-1)[..., : K // 8 + 1] / K).reshape(idx.size, K // 8 + 1)
 
 
 def _truncation(c: np.ndarray, center: complex, rho: float) -> ComplexPolynomial:
@@ -238,25 +219,20 @@ def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -
     center, rho = disc.center, disc.radius
     sample = _row_sampler([block[r] for r in rows])
     is_open = np.ones(len(rows), dtype=bool)
-
-    def refuse_singular(idx, u):
-        vals = sample(idx, center + rho * u)
-        for i in idx[~np.isfinite(vals).all(axis=1)]:
-            block[rows[i]] = PreconditionError("map is singular on the disc boundary")
-            is_open[i] = False
-        return vals
-
     target = sample(np.arange(len(rows)), check)
     best = np.full(len(rows), math.inf)
-    for idx, c in _taylor_truncations(refuse_singular, is_open):
+    for idx, c in _taylor_truncations(lambda idx, u: sample(idx, center + rho * u), is_open):
         err = np.max(np.abs(_check_values(c) - target[idx]), axis=1)
         best[idx] = np.fmin(best[idx], err)
         for j in np.flatnonzero(err < eps):
             block[rows[idx[j]]], is_open[idx[j]] = _truncation(c[j], center, rho), False
-    for i in np.flatnonzero(is_open):
-        msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"
-        block[rows[i]] = _pole_inside(block[rows[i]], disc) or DegreeBudgetError(
-            msg, achieved=float(best[i]))
+    for i, r in enumerate(rows):
+        if is_open[i]:
+            msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"
+            block[r] = _pole_inside(block[r], disc) or DegreeBudgetError(
+                msg, achieved=float(best[i]))
+        elif not isinstance(block[r], ComplexPolynomial):  # closed by a non-finite sample
+            block[r] = PreconditionError("map is singular on the disc boundary")
     return block
 
 

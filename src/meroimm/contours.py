@@ -9,11 +9,12 @@ panel when |K15 - G7| is within its share of the tolerance or QUADPACK's
 rounding floor, bisects the others, and refuses a non-finite value at any
 node or piece endpoint.
 Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
-SIAM Rev. 2014), which doubles its equispaced nodes by adding the midpoints:
-:func:`circle_primitive` takes one FFT of the samples, divides mode k by ik
-and inverts it, and :func:`argument_principle_count` takes their mean;
-:func:`circle_primitives` runs the first over a block of rows, and
-circle_primitive is its one-row case.
+SIAM Rev. 2014), on one sampler, :func:`_rings`: it samples the open rows of
+a block at N equispaced nodes, doubles N by adding the midpoints, and closes
+a row at its first non-finite sample.  :func:`circle_primitives` takes one
+FFT of each ring, divides mode k by ik and inverts it;
+:func:`argument_principle_count` takes the mean of its one row; and
+``blending._taylor_truncations`` fits Taylor coefficients from it.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
@@ -85,8 +86,11 @@ def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.
     """The n points center + radius exp(2 pi i (k + offset)/n), k = 0..n-1.
 
     The unit roots are memoized by (n, offset) and shared read-only; the
-    returned array is new on every call and writeable.
+    returned array is new on every call and writeable.  An n that is not an
+    integer >= 1 raises InputError.
     """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError(f"a circle needs an integer number of samples >= 1, not {n!r}")
     roots = (_unit_roots if n <= _CACHE_NODES else _unit_roots.__wrapped__)(n, offset)
     return center + radius * roots
 
@@ -336,80 +340,71 @@ def integrate_pieces(
 _RING_START, _RING_CAP = 64, 2 ** 14  # node counts of the periodic rule on circles
 
 
-def _periodic_samples(fz, center: complex, radius: float, N: int, cap: int):
-    """Yield g(theta) = fz(z) i (z - center) at the N, 2N, 4N, ... <= cap nodes
-    z = circle_samples(center, radius, .), in angular order.  Each doubling
-    reuses the samples before it and evaluates fz only at their midpoints."""
-    w = circle_samples(0j, radius, N)
-    while N <= cap:
+def _rings(sample, N: int, is_open: np.ndarray, cap: int):
+    """Sample the open rows of a block on rings of N, 2N, 4N, ... <= cap
+    equispaced points of the unit circle, and yield (N, idx, vals) per ring.
+
+    idx holds the rows open in ``is_open``, increasing, and vals[j] is row
+    idx[j] at the N unit roots exp(2 pi i k/N), in angular order.
+    ``sample(idx, u)`` returns the rows idx at the points u, one row each, or
+    a single row's values as one array, which then stays one-dimensional.
+    Each doubling samples only the midpoints of the ring before it.  A row
+    with a non-finite sample is closed in ``is_open`` before the yield; the
+    caller closes the rows it is done with between yields.  Rows still open
+    at the cap stay open.
+    """
+    def still_open(idx, vals):  # idx holds every open row, and rows only close
+        if np.count_nonzero(is_open) == idx.size:
+            return idx, vals
+        keep = is_open[idx]
+        return idx[keep], vals.reshape(idx.size, -1)[keep]
+
+    idx, vals = is_open.nonzero()[0], None
+    while N <= cap and idx.size:
+        roots = _unit_roots if N <= _CACHE_NODES else _unit_roots.__wrapped__
         with np.errstate(all="ignore"):
-            fresh = fz(center + w) * 1j * w
-        g = fresh if len(w) == N else np.stack([g, fresh], axis=1).ravel()
-        yield g
-        w = circle_samples(0j, radius, N, offset=0.5)  # the midpoints, which double N
+            if vals is None:
+                vals = fresh = sample(idx, roots(N, 0.0))
+            else:  # the midpoints, which double N
+                fresh = sample(idx, roots(N // 2, 0.5))
+                vals = np.stack([vals, fresh], axis=-1).reshape(*vals.shape[:-1], N)
+        if not np.isfinite(fresh).all():
+            is_open[idx[~np.isfinite(fresh.reshape(idx.size, -1)).all(axis=1)]] = False
+            idx, vals = still_open(idx, vals)
+        if idx.size:
+            yield N, idx, vals
+            idx, vals = still_open(idx, vals)
         N *= 2
 
 
-def circle_primitive(fz, center: complex, radius: float, n: int, tol: float, *, start: int = 0):
-    """Primitive G of fz dz at the n samples circle_samples(center, radius, n),
-    up to one shared constant, by the periodic trapezoid rule.
-
-    g(theta) = fz(z) i (z - center) is sampled at N = n 2^j >= max(start, 64)
-    equispaced angles; mode c_k of one FFT, divided by i k, is mode k of G.  N
-    doubles, reusing its samples, until sum over |k| >= N/4 of |c_k| / |k| is
-    within tol or 50 eps sum |c_k|; ``start`` should pass the frequencies of
-    fz, which the tail cannot see.  Returns (G, closure defect 2 pi c_0, int
-    |g| d theta), or None if a sample is non-finite or N would pass 2^14.
-    This is the one-row case of :func:`circle_primitives`.
-    """
-    return circle_primitives(lambda idx, z: fz(z), center, radius, n, tol, [start])[0]
-
-
 def circle_primitives(fz, center: complex, radius: float, n: int, tol: float, starts):
-    """:func:`circle_primitive` for a block of rows on one circle, row i from
-    its own ``starts[i]``.
+    """Primitives G of fz dz at the n samples circle_samples(center, radius, n),
+    up to one constant per row, by the periodic trapezoid rule, for a block
+    of rows on one circle.
 
-    ``fz(idx, z)`` returns the rows idx at the points z, one row each, or a
-    single row's values as one array.  The rows at one node count are
-    sampled together, by one call at the midpoints of their last ring and
-    one for the rows that start there, and share one FFT; a row leaves the
-    block once its tail converges or a sample is non-finite.  Rows are the
-    leading axis, and a block of one row has none, so that its arithmetic
-    stays one-dimensional.  Entry i is what circle_primitive returns for row
-    i, bit for bit.
+    ``fz(idx, z)`` returns the rows idx (increasing) at the points z, one row
+    each, or a single row's values as one array.  Row i samples g(theta) =
+    fz(z) i (z - center) at N = n 2^j >= max(starts[i], 64) equispaced
+    angles; mode c_k of one FFT, divided by i k, is mode k of G.  N doubles
+    (:func:`_rings`) until sum over |k| >= N/4 of |c_k| / |k| is within tol
+    or 50 eps sum |c_k|; a start should pass the frequencies of fz, which the
+    tail cannot see.  Rows of one start run their rings as one block and
+    share one FFT per ring, and each row gets what it gets alone, bit for
+    bit.  Entry i is (G, closure defect 2 pi c_0, int |g| d theta), or None
+    if a sample is non-finite or N would pass 2^14.
     """
-    first = []
-    for s in starts:
-        N = n
-        while N < max(s, _RING_START):
-            N *= 2
-        first.append(N)
+    first = np.full(len(starts), n)  # each row's first ring: n 2^j >= max(start, 64)
+    while (short := first < np.maximum(starts, _RING_START)).any():
+        first[short] *= 2
     out = [None] * len(first)
-    idx = g = None  # the rows in the block, in order, and their samples
-    N, last = n, max(first, default=0)
-    while N <= _RING_CAP and (idx is not None or N <= last):
-        with np.errstate(all="ignore"):
-            if idx is not None:
-                w = circle_samples(0j, radius, N // 2, offset=0.5)  # the midpoints, which double N
-                fresh = fz(idx, center + w) * 1j * w
-                g = np.stack([g, fresh], axis=-1).reshape(*g.shape[:-1], N)
-            join = [i for i, f in enumerate(first) if f == N]
-            if join:
-                w = circle_samples(0j, radius, N)
-                join = np.array(join)
-                fresh = fz(join, center + w) * 1j * w
-                if idx is None:
-                    idx, g = join, fresh
-                else:  # rows from lower starts go on: keep the rows in order
-                    idx = np.concatenate([idx, join])
-                    g = np.concatenate([g.reshape(-1, N), fresh.reshape(-1, N)])
-                    order = np.argsort(idx)
-                    idx, g = idx[order], g[order]
-        if idx is not None and not np.isfinite(g).all():
-            g = g.reshape(idx.size, N)
-            finite = np.isfinite(g).all(axis=1)
-            idx, g = (idx[finite], g[finite]) if finite.any() else (None, None)
-        if idx is not None:
+
+    def sample(idx, u):
+        w = radius * u
+        return fz(idx, center + w) * 1j * w
+
+    for start in sorted(set(first.tolist())):
+        is_open = first == start
+        for N, idx, g in _rings(sample, start, is_open, _RING_CAP):
             c, k = np.fft.fft(g, axis=-1) / N, np.fft.fftfreq(N, 1.0 / N)
             # |k| >= N/4, a contiguous slice, so that each row sums as one row alone does
             high = slice(N // 4, N - N // 4 + 1)
@@ -424,8 +419,7 @@ def circle_primitives(fz, center: complex, radius: float, n: int, tol: float, st
                 for j, i in enumerate(rows.tolist()):
                     mass = 2.0 * math.pi * float(np.mean(np.abs(gd.reshape(rows.size, N)[j])))
                     out[i] = prims[j], 2.0 * math.pi * modes0[j], mass
-                idx, g = (None, None) if rows is idx else (idx[~done], g[~done])
-        N *= 2
+                is_open[rows] = False
     return out
 
 
@@ -507,21 +501,25 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
         nz, dz = n(z), d(z)
         return (dn(z) * dz - nz * dd(z)) / (nz * dz)
 
-    count = None
-    for g in _periodic_samples(logderiv, disc.center, disc.radius, _COUNT_START, COUNT_NODE_CAP):
-        if not np.all(np.isfinite(g)):
-            raise PathTooCloseError("non-finite integrand: path too close to singularity")
+    def sample(idx, u):
+        w = disc.radius * u
+        return logderiv(disc.center + w) * 1j * w
+
+    is_open, count = np.ones(1, dtype=bool), None
+    for N, _, g in _rings(sample, _COUNT_START, is_open, COUNT_NODE_CAP):
         previous, count = count, complex(np.mean(g)) / 1j
         nearest = round(count.real)
         if (
             previous is not None
-            and 2.0 * math.pi * disc.radius / len(g) <= reach
+            and 2.0 * math.pi * disc.radius / N <= reach
             and abs(count - nearest) < 0.1
             and abs(previous - nearest) < 0.1
         ):
             return int(nearest)
         if 2.0 * math.pi * disc.radius / COUNT_NODE_CAP > reach:
             break  # no rule within the cap can settle
+    if not is_open[0]:
+        raise PathTooCloseError("non-finite integrand: path too close to singularity")
     raise QuadratureBudgetError(
         "argument-principle count did not settle at an integer within the node cap",
         best=count,

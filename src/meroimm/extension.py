@@ -223,21 +223,9 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
     centers, rhos = _column([f.center for f in fits]), _column([f.rho for f in fits])
     is_open = np.ones(len(fits), dtype=bool)
 
-    def refuse_non_finite(vals, message, idx=None) -> bool:
-        # an open row of vals (the rows idx, or all) with a non-finite value closes
-        if np.isfinite(vals).all():
-            return False
-        idx = np.arange(len(fits)) if idx is None else idx
-        for i in idx[~np.isfinite(vals.reshape(idx.size, -1)).all(axis=1) & is_open[idx]]:
-            out[i], is_open[i] = InternalConsistencyError(message), False
-        return True
-
     def residual(idx, u):
         z = _rows(centers, idx) + _rows(rhos, idx) * u
-        with np.errstate(all="ignore"):
-            vals = (num(idx, z) / den(idx, z) - lag(idx, z)) / node(idx, z)
-        refuse_non_finite(vals, "residual sampling hit a singularity", idx)
-        return vals
+        return (num(idx, z) / den(idx, z) - lag(idx, z)) / node(idx, z)
 
     truncations = _taylor_truncations(residual, is_open)
     first = next(truncations, None)  # the first ring is sampled before the boundary
@@ -253,9 +241,13 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
                 + np.array([f.disc.radius for f in fits])[:, None] * _unit_roots(256, 0.0))
     with np.errstate(all="ignore"):
         eta_bdry = (num(None, bdry) / den(None, bdry)).reshape(len(fits), -1)
-    if refuse_non_finite(eta_bdry, "eta is singular on the disc boundary") and first:
-        keep = is_open[first[0]]
-        first = first[0][keep], first[1][keep]
+    if not np.isfinite(eta_bdry).all():
+        for i in np.flatnonzero(~np.isfinite(eta_bdry).all(axis=1) & is_open):
+            out[i] = InternalConsistencyError("eta is singular on the disc boundary")
+            is_open[i] = False
+        if first:
+            keep = is_open[first[0]]
+            first = first[0][keep], first[1][keep]
 
     best = [math.inf] * len(fits)
     for idx, c in itertools.chain([first] if first else [], truncations):
@@ -276,6 +268,8 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
                 f"(target {eps_etas[i]:.3e})",
                 achieved=best[i],
             )
+        elif out[i] is None:  # closed by a non-finite sample
+            out[i] = InternalConsistencyError("residual sampling hit a singularity")
     return out
 
 
@@ -500,19 +494,20 @@ class IntegralImmersion:
     def values_on_circle(self, center: complex, radius: float, n: int) -> np.ndarray:
         """Values at the n samples circle_samples(center, radius, n): the one
         farthest from the poles by :meth:`evaluate`, the others from it by the
-        periodic rule (:func:`circle_primitive`) to the quadrature tolerance
+        periodic rule (:func:`circle_primitives`) to the quadrature tolerance
         QUAD_TOL on 64 to 2^14 nodes, at least 4 (deg xi + 1), below which
         exp(xi) aliases unseen.  A closure defect
         over 1e4 QUAD_TOL + 1e-10 int |dF| is a residue: InternalConsistencyError.
         A pole within a detour radius of the circle, an INF entry, a non-finite
         sample or the cap sends every sample to :meth:`evaluate`, whose INF
-        comes back as complex("inf").  n < 1, or a non-finite center or
-        radius <= 0, raises InputError.  This is the one-row case of the
-        block that :func:`extend_family` checks all its members with.
+        comes back as complex("inf").  A non-finite center, radius <= 0, or
+        an n that is not an integer >= 1 (:func:`circle_samples`) raises
+        InputError.  This is the one-row case of the block that
+        :func:`extend_family` checks all its members with.
         """
         center = complex(center)
-        if n < 1 or not (0 < radius < math.inf and cmath.isfinite(center)):
-            raise InputError("values_on_circle needs n >= 1, a finite center and radius > 0")
+        if not (0 < radius < math.inf and cmath.isfinite(center)):
+            raise InputError("values_on_circle needs a finite center and radius > 0")
         return _result(_circle_values([self], center, radius, n)[0])
 
     def certificate(self) -> ImmersionCertificate:

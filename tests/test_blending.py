@@ -312,6 +312,20 @@ def test_a_pole_on_a_later_ring_is_refused_when_the_ring_reaches_it():
         poly_approx_on_disc(R(P([1]), P.from_roots([pole])), UNIT, 1e-6)
 
 
+def test_a_block_row_singular_on_a_later_ring_keeps_the_others_apart():
+    # the middle row's pole is on the 128-point ring and closes there; the
+    # others close at degrees 16 and 64 and are their one-row approximants
+    pole = circle_samples(0j, 1.0, 64, offset=0.5)[3]
+    maps = [R(P([1]), P.from_roots([1.5])), R(P([1]), P.from_roots([pole])),
+            R(P([1]), P.from_roots([3j]))]
+    check = circle_samples(0j, 1.0, 256, offset=0.37)
+    got = blending._approximate_block(list(maps), UNIT, 1e-6, check)
+    assert isinstance(got[1], PreconditionError) and "singular" in str(got[1])
+    for i in (0, 2):
+        assert got[i].coeffs == poly_approx_on_disc(maps[i], UNIT, 1e-6).coeffs
+    assert (got[0].degree, got[2].degree) == (64, 16)
+
+
 def test_a_pole_inside_the_disc_is_refused_as_a_precondition():
     # the Taylor series at the centre never reaches the boundary, so the
     # schedule runs out; the map's pole in the closed disc is the reason

@@ -24,7 +24,7 @@ from meroimm import (
 )
 from meroimm import contours
 from meroimm.config import CLEARANCE_FACTOR
-from meroimm.contours import circle_primitive, circle_samples, integrate_pieces
+from meroimm.contours import circle_primitives, circle_samples, integrate_pieces
 
 from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
 
@@ -310,9 +310,14 @@ def test_integrate_pieces_matches_reference_loop(monkeypatch):
         assert how == "refused" and best is not None
 
 
+def one_row_primitive(fz, center, radius, n, tol):
+    """The one-row block of circle_primitives, from the first ring."""
+    return circle_primitives(lambda idx, z: fz(z), center, radius, n, tol, [0])[0]
+
+
 def test_circle_primitive_of_exp():
     # the primitive of e^z dz is e^z, and a closed loop has no defect
-    got, defect, mass = circle_primitive(np.exp, 0.2j, 0.8, 16, 1e-12)
+    got, defect, mass = one_row_primitive(np.exp, 0.2j, 0.8, 16, 1e-12)
     z = circle_samples(0.2j, 0.8, 16)
     assert abs(defect) < 1e-14 and mass > 0
     assert np.max(np.abs((got - got[0]) - (np.exp(z) - np.exp(z[0])))) < 1e-14
@@ -320,11 +325,37 @@ def test_circle_primitive_of_exp():
 
 def test_circle_primitive_defect_and_refusals():
     # residue 1 inside the circle: g = i, so the closure defect is 2 pi i
-    _, defect, _ = circle_primitive(lambda z: 1 / z, 0j, 1.0, 16, 1e-12)
+    _, defect, _ = one_row_primitive(lambda z: 1 / z, 0j, 1.0, 16, 1e-12)
     assert abs(defect - 2j * math.pi) < 1e-14
     # a double pole 1e-4 outside the circle needs about 1e5 nodes, past the cap
-    assert circle_primitive(lambda z: 1 / (z - 1.0001) ** 2, 0j, 1.0, 16, 1e-10) is None
-    assert circle_primitive(lambda z: np.full(z.shape, np.inf + 0j), 0j, 1.0, 16, 1e-10) is None
+    assert one_row_primitive(lambda z: 1 / (z - 1.0001) ** 2, 0j, 1.0, 16, 1e-10) is None
+    assert one_row_primitive(lambda z: np.full(z.shape, np.inf + 0j), 0j, 1.0, 16, 1e-10) is None
+
+
+def test_circle_primitives_rows_close_at_their_own_rings():
+    # rows from starts 64, 256 and 1024 close on their first rings; the last
+    # row's double pole sits on a midpoint of its 64-node ring, so its
+    # 128-node ring overflows there.  Each row is its one-row call, bit for bit
+    pole = circle_samples(0.1j, 1.0, 64, offset=0.5)[3]
+    fs = [np.exp, lambda z: 1 / (z - 1.5), lambda z: z ** 3 * np.exp(0.5 * z),
+          lambda z: 1 / (z - pole) ** 2]
+    starts = [64, 256, 1024, 64]
+    rings = []
+
+    def block(idx, z):
+        rings.append((idx.tolist(), z.size))
+        return np.stack([fs[i](z) for i in idx])
+
+    got = circle_primitives(block, 0.1j, 1.0, 16, 1e-12, starts)
+    # rows 0 and 3 share their first ring, then row 3 alone takes its midpoints
+    assert rings == [([0, 3], 64), ([3], 64), ([1], 256), ([2], 1024)]
+    assert got[3] is None
+    for i, (f, start) in enumerate(zip(fs, starts)):
+        alone = circle_primitives(lambda idx, z: f(z), 0.1j, 1.0, 16, 1e-12, [start])[0]
+        if alone is None:
+            assert i == 3
+            continue
+        assert np.array_equal(got[i][0], alone[0]) and got[i][1:] == alone[1:]
 
 
 def test_winding_examples():
@@ -422,21 +453,21 @@ def test_argument_principle_examples():
 def test_count_evaluates_each_polynomial_once_per_rule(monkeypatch):
     F = R(P.from_roots([0.5, 0.99]), P.from_roots([-0.3])).factor()
     calls = {"poly": 0, "rule": 0}
-    call, sampler = ComplexPolynomial.__call__, contours._periodic_samples
+    call, rings = ComplexPolynomial.__call__, contours._rings
 
     def counted_call(self, z):
         calls["poly"] += 1
         return call(self, z)
 
-    def counted_sampler(fz, *args):
-        def rule(z):
+    def counted_rings(sample, *args):
+        def rule(idx, u):
             calls["rule"] += 1
-            return fz(z)
+            return sample(idx, u)
 
-        return sampler(rule, *args)
+        return rings(rule, *args)
 
     monkeypatch.setattr(ComplexPolynomial, "__call__", counted_call)
-    monkeypatch.setattr(contours, "_periodic_samples", counted_sampler)
+    monkeypatch.setattr(contours, "_rings", counted_rings)
     assert argument_principle_count(F, UNIT) == 1
     # the numerator, the denominator and their derivatives, once each
     assert calls["rule"] > 1 and calls["poly"] == 4 * calls["rule"]
@@ -462,13 +493,13 @@ def test_argument_principle_refuses_an_unreachable_pole_after_one_rule(monkeypat
     # before the first node: one 256-node rule is evaluated, not 2^18 nodes
     rules = []
 
-    def recorded(fz, *args):
-        rec = Recorder(fz)
+    def recorded(sample, *args):
+        rec = Recorder(lambda u: sample(None, u))
         rules.append(rec)
-        return periodic(rec, *args)
+        return rings(lambda idx, u: rec(u), *args)
 
-    periodic = contours._periodic_samples
-    monkeypatch.setattr(contours, "_periodic_samples", recorded)
+    rings = contours._rings
+    monkeypatch.setattr(contours, "_rings", recorded)
     with pytest.raises(QuadratureBudgetError) as info:
         argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), UNIT)
     assert isinstance(info.value.best, complex)

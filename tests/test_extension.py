@@ -34,6 +34,7 @@ from meroimm import (
     is_inf,
     poly_approx_on_disc,
     residue_targets,
+    sampled_sup_distance,
 )
 from meroimm.config import QUAD_TOL, RESIDUE_TOL
 from meroimm.contours import circle_samples, integrate_pieces
@@ -549,6 +550,20 @@ def test_evaluate_and_values_on_circle_refuse_non_finite_points():
                 F.evaluate(z)
             with pytest.raises(InputError):
                 F.values_on_circle(z, 1.0, 4)
+
+
+def test_a_sample_count_that_is_not_an_integer_above_zero_is_refused():
+    # numpy would refuse 2.5 and 16.0 with a bare ValueError, an empty ring
+    # has no max, and 2.5 would round to 3 uneven points
+    f = R(P([1]), P.from_roots([1.5]))
+    F = extend_immersion(f, D0, D1, 1e-3)
+    for n in (0, -3, 2.5, 16.0):
+        with pytest.raises(InputError):
+            F.values_on_circle(0j, 1.0, n)
+        with pytest.raises(InputError):
+            extension_boundary_error(f, F, D0, samples=n)
+        with pytest.raises(InputError):
+            sampled_sup_distance(f, f, D0, samples=n)
 
 
 def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):

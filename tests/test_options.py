@@ -23,7 +23,6 @@ OPTIONS = {
     "contours.Contour.circle(turns)",
     "contours.Contour.polyline(closed)",
     "contours.Disc.contains_disc(margin)",
-    "contours.circle_primitive(start)",
     "contours.circle_samples(offset)",
     "extension.IntegralImmersion.evaluate(side)",
     "extension.extension_boundary_error(samples)",
