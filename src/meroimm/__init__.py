@@ -23,7 +23,6 @@ _EXPORTS = {
     "contours": ("Contour", "Disc", "argument_principle_count", "winding_number"),
     "errors": (
         "DegreeBudgetError",
-        "GridResolutionError",
         "InputError",
         "InternalConsistencyError",
         "MeroimmError",

@@ -30,13 +30,7 @@ import numpy as np
 
 from .config import DEGREE_BUDGET, DEGREE_SCHEDULE, check_eps
 from .contours import Disc, _rings, _vectorized, circle_samples
-from .errors import (
-    DegreeBudgetError,
-    GridResolutionError,
-    InputError,
-    MeroimmError,
-    PreconditionError,
-)
+from .errors import DegreeBudgetError, InputError, MeroimmError, PreconditionError
 from .grids import ParamGrid
 from .poly import ComplexPolynomial
 from .rational import RationalMap
@@ -313,23 +307,16 @@ def _net_condition_holds(
     return True
 
 
-def blend_parametric(
-    family: SampledFamily,
-    eps: float,
-    *,
-    net_stride: int | None = None,
-) -> SampledFamily:
+def blend_parametric(family: SampledFamily, eps: float) -> SampledFamily:
     """Replace the family by polynomial blends with sup error below eps/2.
 
-    A net of representative nodes is chosen (coarsest power-of-two stride
+    The net of representative nodes is the coarsest power-of-two stride
     whose covered nodes stay within eps/4 of their representatives; the full
-    grid always qualifies).  Net members are polynomial-approximated to
-    eps/4 and recombined per node with the piecewise-linear net weights; the
-    triangle inequality then bounds every node's error by eps/2.
-
-    A caller-forced ``net_stride`` that violates the closeness condition
-    raises GridResolutionError asking for a finer net.  An eps that is not
-    a finite positive number raises InputError.
+    grid always qualifies, so no net is ever refused.  Net members are
+    polynomial-approximated to eps/4 and recombined per node with the
+    piecewise-linear net weights; the triangle inequality then bounds every
+    node's error by eps/2.  An eps that is not a finite positive number
+    raises InputError.
     """
     check_eps(eps)
     if not isinstance(family.domain, Disc):
@@ -338,20 +325,12 @@ def blend_parametric(
         )
     grid = family.grid
     points = np.array(grid.points)
-    if net_stride is not None:
-        net = grid.net_indices(net_stride)
-        if not _net_condition_holds(family, net, points, eps / 4.0):
-            raise GridResolutionError(
-                f"net of stride {net_stride} misses the eps/4 closeness "
-                "condition; use a finer net or a finer grid"
-            )
-    else:
-        stride = max(grid.shape) - 1
-        while stride > 1 and not _net_condition_holds(
-            family, grid.net_indices(stride), points, eps / 4.0
-        ):
-            stride //= 2
-        net = grid.net_indices(stride)
+    stride = max(grid.shape) - 1
+    while stride > 1 and not _net_condition_holds(
+        family, grid.net_indices(stride), points, eps / 4.0
+    ):
+        stride //= 2
+    net = grid.net_indices(stride)
 
     members = [family.maps[j] for j in net]
     approximants = list(_approximate_net(members, family.domain, eps / 4.0))
@@ -371,23 +350,20 @@ def fix_on_Q(
     blended: SampledFamily,
     q_maps: Mapping[int, object],
     *,
-    original: SampledFamily | None = None,
-    eps: float | None = None,
+    original: SampledFamily,
+    eps: float,
 ) -> SampledFamily:
     """Swap in prescribed exact maps on Q.
 
     q_maps gives one map per Q node of the grid, and no other.  Each Q node
     receives its prescribed map object unchanged, so equality there is
     exact; every other node keeps its blend.  An empty Q returns the blend
-    itself.
-
-    When ``original`` and ``eps`` are given, each prescribed map must stay
-    within eps/2 of the original family at its node (sampled on the domain
-    boundary), or PreconditionError is raised; an eps that is not a finite
-    positive number raises InputError.
+    itself.  Each prescribed map must stay within eps/2 of the ``original``
+    family at its node (sampled on the domain boundary), or
+    PreconditionError is raised; an eps that is not a finite positive number
+    raises InputError.
     """
-    if eps is not None:
-        check_eps(eps)
+    check_eps(eps)
     grid = blended.grid
     q_nodes = grid.q_indices
     if set(q_maps.keys()) != set(q_nodes):
@@ -396,11 +372,10 @@ def fix_on_Q(
         return blended
     out = list(blended.maps)
     for i in q_nodes:
-        if original is not None and eps is not None:
-            d = sampled_sup_distance(q_maps[i], original.maps[i], blended.domain, samples=128)
-            if d >= eps / 2.0:
-                raise PreconditionError(
-                    f"prescribed map at Q node {i} drifts {d:.3e} from the family"
-                )
+        d = sampled_sup_distance(q_maps[i], original.maps[i], blended.domain, samples=128)
+        if d >= eps / 2.0:
+            raise PreconditionError(
+                f"prescribed map at Q node {i} drifts {d:.3e} from the family"
+            )
         out[i] = q_maps[i]
     return SampledFamily(grid, tuple(out), blended.domain)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET
-from .errors import InputError, PathTooCloseError, QuadratureBudgetError
+from .errors import InputError, NumericalError, PathTooCloseError, QuadratureBudgetError
 from .poly import ComplexPolynomial
 from .rational import Factored, RationalMap
 
@@ -66,11 +66,10 @@ class Disc:
     def contains(self, z: complex) -> bool:
         return abs(complex(z) - self.center) <= self.radius
 
-    def contains_disc(self, other: "Disc", margin: float = 0.0) -> bool:
-        return (
-            abs(other.center - self.center) + other.radius
-            <= self.radius - margin
-        )
+    def contains_disc(self, other: "Disc") -> bool:
+        """Whether other lies in this disc with a clearance of 1e-12 to its
+        boundary, so that a tangent disc is not contained."""
+        return abs(other.center - self.center) + other.radius <= self.radius - 1e-12
 
     def boundary_distance(self, z: complex) -> float:
         return abs(abs(complex(z) - self.center) - self.radius)
@@ -485,7 +484,10 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
     then refuses with QuadratureBudgetError after the first rule, carrying
     that rule's estimate in ``best``.  A count that does not settle by the
     finest rule refuses the same way with the finest rule's estimate.  It
-    never returns an integer that has not settled.
+    never returns an integer that has not settled.  A non-finite sample
+    raises PathTooCloseError, or NumericalError when it is an overflow: one
+    of n, d, n' and d' (f = n/d) has a Horner scale sum |c_k| R^k out of
+    double range at R = |center| + r.
     """
     F = f if isinstance(f, Factored) else f.factor()
     singular = np.array([a for a, _ in F.zeros] + list(F.poles.locations), dtype=complex)
@@ -519,6 +521,9 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
         if 2.0 * math.pi * disc.radius / COUNT_NODE_CAP > reach:
             break  # no rule within the cap can settle
     if not is_open[0]:
+        far = abs(disc.center) + disc.radius
+        if not all(math.isfinite(p.horner_scale(far)) for p in (n, d, dn, dd)):
+            raise NumericalError("the log-derivative's factors leave double range on the circle")
         raise PathTooCloseError("non-finite integrand: path too close to singularity")
     raise QuadratureBudgetError(
         "argument-principle count did not settle at an integer within the node cap",

@@ -44,10 +44,6 @@ class PoleCollisionError(PreconditionError):
     """Poles of a parametric family collide or change count across the grid."""
 
 
-class GridResolutionError(PreconditionError):
-    """The parameter net cannot satisfy the closeness condition; a finer grid is needed."""
-
-
 class NumericalError(MeroimmError):
     """A numerical budget was exhausted before reaching the requested accuracy."""
 

@@ -22,17 +22,20 @@ The eta fits of all members then share one padded Horner per polynomial on
 their rings and one FFT per degree, each row checked on its own disc; the
 boundary values on the small circle share one padded Horner over xi and one
 FFT per node count of the rule, each row from its own start, with one
-:meth:`~IntegralImmersion.evaluate` per row for its base value.  A row keeps
-its own error, and a block raises the first in member order, which is the
-error extending the members one by one raises.  ``extend_immersion``,
+:meth:`~IntegralImmersion.evaluate` per row for its base value.  The block
+and ``evaluate`` share one integrand, h0 exp(xi)/Theta from
+``_integrands``: ``evaluate`` integrates its one row.  A row keeps its own
+error, and a block raises the first in member order, which is the error
+extending the members one by one raises.  ``extend_immersion``,
 ``constrained_eta``, ``IntegralImmersion.values_on_circle`` and
-``extension_boundary_error`` are the one-row case; a single row stays
-one-dimensional, and each polynomial of it is evaluated by its own Horner.
-Every row's result is bit for bit the one-row result.
+``extension_boundary_error`` (at 256 boundary points) are the one-row case;
+each polynomial of a single row is evaluated by its own Horner.  Every row's
+result is bit for bit the one-row result.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -231,16 +234,12 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
     first = next(truncations, None)  # the first ring is sampled before the boundary
 
     # sampled error check on the disc boundary (max principle: the difference
-    # is holomorphic on the disc, so the boundary sup bounds the interior);
-    # rows on one disc share its ring
-    disc = fits[0].disc
-    if all(f.disc is disc or f.disc == disc for f in fits):
-        bdry = circle_samples(disc.center, disc.radius, 256)
-    else:
-        bdry = (np.array([f.disc.center for f in fits], dtype=complex)[:, None]
-                + np.array([f.disc.radius for f in fits])[:, None] * _unit_roots(256, 0.0))
+    # is holomorphic on the disc, so the boundary sup bounds the interior),
+    # at circle_samples(disc.center, disc.radius, 256) of each row's disc
+    bdry = (np.array([f.disc.center for f in fits])[:, None]
+            + np.array([f.disc.radius for f in fits])[:, None] * _unit_roots(256, 0.0))
     with np.errstate(all="ignore"):
-        eta_bdry = (num(None, bdry) / den(None, bdry)).reshape(len(fits), -1)
+        eta_bdry = num(None, bdry) / den(None, bdry)
     if not np.isfinite(eta_bdry).all():
         for i in np.flatnonzero(~np.isfinite(eta_bdry).all(axis=1) & is_open):
             out[i] = InternalConsistencyError("eta is singular on the disc boundary")
@@ -254,8 +253,7 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
         rows = idx.tolist()
         parts = [ConstrainedEta(fits[i].lagrange, _truncation(row, fits[i].center, fits[i].rho),
                                 fits[i].nodes) for i, row in zip(rows, c)]
-        at = bdry if bdry.ndim == 1 else _rows(bdry, idx)
-        vals = _PolyRows([p.expanded for p in parts])(None, at)
+        vals = _PolyRows([p.expanded for p in parts])(None, _rows(bdry, idx))
         err = np.abs(vals - _rows(eta_bdry, idx)).max(axis=1)
         for i, p, e in zip(rows, parts, err.tolist()):
             if e < eps_etas[i]:
@@ -358,17 +356,10 @@ class IntegralImmersion:
     def detour_radius(self) -> float:
         return min(0.02 * self.domain.radius, 0.5 * self.poles.min_separation())
 
-    def _integrand(self, z: np.ndarray) -> np.ndarray:
-        # Theta as the product of its factors (z - a)^2: Horner on the
-        # expanded Theta loses relative accuracy to cancellation near a
-        # pole (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
-        w = self.xi(z)
-        theta = np.ones(z.shape, dtype=complex)
-        with np.errstate(all="ignore"):
-            for a in self.poles.locations:
-                t = z - a
-                theta *= t * t
-            return self.scale * np.exp(w) / theta
+    @functools.cached_property
+    def _fz(self):
+        """The integrand at the points z: the one row of :func:`_integrands`."""
+        return functools.partial(_integrands([self]), None)
 
     def log_abs_derivative(self, z) -> float | np.ndarray:
         """log |derivative|, computable even where exp overflows doubles."""
@@ -483,7 +474,7 @@ class IntegralImmersion:
         if len(starts) == 0:
             return self.base_value
         try:
-            val = integrate_pieces(self._integrand, starts, deltas, QUAD_TOL)
+            val = integrate_pieces(self._fz, starts, deltas, QUAD_TOL)
         except PathTooCloseError:
             return INF  # integrand overflow: the value has left double range
         return self.base_value + val
@@ -538,11 +529,13 @@ class IntegralImmersion:
 
 def _integrands(Fs: Sequence[IntegralImmersion]):
     """fz(idx, z): the integrands h0 exp(xi)/Theta of the extensions Fs[idx]
-    at the points z, one row each, by one padded Horner over xi and the
-    arithmetic of ``IntegralImmersion._integrand``, so each row keeps its
-    bits.  idx is increasing, as circle_primitives keeps it.  The rows have
-    one pole count, as the members of a family do: extend_family refuses a
-    count that changes across the grid, whose cells connect every node."""
+    at the points z, one row each, by one padded Horner over xi; idx is
+    increasing, as circle_primitives keeps it, or None for every row.  This
+    is the one place the integrand is computed: a single extension's
+    :meth:`~IntegralImmersion.evaluate` integrates its one row, and each row
+    of a block keeps the bits of that row alone.  The rows have one pole
+    count, as the members of a family do: extend_family refuses a count that
+    changes across the grid, whose cells connect every node."""
     xi, scale = _PolyRows([F.xi for F in Fs]), _column([F.scale for F in Fs])
     width = len(Fs[0].poles) if Fs else 0
     if any(len(F.poles) != width for F in Fs):
@@ -550,12 +543,16 @@ def _integrands(Fs: Sequence[IntegralImmersion]):
     poles = [_column([F.poles.locations[j] for F in Fs]) for j in range(width)]
 
     def fz(idx, z):
+        # Theta as the product of its factors (z - a)^2: Horner on the
+        # expanded Theta loses relative accuracy to cancellation near a
+        # pole (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
         w = xi(idx, z)
         theta = np.ones(w.shape, dtype=complex)
-        for a in poles:
-            t = z - _rows(a, idx)
-            theta *= t * t
-        return _rows(scale, idx) * np.exp(w) / theta
+        with np.errstate(all="ignore"):
+            for a in poles:
+                t = z - _rows(a, idx)
+                theta *= t * t
+            return _rows(scale, idx) * np.exp(w) / theta
 
     return fz
 
@@ -694,7 +691,7 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
     tightens its eps_eta by 32 and refits, alone with the other misses, for
     up to 4 rounds.
     """
-    if not d1.contains_disc(d0, margin=1e-12):
+    if not d1.contains_disc(d0):
         raise PreconditionError("the small disc must lie inside the big disc")
     out: list = []
     set_ups = []
@@ -740,14 +737,9 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
     return out
 
 
-def extension_boundary_error(
-    f: RationalMap,
-    F: IntegralImmersion,
-    d0: Disc,
-    *,
-    samples: int = 256,
-) -> float:
-    """Sampled sup of the chordal distance between f and F on the disc boundary.
+def extension_boundary_error(f: RationalMap, F: IntegralImmersion, d0: Disc) -> float:
+    """Sampled sup of the chordal distance between f and F at 256 equispaced
+    points of the disc boundary, circle_samples(d0.center, d0.radius, 256).
 
     Both maps are sampled as arrays and the distance is taken in numpy; an
     entry that is non-finite or above 1e140 in either goes through the
@@ -755,7 +747,7 @@ def extension_boundary_error(
     is the one-row case of the block that :func:`extend_family` measures
     all its members with.
     """
-    vals = F.values_on_circle(d0.center, d0.radius, samples)
+    vals = F.values_on_circle(d0.center, d0.radius, 256)
     return _boundary_errors([f], vals[None], d0)[0]
 
 

@@ -52,7 +52,7 @@ class CircularDomain:
         holes = tuple(self.holes)
         object.__setattr__(self, "holes", holes)
         for h in holes:
-            if not self.outer.contains_disc(h, margin=1e-12):
+            if not self.outer.contains_disc(h):
                 raise InputError("each hole must lie in the interior of the outer disc")
         for i in range(len(holes)):
             for j in range(i):
@@ -60,8 +60,8 @@ class CircularDomain:
                     raise InputError("holes must be pairwise disjoint")
 
     @classmethod
-    def annulus(cls, inner_radius: float, outer_radius: float, center: complex = 0j) -> "CircularDomain":
-        return cls(Disc(center, outer_radius), (Disc(center, inner_radius),))
+    def annulus(cls, inner_radius: float, outer_radius: float) -> "CircularDomain":
+        return cls(Disc(0, outer_radius), (Disc(0, inner_radius),))
 
     @classmethod
     def disc(cls, d: Disc) -> "CircularDomain":

@@ -104,7 +104,7 @@ def test_criterion_05_polefree_extension():
     f = R(P([0, 1, 0, 0, 0, 0.1]))
     F = extend_immersion(f, D0, D1, 1e-3)
     cert = F.certificate()
-    sup = extension_boundary_error(f, F, D0, samples=256)
+    sup = extension_boundary_error(f, F, D0)
     ok = cert.valid and len(cert.poles_inside) == 0 and sup < 1e-3
     report("criterion 5: pole-free extension", time.perf_counter() - t0, 10.0, ok)
 
@@ -123,7 +123,7 @@ def test_criterion_06_pole_extension():
             complex(F.evaluate(z, side=1)) - complex(F.evaluate(z, side=-1))
         )
         ok = ok and two < 1e-8
-    sup = extension_boundary_error(f, F, D0, samples=256)
+    sup = extension_boundary_error(f, F, D0)
     ok = ok and sup < 1e-3
     report("criterion 6: pole-case extension", time.perf_counter() - t0, 10.0, ok)
 

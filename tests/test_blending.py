@@ -8,7 +8,6 @@ from meroimm import (
     ComplexPolynomial,
     DegreeBudgetError,
     Disc,
-    GridResolutionError,
     InputError,
     ParamGrid,
     PreconditionError,
@@ -100,12 +99,6 @@ def test_blend_outputs_are_polynomials():
     assert all(isinstance(m, P) for m in out.maps)
 
 
-def test_blend_forced_coarse_net_raises():
-    fam = SampledFamily(ParamGrid.line(101), moebius_family(101), UNIT)
-    with pytest.raises(GridResolutionError):
-        blend_parametric(fam, 1e-3, net_stride=50)
-
-
 def test_blend_needs_positive_eps():
     fam = SampledFamily(ParamGrid.line(5), moebius_family(5), UNIT)
     with pytest.raises(InputError):
@@ -127,7 +120,7 @@ def test_fix_on_q_exact_objects():
 def test_fix_on_q_empty_is_identity():
     fam = SampledFamily(ParamGrid.line(5), moebius_family(5), UNIT)
     out = blend_parametric(fam, 1e-3)
-    assert fix_on_Q(out, {}) is out
+    assert fix_on_Q(out, {}, original=fam, eps=1e-3) is out
 
 
 def test_fix_on_q_drift_check():
@@ -140,18 +133,18 @@ def test_fix_on_q_drift_check():
     drifted = maps[0] + R(P([1e-3]))
     with pytest.raises(PreconditionError, match="drifts"):
         fix_on_Q(out, {0: drifted}, original=fam, eps=1e-3)
-    # within eps/2 it is put in place as given; without original no check
+    # within eps/2 it is put in place as given
     near = maps[0] + R(P([1e-4]))
     assert fix_on_Q(out, {0: near}, original=fam, eps=1e-3).maps[0] is near
-    assert fix_on_Q(out, {0: drifted}).maps[0] is drifted
 
 
 def test_fix_on_q_wrong_nodes():
     grid = ParamGrid.line(5, q_nodes=[0])
     maps = [R(P([0, 1]))] * 5
-    out = blend_parametric(SampledFamily(grid, maps, UNIT), 1e-3)
+    fam = SampledFamily(grid, maps, UNIT)
+    out = blend_parametric(fam, 1e-3)
     with pytest.raises(InputError):
-        fix_on_Q(out, {1: maps[1]})
+        fix_on_Q(out, {1: maps[1]}, original=fam, eps=1e-3)
 
 
 def test_convexity_of_sup_ball(rng):
@@ -226,12 +219,6 @@ def test_blend_box_family_matches_per_point_reference(eps, net_size):
         # the coarse net really blends: interior nodes mix all four corners
         assert sum(np.count_nonzero(_reference_weights(grid, net, p)) == 4
                    for p in grid.points) == 7 * 11
-
-
-def test_blend_box_family_coarse_net_is_refused_at_small_eps():
-    fam = _box_family()
-    with pytest.raises(GridResolutionError):
-        blend_parametric(fam, 1e-3, net_stride=12)
 
 
 def test_fix_on_q_inside_a_box_grid():
@@ -352,7 +339,7 @@ def test_family_class_blend_is_within_a_quarter_eps_by_polyval():
     c = (0.5 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     fam = SampledFamily(ParamGrid.line(n), [R(P([ck]), P.from_roots([pk])) for ck, pk in zip(c, p)],
                         UNIT)
-    blended = blend_parametric(fam, eps, net_stride=1)
+    blended = blend_parametric(fam, eps)
     z = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
     degrees = set()
     for ck, pk, g in zip(c, p, blended.maps):
@@ -374,11 +361,11 @@ def test_block_path_keeps_error_precedence():
     with pytest.raises(DegreeBudgetError) as alone:
         poly_approx_on_disc(fam.maps[2], UNIT, 1e-12 / 4.0)
     with pytest.raises(DegreeBudgetError) as net:
-        blend_parametric(fam, 1e-12, net_stride=1)
+        blend_parametric(fam, 1e-12)
     assert net.value.achieved == alone.value.achieved
     assert str(net.value) == str(alone.value)
     with pytest.raises(PreconditionError):
-        blend_parametric(_precedence_net(5, 2), 1e-12, net_stride=1)
+        blend_parametric(_precedence_net(5, 2), 1e-12)
 
 
 def test_block_path_memory_does_not_grow_with_the_net():
@@ -441,7 +428,7 @@ def test_full_grid_blend_memory_is_linear_in_the_grid():
     fam = SampledFamily(grid, [P([1, 0.5 * k / grid.npoints]) for k in range(grid.npoints)], UNIT)
     tracemalloc.start()
     try:
-        out = blend_parametric(fam, 1e-3, net_stride=1)
+        out = blend_parametric(fam, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

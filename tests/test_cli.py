@@ -298,6 +298,18 @@ def test_exit_code_residue_out_of_double_range(tmp_path, capsys):
     assert code == 3 and err.startswith("numerical budget exhausted:") and "double range" in err
 
 
+def test_exit_code_count_out_of_double_range(tmp_path, capsys):
+    # 1 + z^60 on a disc of radius 1e6: the count's factors overflow, which
+    # was reported as a path too close to a singularity, exit 2
+    p = write(tmp_path, "big.json", {
+        "map": {"num": [[1, 0]] + [[0, 0]] * 59 + [[1, 0]], "den": [[1, 0]]},
+        "domain": {"center": [0.0, 0.0], "radius": 1e6},
+        "target": "CP1",
+    })
+    code, _, err = run(capsys, "verify", p)
+    assert code == 3 and err.startswith("numerical budget exhausted:") and "double range" in err
+
+
 def _loaded_modules(tmp_path, command, body):
     """The meroimm modules a fresh interpreter has loaded after one command."""
     script = (

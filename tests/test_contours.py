@@ -15,6 +15,7 @@ from meroimm import (
     Disc,
     InputError,
     MeroimmError,
+    NumericalError,
     PathTooCloseError,
     QuadratureBudgetError,
     RationalMap,
@@ -506,6 +507,16 @@ def test_argument_principle_refuses_an_unreachable_pole_after_one_rule(monkeypat
     assert sum(z.size for rec in rules for z in rec.calls) <= 256
 
 
+@pytest.mark.parametrize("degree, radius", [(60, 1e6), (200, 40.0)])
+def test_a_count_whose_factors_overflow_is_refused_as_out_of_double_range(degree, radius):
+    # no zero or pole is near the circle, but |z|^degree passes 1.8e308
+    # there, so the log-derivative reads inf/inf: that is no clearance failure
+    f = R(P([0] * degree + [1]))
+    with pytest.raises(NumericalError, match="double range"):
+        argument_principle_count(f, Disc(0, radius))
+    assert argument_principle_count(f, Disc(0, 2.0)) == degree
+
+
 def test_argument_principle_near_contour_sound(rng):
     # zeros and poles of order <= 3 placed 1e-3 to 1e-2 inside or outside
     # the unit circle, plus far ones: each count matches the numpy.roots
@@ -660,7 +671,8 @@ def test_disc_geometry():
     assert d.contains(2.5)
     assert not d.contains(3.5)
     assert d.boundary_distance(1 + 0j) == pytest.approx(2.0)
-    assert Disc(0, 3.0).contains_disc(d)
+    assert Disc(0, 3.0).contains_disc(Disc(1 + 0j, 1.5))
+    assert not Disc(0, 3.0).contains_disc(d)  # tangent: no clearance to the boundary
     for center, radius in ((0, 0.0), (0, math.nan), (0, math.inf), (math.nan, 1.0),
                            (complex(0, math.inf), 1.0)):
         with pytest.raises(InputError):

@@ -561,8 +561,6 @@ def test_a_sample_count_that_is_not_an_integer_above_zero_is_refused():
         with pytest.raises(InputError):
             F.values_on_circle(0j, 1.0, n)
         with pytest.raises(InputError):
-            extension_boundary_error(f, F, D0, samples=n)
-        with pytest.raises(InputError):
             sampled_sup_distance(f, f, D0, samples=n)
 
 
@@ -585,7 +583,7 @@ def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):
         assert v == evaluate(F, complex(z))
     # extension_boundary_error takes the INF entry through chordal_distance
     f = R(P([1]), P.from_roots([1.5]))
-    assert extension_boundary_error(f, F, Disc(0, 1.5), samples=16) < 1e-3
+    assert extension_boundary_error(f, F, Disc(0, 1.5)) < 1e-3
 
 
 def test_values_on_circle_refuses_bad_circles():
@@ -610,7 +608,7 @@ def test_detour_quadrature_matches_reference_loop(num, den):
     F = extend_immersion(R(P(num), P(den)), D0, D1, 1e-3)
     for z in ring(1.5, 16):
         starts, deltas = F._detour_path(complex(z), 1)
-        assert assert_same_quadrature(F._integrand, starts, deltas, QUAD_TOL)[0] == "returned"
+        assert assert_same_quadrature(F._fz, starts, deltas, QUAD_TOL)[0] == "returned"
 
 
 def test_evaluate_next_to_pole_on_either_side():
@@ -702,13 +700,13 @@ def test_extension_boundary_error_with_inf_values():
     # f has a pole at the ring sample z = 1; the extension values hold an
     # INF, a value past 1e140 and an ordinary miss
     f = R(P([1]), P.from_roots([1.0])) + R(P([0, 0.5]))
-    vals = f(ring(1.0, 64))
+    vals = f(ring(1.0, 256))
     vals[0] = 1e200
     vals[5] = complex(math.inf, 0.0)
     vals[9] += 1e-3
-    got = extension_boundary_error(f, _FixedValues(vals), D0, samples=64)
-    assert got == _boundary_error_by_loop(f, vals, 64)
-    assert got == pytest.approx(chordal_distance(f(complex(ring(1.0, 64)[5])), INF))
+    got = extension_boundary_error(f, _FixedValues(vals), D0)
+    assert got == _boundary_error_by_loop(f, vals, 256)
+    assert got == pytest.approx(chordal_distance(f(complex(ring(1.0, 256)[5])), INF))
 
 
 # -- families ---------------------------------------------------------------------

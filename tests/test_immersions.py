@@ -11,6 +11,7 @@ from meroimm import (
     FormalSeed,
     InputError,
     NotAnImmersionError,
+    NumericalError,
     ParamGrid,
     PreconditionError,
     RationalMap,
@@ -469,3 +470,12 @@ def test_seed_family_forbidden_zone():
     # at the cutoff extremes the same targets are fine
     seed_disc_family(seeds, grid, lambda p: 0.0)
     seed_disc_family(seeds, grid, lambda p: 1.0)
+
+
+def test_a_certificate_out_of_double_range_is_refused_as_numerical():
+    # the zeros of f' = 60 z^59 sit at 0, far inside; the count on the circle
+    # of radius 1e6 overflows, which is not a zero near the boundary
+    f = R(P([1] + [0] * 59 + [1]))
+    with pytest.raises(NumericalError, match="double range"):
+        verify_immersion(f, Disc(0, 1e6), "CP1")
+    assert verify_immersion(f, Disc(0, 1e3), "CP1").derivative_zero_count == 59

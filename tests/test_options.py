@@ -13,22 +13,16 @@ import meroimm
 from meroimm import RunConfig
 
 OPTIONS = {
-    "blending.blend_parametric(net_stride)",
-    "blending.fix_on_Q(eps)",
-    "blending.fix_on_Q(original)",
     "blending.sampled_sup_distance(samples)",
     "cli.main(argv)",
     "config.config_from_env(overrides)",
     "contours.Contour.circle(samples)",
     "contours.Contour.circle(turns)",
     "contours.Contour.polyline(closed)",
-    "contours.Disc.contains_disc(margin)",
     "contours.circle_samples(offset)",
     "extension.IntegralImmersion.evaluate(side)",
-    "extension.extension_boundary_error(samples)",
     "grids.ParamGrid.box(q_nodes)",
     "grids.ParamGrid.line(q_nodes)",
-    "immersions.CircularDomain.annulus(center)",
     "immersions.classify(target)",
     "immersions.same_component(target)",
     "immersions.verify_immersion(target)",
