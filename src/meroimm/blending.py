@@ -32,7 +32,7 @@ from .config import DEGREE_BUDGET, DEGREE_SCHEDULE, check_eps
 from .contours import Disc, _rings, _vectorized, circle_samples
 from .errors import DegreeBudgetError, InputError, MeroimmError, PreconditionError
 from .grids import ParamGrid
-from .poly import ComplexPolynomial
+from .poly import ComplexPolynomial, _horner_rows, _padded, _unshifted
 from .rational import RationalMap
 
 
@@ -97,63 +97,16 @@ def _taylor_truncations(sample, is_open: np.ndarray):
         yield idx, (np.fft.fft(vals, axis=-1)[..., : K // 8 + 1] / K).reshape(idx.size, K // 8 + 1)
 
 
-def _truncation(c: np.ndarray, center: complex, rho: float) -> ComplexPolynomial:
-    """The polynomial in z with coefficients c of ((z - center)/rho)^k."""
-    scaled = (c / rho ** np.arange(c.size)).tolist()
-    return ComplexPolynomial(scaled, coeff_tol=0.0).taylor_shift(-center)
-
-
-def _padded(rows: Sequence) -> np.ndarray:
-    """Coefficient sequences, ascending, as one zero-padded row each."""
-    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
-
-
-def _horner_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of ascending coefficients at z, one row each, where z holds
-    the points shared by all rows or one row of points per row; zero padding
-    keeps every bit of ``ComplexPolynomial.__call__``."""
-    out = np.zeros((cs.shape[0], z.shape[-1]), dtype=complex)
-    for k in range(cs.shape[1] - 1, -1, -1):
-        out *= z
-        out += cs[:, k : k + 1]
-    return out
-
-
-def _rows(a, idx: np.ndarray | None):
-    """The rows idx of a, for increasing idx: a itself when idx takes them
-    all or is None, or when a is not an array (a single row's value)."""
-    if not isinstance(a, np.ndarray) or idx is None or idx.size == len(a):
-        return a
-    return a[idx]
-
-
-def _column(values: Sequence):
-    """One value per row, as a column that broadcasts against the rows'
-    points; a single row's value is left as it is, so that its row stays
-    one-dimensional, where numpy's arithmetic is fastest."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
-
-
-class _PolyRows:
-    """Polynomials as the rows of a block: ``rows(idx, z)`` is the
-    polynomials idx (increasing, or None for all) at the points z, one row
-    each, by one Horner over their zero-padded coefficients.  A single
-    polynomial is evaluated by its own Horner, which gives the same bits, and
-    its row keeps the shape of z."""
-
-    __slots__ = ("polys", "coeffs")
-
-    def __init__(self, polys: Sequence[ComplexPolynomial]):
-        self.polys = polys
-        self.coeffs = None if len(polys) == 1 else _padded([p.coeffs for p in polys])
-
-    def __call__(self, idx: np.ndarray | None, z: np.ndarray) -> np.ndarray:
-        if self.coeffs is None:
-            return self.polys[0](z)
-        return _horner_rows(_rows(self.coeffs, idx), z)
+def _truncations(c: np.ndarray, center, rho) -> list[ComplexPolynomial]:
+    """The polynomials in z with coefficients c[j, k] of ((z - center)/rho)^k,
+    center and rho one value or a column of one per row: one division scales
+    the rows, and only those that taylor_shift's rule would change shift."""
+    scaled = c / rho ** np.arange(c.shape[1])
+    shift = -np.asarray(center, dtype=complex)
+    shifts = shift.ravel().tolist() if shift.ndim else [complex(shift)] * len(c)
+    as_is = ((shift == 0).ravel() & _unshifted(scaled)).tolist()
+    polys = [ComplexPolynomial(row, coeff_tol=0.0) for row in scaled.tolist()]
+    return [p if keep else p.taylor_shift(a) for p, keep, a in zip(polys, as_is, shifts)]
 
 
 def _check_values(c: np.ndarray) -> np.ndarray:
@@ -201,7 +154,8 @@ def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -
     eps at the points ``check`` of the boundary, the check ring.  Each
     degree's truncations are evaluated there by one inverse FFT of their
     twisted coefficients (``_check_values``), with the top degree's
-    coefficient of u^256 folded onto the constant."""
+    coefficient of u^256 folded onto the constant; only the rows that close
+    are made polynomials in z, by one ``_truncations`` per degree."""
     rows = []
     for r, f in enumerate(block):
         if isinstance(f, RationalMap) and f.is_polynomial:
@@ -218,8 +172,10 @@ def _approximate_block(block: list, disc: Disc, eps: float, check: np.ndarray) -
     for idx, c in _taylor_truncations(lambda idx, u: sample(idx, center + rho * u), is_open):
         err = np.max(np.abs(_check_values(c) - target[idx]), axis=1)
         best[idx] = np.fmin(best[idx], err)
-        for j in np.flatnonzero(err < eps):
-            block[rows[idx[j]]], is_open[idx[j]] = _truncation(c[j], center, rho), False
+        shut = err < eps
+        if shut.any():  # only the rows that close get a polynomial
+            for i, g in zip(idx[shut].tolist(), _truncations(c[shut], center, rho)):
+                block[rows[i]], is_open[i] = g, False
     for i, r in enumerate(rows):
         if is_open[i]:
             msg = f"degree schedule exhausted at sampled error {best[i]:.3e}"

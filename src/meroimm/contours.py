@@ -12,9 +12,9 @@ Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
 SIAM Rev. 2014), on one sampler, :func:`_rings`: it samples the open rows of
 a block at N equispaced nodes, doubles N by adding the midpoints, and closes
 a row at its first non-finite sample.  :func:`circle_primitives` takes one
-FFT of each ring, divides mode k by ik and inverts it;
-:func:`argument_principle_count` takes the mean of its one row; and
-``blending._taylor_truncations`` fits Taylor coefficients from it.
+FFT of each ring, divides mode k by ik and inverts it; ``_counts`` takes the
+mean of each row, one per map counted (:func:`argument_principle_count` is
+one row); and ``blending._taylor_truncations`` fits Taylor coefficients.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET
 from .errors import InputError, NumericalError, PathTooCloseError, QuadratureBudgetError
-from .poly import ComplexPolynomial
+from .poly import ComplexPolynomial, _PolyRows
 from .rational import Factored, RationalMap
 
 _CACHE_SIZE = 32  # entries per cache of fixed geometry
@@ -67,9 +67,10 @@ class Disc:
         return abs(complex(z) - self.center) <= self.radius
 
     def contains_disc(self, other: "Disc") -> bool:
-        """Whether other lies in this disc with a clearance of 1e-12 to its
-        boundary, so that a tangent disc is not contained."""
-        return abs(other.center - self.center) + other.radius <= self.radius - 1e-12
+        """Whether other lies in this disc with a clearance of 1e-12 max(1, r)
+        to its boundary, r its radius, so that no tangent disc is contained."""
+        return abs(other.center - self.center) + other.radius <= (
+            self.radius - 1e-12 * max(1.0, self.radius))
 
     def boundary_distance(self, z: complex) -> float:
         return abs(abs(complex(z) - self.center) - self.radius)
@@ -350,11 +351,11 @@ def _rings(sample, N: int, is_open: np.ndarray, cap: int):
     Each doubling samples only the midpoints of the ring before it.  A row
     with a non-finite sample is closed in ``is_open`` before the yield; the
     caller closes the rows it is done with between yields.  Rows still open
-    at the cap stay open.
+    at the cap stay open.  Each row of a block gets what it gets alone.
     """
     def still_open(idx, vals):  # idx holds every open row, and rows only close
-        if np.count_nonzero(is_open) == idx.size:
-            return idx, vals
+        if (n_open := np.count_nonzero(is_open)) in (idx.size, 0):  # all or none
+            return idx[:n_open], vals
         keep = is_open[idx]
         return idx[keep], vals.reshape(idx.size, -1)[keep]
 
@@ -366,7 +367,8 @@ def _rings(sample, N: int, is_open: np.ndarray, cap: int):
                 vals = fresh = sample(idx, roots(N, 0.0))
             else:  # the midpoints, which double N
                 fresh = sample(idx, roots(N // 2, 0.5))
-                vals = np.stack([vals, fresh], axis=-1).reshape(*vals.shape[:-1], N)
+                pairs = np.concatenate([vals[..., None], fresh[..., None]], axis=-1)
+                vals = pairs.reshape(*vals.shape[:-1], N)
         if not np.isfinite(fresh).all():
             is_open[idx[~np.isfinite(fresh.reshape(idx.size, -1)).all(axis=1)]] = False
             idx, vals = still_open(idx, vals)
@@ -468,64 +470,78 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
 
     The integral is taken by the periodic trapezoid rule on the circle: the
     count is the mean of f'/f(z) i (z - c) over N equispaced nodes, divided
-    by i.  N starts at 256 and doubles by adding the midpoints, so the rule
-    at N nodes has evaluated exactly N points.  Its error decays
-    geometrically in N once the node spacing 2 pi r / N is below the
-    distance from the circle to the nearest zero or pole (Trefethen &
-    Weideman, SIAM Rev. 2014).
+    by i, where N starts at 256 and doubles by adding the midpoints.  Its
+    error decays geometrically in N once the node spacing 2 pi r / N is below
+    the distance from the circle to the nearest zero or pole (Trefethen &
+    Weideman, SIAM Rev. 2014).  Refinement stops when two successive counts
+    lie within 0.1 of the same integer and the spacing of the finer rule is
+    no longer than that distance, where the error is about exp(-2 pi) per
+    unit of multiplicity; coarser rules can step over a nearby zero or pole
+    and agree on a wrong integer, so they never end the refinement.
 
-    Refinement stops when two successive counts lie within 0.1 of the same
-    integer and the spacing of the finer rule is no longer than that
-    distance, where the error is about exp(-2 pi) per unit of multiplicity.
-    No finer accuracy is asked for.  Coarser rules can step over a nearby
-    zero or pole and agree on a wrong integer, so they never end the
-    refinement.  The finest rule has COUNT_NODE_CAP nodes, so a zero or pole
-    within 2 pi r / COUNT_NODE_CAP of the circle is out of reach: the count
-    then refuses with QuadratureBudgetError after the first rule, carrying
-    that rule's estimate in ``best``.  A count that does not settle by the
-    finest rule refuses the same way with the finest rule's estimate.  It
-    never returns an integer that has not settled.  A non-finite sample
-    raises PathTooCloseError, or NumericalError when it is an overflow: one
-    of n, d, n' and d' (f = n/d) has a Horner scale sum |c_k| R^k out of
-    double range at R = |center| + r.
+    The finest rule has COUNT_NODE_CAP nodes, so a zero or pole within
+    2 pi r / COUNT_NODE_CAP of the circle is out of reach: the count then
+    refuses with QuadratureBudgetError after the first rule, carrying that
+    rule's estimate in ``best``, and a count that does not settle by the
+    finest rule refuses with its estimate.  It never returns an integer that
+    has not settled.  A non-finite sample raises PathTooCloseError, or
+    NumericalError when it is an overflow: one of n, d, n' and d' (f = n/d)
+    has a Horner scale sum |c_k| R^k out of double range at R = |center| + r.
+    This is the one-row case of the block :func:`_counts`.
     """
-    F = f if isinstance(f, Factored) else f.factor()
-    singular = np.array([a for a, _ in F.zeros] + list(F.poles.locations), dtype=complex)
-    dists = np.abs(np.abs(singular - disc.center) - disc.radius)
-    for s, dist in zip(singular, dists):
-        if dist <= CLEARANCE_FACTOR * 2.0 * disc.radius:
-            raise PathTooCloseError(f"zero or pole at {s} within clearance of the circle")
-    reach = float(np.min(dists, initial=math.inf))
-    n, d = F.map.num, F.map.den
-    dn, dd = n.derivative(), d.derivative()
+    out = _counts([f if isinstance(f, Factored) else f.factor()], disc)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    def logderiv(z: np.ndarray) -> np.ndarray:
-        nz, dz = n(z), d(z)
-        return (dn(z) * dz - nz * dd(z)) / (nz * dz)
+
+def _counts(fs: Sequence[Factored], disc: Disc) -> list:
+    """argument_principle_count(f, disc) of each factored f, or its error, bit
+    for bit: the rows that clear the circle run one block of rings, sampled by
+    one padded Horner per polynomial of (n' d - n d')/(n d), each with its own
+    reach, stop rule and refusal."""
+    out, reach = [None] * len(fs), []
+    for i, F in enumerate(fs):
+        singular = np.array([a for a, _ in F.zeros] + list(F.poles.locations), dtype=complex)
+        dists = np.abs(np.abs(singular - disc.center) - disc.radius)
+        near = singular[dists <= CLEARANCE_FACTOR * 2.0 * disc.radius]
+        if near.size:
+            out[i] = PathTooCloseError(f"zero or pole at {near[0]} within clearance of the circle")
+        reach.append(float(np.min(dists, initial=math.inf)))
+    rows = [i for i, o in enumerate(out) if o is None]
+    n, d = _PolyRows([fs[i].map.num for i in rows]), _PolyRows([fs[i].map.den for i in rows])
+    dn, dd = (_PolyRows([p.derivative() for p in q.polys]) for q in (n, d))
+    is_open, count = np.ones(len(rows), dtype=bool), [None] * len(rows)
 
     def sample(idx, u):
         w = disc.radius * u
-        return logderiv(disc.center + w) * 1j * w
+        z = disc.center + w
+        nz, dz = n(idx, z), d(idx, z)
+        return (dn(idx, z) * dz - nz * dd(idx, z)) / (nz * dz) * 1j * w
 
-    is_open, count = np.ones(1, dtype=bool), None
-    for N, _, g in _rings(sample, _COUNT_START, is_open, COUNT_NODE_CAP):
-        previous, count = count, complex(np.mean(g)) / 1j
-        nearest = round(count.real)
-        if (
-            previous is not None
-            and 2.0 * math.pi * disc.radius / N <= reach
-            and abs(count - nearest) < 0.1
-            and abs(previous - nearest) < 0.1
-        ):
-            return int(nearest)
-        if 2.0 * math.pi * disc.radius / COUNT_NODE_CAP > reach:
-            break  # no rule within the cap can settle
-    if not is_open[0]:
-        far = abs(disc.center) + disc.radius
-        if not all(math.isfinite(p.horner_scale(far)) for p in (n, d, dn, dd)):
-            raise NumericalError("the log-derivative's factors leave double range on the circle")
-        raise PathTooCloseError("non-finite integrand: path too close to singularity")
-    raise QuadratureBudgetError(
-        "argument-principle count did not settle at an integer within the node cap",
-        best=count,
-    )
+    def unsettled(j):
+        return QuadratureBudgetError("argument-principle count did not settle at an integer "
+                                     "within the node cap", best=count[j])
+
+    circumference = 2.0 * math.pi * disc.radius
+    for N, idx, g in _rings(sample, _COUNT_START, is_open, COUNT_NODE_CAP):
+        means = (np.add.reduce(g, axis=-1) / np.intp(N)).tolist()  # np.mean's arithmetic
+        for j, mean in zip(idx.tolist(), means if g.ndim > 1 else [means]):
+            previous, count[j] = count[j], mean / 1j
+            nearest, i = round(count[j].real), rows[j]
+            if (previous is not None and circumference / N <= reach[i]
+                    and abs(count[j] - nearest) < 0.1 and abs(previous - nearest) < 0.1):
+                out[i], is_open[j] = int(nearest), False
+            elif circumference / COUNT_NODE_CAP > reach[i]:
+                out[i], is_open[j] = unsettled(j), False  # no rule within the cap can settle
+    far = abs(disc.center) + disc.radius
+    for j, i in enumerate(rows):
+        if is_open[j]:
+            out[i] = unsettled(j)
+        elif out[i] is None:  # closed by a non-finite sample
+            if all(math.isfinite(q.polys[j].horner_scale(far)) for q in (n, d, dn, dd)):
+                out[i] = PathTooCloseError("non-finite integrand: path too close to singularity")
+            else:
+                out[i] = NumericalError(
+                    "the log-derivative's factors leave double range on the circle")
+    return out

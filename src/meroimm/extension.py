@@ -16,17 +16,17 @@ samples on a circle between the small disc and the nearest singularity.
 
 A family is extended as one block of rows, one row per member, by the
 periodic trapezoid rule (Trefethen & Weideman, SIAM Rev. 56 (2014)) applied
-to many rows at once.  Each member is set up on its own: its certificate,
-poles, base point and eta = h'/h, with every refusal of extending it alone.
-The eta fits of all members then share one padded Horner per polynomial on
-their rings and one FFT per degree, each row checked on its own disc; the
-boundary values on the small circle share one padded Horner over xi and one
-FFT per node count of the rule, each row from its own start, with one
-:meth:`~IntegralImmersion.evaluate` per row for its base value.  The block
+to many rows at once.  Each member is set up with every refusal of extending
+it alone (its certificate, poles, base point and eta = h'/h), with the zero
+counts of all members as one block per circle (:func:`_extend`).  The eta
+fits of all members then share one padded Horner per polynomial on their
+rings and one FFT and one scaling per degree, each row checked on its own
+disc; the boundary values on the small circle share one padded Horner over
+xi and one FFT per node count of the rule, each row from its own start, with
+one :meth:`~IntegralImmersion.evaluate` per row for its base value.  The block
 and ``evaluate`` share one integrand, h0 exp(xi)/Theta from
 ``_integrands``: ``evaluate`` integrates its one row.  A row keeps its own
-error, and a block raises the first in member order, which is the error
-extending the members one by one raises.  ``extend_immersion``,
+error, and a block raises the first in member order.  ``extend_immersion``,
 ``constrained_eta``, ``IntegralImmersion.values_on_circle`` and
 ``extension_boundary_error`` (at 256 boundary points) are the one-row case;
 each polynomial of a single row is evaluated by its own Horner.  Every row's
@@ -44,8 +44,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
-from .blending import _column, _PolyRows, _rows, _taylor_truncations, _truncation
-from .contours import Disc, _unit_roots, circle_primitives, circle_samples, integrate_pieces
+from .blending import _taylor_truncations, _truncations
+from .contours import Disc, _counts, _unit_roots, circle_primitives, circle_samples, integrate_pieces
 from .errors import (
     DegreeBudgetError,
     InputError,
@@ -58,8 +58,8 @@ from .errors import (
     PreconditionError,
 )
 from .grids import ParamGrid
-from .immersions import ImmersionCertificate, _certify
-from .poly import ComplexPolynomial
+from .immersions import ImmersionCertificate, _before_count
+from .poly import ComplexPolynomial, _column, _PolyRows, _rows
 from .poly import roots  # noqa: F401  never called here; perfbench's tracer test patches the name
 from .rational import Factored, PoleSet, RationalMap
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
@@ -216,9 +216,9 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
 
     The residuals (eta - lagrange)/node_product of the open rows are sampled
     together, each on its own ring, by one padded Horner per polynomial, and
-    fitted by one FFT per degree (``_taylor_truncations``).  Each row is
-    checked on its own disc boundary, and closes at its first degree within
-    its eps_eta.
+    fitted by one FFT per degree (``_taylor_truncations``) and made
+    polynomials in z by one ``_truncations``.  Each row is checked on its own
+    disc boundary, and closes at its first degree within its eps_eta.
     """
     out: list = [None] * len(fits)
     num, den = _PolyRows([f.eta.num for f in fits]), _PolyRows([f.eta.den for f in fits])
@@ -251,8 +251,8 @@ def _fit_etas(fits: Sequence[_EtaFit], eps_etas: Sequence[float]) -> list:
     best = [math.inf] * len(fits)
     for idx, c in itertools.chain([first] if first else [], truncations):
         rows = idx.tolist()
-        parts = [ConstrainedEta(fits[i].lagrange, _truncation(row, fits[i].center, fits[i].rho),
-                                fits[i].nodes) for i, row in zip(rows, c)]
+        sigmas = _truncations(c, _rows(centers, idx), _rows(rhos, idx))
+        parts = [ConstrainedEta(fits[i].lagrange, s, fits[i].nodes) for i, s in zip(rows, sigmas)]
         vals = _PolyRows([p.expanded for p in parts])(None, _rows(bdry, idx))
         err = np.abs(vals - _rows(eta_bdry, idx)).max(axis=1)
         for i, p, e in zip(rows, parts, err.tolist()):
@@ -646,10 +646,10 @@ def extend_immersion(
     return _result(_extend([(f, F, eps, d0)], d0, d1)[0])
 
 
-def _set_up(f: RationalMap, F: Factored, d0: Disc, d1: Disc, disc: Disc):
-    """A member's certificate, poles, base point, base value, scale and eta
-    fit, with their refusals."""
-    cert, fp = _certify(F, disc, "CP1")
+def _set_up(f: RationalMap, F: Factored, d0: Disc, d1: Disc, disc: Disc, finish, count):
+    """A member's certificate, finished from its zero count on ``disc`` (or its
+    error), then its poles, base point, values and eta fit, with refusals."""
+    cert, fp = finish(_result(count), "CP1")
     if not cert.valid:
         raise NotAnImmersionError(
             f"the map does not immerse the disc of center {disc.center:g} and "
@@ -684,23 +684,33 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
     passes d1 there to reproduce Q members, which are already immersions on
     the big disc.
 
-    Each member is set up on its own (``_certify`` among the rest); the list
-    ends at the first member whose set-up fails, since no later one can be
-    raised before it.  The rest run as one block: one ``_fit_etas`` and one
-    ``_circle_values`` over d0 per round.  A member that misses eps there
-    tightens its eps_eta by 32 and refits, alone with the other misses, for
-    up to 4 rounds.
+    The set-up runs in three passes, in member order: each certificate up to
+    its zero count (``_before_count``), the counts, one block per circle
+    (:func:`_counts`), and the rest of each set-up (``_set_up``).  The first
+    and last stop at the first member that fails.  A member's error is that
+    of its first failing pass, and the list ends at the first failing member,
+    as when the members are set up one by one.  The rest run as one block:
+    one ``_fit_etas`` and one ``_circle_values`` over d0 per round.  A member
+    that misses eps there tightens its eps_eta by 32 and refits, alone with
+    the other misses, for up to 4 rounds.
     """
     if not d1.contains_disc(d0):
         raise PreconditionError("the small disc must lie inside the big disc")
-    out: list = []
-    set_ups = []
-    for f, F, _, disc in members:
-        set_up = _per_row(_set_up, f, F, d0, d1, disc)
-        out.append(set_up)
-        if isinstance(set_up, Exception):
+    pres, rows_of = [], {}  # rows_of: the members set up so far, by the circle they count on
+    for i, (_, F, _, disc) in enumerate(members):
+        pres.append(_per_row(_before_count, F, disc))
+        if isinstance(pres[-1], Exception):
             break
-        set_ups.append(set_up)
+        rows_of.setdefault(disc, []).append(i)
+    counts = {i: count for disc, rows in rows_of.items()
+              for i, count in zip(rows, _counts([pres[i][0] for i in rows], disc))}
+    out: list = []
+    for i, ((f, F, _, disc), pre) in enumerate(zip(members, pres)):
+        out.append(pre if isinstance(pre, Exception) else
+                   _per_row(_set_up, f, F, d0, d1, disc, pre[1], counts[i]))
+        if isinstance(out[-1], Exception):
+            break
+    set_ups = [x for x in out if not isinstance(x, Exception)]
 
     eps_eta = [eps / (64.0 * max(1.0, d1.radius)) for _, _, eps, _ in members]
     best = [math.inf] * len(set_ups)

@@ -138,9 +138,9 @@ class HomotopyClass:
         return self.z_class if self.target == "C" else self.mod2_class
 
 
-def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Factored]:
-    """The certificate of verify_immersion for the factored f, with the
-    factored f' it was computed from."""
+def _before_count(F: Factored, D):
+    """_certify up to its count, with its refusals: h = f' Theta, whose zeros
+    are counted on the boundary, and ``finish(count, target)`` -> (cert, f')."""
     D = _as_domain(D)
     fp = F.derivative()
     if fp.map.num.is_zero:
@@ -164,19 +164,25 @@ def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Fact
     poles_inside = poles.filter(lambda a: D.contains(a))
     count_roots = sum(m for z, m in zeros if D.contains(z))
 
+    def finish(count_ap: int, target: Target) -> tuple[ImmersionCertificate, Factored]:
+        if count_ap != count_roots:
+            raise InternalConsistencyError(f"derivative zero counts disagree: roots give "
+                                           f"{count_roots}, argument principle gives {count_ap}")
+        return ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target), fp
+
     # independent route: clear the poles of f' in the domain and count zeros
     # of h = f' Theta by the argument principle on each boundary circle
-    h = fp.cleared(D.contains)
+    return fp.cleared(D.contains), finish
+
+
+def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Factored]:
+    """The certificate of verify_immersion for the factored f, with the
+    factored f' it was computed from."""
+    D = _as_domain(D)
+    h, finish = _before_count(F, D)
     count_ap = argument_principle_count(h, D.outer)
-    for hole in D.holes:
-        count_ap -= argument_principle_count(h, hole)
-    if count_ap != count_roots:
-        raise InternalConsistencyError(
-            f"derivative zero counts disagree: roots give {count_roots}, "
-            f"argument principle gives {count_ap}"
-        )
-    cert = ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target)
-    return cert, fp
+    count_ap -= sum(argument_principle_count(h, hole) for hole in D.holes)
+    return finish(count_ap, target)
 
 
 def verify_immersion(

@@ -147,8 +147,7 @@ class ComplexPolynomial:
         cs = list(self.coeffs)
         n = len(cs)
         a = complex(a)
-        # a zero shift leaves every finite nonzero part exactly as it is
-        if a == 0 and all(math.isfinite(x) and x != 0 for c in cs for x in (c.real, c.imag)):
+        if a == 0 and _unshifted(np.array(cs, dtype=complex).reshape(1, n))[0]:
             return self
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
@@ -166,6 +165,69 @@ class ComplexPolynomial:
             out.append(acc)
         out.pop()  # the final accumulator is the remainder p(root)
         return ComplexPolynomial(reversed(out), coeff_tol=0.0)
+
+
+def _unshifted(cs: np.ndarray) -> np.ndarray:
+    """Whether a zero Taylor shift leaves each row of coefficients as it is:
+    when every part is finite and nonzero, as adding 0 a clears a signed zero
+    and makes NaN of an infinite part (a trailing zero fails its row)."""
+    parts = cs.view(float)  # each coefficient's real and imaginary parts
+    return (np.isfinite(parts) & (parts != 0)).all(axis=1)
+
+
+def _padded(rows: Sequence) -> np.ndarray:
+    """Coefficient sequences, ascending, as one zero-padded row each."""
+    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _horner_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of ascending coefficients at z, one row each, where z holds
+    the points shared by all rows or one row of points per row; zero padding
+    keeps every bit of ``ComplexPolynomial.__call__``."""
+    out = np.zeros((cs.shape[0], z.shape[-1]), dtype=complex)
+    for k in range(cs.shape[1] - 1, -1, -1):
+        out *= z
+        out += cs[:, k : k + 1]
+    return out
+
+
+def _rows(a, idx: np.ndarray | None):
+    """The rows idx of a, for increasing idx: a itself when idx takes them
+    all or is None, or when a is not an array (a single row's value)."""
+    if not isinstance(a, np.ndarray) or idx is None or idx.size == len(a):
+        return a
+    return a[idx]
+
+
+def _column(values: Sequence):
+    """One value per row, as a column that broadcasts against the rows'
+    points; a single row's value is left as it is, so that its row stays
+    one-dimensional, where numpy's arithmetic is fastest."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+class _PolyRows:
+    """Polynomials as the rows of a block: ``rows(idx, z)`` is the
+    polynomials idx (increasing, or None for all) at the points z, one row
+    each, by one Horner over their zero-padded coefficients.  A single
+    polynomial is evaluated by its own Horner, which gives the same bits, and
+    its row keeps the shape of z."""
+
+    __slots__ = ("polys", "coeffs")
+
+    def __init__(self, polys: Sequence[ComplexPolynomial]):
+        self.polys = polys
+        self.coeffs = None if len(polys) == 1 else _padded([p.coeffs for p in polys])
+
+    def __call__(self, idx: np.ndarray | None, z: np.ndarray) -> np.ndarray:
+        if self.coeffs is None:
+            return self.polys[0](z)
+        return _horner_rows(_rows(self.coeffs, idx), z)
+
+
 
 
 def _as_poly(x) -> ComplexPolynomial:

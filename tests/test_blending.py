@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import same_bits
 from meroimm import blending
 from meroimm.config import DEGREE_SCHEDULE
 from meroimm.contours import circle_samples
@@ -403,6 +404,36 @@ def test_check_by_inverse_fft_matches_horner(N):
     gap = np.abs(blending._check_values(c) - blending._horner_rows(c, unit))
     bound = 2 * (N + 1) * np.finfo(float).eps * np.sum(np.abs(c), axis=1)
     assert np.all(np.max(gap, axis=1) <= bound)
+
+
+def _one_row_truncation(c, center, rho):
+    # one row at a time: scale, build, then Taylor-shift by -center
+    return P((c / rho ** np.arange(c.size)).tolist(), coeff_tol=0.0).taylor_shift(-center)
+
+
+def test_block_truncations_are_the_one_row_truncations_bit_for_bit():
+    # rows with an exact zero, signed zero parts, trailing zeros and
+    # non-finite parts take the shift even at center 0, which clears a signed
+    # zero and turns 0 inf into NaN; the others are taken as they are
+    rng = np.random.default_rng(29)
+    c = rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9))
+    c[1, 3] = 0
+    c[2, 4] = complex(-0.0, 1.0)
+    c[3, 5:] = 0
+    c[4, 2] = complex(np.inf, 1.0)
+    c[5, 6] = complex(1.0, np.nan)
+    c[6] = 0
+    with np.errstate(invalid="ignore"):  # inf / rho takes 0 inf in complex division
+        for center in (0j, complex(-0.0, -0.0), 0.3 - 0.2j):
+            for rho in (1.0, 1.7):
+                for g, row in zip(blending._truncations(c, center, rho), c):
+                    assert same_bits(g.coeffs, _one_row_truncation(row, center, rho).coeffs)
+        # one center and rho per row, as the eta fits pass them
+        centers = np.array([0j, 0.3 - 0.2j, 0j, 0.5j, 0j, 0j, -0.1 + 0j])
+        rhos = rng.uniform(0.5, 3.0, 7)
+        got = blending._truncations(c, centers[:, None], rhos[:, None])
+        for g, row, center, rho in zip(got, c, centers.tolist(), rhos.tolist()):
+            assert same_bits(g.coeffs, _one_row_truncation(row, center, rho).coeffs)
 
 
 def test_check_sends_no_truncation_through_horner(monkeypatch):

@@ -24,7 +24,7 @@ from meroimm import (
     winding_number,
 )
 from meroimm import contours
-from meroimm.config import CLEARANCE_FACTOR
+from meroimm.config import CLEARANCE_FACTOR, COUNT_NODE_CAP
 from meroimm.contours import circle_primitives, circle_samples, integrate_pieces
 
 from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
@@ -517,6 +517,45 @@ def test_a_count_whose_factors_overflow_is_refused_as_out_of_double_range(degree
     assert argument_principle_count(f, Disc(0, 2.0)) == degree
 
 
+def test_a_count_block_gives_each_row_its_one_row_outcome(monkeypatch):
+    # on |z| = 1e6 the clearance is 2 and the finest rule reaches
+    # 2 pi 1e6 / COUNT_NODE_CAP = 24 from the circle.  In one block: a row
+    # that settles on its second rule, a zero within clearance, factors that
+    # overflow, a zero out of reach, refused after the first rule, and a zero
+    # 30 off, which settles only at the cap.  Each row is its one-row call
+    disc = Disc(0, 1e6)
+    maps = [R(P.from_roots([1.0, 2.0]), P.from_roots([3e5])), R(P.from_roots([1e6 + 1.0])),
+            R(P([0] * 60 + [1])), R(P.from_roots([1e6 - 10.0])), R(P.from_roots([1e6 + 30.0]))]
+    rings = []
+    sampler = contours._rings
+
+    def recorded(*args):
+        for N, idx, g in sampler(*args):
+            rings.append((N, idx.tolist(), g.ndim))
+            yield N, idx, g
+
+    monkeypatch.setattr(contours, "_rings", recorded)
+    got = contours._counts([f.factor() for f in maps], disc)
+    assert [type(x) for x in got] == [
+        int, PathTooCloseError, NumericalError, QuadratureBudgetError, int]
+    assert (got[0], got[4]) == (1, 0)
+    # the four rows that clear the circle sample as one block; the overflow
+    # (block row 1) closes on the first ring, and block row 3 runs to the cap
+    assert rings[0] == (256, [0, 2, 3], 2) and rings[-1] == (COUNT_NODE_CAP, [3], 2)
+    block = len(rings)
+    for f, row in zip(maps, got):
+        try:
+            alone = argument_principle_count(f, disc)
+        except MeroimmError as exc:
+            assert type(exc) is type(row) and str(exc) == str(row)
+            if isinstance(exc, QuadratureBudgetError):
+                assert same_bits(exc.best, row.best)
+        else:
+            assert alone == row
+    # a single row stays one-dimensional
+    assert {ndim for _, _, ndim in rings[block:]} == {1}
+
+
 def test_argument_principle_near_contour_sound(rng):
     # zeros and poles of order <= 3 placed 1e-3 to 1e-2 inside or outside
     # the unit circle, plus far ones: each count matches the numpy.roots
@@ -664,6 +703,13 @@ def test_winding_argument_principle_oracle_exhaustive():
                 )
                 assert winding_number(f, circ) == expected
                 assert argument_principle_count(f, UNIT) == expected
+
+
+def test_a_tangent_disc_is_not_contained_at_a_large_radius():
+    # 1e6 - 1e-12 rounds to 1e6: an absolute clearance would let it in
+    assert not Disc(0, 1e6).contains_disc(Disc(1, 1e6 - 1))
+    assert Disc(0, 1e6).contains_disc(Disc(1, 1e6 - 2))
+    assert Disc(0, 2.0).contains_disc(Disc(0, 1.0))
 
 
 def test_disc_geometry():

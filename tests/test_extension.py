@@ -770,21 +770,28 @@ def test_extend_family_q_member_must_cover_big_disc():
 
 
 def test_extend_family_certifies_each_node_once(monkeypatch):
-    seen = []
-    certify = meroimm.immersions._certify
+    seen, blocks = [], []
+    before_count, counts = meroimm.immersions._before_count, meroimm.extension._counts
 
     def recorder(F, D, *args, **kwargs):
         seen.append((F.poles.locations, D))
-        return certify(F, D, *args, **kwargs)
+        return before_count(F, D, *args, **kwargs)
 
-    monkeypatch.setattr(meroimm.immersions, "_certify", recorder)
-    monkeypatch.setattr(meroimm.extension, "_certify", recorder)
+    def block_recorder(hs, disc):
+        blocks.append((len(hs), disc))
+        return counts(hs, disc)
+
+    monkeypatch.setattr(meroimm.immersions, "_before_count", recorder)
+    monkeypatch.setattr(meroimm.extension, "_before_count", recorder)
+    monkeypatch.setattr(meroimm.extension, "_counts", block_recorder)
     poles = [0.3 + 0.1 * (i / 4) for i in range(5)]
     maps = [R(P([1]), P.from_roots([a])) for a in poles]
     outs = extend_family(maps, ParamGrid.line(5, q_nodes=[0]), D0, D1, 1e-3)
     assert len(outs) == 5
     # node i is recognized by its pole; Q node 0 is certified on the big disc
     assert seen == [((complex(a),), D1 if i == 0 else D0) for i, a in enumerate(poles)]
+    # the zeros are counted by one block per circle
+    assert blocks == [(1, D1), (4, D0)]
 
 
 def test_extension_solves_each_polynomial_once(monkeypatch):
@@ -885,6 +892,22 @@ def test_a_block_raises_the_error_of_its_first_failing_member():
         assert str(exc.value) == str(alone[0])
         assert getattr(exc.value, "achieved", None) == getattr(alone[0], "achieved", None)
     assert isinstance(alone[0], NotAnImmersionError)  # the second order: z^2 comes first
+
+
+def test_a_family_raises_its_first_failing_member_whichever_set_up_pass_catches_it():
+    # member 2's f' = 1 + 1.6z vanishes at -0.625 in the small disc, which
+    # only the certificate after the zero count sees; member 3 is constant,
+    # which the first pass refuses before any count.  One by one, member 2
+    # fails first.  Without member 2, member 3's error is raised
+    maps = [R(P([0, 1])), R(P([0, 1, 0.1])), R(P([0, 1, 0.8])), R(P([1])), R(P([0, 1, 0.02]))]
+    grid = ParamGrid.line(5, q_nodes=[0, 4])
+    with pytest.raises(NotAnImmersionError, match="does not immerse"):
+        extend_immersion(maps[2], D0, D1, 1e-3)
+    with pytest.raises(NotAnImmersionError, match=r"center 0\+0j and radius 1 "):
+        extend_family(maps, grid, D0, D1, 1e-3)
+    maps[2] = R(P([0, 1, 0.2]))
+    with pytest.raises(InputError, match="constant map"):
+        extend_family(maps, grid, D0, D1, 1e-3)
 
 
 def test_a_boundary_miss_refits_only_its_row(monkeypatch):

@@ -49,6 +49,13 @@ def test_domain_validation():
     assert not ANNULUS.contains(3.0)
 
 
+def test_a_hole_tangent_to_a_large_outer_circle_is_refused():
+    # 1e6 - 1e-12 rounds to 1e6: an absolute clearance would accept this hole
+    with pytest.raises(InputError, match="interior"):
+        CircularDomain(Disc(0, 1e6), (Disc(1, 1e6 - 1),))
+    assert CircularDomain(Disc(0, 1e6), (Disc(1, 1e6 - 2),)).holes
+
+
 def test_verify_identity_map():
     cert = verify_immersion(R(P([0, 1])), UNIT, "C")
     assert cert.valid
