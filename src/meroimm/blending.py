@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEGREE_BUDGET, DEGREE_SCHEDULE, check_eps
-from .contours import Disc, _rings, _vectorized, circle_samples
+from .contours import Disc, _result, _rings, _vectorized, circle_samples
 from .errors import DegreeBudgetError, InputError, MeroimmError, PreconditionError
 from .grids import ParamGrid
 from .poly import ComplexPolynomial, _horner_rows, _padded, _unshifted
@@ -210,9 +210,7 @@ def _approximate_net(maps: Sequence, disc: Disc, eps: float):
     check = circle_samples(disc.center, disc.radius, _CHECK_POINTS, offset=_CHECK_OFFSET)
     for start in range(0, len(maps), _BLOCK_ROWS):
         for g in _approximate_block(list(maps[start : start + _BLOCK_ROWS]), disc, eps, check):
-            if isinstance(g, Exception):
-                raise g
-            yield g
+            yield _result(g)
 
 
 def poly_approx_on_disc(f, disc: Disc, eps: float) -> ComplexPolynomial:

@@ -34,8 +34,7 @@ CLEARANCE_FACTOR = 1e-6
 # Integrand evaluations one G7-K15 path integral may spend before refusing.
 QUAD_EVAL_BUDGET = 400_000
 
-# Most nodes of the periodic rule that counts zeros and poles on a circle; a
-# zero or pole within 2 pi r / COUNT_NODE_CAP of the circle is out of its reach.
+# Most Taylor expansions the zero count spends on one polynomial of its map.
 COUNT_NODE_CAP = 2 ** 18
 
 # Truncation degrees tried by the disc approximation routines.

@@ -12,18 +12,18 @@ Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
 SIAM Rev. 2014), on one sampler, :func:`_rings`: it samples the open rows of
 a block at N equispaced nodes, doubles N by adding the midpoints, and closes
 a row at its first non-finite sample.  :func:`circle_primitives` takes one
-FFT of each ring, divides mode k by ik and inverts it; ``_counts`` takes the
-mean of each row, one per map counted (:func:`argument_principle_count` is
-one row); and ``blending._taylor_truncations`` fits Taylor coefficients.
+FFT of each ring, divides mode k by ik and inverts it, and
+``blending._taylor_truncations`` fits Taylor coefficients.
 Winding numbers are read from the factored zeros and poles of a rational map:
 each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
-Zero/pole counts in a disc come independently from the argument-principle
-integral over its circle, settled at an integer.
+Zero/pole counts in a disc (:func:`argument_principle_count`) wind the
+numerator and the denominator around its circle over certified arcs, from
+their coefficients alone: they read no root.
 Fixed geometry is built once per process and shared read-only.  Unit roots,
-sampled circles and first quadrature meshes are memoized in LRU caches of
-_CACHE_SIZE entries each, which keep no set of more than _CACHE_NODES nodes;
-a contour computes its chords and diameter once.
+sampled circles, first quadrature meshes and arc powers are memoized in LRU
+caches of _CACHE_SIZE entries each, which keep no set of more than
+_CACHE_NODES nodes; a contour computes its chords and diameter once.
 """
 from __future__ import annotations
 
@@ -37,17 +37,11 @@ import numpy as np
 
 from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET
 from .errors import InputError, NumericalError, PathTooCloseError, QuadratureBudgetError
-from .poly import ComplexPolynomial, _PolyRows
+from .poly import ComplexPolynomial, _padded, _read_only, _taylor_rows
 from .rational import Factored, RationalMap
 
 _CACHE_SIZE = 32  # entries per cache of fixed geometry
 _CACHE_NODES = 2 ** 14  # largest node set a cache keeps
-
-
-def _read_only(*arrays: np.ndarray):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays if len(arrays) > 1 else arrays[0]
 
 
 @dataclass(frozen=True)
@@ -211,6 +205,13 @@ def _circle(cls, center: complex, radius: float, samples: int, turns: int) -> Co
     pts = (center + radius * np.exp(1j * th)).tolist()
     pts.append(pts[0])
     return cls(pts, closed=True)
+
+
+def _result(x):
+    """x, unless it is the error a row of a block raised: then raise it."""
+    if isinstance(x, Exception):
+        raise x
+    return x
 
 
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -456,92 +457,78 @@ def winding_number(
     return f.winding(contour)
 
 
-_COUNT_START = 256  # first node count of the argument-principle rule
+_ARCS = 128  # first arcs of the zero count
+_NEXT = np.roll(np.arange(_ARCS), -1)  # arc l ends where arc _NEXT[l] starts
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _arc_powers(n: int) -> np.ndarray:  # u^m, row m < n, at the _ARCS unit roots u, one column each
+    return _read_only(_unit_roots(_ARCS, 0.0)[np.arange(n)[:, None] * np.arange(_ARCS) % _ARCS])
 
 
 def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
-    """(1/2 pi i) times the integral of f'/f over the circle of the disc,
-    settled at an integer.
+    """Zeros minus poles of f = num/den in the open disc, with multiplicity:
+    the winding of num around the circle |z - c| = r minus that of den, from
+    their coefficients alone (of ``f.map`` for a Factored): no root is solved.
 
-    Counts zeros minus poles in the open disc, with multiplicity.  A zero or
-    pole within CLEARANCE_FACTOR times the diameter of the circle raises
-    PathTooCloseError.  A Factored map brings its zeros and poles along and
-    nothing is solved; a RationalMap is factored once on entry.
-
-    The integral is taken by the periodic trapezoid rule on the circle: the
-    count is the mean of f'/f(z) i (z - c) over N equispaced nodes, divided
-    by i, where N starts at 256 and doubles by adding the midpoints.  Its
-    error decays geometrically in N once the node spacing 2 pi r / N is below
-    the distance from the circle to the nearest zero or pole (Trefethen &
-    Weideman, SIAM Rev. 2014).  Refinement stops when two successive counts
-    lie within 0.1 of the same integer and the spacing of the finer rule is
-    no longer than that distance, where the error is about exp(-2 pi) per
-    unit of multiplicity; coarser rules can step over a nearby zero or pole
-    and agree on a wrong integer, so they never end the refinement.
-
-    The finest rule has COUNT_NODE_CAP nodes, so a zero or pole within
-    2 pi r / COUNT_NODE_CAP of the circle is out of reach: the count then
-    refuses with QuadratureBudgetError after the first rule, carrying that
-    rule's estimate in ``best``, and a count that does not settle by the
-    finest rule refuses with its estimate.  It never returns an integer that
-    has not settled.  A non-finite sample raises PathTooCloseError, or
-    NumericalError when it is an overflow: one of n, d, n' and d' (f = n/d)
-    has a Horner scale sum |c_k| R^k out of double range at R = |center| + r.
-    This is the one-row case of the block :func:`_counts`.
+    Each polynomial P of degree n is wound over certified arcs (Ying & Katz,
+    Numer. Math. 53 (1988) 143-163): 128 equal arcs, halved while they fail.
+    An arc of angle h is certified when, at one of its ends, |T_0| - e > sum
+    over j >= 1 of |T_j| rho^j (rho = h + 2^-48), T_j the Taylor coefficients
+    of P(end + r t) from ``poly._taylor_rows`` and e = 8 (n + 1) 2^-53 sum
+    |c_k| (|c| + r + r rho)^k their rounding bound (Higham 5.1); the arc then
+    turns by arg(P(end) / P(start)).  QuadratureBudgetError refuses a failing
+    arc with |T_0| within e at rho = 0 at an end (the zero map) or shorter
+    than 2^-50 of the circle, and a polynomial past COUNT_NODE_CAP expansions;
+    NumericalError, e out of double range.  The one-row case of ``_counts``.
     """
-    out = _counts([f if isinstance(f, Factored) else f.factor()], disc)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _result(_counts([f], disc)[0])
 
 
-def _counts(fs: Sequence[Factored], disc: Disc) -> list:
-    """argument_principle_count(f, disc) of each factored f, or its error, bit
-    for bit: the rows that clear the circle run one block of rings, sampled by
-    one padded Horner per polynomial of (n' d - n d')/(n d), each with its own
-    reach, stop rule and refusal."""
-    out, reach = [None] * len(fs), []
-    for i, F in enumerate(fs):
-        singular = np.array([a for a, _ in F.zeros] + list(F.poles.locations), dtype=complex)
-        dists = np.abs(np.abs(singular - disc.center) - disc.radius)
-        near = singular[dists <= CLEARANCE_FACTOR * 2.0 * disc.radius]
-        if near.size:
-            out[i] = PathTooCloseError(f"zero or pole at {near[0]} within clearance of the circle")
-        reach.append(float(np.min(dists, initial=math.inf)))
-    rows = [i for i, o in enumerate(out) if o is None]
-    n, d = _PolyRows([fs[i].map.num for i in rows]), _PolyRows([fs[i].map.den for i in rows])
-    dn, dd = (_PolyRows([p.derivative() for p in q.polys]) for q in (n, d))
-    is_open, count = np.ones(len(rows), dtype=bool), [None] * len(rows)
+def _counts(fs: Sequence[RationalMap | Factored], disc: Disc) -> list:
+    """argument_principle_count(f, disc) of each f, or its error, all polynomials as one block."""
+    polys = [p for m in (getattr(f, "map", f) for f in fs) for p in (m.num, m.den)]
+    c, r, live = disc.center, disc.radius, [i for i, p in enumerate(polys) if p.degree != 0]
+    cs = _padded([(polys[i] if c == 0 else polys[i].taylor_shift(c)).coeffs or (0,) for i in live])
+    rows, n = len(live), cs.shape[1]
+    j, degree = np.arange(n), np.array([polys[i].degree for i in live], dtype=int)
 
-    def sample(idx, u):
-        w = disc.radius * u
-        z = disc.center + w
-        nz, dz = n(idx, z), d(idx, z)
-        return (dn(idx, z) * dz - nz * dd(idx, z)) / (nz * dz) * 1j * w
+    def test(absT, h, row):  # on arcs of h turns: |T_0| - e > sum over j >= 1 of |T_j| rho^j
+        rho = 2.0 * math.pi * h + 2.0 ** -48
+        e = floor * (1.0 + r * rho / (abs(c) + r)) ** degree  # e at rho = 0 times its growth
+        return np.einsum("...j,j->...", absT, np.where(j > 0, rho ** j, -1.0)) < -e[row]
 
-    def unsettled(j):
-        return QuadratureBudgetError("argument-principle count did not settle at an integer "
-                                     "within the node cap", best=count[j])
-
-    circumference = 2.0 * math.pi * disc.radius
-    for N, idx, g in _rings(sample, _COUNT_START, is_open, COUNT_NODE_CAP):
-        means = (np.add.reduce(g, axis=-1) / np.intp(N)).tolist()  # np.mean's arithmetic
-        for j, mean in zip(idx.tolist(), means if g.ndim > 1 else [means]):
-            previous, count[j] = count[j], mean / 1j
-            nearest, i = round(count[j].real), rows[j]
-            if (previous is not None and circumference / N <= reach[i]
-                    and abs(count[j] - nearest) < 0.1 and abs(previous - nearest) < 0.1):
-                out[i], is_open[j] = int(nearest), False
-            elif circumference / COUNT_NODE_CAP > reach[i]:
-                out[i], is_open[j] = unsettled(j), False  # no rule within the cap can settle
-    far = abs(disc.center) + disc.radius
-    for j, i in enumerate(rows):
-        if is_open[j]:
-            out[i] = unsettled(j)
-        elif out[i] is None:  # closed by a non-finite sample
-            if all(math.isfinite(q.polys[j].horner_scale(far)) for q in (n, d, dn, dd)):
-                out[i] = PathTooCloseError("non-finite integrand: path too close to singularity")
-            else:
-                out[i] = NumericalError(
-                    "the log-derivative's factors leave double range on the circle")
-    return out
+    with np.errstate(all="ignore"):
+        floor = 8.0 * 2.0 ** -53 * (degree + 1) * [polys[i].horner_scale(abs(c) + r) for i in live]
+        H = _taylor_rows(cs * np.where(j <= degree[:, None], r ** j, 0.0))  # of P(c + r u) in u
+        # node p _ARCS + l (row p of T, later flat): unit root l, where arc l of polynomial p starts
+        T = np.einsum("pjm,ml->plj", H, _arc_powers(n))  # not @, which would add BLAS buffers
+        absT, P, h, alive = np.abs(T), T[..., 0], 1.0 / _ARCS, np.isfinite(floor)
+        good = test(absT, h, np.arange(rows)[:, None])
+        certified = good | good[:, _NEXT] | ~alive[:, None]
+        turns = np.where(certified, np.angle(P[:, _NEXT] / P), 0.0).sum(axis=1)
+        pid, a = np.nonzero(~certified)
+        if pid.size:
+            a, b, spent = pid * _ARCS + a, pid * _ARCS + _NEXT[a], np.full(rows, _ARCS)
+            absT, P, t = absT.reshape(-1, n), P.ravel(), np.tile(np.arange(_ARCS) / _ARCS, rows)
+        while pid.size:
+            spent += np.bincount(pid, minlength=rows)
+            stuck = np.minimum(absT[a, 0], absT[b, 0]) <= floor[pid]
+            alive[pid[stuck | (spent[pid] > COUNT_NODE_CAP) | (h < 2.0**-50)]] = False
+            keep = alive[pid]
+            pid, a, b, h = pid[keep], a[keep], b[keep], h / 2.0
+            mid_t, mid = t[a] + h, len(t) + np.arange(pid.size)
+            mids = np.einsum("ijm,im->ij", H[pid], np.vander(np.exp(2j * math.pi * mid_t), n, True))
+            P, absT, t = (np.concatenate([P, mids[:, 0]]), np.concatenate([absT, np.abs(mids)]),
+                          np.concatenate([t, mid_t]))
+            pid, a, b = pid.repeat(2), np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
+            certified = test(absT[a], h, pid) | test(absT[b], h, pid)
+            turns += np.bincount(pid[certified], np.angle(P[b] / P[a])[certified], rows)
+            pid, a, b = pid[~certified], a[~certified], b[~certified]
+    out: list = [0] * len(polys)
+    for k, i in enumerate(live):
+        out[i] = (round(turns[k] / (2.0 * math.pi)) if alive[k] else NumericalError(
+            "a polynomial of the count leaves double range") if not np.isfinite(floor[k])
+            else QuadratureBudgetError("argument-principle count: uncertified arc"))
+    return [num if isinstance(num, Exception) else den if isinstance(den, Exception) else num - den
+            for num, den in zip(out[0::2], out[1::2])]

@@ -79,4 +79,8 @@ class DegreeBudgetError(NumericalError):
 
 
 class InternalConsistencyError(MeroimmError):
-    """Two independent computations of the same quantity disagree."""
+    """Two independent computations disagree; a zero count keeps both, by_roots and by_count."""
+
+    def __init__(self, message: str, by_roots=None, by_count=None):
+        super().__init__(message)
+        self.by_roots, self.by_count = by_roots, by_count

@@ -45,7 +45,8 @@ import numpy as np
 
 from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
 from .blending import _taylor_truncations, _truncations
-from .contours import Disc, _counts, _unit_roots, circle_primitives, circle_samples, integrate_pieces
+from .contours import (Disc, _counts, _result, _unit_roots, circle_primitives, circle_samples,
+                       integrate_pieces)
 from .errors import (
     DegreeBudgetError,
     InputError,
@@ -301,13 +302,6 @@ def constrained_eta(
     """
     fit = _eta_fit(h, poles, targets, disc, center)
     return _result(_fit_etas([fit], [eps_eta])[0])
-
-
-def _result(x):
-    """x, unless it is the error a row of a block raised: then raise it."""
-    if isinstance(x, Exception):
-        raise x
-    return x
 
 
 # -- reconstructed immersions -------------------------------------------------

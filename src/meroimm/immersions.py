@@ -5,8 +5,8 @@ simple and its derivative never vanishes off the poles; into the plane, when
 additionally there are no poles at all.  Each public call factors the map
 once (:class:`~meroimm.rational.Factored`) and derives the factored f' from
 it, solving only the derivative's numerator.  The verdict is assembled from
-two independent zero counts of the derivative: direct root filtering and the
-argument-principle count of the pole-cleared derivative over the boundary.
+two independent zero counts of the derivative: direct root filtering, and the
+argument-principle count of the pole-cleared derivative, which reads no root.
 
 Homotopy classes are winding-number vectors of the derivative along a
 deterministic basis loop per hole, read exactly from the factored zeros and
@@ -148,9 +148,6 @@ def _before_count(F: Factored, D):
     poles, zeros = F.poles, fp.zeros
     circles = (D.outer, *D.holes)
 
-    # the count settles only once its node spacing on a circle is within the
-    # distance to the nearest zero or pole, and its finest spacing is
-    # 2 pi r / COUNT_NODE_CAP: a singular point nearer than that is refused
     clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
     singular = list(poles.locations) + [z for z, _ in zeros]
     for circle in circles:
@@ -167,7 +164,8 @@ def _before_count(F: Factored, D):
     def finish(count_ap: int, target: Target) -> tuple[ImmersionCertificate, Factored]:
         if count_ap != count_roots:
             raise InternalConsistencyError(f"derivative zero counts disagree: roots give "
-                                           f"{count_roots}, argument principle gives {count_ap}")
+                                           f"{count_roots}, argument principle gives {count_ap}",
+                                           by_roots=count_roots, by_count=count_ap)
         return ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target), fp
 
     # independent route: clear the poles of f' in the domain and count zeros
@@ -196,14 +194,12 @@ def verify_immersion(
     solved.  The derivative zero count is computed two independent ways:
     filtering the solved zeros of f' to the domain, and the argument-principle
     count over the boundary of h = f' Theta, the derivative with its poles in
-    the domain cleared, whose zeros and remaining poles are known from the
-    factors.  Disagreement raises InternalConsistencyError.  The count runs
-    on each boundary circle with at most COUNT_NODE_CAP nodes and settles
-    only once the node spacing is within the distance to the nearest pole or
-    zero, so its reach on a circle of radius r ends at 2 pi r /
-    COUNT_NODE_CAP.  A pole of f or zero of f' within that distance plus
-    CLEARANCE_FACTOR times the outer diameter of a boundary circle raises
-    SingularityOnBoundaryError before anything is counted.
+    the domain cleared, which winds its numerator and denominator and reads
+    no root.  Disagreement points at the root solver: it raises
+    InternalConsistencyError with both counts, ``by_roots`` and ``by_count``.
+    A pole of f or zero of f' within 2 pi r / COUNT_NODE_CAP plus
+    CLEARANCE_FACTOR times the outer diameter of a boundary circle of radius r
+    raises SingularityOnBoundaryError before anything is counted.
     """
     return _certify(f.factor(), D, target)[0]
 

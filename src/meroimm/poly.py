@@ -14,6 +14,7 @@ each root by Newton steps on the derivative of matching order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -192,6 +193,26 @@ def _horner_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
         out *= z
         out += cs[:, k : k + 1]
     return out
+
+
+def _read_only(*arrays: np.ndarray):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _hankel(n: int) -> tuple[np.ndarray, np.ndarray]:  # C(j + m, j), 0 for j + m >= n, and j + m
+    k = np.add.outer(np.arange(n), np.arange(n))
+    binom = [[math.comb(i, j) if i < n else 0 for i in row] for j, row in enumerate(k.tolist())]
+    return _read_only(np.array(binom, dtype=float), np.minimum(k, n - 1))
+
+
+def _taylor_rows(cs: np.ndarray) -> np.ndarray:
+    """Taylor matrices H[i, j, m] = C(j + m, j) cs[i, j + m] of rows of ascending
+    coefficients: H[i] @ w^m is p_i^(j)(w) / j!, j = 0..n, at any point w."""
+    binom, k = _hankel(cs.shape[1])
+    return binom * cs[:, k]
 
 
 def _rows(a, idx: np.ndarray | None):

@@ -30,7 +30,7 @@ from .errors import (
     UnreducedFractionError,
     ZeroOnContourError,
 )
-from .poly import ComplexPolynomial, _as_poly, roots, _EPS
+from .poly import ComplexPolynomial, _as_poly, _padded, _taylor_rows, roots, _EPS
 from .sphere import INF, SpherePoint, _is_nan, is_inf
 
 
@@ -321,25 +321,19 @@ def _pellet_isolated(polys, ws, ms, limits) -> np.ndarray:
     by its rounding floor (see _shift_noise).  rho runs down from half the
     limit in 40 steps of sqrt(2).
     """
-    n = max(len(p.coeffs) for p in polys) - 1
-    c = np.array([p.coeffs + (0j,) * (n + 1 - len(p.coeffs)) for p in polys])
-    j = np.arange(n + 1)
+    H = _taylor_rows(_padded([p.coeffs for p in polys]))
+    j = np.arange(H.shape[1])
     powers = ws[:, None] ** j
-    # b_k = sum over j >= k of C(j, k) c_j w^(j-k); C(j, k) = 0 for j < k
-    gather = np.maximum(np.subtract.outer(j, j), 0)
-    binom = np.array([[math.comb(i, k) for k in j] for i in j], dtype=float)
-    b = np.abs(np.einsum("rjk,jk,rj->rk", powers[:, gather], binom, c))
-    floor = np.einsum("rjk,jk,rj->rk", np.abs(powers)[:, gather], binom, np.abs(c))
-    floor *= 16.0 * _EPS * np.array([len(p.coeffs) for p in polys])[:, None]
+    b = np.abs(np.einsum("rkm,rm->rk", H, powers))
+    floor = np.einsum("rkm,rm->rk", np.abs(H), np.abs(powers)) * (
+        16.0 * _EPS * np.array([len(p.coeffs) for p in polys])[:, None])
     rows = np.arange(len(ws))
     lead = b[rows, ms] - floor[rows, ms]
     rest = b + floor
     rest[rows, ms] = 0.0
     rho = np.asarray(limits)[:, None] * 0.5 ** (np.arange(2, 42) / 2)
     t = rho[:, :, None] ** j
-    lhs = lead[:, None] * t[rows, :, ms]
-    rhs = (t * rest[:, None, :]).sum(axis=2)
-    return np.any(lhs > 2.0 * rhs, axis=1)
+    return np.any(lead[:, None] * t[rows, :, ms] > 2.0 * (t * rest[:, None, :]).sum(axis=2), axis=1)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,12 @@ def _refusing(what: str):
     return wrap
 
 
+def _integer(x) -> int:
+    if isinstance(x, bool) or not (isinstance(x, int) or float(x).is_integer()):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 # -- scalars ------------------------------------------------------------------
 
 
@@ -138,8 +144,8 @@ def contour_from_json(data) -> Contour:
         return Contour.circle(
             complex_from_json(data["center"]),
             float(data["radius"]),
-            samples=int(data.get("samples", 256)),
-            turns=int(data.get("turns", 1)),
+            samples=_integer(data.get("samples", 256)),
+            turns=_integer(data.get("turns", 1)),
         )
     if kind == "polyline":
         pts = [complex_from_json(p) for p in data["points"]]
@@ -159,7 +165,7 @@ def pole_set_to_json(ps: PoleSet) -> list[dict]:
 @_refusing("pole set")
 def pole_set_from_json(data) -> PoleSet:
     return PoleSet(
-        [(complex_from_json(e["location"]), int(e["order"])) for e in data]
+        [(complex_from_json(e["location"]), _integer(e["order"])) for e in data]
     )
 
 
@@ -199,8 +205,8 @@ def grid_from_json(data) -> ParamGrid:
 
     if not isinstance(data, dict) or "shape" not in data:
         raise InputError('grid must be {"shape": [...], "q": [...]}')
-    shape = [int(s) for s in data["shape"]]
-    q = [int(i) for i in data.get("q", [])]
+    shape = [_integer(s) for s in data["shape"]]
+    q = [_integer(i) for i in data.get("q", [])]
     if len(shape) == 1:
         return ParamGrid.line(shape[0], q_nodes=q)
     if len(shape) == 2:

@@ -419,3 +419,26 @@ def test_malformed_input_is_input_error(tmp_path, capsys, command, body):
     code, _, err = run(capsys, command, write(tmp_path, "bad.json", body))
     assert code == 1
     assert err.startswith("input error:")
+
+
+_CIRCLE = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
+_BLEND = {"maps": [zpow_json(1)] * 3, "disc": {"center": [0.0, 0.0], "radius": 1.0}}
+
+
+# a count that is not an integer was once truncated: 64.9 samples read as 64
+@pytest.mark.parametrize("command,body", [
+    ("wind", {"map": zpow_json(1), "contour": {**_CIRCLE, "samples": 64.9}}),
+    ("wind", {"map": zpow_json(1), "contour": {**_CIRCLE, "samples": True}}),
+    ("wind", {"map": zpow_json(1), "contour": {**_CIRCLE, "turns": 1.7}}),
+    ("wind", {"map": zpow_json(1), "contour": {**_CIRCLE, "turns": True}}),
+    ("blend", {**_BLEND, "grid": {"shape": [3.9], "q": [0]}}),
+    ("blend", {**_BLEND, "grid": {"shape": [3], "q": [1.6]}}),
+    ("blend", {**_BLEND, "grid": {"shape": [3], "q": [True]}}),
+])
+def test_a_count_field_that_is_not_an_integer_is_input_error(tmp_path, capsys, command, body):
+    code, _, err = run(capsys, command, write(tmp_path, "bad.json", body))
+    assert code == 1
+    assert err.startswith("input error:") and "integer" in err
+    # the same field as an integral number is read
+    assert run(capsys, "wind", write(tmp_path, "ok.json", {
+        "map": zpow_json(1), "contour": {**_CIRCLE, "samples": 64.0, "turns": 2}}))[0] == 0

@@ -24,7 +24,7 @@ from meroimm import (
     winding_number,
 )
 from meroimm import contours
-from meroimm.config import CLEARANCE_FACTOR, COUNT_NODE_CAP
+from meroimm.config import CLEARANCE_FACTOR
 from meroimm.contours import circle_primitives, circle_samples, integrate_pieces
 
 from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
@@ -452,59 +452,66 @@ def test_argument_principle_examples():
 
 
 def test_count_evaluates_each_polynomial_once_per_rule(monkeypatch):
+    # the count evaluates no polynomial and samples no ring: one Taylor
+    # matrix block, numerator and denominator together, gives every arc end
     F = R(P.from_roots([0.5, 0.99]), P.from_roots([-0.3])).factor()
-    calls = {"poly": 0, "rule": 0}
-    call, rings = ComplexPolynomial.__call__, contours._rings
+    calls = {"poly": 0, "rings": 0, "taylor": []}
+    call, taylor = ComplexPolynomial.__call__, contours._taylor_rows
 
     def counted_call(self, z):
         calls["poly"] += 1
         return call(self, z)
 
-    def counted_rings(sample, *args):
-        def rule(idx, u):
-            calls["rule"] += 1
-            return sample(idx, u)
+    def counted_rings(*args):
+        calls["rings"] += 1
+        return iter(())
 
-        return rings(rule, *args)
+    def counted_taylor(cs):
+        calls["taylor"].append(cs.shape)
+        return taylor(cs)
 
     monkeypatch.setattr(ComplexPolynomial, "__call__", counted_call)
     monkeypatch.setattr(contours, "_rings", counted_rings)
+    monkeypatch.setattr(contours, "_taylor_rows", counted_taylor)
     assert argument_principle_count(F, UNIT) == 1
-    # the numerator, the denominator and their derivatives, once each
-    assert calls["rule"] > 1 and calls["poly"] == 4 * calls["rule"]
+    assert calls["poly"] == calls["rings"] == 0 and calls["taylor"] == [(2, 3)]
 
 
 def test_argument_principle_clearance():
-    f = R(P.from_roots([1.0 + 1e-9]), P([1]))
-    with pytest.raises(PathTooCloseError):
-        argument_principle_count(f, UNIT)
+    # no clearance: a zero 1e-9 off the circle is counted on its side, and a
+    # zero on it, where |P| is within its rounding bound, is refused
+    assert argument_principle_count(R(P.from_roots([1.0 + 1e-9])), UNIT) == 0
+    assert argument_principle_count(R(P.from_roots([1.0 - 1e-9])), UNIT) == 1
+    with pytest.raises(QuadratureBudgetError):
+        argument_principle_count(R(P.from_roots([1.0])), UNIT)
 
 
 def test_argument_principle_refuses_unresolved_pole():
-    # a pole 1e-5 outside the circle needs a node spacing below 1e-5, more
-    # nodes than the node cap allows; a triple pole 0.004 out settles
-    with pytest.raises(QuadratureBudgetError) as info:
-        argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), UNIT)
-    assert isinstance(info.value.best, complex)
+    # poles 1e-5 outside and inside the circle and a triple pole 0.004 out
+    # are counted; a pole on the circle is refused
+    assert argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), UNIT) == 0
+    assert argument_principle_count(R(P([1]), P.from_roots([1 - 1e-5])), UNIT) == -1
     assert argument_principle_count(R(P([1]), P.from_roots([1.004j] * 3)), UNIT) == 0
+    with pytest.raises(QuadratureBudgetError):
+        argument_principle_count(R(P([1]), P.from_roots([1j])), UNIT)
 
 
 def test_argument_principle_refuses_an_unreachable_pole_after_one_rule(monkeypatch):
-    # the pole is nearer the circle than 2 pi / COUNT_NODE_CAP, which is known
-    # before the first node: one 256-node rule is evaluated, not 2^18 nodes
-    rules = []
+    # a pole on the circle at an end of a first-level arc is refused there:
+    # no arc is halved, so no midpoint is expanded, whatever the budget
+    vander, halved = np.vander, []
 
-    def recorded(sample, *args):
-        rec = Recorder(lambda u: sample(None, u))
-        rules.append(rec)
-        return rings(lambda idx, u: rec(u), *args)
+    def recorded(*args, **kwargs):
+        halved.append(args[0].size)
+        return vander(*args, **kwargs)
 
-    rings = contours._rings
-    monkeypatch.setattr(contours, "_rings", recorded)
-    with pytest.raises(QuadratureBudgetError) as info:
-        argument_principle_count(R(P([1]), P.from_roots([1 + 1e-5])), UNIT)
-    assert isinstance(info.value.best, complex)
-    assert sum(z.size for rec in rules for z in rec.calls) <= 256
+    monkeypatch.setattr(contours.np, "vander", recorded)
+    with pytest.raises(QuadratureBudgetError):
+        argument_principle_count(R(P([1]), P.from_roots([1.0])), UNIT)
+    assert sum(halved) == 0
+    # one zero 1e-4 off the circle is certified after a few halvings
+    assert argument_principle_count(R(P.from_roots([1.0 + 1e-4])), UNIT) == 0
+    assert 0 < sum(halved) < 100
 
 
 @pytest.mark.parametrize("degree, radius", [(60, 1e6), (200, 40.0)])
@@ -517,43 +524,97 @@ def test_a_count_whose_factors_overflow_is_refused_as_out_of_double_range(degree
     assert argument_principle_count(f, Disc(0, 2.0)) == degree
 
 
-def test_a_count_block_gives_each_row_its_one_row_outcome(monkeypatch):
-    # on |z| = 1e6 the clearance is 2 and the finest rule reaches
-    # 2 pi 1e6 / COUNT_NODE_CAP = 24 from the circle.  In one block: a row
-    # that settles on its second rule, a zero within clearance, factors that
-    # overflow, a zero out of reach, refused after the first rule, and a zero
-    # 30 off, which settles only at the cap.  Each row is its one-row call
+def test_a_count_block_gives_each_row_its_one_row_outcome():
+    # on |z| = 1e6, in one block: an ordinary row, zeros 1 out, 10 in and 30
+    # out, z^60, whose coefficients leave double range there, a zero on the
+    # circle and the zero map.  Zero padding lets no row's overflow reach
+    # another: each row is its one-row call
     disc = Disc(0, 1e6)
-    maps = [R(P.from_roots([1.0, 2.0]), P.from_roots([3e5])), R(P.from_roots([1e6 + 1.0])),
-            R(P([0] * 60 + [1])), R(P.from_roots([1e6 - 10.0])), R(P.from_roots([1e6 + 30.0]))]
-    rings = []
-    sampler = contours._rings
-
-    def recorded(*args):
-        for N, idx, g in sampler(*args):
-            rings.append((N, idx.tolist(), g.ndim))
-            yield N, idx, g
-
-    monkeypatch.setattr(contours, "_rings", recorded)
-    got = contours._counts([f.factor() for f in maps], disc)
-    assert [type(x) for x in got] == [
-        int, PathTooCloseError, NumericalError, QuadratureBudgetError, int]
-    assert (got[0], got[4]) == (1, 0)
-    # the four rows that clear the circle sample as one block; the overflow
-    # (block row 1) closes on the first ring, and block row 3 runs to the cap
-    assert rings[0] == (256, [0, 2, 3], 2) and rings[-1] == (COUNT_NODE_CAP, [3], 2)
-    block = len(rings)
+    maps = [R(P.from_roots([1.0, 2.0]), P.from_roots([3e5])).factor(), R(P.from_roots([1e6 + 1.0])),
+            R(P([0] * 60 + [1])), R(P.from_roots([1e6 - 10.0])), R(P.from_roots([1e6 + 30.0])),
+            R(P.from_roots([1e6])), R(P([]))]
+    got = contours._counts(maps, disc)
+    assert got[:2] + got[3:5] == [1, 0, 1, 0]
+    assert [type(got[i]) for i in (2, 5, 6)] == [NumericalError, QuadratureBudgetError,
+                                                 QuadratureBudgetError]
     for f, row in zip(maps, got):
         try:
             alone = argument_principle_count(f, disc)
         except MeroimmError as exc:
             assert type(exc) is type(row) and str(exc) == str(row)
-            if isinstance(exc, QuadratureBudgetError):
-                assert same_bits(exc.best, row.best)
         else:
             assert alone == row
-    # a single row stays one-dimensional
-    assert {ndim for _, _, ndim in rings[block:]} == {1}
+
+
+def test_count_reads_no_roots(monkeypatch):
+    # the count reads only num and den: with the root solver patched to
+    # raise, a RationalMap and a block still count
+    from meroimm import poly, rational
+
+    def refuse(p):
+        raise AssertionError("the count solved a polynomial")
+
+    monkeypatch.setattr(poly, "roots", refuse)
+    monkeypatch.setattr(rational, "roots", refuse)
+    f = R(P.from_roots([0.5, 1.5j, 1 - 1e-6]), P.from_roots([-0.2, 3.0]))
+    assert argument_principle_count(f, UNIT) == 1
+    assert contours._counts([f, R(P.from_roots([0.1, 0.2]))], Disc(0, 2.0)) == [2, 2]
+
+
+def test_count_of_a_triple_root_near_a_double_one():
+    # the probe of a merged root cluster: (z - a)^2 (z - b)^3, a = 1 - 2^-7,
+    # b = 1.001.  The count reads no root, so it counts a alone inside; on
+    # the unit circle |P| is within its rounding bound, which is refused
+    a, b = 1 - 2.0 ** -7, 1.001
+    f = R(P.from_roots([a, a, b, b, b]))
+    for radius, inside in ((0.995, 2), (0.998, 2), (0.999, 2), (1.005, 5)):
+        assert argument_principle_count(f, Disc(0, radius)) == inside
+    with pytest.raises(QuadratureBudgetError):
+        argument_principle_count(f, Disc(0, 1.0))
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-5, 2.5e-5, 1e-4, 2e-4])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_count_answers_a_zero_near_the_circle(gap, side):
+    # f' = (z - z0)(z + 3), z0 = (1 - gap) e^{i pi/256}: counted on its side,
+    # where a count that stopped at its distance to the roots refused
+    # |gap| <= 2.5e-5
+    z0 = (1 - side * gap) * cmath.exp(1j * math.pi / 256)
+    assert argument_principle_count(R(P.from_roots([z0, -3])), UNIT) == (side > 0)
+
+
+_near_circle = st.tuples(
+    st.floats(1e-5, 0.3),  # distance to the circle, in radii
+    st.booleans(),  # inside
+    st.floats(0.0, 2 * math.pi),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    center=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    radius=st.floats(0.3, 4.0),
+    zeros=st.lists(_near_circle, min_size=1, max_size=4),
+    poles=st.lists(_near_circle, max_size=2),
+    lead=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+)
+def test_counts_near_the_circle_match_the_constructed_zeros_and_poles(center, radius, zeros, poles, lead):
+    # 1-4 zeros and 0-2 poles, 1e-5 to 0.3 radii from the circle of a shifted
+    # and scaled disc: the count is the constructed one, or a typed refusal
+    def placed(points):
+        return [center + radius * (1 - gap if inside else 1 + gap) * cmath.exp(1j * angle)
+                for gap, inside, angle in points]
+
+    disc = Disc(center, radius)
+    f = R(P.from_roots(placed(zeros), leading=lead), P.from_roots(placed(poles)))
+    try:
+        got = argument_principle_count(f, disc)
+    except MeroimmError:
+        pass
+    else:
+        assert got == sum(inside for _, inside, _ in zeros) - sum(inside for _, inside, _ in poles)
+    with pytest.raises(QuadratureBudgetError):
+        argument_principle_count(R(P([]), f.den), disc)
 
 
 def test_argument_principle_near_contour_sound(rng):

@@ -10,6 +10,7 @@ from meroimm import (
     Disc,
     FormalSeed,
     InputError,
+    InternalConsistencyError,
     NotAnImmersionError,
     NumericalError,
     ParamGrid,
@@ -220,6 +221,19 @@ def test_verify_refuses_zero_within_the_count_reach():
         for domain in (UNIT, ring):
             with pytest.raises(SingularityOnBoundaryError):
                 verify_immersion(f, domain)
+
+
+def test_a_count_disagreement_carries_both_counts():
+    # f' = (z - a)^2 (z - b)^3, a = 1 - 2^-7, b = 1.001: the root solver
+    # merges the five roots into one at 0.9975, while the count, which reads
+    # no root, finds a alone inside these discs
+    a, b = 1 - 2.0 ** -7, 1.001
+    f = R(P.from_roots([a, a, b, b, b]).antiderivative())
+    for radius, by_roots in ((0.995, 0), (0.999, 5)):
+        with pytest.raises(InternalConsistencyError) as info:
+            verify_immersion(f, Disc(0, radius), "C")
+        assert (info.value.by_roots, info.value.by_count) == (by_roots, 2)
+        assert f"roots give {by_roots}, argument principle gives 2" in str(info.value)
 
 
 def test_each_polynomial_solved_once(monkeypatch):

@@ -92,6 +92,13 @@ def test_contour_round_trip_and_circle():
         contour_from_json({"kind": "spline"})
 
 
+@pytest.mark.parametrize("order", [1.9, True, "x"])
+def test_pole_set_refuses_an_order_that_is_not_an_integer(order):
+    with pytest.raises(InputError, match="integer|malformed"):
+        pole_set_from_json([{"location": [0.0, 0.0], "order": order}])
+    assert pole_set_from_json([{"location": [0.0, 0.0], "order": 2.0}]).orders == (2,)
+
+
 def test_grid_round_trip():
     g = grid_from_json({"shape": [7], "q": [0, 6]})
     assert g.shape == (7,) and g.q_indices == [0, 6]
