@@ -35,6 +35,10 @@ CLEARANCE_FACTOR = 1e-6
 QUAD_EVAL_BUDGET = 400_000
 
 # Most Taylor expansions the zero count spends on one polynomial of its map.
+# The certificate also refuses a pole or derivative zero within
+# 2 pi r / COUNT_NODE_CAP of a boundary circle of radius r, the finest node
+# spacing of the periodic rule that once made the count, so that changing the
+# count's budget also moves that band.
 COUNT_NODE_CAP = 2 ** 18
 
 # Truncation degrees tried by the disc approximation routines.
@@ -48,6 +52,17 @@ def check_eps(eps: float) -> None:
     """Refuse an accuracy target that is not a finite positive number."""
     if not (math.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be a finite positive number, not {eps}")
+
+
+def as_integer(x, what: str) -> int:
+    """x as an int: a count may be an integral float, but not a bool or a
+    number with a fractional part, which int() would silently truncate."""
+    try:
+        if not (isinstance(x, bool) or getattr(x, "dtype", None) == bool) and int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{what} must be an integer, not {x!r}")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET
+from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET, as_integer
 from .errors import InputError, NumericalError, PathTooCloseError, QuadratureBudgetError
-from .poly import ComplexPolynomial, _padded, _read_only, _taylor_rows
+from .poly import _BINOMIAL_DEGREE, ComplexPolynomial, _padded, _read_only, _taylor_rows
 from .rational import Factored, RationalMap
 
 _CACHE_SIZE = 32  # entries per cache of fixed geometry
@@ -129,11 +129,10 @@ class Contour:
         Equal arguments, as complex, float and int, give one shared
         instance: circles of up to _CACHE_NODES samples are memoized.
         """
-        key = (complex(center), float(radius), int(samples), int(turns))
+        samples, turns = as_integer(samples, "samples"), as_integer(turns, "turns")
+        key = (complex(center), float(radius), samples, turns)
         if not 0 < key[1] < math.inf:
             raise InputError("circle radius must be positive and finite")
-        if key[2:] != (samples, turns):
-            raise InputError("samples and turns must be integers")
         if turns == 0:
             raise InputError("turns must be nonzero")
         if samples < 8:
@@ -458,6 +457,8 @@ def winding_number(
 
 
 _ARCS = 128  # first arcs of the zero count
+_CHUNK = 256  # most points of one product in _taylor_at
+_FAR = "a polynomial of the count leaves double range"
 _NEXT = np.roll(np.arange(_ARCS), -1)  # arc l ends where arc _NEXT[l] starts
 
 
@@ -480,7 +481,10 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
     turns by arg(P(end) / P(start)).  QuadratureBudgetError refuses a failing
     arc with |T_0| within e at rho = 0 at an end (the zero map) or shorter
     than 2^-50 of the circle, and a polynomial past COUNT_NODE_CAP expansions;
-    NumericalError, e out of double range.  The one-row case of ``_counts``.
+    NumericalError, e or a T_j out of double range, or a degree above
+    ``poly._BINOMIAL_DEGREE``.  Each halving expands the midpoints of one
+    polynomial from its one Taylor matrix, so k arcs of degree n take
+    O(n^2 + k n) memory.  The one-row case of ``_counts``.
     """
     return _result(_counts([f], disc)[0])
 
@@ -488,7 +492,8 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
 def _counts(fs: Sequence[RationalMap | Factored], disc: Disc) -> list:
     """argument_principle_count(f, disc) of each f, or its error, all polynomials as one block."""
     polys = [p for m in (getattr(f, "map", f) for f in fs) for p in (m.num, m.den)]
-    c, r, live = disc.center, disc.radius, [i for i, p in enumerate(polys) if p.degree != 0]
+    c, r = disc.center, disc.radius
+    live = [i for i, p in enumerate(polys) if p.degree != 0 and p.degree <= _BINOMIAL_DEGREE]
     cs = _padded([(polys[i] if c == 0 else polys[i].taylor_shift(c)).coeffs or (0,) for i in live])
     rows, n = len(live), cs.shape[1]
     j, degree = np.arange(n), np.array([polys[i].degree for i in live], dtype=int)
@@ -503,11 +508,13 @@ def _counts(fs: Sequence[RationalMap | Factored], disc: Disc) -> list:
         H = _taylor_rows(cs * np.where(j <= degree[:, None], r ** j, 0.0))  # of P(c + r u) in u
         # node p _ARCS + l (row p of T, later flat): unit root l, where arc l of polynomial p starts
         T = np.einsum("pjm,ml->plj", H, _arc_powers(n))  # not @, which would add BLAS buffers
-        absT, P, h, alive = np.abs(T), T[..., 0], 1.0 / _ARCS, np.isfinite(floor)
+        absT, P, h = np.abs(T), T[..., 0], 1.0 / _ARCS
+        in_range = np.isfinite(floor) & np.isfinite(absT).all(axis=(1, 2))
+        alive = in_range.copy()
         good = test(absT, h, np.arange(rows)[:, None])
         certified = good | good[:, _NEXT] | ~alive[:, None]
         turns = np.where(certified, np.angle(P[:, _NEXT] / P), 0.0).sum(axis=1)
-        pid, a = np.nonzero(~certified)
+        pid, a = np.nonzero(~certified)  # pid ascending, as every filter below keeps it
         if pid.size:
             a, b, spent = pid * _ARCS + a, pid * _ARCS + _NEXT[a], np.full(rows, _ARCS)
             absT, P, t = absT.reshape(-1, n), P.ravel(), np.tile(np.arange(_ARCS) / _ARCS, rows)
@@ -517,18 +524,41 @@ def _counts(fs: Sequence[RationalMap | Factored], disc: Disc) -> list:
             alive[pid[stuck | (spent[pid] > COUNT_NODE_CAP) | (h < 2.0**-50)]] = False
             keep = alive[pid]
             pid, a, b, h = pid[keep], a[keep], b[keep], h / 2.0
-            mid_t, mid = t[a] + h, len(t) + np.arange(pid.size)
-            mids = np.einsum("ijm,im->ij", H[pid], np.vander(np.exp(2j * math.pi * mid_t), n, True))
-            P, absT, t = (np.concatenate([P, mids[:, 0]]), np.concatenate([absT, np.abs(mids)]),
-                          np.concatenate([t, mid_t]))
-            pid, a, b = pid.repeat(2), np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
+            mid_t = t[a] + h
+            mid = len(t) + np.arange(pid.size)
+            mids = _taylor_at(H, pid, np.exp(2j * math.pi * mid_t))
+            far = pid[~np.isfinite(mids).all(axis=1)]
+            in_range[far] = alive[far] = False
+            P = np.concatenate([P, mids[:, 0]])
+            absT = np.concatenate([absT, np.abs(mids)])
+            t = np.concatenate([t, mid_t])
+            pid = pid.repeat(2)
+            a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
             certified = test(absT[a], h, pid) | test(absT[b], h, pid)
             turns += np.bincount(pid[certified], np.angle(P[b] / P[a])[certified], rows)
             pid, a, b = pid[~certified], a[~certified], b[~certified]
-    out: list = [0] * len(polys)
+    out: list = [0 if p.degree <= _BINOMIAL_DEGREE else NumericalError(_FAR) for p in polys]
     for k, i in enumerate(live):
-        out[i] = (round(turns[k] / (2.0 * math.pi)) if alive[k] else NumericalError(
-            "a polynomial of the count leaves double range") if not np.isfinite(floor[k])
-            else QuadratureBudgetError("argument-principle count: uncertified arc"))
-    return [num if isinstance(num, Exception) else den if isinstance(den, Exception) else num - den
-            for num, den in zip(out[0::2], out[1::2])]
+        if alive[k]:
+            out[i] = round(turns[k] / (2.0 * math.pi))
+        elif not in_range[k]:
+            out[i] = NumericalError(_FAR)
+        else:
+            out[i] = QuadratureBudgetError("argument-principle count: uncertified arc")
+    counts = []
+    for num, den in zip(out[0::2], out[1::2]):
+        errors = [x for x in (num, den) if isinstance(x, Exception)]
+        counts.append(errors[0] if errors else num - den)
+    return counts
+
+
+def _taylor_at(H: np.ndarray, pid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row i: the Taylor coefficients T_j of polynomial pid[i] at w[i], from
+    its Taylor matrix H[pid[i]].  pid is ascending, and each polynomial takes
+    one product per _CHUNK of its points, so that no matrix is copied per
+    point and no Vandermonde block grows with the number of points."""
+    out = np.empty((pid.size, H.shape[1]), dtype=complex)
+    starts = np.flatnonzero((np.diff(pid, prepend=-1) != 0) | (np.arange(pid.size) % _CHUNK == 0))
+    for lo, hi in zip(starts, np.append(starts[1:], pid.size)):
+        out[lo:hi] = np.einsum("jm,im->ij", H[pid[lo]], np.vander(w[lo:hi], H.shape[1], True))
+    return out

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import as_integer
 from .errors import InputError
 
 Params = float | Sequence[float] | np.ndarray
@@ -50,7 +51,7 @@ class ParamGrid:
     q_mask: tuple[bool, ...]
 
     def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
+        shape = tuple(as_integer(s, "a grid axis size") for s in self.shape)
         object.__setattr__(self, "shape", shape)
         if len(shape) not in (1, 2):
             raise InputError("parameter grids must be 1- or 2-dimensional")
@@ -66,7 +67,8 @@ class ParamGrid:
     @classmethod
     def line(cls, n: int, q_nodes: Iterable[int] = ()) -> "ParamGrid":
         """1-d grid of n points; q_nodes lists the node indices in Q."""
-        qs = set(int(i) for i in q_nodes)
+        n = as_integer(n, "a grid axis size")
+        qs = {as_integer(i, "a q node index") for i in q_nodes}
         if any(i < 0 or i >= n for i in qs):
             raise InputError("q node index out of range")
         return cls((n,), tuple(i in qs for i in range(n)))
@@ -74,7 +76,8 @@ class ParamGrid:
     @classmethod
     def box(cls, n1: int, n2: int, q_nodes: Iterable[int] = ()) -> "ParamGrid":
         """2-d grid of n1 x n2 points (flat indexing, axis 0 major)."""
-        qs = set(int(i) for i in q_nodes)
+        n1, n2 = (as_integer(s, "a grid axis size") for s in (n1, n2))
+        qs = {as_integer(i, "a q node index") for i in q_nodes}
         total = n1 * n2
         if any(i < 0 or i >= total for i in qs):
             raise InputError("q node index out of range")

@@ -148,6 +148,9 @@ def _before_count(F: Factored, D):
     poles, zeros = F.poles, fp.zeros
     circles = (D.outer, *D.holes)
 
+    # the refusal band is the finest node spacing of the periodic rule that
+    # once made the count, 2 pi r / COUNT_NODE_CAP, kept so that verify
+    # refuses the inputs it always refused; the arc count needs no band
     clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
     singular = list(poles.locations) + [z for z, _ in zeros]
     for circle in circles:

@@ -201,6 +201,9 @@ def _read_only(*arrays: np.ndarray):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
+_BINOMIAL_DEGREE = 1029  # the highest degree d whose binomials C(d, k) are all doubles
+
+
 @functools.lru_cache(maxsize=16)
 def _hankel(n: int) -> tuple[np.ndarray, np.ndarray]:  # C(j + m, j), 0 for j + m >= n, and j + m
     k = np.add.outer(np.arange(n), np.arange(n))
@@ -210,7 +213,8 @@ def _hankel(n: int) -> tuple[np.ndarray, np.ndarray]:  # C(j + m, j), 0 for j + 
 
 def _taylor_rows(cs: np.ndarray) -> np.ndarray:
     """Taylor matrices H[i, j, m] = C(j + m, j) cs[i, j + m] of rows of ascending
-    coefficients: H[i] @ w^m is p_i^(j)(w) / j!, j = 0..n, at any point w."""
+    coefficients: H[i] @ w^m is p_i^(j)(w) / j!, j = 0..n, at any point w.
+    Rows of more than _BINOMIAL_DEGREE + 1 coefficients raise OverflowError."""
     binom, k = _hankel(cs.shape[1])
     return binom * cs[:, k]
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ROOT_TOL
+from .config import ROOT_TOL, as_integer
 from .errors import (
     InputError,
     PathTooCloseError,
@@ -46,7 +46,7 @@ class PoleSet:
 
     def __init__(self, entries):
         es = sorted(
-            ((complex(a), int(m)) for a, m in entries),
+            ((complex(a), as_integer(m, "a pole order")) for a, m in entries),
             key=lambda e: (e[0].real, e[0].imag),
         )
         if not all(cmath.isfinite(a) for a, _ in es):
@@ -333,7 +333,9 @@ def _pellet_isolated(polys, ws, ms, limits) -> np.ndarray:
     rest[rows, ms] = 0.0
     rho = np.asarray(limits)[:, None] * 0.5 ** (np.arange(2, 42) / 2)
     t = rho[:, :, None] ** j
-    return np.any(lead[:, None] * t[rows, :, ms] > 2.0 * (t * rest[:, None, :]).sum(axis=2), axis=1)
+    lhs = lead[:, None] * t[rows, :, ms]
+    rhs = (t * rest[:, None, :]).sum(axis=2)
+    return np.any(lhs > 2.0 * rhs, axis=1)
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,6 @@ def _refusing(what: str):
     return wrap
 
 
-def _integer(x) -> int:
-    if isinstance(x, bool) or not (isinstance(x, int) or float(x).is_integer()):
-        raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
-
-
 # -- scalars ------------------------------------------------------------------
 
 
@@ -144,8 +138,8 @@ def contour_from_json(data) -> Contour:
         return Contour.circle(
             complex_from_json(data["center"]),
             float(data["radius"]),
-            samples=_integer(data.get("samples", 256)),
-            turns=_integer(data.get("turns", 1)),
+            samples=data.get("samples", 256),
+            turns=data.get("turns", 1),
         )
     if kind == "polyline":
         pts = [complex_from_json(p) for p in data["points"]]
@@ -165,7 +159,7 @@ def pole_set_to_json(ps: PoleSet) -> list[dict]:
 @_refusing("pole set")
 def pole_set_from_json(data) -> PoleSet:
     return PoleSet(
-        [(complex_from_json(e["location"]), _integer(e["order"])) for e in data]
+        [(complex_from_json(e["location"]), e["order"]) for e in data]
     )
 
 
@@ -205,8 +199,8 @@ def grid_from_json(data) -> ParamGrid:
 
     if not isinstance(data, dict) or "shape" not in data:
         raise InputError('grid must be {"shape": [...], "q": [...]}')
-    shape = [_integer(s) for s in data["shape"]]
-    q = [_integer(i) for i in data.get("q", [])]
+    shape = list(data["shape"])
+    q = data.get("q", [])
     if len(shape) == 1:
         return ParamGrid.line(shape[0], q_nodes=q)
     if len(shape) == 2:

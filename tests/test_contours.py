@@ -2,6 +2,8 @@ import cmath
 import itertools
 import math
 import re
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,7 +25,7 @@ from meroimm import (
     argument_principle_count,
     winding_number,
 )
-from meroimm import contours
+from meroimm import contours, poly
 from meroimm.config import CLEARANCE_FACTOR
 from meroimm.contours import circle_primitives, circle_samples, integrate_pieces
 
@@ -152,6 +154,13 @@ def test_circle_turns_and_polyline():
     assert len(c2.samples) == 65
     p = Contour.polyline([0, 1, 1 + 1j], closed=True)
     assert p.samples[-1] == p.samples[0]
+
+
+@pytest.mark.parametrize("samples, turns", [(64.9, 1), (True, 1), (16, 1.7), (16, True)])
+def test_circle_refuses_samples_or_turns_that_are_not_integers(samples, turns):
+    with pytest.raises(InputError, match="integer"):
+        Contour.circle(0, 1.0, samples=samples, turns=turns)
+    assert Contour.circle(0, 1.0, samples=16.0, turns=-2.0) is Contour.circle(0, 1.0, samples=16, turns=-2)
 
 
 def test_distance_to():
@@ -517,7 +526,7 @@ def test_argument_principle_refuses_an_unreachable_pole_after_one_rule(monkeypat
 @pytest.mark.parametrize("degree, radius", [(60, 1e6), (200, 40.0)])
 def test_a_count_whose_factors_overflow_is_refused_as_out_of_double_range(degree, radius):
     # no zero or pole is near the circle, but |z|^degree passes 1.8e308
-    # there, so the log-derivative reads inf/inf: that is no clearance failure
+    # there, so the rounding bound of the count leaves double range
     f = R(P([0] * degree + [1]))
     with pytest.raises(NumericalError, match="double range"):
         argument_principle_count(f, Disc(0, radius))
@@ -527,16 +536,19 @@ def test_a_count_whose_factors_overflow_is_refused_as_out_of_double_range(degree
 def test_a_count_block_gives_each_row_its_one_row_outcome():
     # on |z| = 1e6, in one block: an ordinary row, zeros 1 out, 10 in and 30
     # out, z^60, whose coefficients leave double range there, a zero on the
-    # circle and the zero map.  Zero padding lets no row's overflow reach
-    # another: each row is its one-row call
+    # circle, the zero map, 1 + 1e-300 z^60, whose rounding bound is finite
+    # but whose Taylor matrix is not, and z^1030, whose binomials leave double
+    # range.  Zero padding lets no row's overflow reach another: each row is
+    # its one-row call
     disc = Disc(0, 1e6)
     maps = [R(P.from_roots([1.0, 2.0]), P.from_roots([3e5])).factor(), R(P.from_roots([1e6 + 1.0])),
             R(P([0] * 60 + [1])), R(P.from_roots([1e6 - 10.0])), R(P.from_roots([1e6 + 30.0])),
-            R(P.from_roots([1e6])), R(P([]))]
+            R(P.from_roots([1e6])), R(P([])), R(P([1] + [0] * 59 + [1e-300], coeff_tol=0.0)),
+            R(P([0] * 1030 + [1]))]
     got = contours._counts(maps, disc)
     assert got[:2] + got[3:5] == [1, 0, 1, 0]
-    assert [type(got[i]) for i in (2, 5, 6)] == [NumericalError, QuadratureBudgetError,
-                                                 QuadratureBudgetError]
+    assert [type(got[i]) for i in (2, 5, 6, 7, 8)] == [
+        NumericalError, QuadratureBudgetError, QuadratureBudgetError, NumericalError, NumericalError]
     for f, row in zip(maps, got):
         try:
             alone = argument_principle_count(f, disc)
@@ -546,10 +558,29 @@ def test_a_count_block_gives_each_row_its_one_row_outcome():
             assert alone == row
 
 
+def test_count_memory_grows_with_the_square_of_the_degree():
+    # z^256 certifies only on arcs shorter than ln 2 / 256 radians, about 2,300
+    # of them: each keeps its Taylor row, but no arc copies a Taylor matrix
+    tracemalloc.start()
+    try:
+        assert argument_principle_count(R(P([0] * 256 + [1])), UNIT) == 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+def test_a_degree_whose_binomials_leave_double_range_is_refused():
+    d = poly._BINOMIAL_DEGREE
+    assert math.isfinite(float(math.comb(d, d // 2))) and math.comb(d + 1, (d + 1) // 2) > sys.float_info.max
+    with pytest.raises(NumericalError, match="double range"):
+        argument_principle_count(R(P([0] * (d + 1) + [1])), UNIT)
+
+
 def test_count_reads_no_roots(monkeypatch):
     # the count reads only num and den: with the root solver patched to
     # raise, a RationalMap and a block still count
-    from meroimm import poly, rational
+    from meroimm import rational
 
     def refuse(p):
         raise AssertionError("the count solved a polynomial")

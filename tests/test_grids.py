@@ -13,6 +13,17 @@ def test_line_basics():
     assert g.adjacent_pairs() == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ParamGrid.line(3.9), lambda: ParamGrid.line(4, q_nodes=[1.6]),
+    lambda: ParamGrid.line(4, q_nodes=[True]), lambda: ParamGrid.box(3, 2.5),
+    lambda: ParamGrid.box(3, 3, q_nodes=[0.5]), lambda: ParamGrid((3.9,), (False,) * 3),
+])
+def test_a_size_or_q_node_that_is_not_an_integer_is_refused(make):
+    with pytest.raises(InputError, match="integer"):
+        make()
+    assert ParamGrid.line(4.0, q_nodes=[1.0]) == ParamGrid.line(4, q_nodes=[1])
+
+
 def test_box_basics():
     g = ParamGrid.box(3, 4)
     assert g.npoints == 12

@@ -31,6 +31,13 @@ def test_pole_set_validation():
     assert ps.orders == (1, 2)
 
 
+@pytest.mark.parametrize("order", [1.9, True, np.True_, "2"])
+def test_pole_set_refuses_an_order_that_int_would_truncate(order):
+    with pytest.raises(InputError, match="integer"):
+        PoleSet([(0j, order)])
+    assert PoleSet([(0j, 2.0)]).orders == PoleSet([(0j, np.int64(2))]).orders == (2,)
+
+
 def test_eval_root_and_pole():
     f = RationalMap(P([1]), P.from_roots([0.5]))
     assert f(0.5) is INF
