@@ -155,18 +155,18 @@ def _run_seed(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 # so that the other commands start without them.
 
 
-def _write_boundary_csv(path: Path, F, d0: Disc, n: int) -> None:
-    vals = F.values_on_circle(d0.center, d0.radius, n)
-    write_map_samples_csv(path, circle_samples(d0.center, d0.radius, n), list(vals))
+def _write_boundary_csv(path: Path, vals, d0: Disc) -> None:
+    write_map_samples_csv(path, circle_samples(d0.center, d0.radius, len(vals)), list(vals))
 
 
 def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
-    from .extension import extend_immersion
+    from .extension import _extend_with_ring
 
     f = rational_from_json(_need(data, "map"))
     d0 = disc_from_json(_need(data, "disc0"))
     d1 = disc_from_json(_need(data, "disc1"))
-    F = extend_immersion(f, d0, d1, cfg.eps)
+    # ring: the values on d0's circle that achieved_eps was measured on
+    F, ring = _extend_with_ring(f, d0, d1, cfg.eps)
     result = {
         "immersion": immersion_to_json(F),
         "achieved_eps": F.achieved_eps,
@@ -174,7 +174,7 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
         "certificate": certificate_to_json(F.certificate()),
     }
     if outdir is not None:
-        _write_boundary_csv(outdir / "extend_samples.csv", F, d0, 256)
+        _write_boundary_csv(outdir / "extend_samples.csv", ring, d0)
         (outdir / "immersion.json").write_text(dumps(result["immersion"]))
         result["artifacts"] = ["extend_samples.csv", "immersion.json"]
     return result
@@ -197,7 +197,7 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
         names = []
         for i, F in enumerate(outs):
             name = f"extend_family_node{i:03d}.csv"
-            _write_boundary_csv(outdir / name, F, d0, 64)
+            _write_boundary_csv(outdir / name, F.values_on_circle(d0.center, d0.radius, 64), d0)
             names.append(name)
         (outdir / "immersions.json").write_text(dumps(result["immersions"]))
         result["artifacts"] = names + ["immersions.json"]

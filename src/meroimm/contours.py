@@ -19,7 +19,8 @@ each is exact or refused.  A function known only by its values gets none,
 because samples cannot rule out a full turn between two of them.
 Zero/pole counts in a disc (:func:`argument_principle_count`) wind the
 numerator and the denominator around its circle over certified arcs, from
-their coefficients alone: they read no root.
+their coefficients alone: they read no root.  A block of maps, each on its
+own disc, is counted as one (``_counts``).
 Fixed geometry is built once per process and shared read-only.  Unit roots,
 sampled circles, first quadrature meshes and arc powers are memoized in LRU
 caches of _CACHE_SIZE entries each, which keep no set of more than
@@ -486,26 +487,39 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
     polynomial from its one Taylor matrix, so k arcs of degree n take
     O(n^2 + k n) memory.  The one-row case of ``_counts``.
     """
-    return _result(_counts([f], disc)[0])
+    return _result(_counts([f], [disc])[0])
 
 
-def _counts(fs: Sequence[RationalMap | Factored], disc: Disc) -> list:
-    """argument_principle_count(f, disc) of each f, or its error, all polynomials as one block."""
+def _counts(fs: Sequence[RationalMap | Factored], discs: Sequence[Disc]) -> list:
+    """argument_principle_count(fs[i], discs[i]) of each map, or the error it
+    raises: one disc per map, and the numerators and denominators of all the
+    maps, on all their circles, wound as one block.
+
+    Each polynomial is shifted to its own circle and scaled to the unit one
+    (u = (z - c)/r), so that one Taylor block and one list of halving rounds
+    serve every circle.  No row reads another's disc, degree or values: each
+    map gets what its one-row call gets.
+    """
     polys = [p for m in (getattr(f, "map", f) for f in fs) for p in (m.num, m.den)]
-    c, r = disc.center, disc.radius
     live = [i for i, p in enumerate(polys) if p.degree != 0 and p.degree <= _BINOMIAL_DEGREE]
-    cs = _padded([(polys[i] if c == 0 else polys[i].taylor_shift(c)).coeffs or (0,) for i in live])
+    on = [discs[i // 2] for i in live]  # each live polynomial's disc
+    cs = _padded([(polys[i] if d.center == 0 else polys[i].taylor_shift(d.center)).coeffs or (0,)
+                  for i, d in zip(live, on)])
     rows, n = len(live), cs.shape[1]
     j, degree = np.arange(n), np.array([polys[i].degree for i in live], dtype=int)
+    r = np.array([d.radius for d in on])
+    zmax = np.array([abs(d.center) + d.radius for d in on])  # the largest |z| on each circle
 
     def test(absT, h, row):  # on arcs of h turns: |T_0| - e > sum over j >= 1 of |T_j| rho^j
         rho = 2.0 * math.pi * h + 2.0 ** -48
-        e = floor * (1.0 + r * rho / (abs(c) + r)) ** degree  # e at rho = 0 times its growth
+        e = floor * (1.0 + r * rho / zmax) ** degree  # e at rho = 0 times its growth
         return np.einsum("...j,j->...", absT, np.where(j > 0, rho ** j, -1.0)) < -e[row]
 
     with np.errstate(all="ignore"):
-        floor = 8.0 * 2.0 ** -53 * (degree + 1) * [polys[i].horner_scale(abs(c) + r) for i in live]
-        H = _taylor_rows(cs * np.where(j <= degree[:, None], r ** j, 0.0))  # of P(c + r u) in u
+        scale = [polys[i].horner_scale(x) for i, x in zip(live, zmax.tolist())]
+        floor = 8.0 * 2.0 ** -53 * (degree + 1) * scale
+        # the Taylor matrix of each P(c + r u) in u
+        H = _taylor_rows(cs * np.where(j <= degree[:, None], r[:, None] ** j, 0.0))
         # node p _ARCS + l (row p of T, later flat): unit root l, where arc l of polynomial p starts
         T = np.einsum("pjm,ml->plj", H, _arc_powers(n))  # not @, which would add BLAS buffers
         absT, P, h = np.abs(T), T[..., 0], 1.0 / _ARCS

@@ -635,9 +635,18 @@ def extend_immersion(
     measured distance is returned as the output's ``achieved_eps``.  This is
     the one-member case of :func:`extend_family`'s block.
     """
+    return _extend_with_ring(f, d0, d1, eps)[0]
+
+
+def _extend_with_ring(f: RationalMap, d0: Disc, d1: Disc,
+                      eps: float) -> tuple[IntegralImmersion, np.ndarray]:
+    """extend_immersion(f, d0, d1, eps), with the extension's values at
+    circle_samples(d0.center, d0.radius, 256), which its achieved_eps was
+    measured on: values_on_circle(d0.center, d0.radius, 256), bit for bit."""
     F = f.factor()
     check_eps(eps)
-    return _result(_extend([(f, F, eps, d0)], d0, d1)[0])
+    outs, rings = _extend([(f, F, eps, d0)], d0, d1)
+    return _result(outs[0]), rings[0]
 
 
 def _set_up(f: RationalMap, F: Factored, d0: Disc, d1: Disc, disc: Disc, finish, count):
@@ -671,15 +680,16 @@ def _integral(set_up, parts: ConstrainedEta, d1: Disc) -> IntegralImmersion:
     return out
 
 
-def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
+def _extend(members: Sequence, d0: Disc, d1: Disc) -> tuple[list, list]:
     """The extension of each member (f, F, eps, disc), or the error that
     extending it alone raises: f, factored as F, to the chordal target eps,
     certified and its log-derivative matched on ``disc``.  extend_family
     passes d1 there to reproduce Q members, which are already immersions on
-    the big disc.
+    the big disc.  Second, the values of each extension at the 256 samples
+    of d0's circle that its achieved_eps was measured on (None for an error).
 
     The set-up runs in three passes, in member order: each certificate up to
-    its zero count (``_before_count``), the counts, one block per circle
+    its zero count (``_before_count``), the counts, as one block
     (:func:`_counts`), and the rest of each set-up (``_set_up``).  The first
     and last stop at the first member that fails.  A member's error is that
     of its first failing pass, and the list ends at the first failing member,
@@ -690,24 +700,23 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
     """
     if not d1.contains_disc(d0):
         raise PreconditionError("the small disc must lie inside the big disc")
-    pres, rows_of = [], {}  # rows_of: the members set up so far, by the circle they count on
-    for i, (_, F, _, disc) in enumerate(members):
+    pres = []
+    for _, F, _, disc in members:
         pres.append(_per_row(_before_count, F, disc))
         if isinstance(pres[-1], Exception):
             break
-        rows_of.setdefault(disc, []).append(i)
-    counts = {i: count for disc, rows in rows_of.items()
-              for i, count in zip(rows, _counts([pres[i][0] for i in rows], disc))}
+    counted = [pre for pre in pres if not isinstance(pre, Exception)]  # all but a failing last
+    counts = _counts([h for h, _ in counted], [m[3] for m in members[:len(counted)]]) + [None]
     out: list = []
-    for i, ((f, F, _, disc), pre) in enumerate(zip(members, pres)):
+    for (f, F, _, disc), pre, count in zip(members, pres, counts):
         out.append(pre if isinstance(pre, Exception) else
-                   _per_row(_set_up, f, F, d0, d1, disc, pre[1], counts[i]))
+                   _per_row(_set_up, f, F, d0, d1, disc, pre[1], count))
         if isinstance(out[-1], Exception):
             break
     set_ups = [x for x in out if not isinstance(x, Exception)]
 
     eps_eta = [eps / (64.0 * max(1.0, d1.radius)) for _, _, eps, _ in members]
-    best = [math.inf] * len(set_ups)
+    best, rings = [math.inf] * len(set_ups), [None] * len(out)
     todo = list(range(len(set_ups)))
     for _ in range(4):
         if not todo:
@@ -725,10 +734,11 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
         sups = _boundary_errors([members[i][0] for i, _ in measured],
                                 np.reshape([v for _, v in measured], (len(measured), 256)), d0)
         misses = []
-        for (i, _), sup in zip(measured, sups):
+        for (i, vals), sup in zip(measured, sups):
             if sup < members[i][2]:
                 # out[i] is not shared yet: set the field, as a copy would derive xi again
                 object.__setattr__(out[i], "achieved_eps", sup)
+                rings[i] = vals
             else:
                 best[i] = min(best[i], sup)
                 eps_eta[i] /= 32.0
@@ -738,7 +748,7 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> list:
         eps = members[i][2]
         out[i] = DegreeBudgetError(f"chordal target {eps} not reached (best {best[i]:.3e})",
                                    achieved=best[i])
-    return out
+    return out, rings
 
 
 def extension_boundary_error(f: RationalMap, F: IntegralImmersion, d0: Disc) -> float:
@@ -818,4 +828,4 @@ def extend_family(
     _check_pole_continuity(grid, [F.poles.filter(d1.contains) for F in factors])
     members = [(f, F, min(eps, Q_EPS) if on_q else eps, d1 if on_q else d0)
                for f, F, on_q in zip(maps, factors, grid.q_mask)]
-    return [_result(F) for F in _extend(members, d0, d1)]
+    return [_result(F) for F in _extend(members, d0, d1)[0]]

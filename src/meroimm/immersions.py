@@ -3,17 +3,20 @@
 A meromorphic map immerses a plane domain into the sphere when its poles are
 simple and its derivative never vanishes off the poles; into the plane, when
 additionally there are no poles at all.  Each public call factors the map
-once (:class:`~meroimm.rational.Factored`) and derives the factored f' from
-it, solving only the derivative's numerator.  The verdict is assembled from
-two independent zero counts of the derivative: direct root filtering, and the
-argument-principle count of the pole-cleared derivative, which reads no root.
+once (:class:`~meroimm.rational.Factored`).  The certificate derives the
+factored f' from it, solving only the derivative's numerator, and assembles
+its verdict from two independent zero counts of the derivative: direct root
+filtering, and the argument-principle count of the pole-cleared derivative,
+which reads no root.
 
-Homotopy classes are winding-number vectors of the derivative along a
-deterministic basis loop per hole, read exactly from the factored zeros and
-poles of f'.  The integer vector classifies plane
-targets completely; for sphere targets only its parity vector is stable
-(crossing a simple pole changes the integer winding by -2), so the integer
-classes are reported relative to the chosen loops.
+Homotopy classes are winding-number vectors of the derivative along one
+deterministic basis circle per hole.  They are read from the Wronskian
+W = n'd - nd' of the reduced f = n/d, since f' = W/d^2: the class on a loop
+is wind(W) - 2 wind(d) around its circle, from the same zero count, and no
+zero of f' is solved.  The integer vector classifies plane targets
+completely; for sphere targets only its parity vector is stable (crossing a
+simple pole changes the integer winding by -2), so the integer classes are
+reported relative to the chosen loops.
 """
 from __future__ import annotations
 
@@ -23,11 +26,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP
-from .contours import Contour, Disc, argument_principle_count, winding_number
+from .contours import Contour, Disc, _counts, _result, winding_number
 from .errors import (
     InputError,
     InternalConsistencyError,
     NotAnImmersionError,
+    PathTooCloseError,
     PreconditionError,
     SingularityOnBoundaryError,
 )
@@ -138,27 +142,33 @@ class HomotopyClass:
         return self.z_class if self.target == "C" else self.mod2_class
 
 
+def _refuse_near_boundary(D: CircularDomain, points) -> None:
+    """SingularityOnBoundaryError if a point lies within the refusal band of
+    a boundary circle of radius r: CLEARANCE_FACTOR times the outer diameter
+    plus 2 pi r / COUNT_NODE_CAP."""
+    # the band is the finest node spacing of the periodic rule that once made
+    # the count, kept so that verify refuses the inputs it always refused, and
+    # classify the poles it refused; the arc count needs no band
+    clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
+    for circle in (D.outer, *D.holes):
+        band = clearance + 2.0 * math.pi * circle.radius / COUNT_NODE_CAP
+        if any(circle.boundary_distance(s) <= band for s in points):
+            raise SingularityOnBoundaryError(
+                f"pole or derivative zero within {band:g} of a boundary circle"
+            )
+
+
 def _before_count(F: Factored, D):
-    """_certify up to its count, with its refusals: h = f' Theta, whose zeros
-    are counted on the boundary, and ``finish(count, target)`` -> (cert, f')."""
+    """verify_immersion up to its count, with its refusals: h = f' Theta,
+    whose zeros are counted on the boundary, and ``finish(count, target)``
+    -> (cert, f')."""
     D = _as_domain(D)
     fp = F.derivative()
     if fp.map.num.is_zero:
         raise InputError("constant map: the derivative vanishes identically")
     poles, zeros = F.poles, fp.zeros
-    circles = (D.outer, *D.holes)
-
-    # the refusal band is the finest node spacing of the periodic rule that
-    # once made the count, 2 pi r / COUNT_NODE_CAP, kept so that verify
-    # refuses the inputs it always refused; the arc count needs no band
-    clearance = CLEARANCE_FACTOR * 2.0 * D.outer.radius
     singular = list(poles.locations) + [z for z, _ in zeros]
-    for circle in circles:
-        band = clearance + 2.0 * math.pi * circle.radius / COUNT_NODE_CAP
-        if any(circle.boundary_distance(s) <= band for s in singular):
-            raise SingularityOnBoundaryError(
-                f"pole or derivative zero within {band:g} of a boundary circle"
-            )
+    _refuse_near_boundary(D, singular)
     bclear = min((D.boundary_distance(s) for s in singular), default=math.inf)
 
     poles_inside = poles.filter(lambda a: D.contains(a))
@@ -174,16 +184,6 @@ def _before_count(F: Factored, D):
     # independent route: clear the poles of f' in the domain and count zeros
     # of h = f' Theta by the argument principle on each boundary circle
     return fp.cleared(D.contains), finish
-
-
-def _certify(F: Factored, D, target: Target) -> tuple[ImmersionCertificate, Factored]:
-    """The certificate of verify_immersion for the factored f, with the
-    factored f' it was computed from."""
-    D = _as_domain(D)
-    h, finish = _before_count(F, D)
-    count_ap = argument_principle_count(h, D.outer)
-    count_ap -= sum(argument_principle_count(h, hole) for hole in D.holes)
-    return finish(count_ap, target)
 
 
 def verify_immersion(
@@ -204,7 +204,10 @@ def verify_immersion(
     CLEARANCE_FACTOR times the outer diameter of a boundary circle of radius r
     raises SingularityOnBoundaryError before anything is counted.
     """
-    return _certify(f.factor(), D, target)[0]
+    D = _as_domain(D)
+    h, finish = _before_count(f.factor(), D)
+    outer, *holes = _counts([h] * (1 + len(D.holes)), [D.outer, *D.holes])
+    return finish(_result(outer) - sum(map(_result, holes)), target)[0]
 
 
 def chart_transition_winding(contour: Contour) -> int:
@@ -218,19 +221,23 @@ def chart_transition_winding(contour: Contour) -> int:
     return winding_number(w, contour)
 
 
-def basis_loops(M: CircularDomain) -> list[Contour]:
-    """One deterministic circle per hole, at the mid-radius between the hole
-    boundary and the nearest other boundary feature."""
-    loops = []
+def _loop_discs(M: CircularDomain) -> list[Disc]:
+    """The discs whose boundary circles are the basis loops."""
+    discs = []
     for i, hole in enumerate(M.holes):
         nearest = M.outer.radius - abs(hole.center - M.outer.center)
         for j, other in enumerate(M.holes):
             if j == i:
                 continue
             nearest = min(nearest, abs(hole.center - other.center) - other.radius)
-        r = 0.5 * (hole.radius + nearest)
-        loops.append(Contour.circle(hole.center, r))
-    return loops
+        discs.append(Disc(hole.center, 0.5 * (hole.radius + nearest)))
+    return discs
+
+
+def basis_loops(M: CircularDomain) -> list[Contour]:
+    """One deterministic circle per hole, at the mid-radius between the hole
+    boundary and the nearest other boundary feature."""
+    return [Contour.circle(d.center, d.radius) for d in _loop_discs(M)]
 
 
 def classify(
@@ -242,15 +249,48 @@ def classify(
 
     Requires a valid immersion for the chosen target.  The integer vector is
     loop-dependent for sphere targets (only its parity is intrinsic there);
-    it is the complete invariant for plane targets.  A pole of f within a
-    basis loop's clearance raises PathTooCloseError from the winding of f'.
+    it is the complete invariant for plane targets.
+
+    f = n/d is reduced by one factorization, and its Wronskian W = n'd - nd'
+    gives f' = W / d^2: W has a zero of order m - 1 at a pole of order m, and
+    elsewhere the zeros of f'.  So f immerses M into CP1 when W has no zero
+    in M, wind(W) = 0 around its boundary (the outer circle minus the holes),
+    and into C when d has none either.  The class on a basis loop is
+    wind(W) - 2 wind(d) around its circle.  All these windings are one block
+    of zero counts (``contours._counts``), which read no root: no zero of f'
+    is solved.  Refusals come in this order: a pole of f in verify_immersion's
+    boundary band (SingularityOnBoundaryError), a boundary count's error, a
+    map that is not an immersion (NotAnImmersionError), a pole of f within
+    CLEARANCE_FACTOR times a loop's diameter of its circle
+    (PathTooCloseError), and a loop count's error.
     """
+    if target not in ("C", "CP1"):
+        raise InputError(f"unknown target {target!r}")
     M = _as_domain(M)
     F = f.factor()
-    cert, fp = _certify(F, M, target)
-    if not cert.valid:
+    n, d = F.map.num, F.map.den
+    W = n.derivative() * d - n * d.derivative()
+    if W.is_zero:
+        raise InputError("constant map: the derivative vanishes identically")
+    _refuse_near_boundary(M, F.poles.locations)
+    loops = _loop_discs(M)
+    both = (RationalMap(W), RationalMap(d))
+    rows = both if target == "C" else both[:1]  # counted on each boundary circle
+    pairs = [(g, b) for b in (M.outer, *M.holes) for g in rows]
+    on_boundary = len(pairs)
+    pairs += [(g, loop) for loop in loops for g in both]
+    counts = _counts([g for g, _ in pairs], [b for _, b in pairs])
+    inside = [_result(x) for x in counts[:on_boundary]]
+    k = len(rows)  # inside[i::k] counts row i in the outer disc, then in each hole
+    if any(inside[i] != sum(inside[i + k::k]) for i in range(k)):
         raise NotAnImmersionError("not an immersion: classification undefined")
-    z_class = tuple(fp.winding(loop) for loop in basis_loops(M))
+    for loop in loops:
+        clearance = CLEARANCE_FACTOR * 2.0 * loop.radius
+        for a in F.poles.locations:
+            if loop.boundary_distance(a) <= clearance:
+                raise PathTooCloseError(f"pole at {a} within clearance of a basis loop")
+    winds = [_result(x) for x in counts[on_boundary:]]
+    z_class = tuple(w - 2 * p for w, p in zip(winds[0::2], winds[1::2]))
     return HomotopyClass(z_class, tuple(w % 2 for w in z_class), target)
 
 

@@ -1,8 +1,8 @@
 """Rational maps (quotients of complex polynomials), pole data, and residues.
 
-A RationalMap is stored as given.  :meth:`RationalMap.factor` cancels common
-roots of numerator and denominator by root matching, makes the denominator
-monic, and returns a :class:`Factored`: the reduced map with its zeros and
+A RationalMap is stored as given.  :meth:`RationalMap.factor` makes the
+denominator monic, cancels common roots of numerator and denominator by root
+matching, and returns a :class:`Factored`: the reduced map with its zeros and
 its PoleSet.  ``reduced``, ``pole_set`` and ``zero_set`` read that value.
 The factored derivative takes its poles (a, m+1) from the poles (a, m) of
 the map, and the pole-cleared derivative f' Theta drops the cleared poles
@@ -190,22 +190,25 @@ class RationalMap:
     def factor(self) -> "Factored":
         """The reduced map with its zeros and poles, each polynomial solved once.
 
-        Reduction cancels common roots of num and den, found by matching the
-        two root sets within the root-separation tolerance (robust to the root
-        solver's own accuracy limits at multiple roots), and makes the
-        denominator monic.  The zeros and poles are the roots of the reduced
-        numerator and denominator; when reduction left a polynomial's
-        coefficients unchanged, its roots from the matching step are reused.
+        Both polynomials are first divided by the leading coefficient of the
+        denominator, which makes it monic.  Reduction then cancels common
+        roots of the scaled num and den, found by matching the two root sets
+        within the root-separation tolerance (robust to the root solver's own
+        accuracy limits at multiple roots).  The zeros and poles are the roots
+        of the reduced numerator and denominator: the roots from the matching
+        step when nothing cancelled, else the deflated polynomials' own.
         """
-        num, den = self.num, self.den
-        num_roots = den_roots = None
+        lead = self.den.coeffs[-1]
+        num, den = (ComplexPolynomial([c / lead for c in p.coeffs], coeff_tol=0.0)
+                    for p in (self.num, self.den))
+        zeros = poles = None
         if den.degree >= 1 and num.degree >= 1:
-            den_roots = roots(den)
-            num_roots = roots(num)
-            for a, m in den_roots:
-                matches = [(b, k) for b, k in num_roots if abs(b - a) <= ROOT_TOL]
-                k_total = sum(k for _, k in matches)
-                t = min(m, k_total)
+            given = num.degree
+            poles = roots(den)
+            zeros = roots(num)
+            for a, m in poles:
+                matches = [(b, k) for b, k in zeros if abs(b - a) <= ROOT_TOL]
+                t = min(m, sum(k for _, k in matches))
                 if t == 0:
                     continue
                 # deflate both at the averaged location of the matched cluster
@@ -214,24 +217,14 @@ class RationalMap:
                 for _ in range(t):
                     num = num.deflate(point)
                     den = den.deflate(point)
-        lead = den.coeffs[-1]
-        red = RationalMap(
-            ComplexPolynomial([c / lead for c in num.coeffs], coeff_tol=0.0),
-            ComplexPolynomial([c / lead for c in den.coeffs], coeff_tol=0.0),
-        )
+            if num.degree < given:  # reduction changed both polynomials: solve them again
+                zeros = poles = None
 
-        def solved(p, given, known):
-            if p.degree < 1:
-                return []
-            if known is not None and p.coeffs == given.coeffs:
-                return known
-            return roots(p)
+        def solved(p, known):
+            return known if known is not None else roots(p) if p.degree >= 1 else []
 
-        return Factored(
-            red,
-            tuple(solved(red.num, self.num, num_roots)),
-            PoleSet(solved(red.den, self.den, den_roots)),
-        )
+        return Factored(RationalMap(num, den), tuple(solved(num, zeros)),
+                        PoleSet(solved(den, poles)))
 
     def reduced(self) -> "RationalMap":
         """Common roots of num and den cancelled, den monic (see :meth:`factor`)."""

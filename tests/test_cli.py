@@ -144,6 +144,34 @@ def test_extend_artifacts_and_determinism(tmp_path, capsys):
     assert report["result"]["achieved_eps"] == extension_boundary_error(f, F, Disc(0, 1.0))
 
 
+def test_extend_samples_are_the_values_achieved_eps_was_measured_on(tmp_path, capsys, monkeypatch):
+    # cli extend --out writes the 256 boundary values that extend_immersion
+    # measured achieved_eps on, without sampling the circle again; the file
+    # is the one values_on_circle gives
+    from meroimm.contours import circle_samples
+    from meroimm.extension import IntegralImmersion, extend_immersion
+    from meroimm.serialize import write_map_samples_csv
+
+    m = {"num": [[0.2, 0.0], [1.0, 0.0]], "den": [[-1.4, 0.3], [1.0, 0.0]]}
+    p = write(tmp_path, "e.json", {"map": m, "disc0": {"center": [0.0, 0.0], "radius": 1.0},
+                                   "disc1": {"center": [0.0, 0.0], "radius": 2.0}})
+    f = rational_from_json(m)
+    want = tmp_path / "want.csv"
+    vals = extend_immersion(f, Disc(0, 1.0), Disc(0, 2.0), 1e-3).values_on_circle(0j, 1.0, 256)
+    write_map_samples_csv(want, circle_samples(0j, 1.0, 256), list(vals))
+    calls = []
+    values_on_circle = IntegralImmersion.values_on_circle
+
+    def counted(self, *args):
+        calls.append(args)
+        return values_on_circle(self, *args)
+
+    monkeypatch.setattr(IntegralImmersion, "values_on_circle", counted)
+    code, _, _ = run(capsys, "extend", p, "--out", str(tmp_path / "out"))
+    assert code == 0 and calls == []
+    assert (tmp_path / "out" / "extend_samples.csv").read_bytes() == want.read_bytes()
+
+
 def test_extend_family_cli(tmp_path, capsys):
     maps = [
         {"num": [[1.0, 0.0]],

@@ -545,11 +545,40 @@ def test_a_count_block_gives_each_row_its_one_row_outcome():
             R(P([0] * 60 + [1])), R(P.from_roots([1e6 - 10.0])), R(P.from_roots([1e6 + 30.0])),
             R(P.from_roots([1e6])), R(P([])), R(P([1] + [0] * 59 + [1e-300], coeff_tol=0.0)),
             R(P([0] * 1030 + [1]))]
-    got = contours._counts(maps, disc)
+    got = contours._counts(maps, [disc] * len(maps))
     assert got[:2] + got[3:5] == [1, 0, 1, 0]
     assert [type(got[i]) for i in (2, 5, 6, 7, 8)] == [
         NumericalError, QuadratureBudgetError, QuadratureBudgetError, NumericalError, NumericalError]
     for f, row in zip(maps, got):
+        try:
+            alone = argument_principle_count(f, disc)
+        except MeroimmError as exc:
+            assert type(exc) is type(row) and str(exc) == str(row)
+        else:
+            assert alone == row
+
+
+def test_a_count_block_across_circles_gives_each_row_its_one_row_outcome():
+    # one block, each map on its own disc: shifted and scaled circles, one of
+    # radius 1e6 on which z^60 leaves double range, the zero map, and a zero
+    # 1e-9 outside a circle.  No row reads another's disc: each row is its
+    # one-row call, and the counts are those of the constructed zeros and poles
+    cases = [
+        (R(P.from_roots([1.0, 2.0]), P.from_roots([3e5])), Disc(0, 1e6), 1),
+        (R(P([0] * 60 + [1])), Disc(0, 1e6), NumericalError),
+        (R(P([0] * 60 + [1])), Disc(0, 1.0), 60),
+        (R(P.from_roots([2 + 1j, 2.5 + 1j]), P.from_roots([2.0 + 1.2j])), Disc(2 + 1j, 0.7), 1),
+        (R(P([])), Disc(-3.0, 0.1), QuadratureBudgetError),
+        (R(P.from_roots([1e-3 + 1e-9 + 5.0, 5.0])), Disc(5.0, 1e-3), 1),
+        (R(P([1]), P.from_roots([0.5j, -0.5j, 40.0])), Disc(40.0, 1e-2), -1),
+        (R(P.from_roots([0.1, 0.2, 0.3])).factor(), Disc(0, 0.25), 2),
+    ]
+    got = contours._counts([f for f, _, _ in cases], [d for _, d, _ in cases])
+    for (f, disc, want), row in zip(cases, got):
+        if isinstance(want, type):
+            assert type(row) is want
+        else:
+            assert row == want
         try:
             alone = argument_principle_count(f, disc)
         except MeroimmError as exc:
@@ -589,7 +618,7 @@ def test_count_reads_no_roots(monkeypatch):
     monkeypatch.setattr(rational, "roots", refuse)
     f = R(P.from_roots([0.5, 1.5j, 1 - 1e-6]), P.from_roots([-0.2, 3.0]))
     assert argument_principle_count(f, UNIT) == 1
-    assert contours._counts([f, R(P.from_roots([0.1, 0.2]))], Disc(0, 2.0)) == [2, 2]
+    assert contours._counts([f, R(P.from_roots([0.1, 0.2]))], [Disc(0, 2.0)] * 2) == [2, 2]
 
 
 def test_count_of_a_triple_root_near_a_double_one():

@@ -777,9 +777,9 @@ def test_extend_family_certifies_each_node_once(monkeypatch):
         seen.append((F.poles.locations, D))
         return before_count(F, D, *args, **kwargs)
 
-    def block_recorder(hs, disc):
-        blocks.append((len(hs), disc))
-        return counts(hs, disc)
+    def block_recorder(hs, discs):
+        blocks.append((len(hs), tuple(discs)))
+        return counts(hs, discs)
 
     monkeypatch.setattr(meroimm.immersions, "_before_count", recorder)
     monkeypatch.setattr(meroimm.extension, "_before_count", recorder)
@@ -790,8 +790,8 @@ def test_extend_family_certifies_each_node_once(monkeypatch):
     assert len(outs) == 5
     # node i is recognized by its pole; Q node 0 is certified on the big disc
     assert seen == [((complex(a),), D1 if i == 0 else D0) for i, a in enumerate(poles)]
-    # the zeros are counted by one block per circle
-    assert blocks == [(1, D1), (4, D0)]
+    # the zeros of all members are counted by one block, each on its circle
+    assert blocks == [(5, (D1, D0, D0, D0, D0))]
 
 
 def test_extension_solves_each_polynomial_once(monkeypatch):
@@ -845,7 +845,7 @@ def _alone(f, on_q, eps=1e-3):
     if not on_q:
         return extend_immersion(f, D0, D1, eps)
     q_eps = min(eps, meroimm.extension.Q_EPS)
-    return meroimm.extension._extend([(f, f.factor(), q_eps, D1)], D0, D1)[0]
+    return meroimm.extension._extend([(f, f.factor(), q_eps, D1)], D0, D1)[0][0]
 
 
 # one family per pole count in the big disc, which a family cannot change; the

@@ -238,7 +238,8 @@ def test_a_count_disagreement_carries_both_counts():
 
 def test_each_polynomial_solved_once(monkeypatch):
     # one verify_immersion and one classify on maps with double poles: no
-    # coefficient tuple reaches the root solver twice, and no derivative
+    # polynomial reaches the root solver twice, not even as a multiple of
+    # itself (f's denominator leads with 2 - i), and no derivative
     # denominator (an (m+1)-fold root at a pole of order m) reaches it at all
     import meroimm.rational as rational
 
@@ -263,8 +264,8 @@ def test_each_polynomial_solved_once(monkeypatch):
     ):
         solved.clear()
         run()
-        coeffs = [p.coeffs for p in solved]
-        assert coeffs and len(set(coeffs)) == len(coeffs)
+        monic = [tuple(np.round(np.array(p.coeffs) / p.coeffs[-1], 12)) for p in solved]
+        assert monic and len(set(monic)) == len(monic)
         for p in solved:
             found = np.roots(np.array(p.coeffs[::-1]))
             for a, m in poles:
@@ -340,6 +341,160 @@ def test_classify_figure_eight():
     hc = classify(F, dom, "C")
     assert hc.z_class == (-1,)
     assert hc.mod2_class == (1,)
+
+
+# (outer, holes, basis loop circles) as (center, radius): the loops are the
+# mid-radius circles of basis_loops, worked out by hand
+_ORACLE_DOMAINS = [
+    ((0j, 2.0), [(0j, 0.5)], [(0j, 1.25)]),
+    ((0j, 4.0), [(-1.5 + 0j, 0.5), (1.5 + 0j, 0.6)], [(-1.5 + 0j, 1.45), (1.5 + 0j, 1.55)]),
+]
+
+
+def _oracle_map(rng, outer, holes):
+    """Descending numpy coefficients (num, den) of one of three kinds: a
+    Moebius power (alpha T^k + beta)/(T^k - c), T = (z - p)/(z - q), whose f'
+    vanishes only at p in a hole and q outside; an antiderivative of a
+    product of (z - w) over w in the holes or outside; a random quotient."""
+    def point_in(c, r):
+        return c + r * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+
+    def outside():
+        return outer[0] + outer[1] * rng.uniform(1.1, 1.8) * np.exp(2j * np.pi * rng.random())
+
+    kind = rng.integers(3)
+    if kind == 0:
+        k = int(rng.integers(1, 3))
+        p, q = point_in(*holes[rng.integers(len(holes))]), outside()
+        alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        A, B = np.poly([p] * k), np.poly([q] * k)
+        c = ((point_in(*outer) - p) / (point_in(*outer) - q)) ** k
+        return alpha * A + beta * B, A - c * B
+    if kind == 1:
+        ws = [point_in(*holes[rng.integers(len(holes))]) if rng.random() < 0.7 else outside()
+              for _ in range(rng.integers(1, 4))]
+        return np.polyint(np.poly(ws)), np.array([1.0 + 0j])
+    num = rng.normal(size=rng.integers(2, 4)) + 1j * rng.normal(size=1)
+    return num, np.poly([point_in(*outer) for _ in range(rng.integers(1, 3))])
+
+
+def _wronskian_roots(num, den):
+    """numpy.roots of W = n'd - nd', its leading coefficients below 1e-12 of
+    the largest dropped."""
+    W = np.polysub(np.polymul(np.polyder(num), den), np.polymul(num, np.polyder(den)))
+    return np.roots(W[np.argmax(np.abs(W) > 1e-12 * np.abs(W).max()):])
+
+
+def _oracle_class(num, den, outer, holes, loops, target):
+    """None if f = num/den does not immerse the domain into the target, else
+    its classes, from numpy.roots of W = n'd - nd' and of d alone."""
+    zw, zd = _wronskian_roots(num, den), np.roots(den)
+
+    def inside(zs, c, r):
+        return int(np.sum(np.abs(zs - c) < r))
+
+    def in_domain(zs):
+        return inside(zs, *outer) - sum(inside(zs, *h) for h in holes)
+
+    if in_domain(zw) or (target == "C" and in_domain(zd)):
+        return None
+    return tuple(inside(zw, *loop) - 2 * inside(zd, *loop) for loop in loops)
+
+
+def test_classify_matches_numpy_roots_of_the_wronskian():
+    # seeded maps on an annulus and on a two-hole domain, every root of W and
+    # d at least 0.02 from every circle: validity and classes are numpy's
+    rng = np.random.default_rng(31)
+    for outer, holes, loops in _ORACLE_DOMAINS:
+        M = CircularDomain(Disc(*outer), tuple(Disc(*h) for h in holes))
+        seen = {(t, v): 0 for t in ("C", "CP1") for v in (True, False)}
+        cases = 0
+        while cases < 60:
+            num, den = _oracle_map(rng, outer, holes)
+            points = np.concatenate([_wronskian_roots(num, den), np.roots(den)])
+            circles = [outer, *holes, *loops]
+            if min(np.min(np.abs(np.abs(points - c) - r), initial=np.inf) for c, r in circles) < 0.02:
+                continue
+            cases += 1
+            f = R(P(num[::-1]), P(den[::-1]))
+            for target in ("C", "CP1"):
+                want = _oracle_class(num, den, outer, holes, loops, target)
+                seen[target, want is not None] += 1
+                if want is None:
+                    with pytest.raises(NotAnImmersionError):
+                        classify(f, M, target)
+                else:
+                    got = classify(f, M, target)
+                    assert got.z_class == want and got.mod2_class == tuple(w % 2 for w in want)
+        assert min(seen.values()) >= 5, seen
+
+
+def test_classify_refuses_a_merged_root_cluster_as_no_immersion():
+    # the cluster of test_a_count_disagreement_carries_both_counts: f' =
+    # (z - a)^2 (z - b)^3, a = 1 - 2^-7 and b = 1.001, which the root solver
+    # merges.  The outer circle runs between a and b: W = f' has a, twice,
+    # in the domain.  verify_immersion's two counts disagree there, but
+    # classify reads no root of f'
+    a, b = 1 - 2.0 ** -7, 1.001
+    f = R(P.from_roots([a, a, b, b, b]).antiderivative())
+    for radius in (0.995, 0.999):
+        M = CircularDomain(Disc(0, radius), (Disc(0, 0.5),))
+        with pytest.raises(InternalConsistencyError):
+            verify_immersion(f, M, "C")
+        for target in ("C", "CP1"):
+            with pytest.raises(NotAnImmersionError):
+                classify(f, M, target)
+
+
+def test_classes_are_counted_on_the_loop_circle():
+    # f = z + 1/(z - a) has f' = ((z - a)^2 - 1)/(z - a)^2, zeros a - 1 in the
+    # hole and a + 1 outside: an immersion of the annulus into CP1.  Its pole
+    # a sits in the sliver between the basis loop |z| = 1.25 and the 256-gon
+    # through its samples, more than the loop's clearance from both, so the
+    # circle holds the pole and the polygon does not.  The class counts the
+    # circle: 1 zero - 2 poles of f' = -1, where the polygon would give 1
+    # zero - 0 poles = 1.  The parity is the same
+    h = np.pi / 256
+    a = 1.25 * (1.0 - 0.5 * (1.0 - np.cos(h))) * np.exp(1j * h)  # halfway across the sliver
+    (loop,) = basis_loops(ANNULUS)
+    gap = 1.25 - abs(a)
+    assert loop.distance_to(a) > 10 * loop.clearance() and gap > 10 * loop.clearance()
+    chords = np.angle((loop.points[1:] - a) / (loop.points[:-1] - a)).sum()
+    assert abs(chords) < 1e-9  # a lies outside the polygon
+    f = R(P([0, 1])) + R(P([1]), P.from_roots([a]))
+    assert verify_immersion(f, ANNULUS, "CP1").valid
+    hc = classify(f, ANNULUS, "CP1")
+    assert hc.z_class == (-1,) and hc.mod2_class == (1,)
+
+
+def test_classify_reads_no_root_of_the_derivative(monkeypatch):
+    # classify factors f once, solving its numerator and denominator, and
+    # winds W and d on every circle in one block of counts: no factored
+    # derivative, no winding of f' along the polygon, no Pellet test
+    from meroimm import contours, immersions, rational
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify solved or wound the derivative")
+
+    for owner, name in ((rational.Factored, "derivative"), (rational.Factored, "winding"),
+                        (rational, "_pellet_isolated"), (contours.Contour, "distance_to")):
+        monkeypatch.setattr(owner, name, refuse)
+    blocks = []
+    counts = immersions._counts
+
+    def block(fs, discs):
+        blocks.append(len(fs))
+        return counts(fs, discs)
+
+    monkeypatch.setattr(immersions, "_counts", block)
+    two = CircularDomain(Disc(0, 4.0), (Disc(-1.5, 0.5), Disc(1.5, 0.6)))
+    g = R(P([1]), P.from_roots([1.0])) + R(P([0, 0.01]))  # f' vanishes at -9 and 11
+    cubic = R(P([0, -2.25, 0, 1 / 3]))  # f' vanishes at the hole centres
+    for f, M, target, rows in ((zpow(3), ANNULUS, "C", 6), (zpow(-2), ANNULUS, "CP1", 4),
+                               (g, ANNULUS, "CP1", 4), (cubic, two, "C", 10)):
+        blocks.clear()
+        classify(f, M, target)
+        assert blocks == [rows]
 
 
 def test_same_component_examples():
