@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ENV_PREFIX, RunConfig, config_from_env
-from .contours import Disc, circle_samples
+from .contours import Disc, _result, circle_samples
 from .errors import InputError, MeroimmError, NumericalError, PreconditionError
 from .immersions import (
     CircularDomain,
@@ -181,7 +181,7 @@ def _run_extend(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 
 
 def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
-    from .extension import extend_family
+    from .extension import _circle_values, extend_family
 
     maps = _maps(data)
     grid = grid_from_json(_need(data, "grid"))
@@ -195,9 +195,10 @@ def _run_extend_family(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     }
     if outdir is not None:
         names = []
-        for i, F in enumerate(outs):
+        # every member's values_on_circle(d0.center, d0.radius, 64), as one block
+        for i, vals in enumerate(_circle_values(outs, d0.center, d0.radius, 64)):
             name = f"extend_family_node{i:03d}.csv"
-            _write_boundary_csv(outdir / name, F.values_on_circle(d0.center, d0.radius, 64), d0)
+            _write_boundary_csv(outdir / name, _result(vals), d0)
             names.append(name)
         (outdir / "immersions.json").write_text(dumps(result["immersions"]))
         result["artifacts"] = names + ["immersions.json"]

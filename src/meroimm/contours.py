@@ -2,12 +2,13 @@
 
 Contours are piecewise-linear paths through the stored samples; circles are
 built analytically from uniform angular samples so that closure is exact.
-Path integrals have one kernel, :func:`integrate_pieces`: an adaptive
-Gauss-Kronrod G7-K15 rule over straight pieces.  It starts the path on a mesh
-of about ten equal panels, as Shampine's vectorized quadgk does, accepts a
-panel when |K15 - G7| is within its share of the tolerance or QUADPACK's
-rounding floor, bisects the others, and refuses a non-finite value at any
-node or piece endpoint.
+Path integrals have one scheme, an adaptive Gauss-Kronrod G7-K15 rule over
+straight pieces, in :func:`integrate_pieces` for one path and
+``_integrate_paths`` for many paths in one round loop, each path bit for bit
+as alone.  It starts a path on a mesh of about ten equal panels, as
+Shampine's vectorized quadgk does, accepts a panel when |K15 - G7| is within
+its share of the tolerance or QUADPACK's rounding floor, bisects the others,
+and refuses a non-finite value at any node or piece endpoint.
 Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
 SIAM Rev. 2014), on one sampler, :func:`_rings`: it samples the open rows of
 a block at N equispaced nodes, doubles N by adding the midpoints, and closes
@@ -37,7 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET, as_integer
-from .errors import InputError, NumericalError, PathTooCloseError, QuadratureBudgetError
+from .errors import (InputError, MeroimmError, NumericalError, PathTooCloseError,
+                     QuadratureBudgetError)
 from .poly import _BINOMIAL_DEGREE, ComplexPolynomial, _padded, _read_only, _taylor_rows
 from .rational import Factored, RationalMap
 
@@ -214,6 +216,15 @@ def _result(x):
     return x
 
 
+def _per_row(stage, *args):
+    """stage(*args), or the package error it raises: a row of a block keeps
+    its own error, so the block can raise errors in row order."""
+    try:
+        return stage(*args)
+    except MeroimmError as exc:
+        return exc
+
+
 def _vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap f so that it maps complex arrays to complex arrays."""
 
@@ -286,7 +297,8 @@ def integrate_pieces(
     raises QuadratureBudgetError with the best estimate, so a budget smaller
     than the first round refuses after it.  The first mesh depends only on
     the panel counts; meshes of up to _CACHE_NODES nodes are memoized by
-    them and shared read-only.
+    them and shared read-only.  :func:`_integrate_paths` integrates many
+    paths in one call, each bit for bit as here.
     """
     lengths = np.abs(d)
     total_len = float(lengths.sum())
@@ -312,14 +324,17 @@ def integrate_pieces(
     while True:
         evals += fv.size
         if not np.isfinite(fv).all():
-            raise PathTooCloseError("non-finite integrand: path too close to singularity")
+            raise PathTooCloseError(_TOO_CLOSE)
         fv = fv[-nodes.size:].reshape(nodes.shape)  # past round 1's piece endpoints
         scale = half * ds
         # three products over the same rows: matmul rounding depends on the
-        # operand's shape, so stacking _WK and _WG into one product, or
-        # slicing rows out of a larger product, changes the bits
-        kronrod = scale * (fv @ _WK)
-        err = np.abs(kronrod - scale * (fv @ _WG))
+        # operand's shape, so stacking _WK and _WG into one product changes
+        # the bits.  The sums are named, so that numpy does not reuse a large
+        # temporary as the left factor of scale, which changes the bits of a
+        # complex product.  _integrate_paths repeats this round (see there)
+        k15, g7 = fv @ _WK, fv @ _WG
+        kronrod = scale * k15
+        err = np.abs(kronrod - scale * g7)
         done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
         if done.all():
             np.add.at(totals, seg, kronrod)
@@ -328,7 +343,7 @@ def integrate_pieces(
         keep = ~done
         if evals + 30 * np.count_nonzero(keep) > QUAD_EVAL_BUDGET:
             np.add.at(totals, seg[keep], kronrod[keep])
-            raise QuadratureBudgetError("quadrature budget exhausted", best=complex(totals.sum()))
+            raise QuadratureBudgetError(_BUDGET, best=complex(totals.sum()))
         split = np.flatnonzero(keep).repeat(2)
         seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
         mid[0::2] -= half[0::2]
@@ -336,6 +351,113 @@ def integrate_pieces(
         ds = d[seg]
         nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
         fv = fz(nodes.ravel())
+
+
+_TOO_CLOSE = "non-finite integrand: path too close to singularity"
+_BUDGET = "quadrature budget exhausted"
+
+
+def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Sequence[int]) -> list:
+    """integrate_pieces over many paths in one round loop: paths[p] is the
+    number of pieces of path p, which follow those of path p - 1.  Entry p is
+    the sum of path p, or the error it raises alone.
+
+    ``fz(idx, z)`` returns the rows idx (increasing) at the points z, one row
+    each, as ``_integrands`` does; row p is path p, and the rows of a round
+    hold the points of each path that is still open, in the order of its own
+    call, padded to one width with its first point.  fz must give each point
+    the bits it gives that point alone.  Each path gets its own first mesh
+    over its own length, its own share of tol, its own count against
+    QUAD_EVAL_BUDGET and its own refusal.  A round takes the K15 and G7 sums
+    of all panels in one product each, but the mass of each path's panels in
+    a product of its own (a complex product rounds each row alone, for two
+    rows or more; the real one does not), and each path's piece totals are
+    summed as one slice, so that every bit is that of the path alone.  The
+    round repeats integrate_pieces' own, which a shared helper would slow by
+    a call per round.  One path runs the one-path loop.
+    """
+    if len(paths) == 1 and paths[0] == len(za):
+        row = np.zeros(1, dtype=int)
+        return [_per_row(integrate_pieces, lambda z: fz(row, z[None])[0], za, d, tol)]
+    sizes = np.asarray(paths, dtype=int)
+    n_paths, bounds = len(sizes), np.concatenate([[0], np.cumsum(sizes)])
+    if bounds[-1] != len(za) or (sizes < 0).any():
+        raise InputError("paths must count the pieces of each path, and all pieces once")
+    lengths = np.abs(d)
+    # each path's length, summed as its own call sums it
+    total = np.array([lengths[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+    out: list = [0j] * n_paths
+    path = np.repeat(np.arange(n_paths), sizes)
+    live = (total != 0.0)[path]  # a path of length 0 sums to 0 unevaluated
+    za, d, lengths, path = za[live], d[live], lengths[live], path[live]
+    if not len(za):
+        return out
+    first = np.searchsorted(path, np.arange(n_paths + 1))  # path p: pieces first[p]:first[p + 1]
+    share = lengths / total[path]
+    one_piece = ((sizes == 1) & np.isfinite(total))[path]
+    counts = np.where(one_piece, _MESH, np.fmax(np.ceil(_MESH * share), 1.0)).astype(int)
+    build = _first_round if len(_XK) * counts.sum() <= _CACHE_NODES else _first_round.__wrapped__
+    seg, m, mid, half, template = build(tuple(counts.tolist()))
+    tols = (tol * lengths / total[path])[seg] / m
+    nodes = za[seg, None] + template * d[seg, None]
+    totals = np.zeros(len(za), dtype=complex)
+    evals = np.zeros(n_paths, dtype=int)
+    pts, ends = np.concatenate([za, za + d, nodes.ravel()]), np.concatenate([path, path])
+    while True:
+        panel_path = path[seg]
+        on = np.concatenate([ends, panel_path.repeat(len(_XK))])  # each point's path
+        fv = _on_rows(fz, pts, on)
+        evals += np.bincount(on, minlength=n_paths)
+        bad = np.zeros(n_paths, dtype=bool)
+        bad[on[~np.isfinite(fv)]] = True
+        for p in np.flatnonzero(bad).tolist():
+            out[p] = PathTooCloseError(_TOO_CLOSE)
+        ok = ~bad[panel_path]
+        if not ok.any():
+            return out
+        fv = fv[-nodes.size:].reshape(nodes.shape)[ok]  # past round 1's piece endpoints
+        seg, mid, half, tols, panel_path = seg[ok], mid[ok], half[ok], tols[ok], panel_path[ok]
+        runs = np.flatnonzero(np.diff(panel_path, prepend=-1, append=n_paths))
+        mass = np.concatenate([np.abs(fv[lo:hi]) @ _WK for lo, hi in zip(runs[:-1], runs[1:])])
+        scale = half * d[seg]
+        k15, g7 = fv @ _WK, fv @ _WG
+        kronrod = scale * k15
+        err = np.abs(kronrod - scale * g7)
+        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * mass)
+        np.add.at(totals, seg[done], kronrod[done])
+        keep = ~done
+        kept = np.bincount(panel_path[keep], minlength=n_paths)
+        over = (evals + 30 * kept > QUAD_EVAL_BUDGET) & (kept > 0)
+        refused = keep & over[panel_path]
+        np.add.at(totals, seg[refused], kronrod[refused])
+        for p in panel_path[runs[:-1]].tolist():  # the paths of this round
+            if over[p] or not kept[p]:
+                best = complex(totals[first[p]:first[p + 1]].sum())
+                out[p] = QuadratureBudgetError(_BUDGET, best=best) if over[p] else best
+        keep &= ~over[panel_path]
+        if not keep.any():
+            return out
+        split = np.flatnonzero(keep).repeat(2)
+        seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
+        mid[0::2] -= half[0::2]
+        mid[1::2] += half[1::2]
+        nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * d[seg, None]
+        pts, ends = nodes.ravel(), ends[:0]
+
+
+def _on_rows(fz, pts: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """fz at the points pts, pts[i] on row on[i], by one call fz(idx, block):
+    idx the rows that have points, and each row of the block its points in
+    order, then its first point again up to the widest row."""
+    order = np.argsort(on, kind="stable")
+    first = np.flatnonzero(np.diff(on[order], prepend=-1))  # where each row starts in order
+    idx, width = on[order][first], np.diff(first, append=on.size)
+    row = np.searchsorted(idx, on)
+    col = np.empty_like(on)
+    col[order] = np.arange(on.size) - first[row[order]]
+    block = np.repeat(pts[order][first][:, None], width.max(), axis=1)
+    block[row, col] = pts
+    return fz(idx, block)[row, col]
 
 
 _RING_START, _RING_CAP = 64, 2 ** 14  # node counts of the periodic rule on circles
@@ -481,7 +603,9 @@ def argument_principle_count(f: RationalMap | Factored, disc: Disc) -> int:
     |c_k| (|c| + r + r rho)^k their rounding bound (Higham 5.1); the arc then
     turns by arg(P(end) / P(start)).  QuadratureBudgetError refuses a failing
     arc with |T_0| within e at rho = 0 at an end (the zero map) or shorter
-    than 2^-50 of the circle, and a polynomial past COUNT_NODE_CAP expansions;
+    than 2^-50 of the circle, and a polynomial past COUNT_NODE_CAP
+    expansions, naming the polynomial (numerator or denominator, and its
+    degree) and the circle;
     NumericalError, e or a T_j out of double range, or a degree above
     ``poly._BINOMIAL_DEGREE``.  Each halving expands the midpoints of one
     polynomial from its one Taylor matrix, so k arcs of degree n take
@@ -558,7 +682,11 @@ def _counts(fs: Sequence[RationalMap | Factored], discs: Sequence[Disc]) -> list
         elif not in_range[k]:
             out[i] = NumericalError(_FAR)
         else:
-            out[i] = QuadratureBudgetError("argument-principle count: uncertified arc")
+            disc, which = discs[i // 2], ("numerator", "denominator")[i % 2]
+            out[i] = QuadratureBudgetError(
+                f"argument-principle count: uncertified arc of the {which} of degree "
+                f"{polys[i].degree} on the circle of center {disc.center:g} and radius "
+                f"{disc.radius:g}")
     counts = []
     for num, den in zip(out[0::2], out[1::2]):
         errors = [x for x in (num, den) if isinstance(x, Exception)]

@@ -22,15 +22,18 @@ counts of all members as one block per circle (:func:`_extend`).  The eta
 fits of all members then share one padded Horner per polynomial on their
 rings and one FFT and one scaling per degree, each row checked on its own
 disc; the boundary values on the small circle share one padded Horner over
-xi and one FFT per node count of the rule, each row from its own start, with
-one :meth:`~IntegralImmersion.evaluate` per row for its base value.  The block
-and ``evaluate`` share one integrand, h0 exp(xi)/Theta from
-``_integrands``: ``evaluate`` integrates its one row.  A row keeps its own
-error, and a block raises the first in member order.  ``extend_immersion``,
-``constrained_eta``, ``IntegralImmersion.values_on_circle`` and
-``extension_boundary_error`` (at 256 boundary points) are the one-row case;
-each polynomial of a single row is evaluated by its own Horner.  Every row's
-result is bit for bit the one-row result.
+xi and one FFT per node count of the rule, each row from its own start, and
+one adaptive quadrature call for the base values of all rows
+(``contours._integrate_paths``, the vectorized panels of Shampine, J.
+Comput. Appl. Math. 211 (2008) 131-140, over many paths).  The block and
+``evaluate`` share one integrand, h0 exp(xi)/Theta from ``_integrands``:
+``evaluate`` integrates its one row, and an array of points as one call
+over all their paths.  A row keeps its own error, and a block raises the
+first in member order.  ``extend_immersion``, ``constrained_eta``,
+``IntegralImmersion.values_on_circle`` and ``extension_boundary_error`` (at
+256 boundary points) are the one-row case; each polynomial of a single row
+is evaluated by its own Horner.  Every row's result is bit for bit the
+one-row result.
 """
 from __future__ import annotations
 
@@ -45,13 +48,12 @@ import numpy as np
 
 from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
 from .blending import _taylor_truncations, _truncations
-from .contours import (Disc, _counts, _result, _unit_roots, circle_primitives, circle_samples,
-                       integrate_pieces)
+from .contours import (Disc, _counts, _integrate_paths, _per_row, _result, _unit_roots,
+                       circle_primitives, circle_samples, integrate_pieces)
 from .errors import (
     DegreeBudgetError,
     InputError,
     InternalConsistencyError,
-    MeroimmError,
     NotAnImmersionError,
     NumericalError,
     PathTooCloseError,
@@ -346,8 +348,10 @@ class IntegralImmersion:
 
     # -- integrand ----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def detour_radius(self) -> float:
+        """The radius of the arcs that paths take around the poles, computed
+        once: the pole separation takes O(k^2) for k poles."""
         return min(0.02 * self.domain.radius, 0.5 * self.poles.min_separation())
 
     @functools.cached_property
@@ -450,25 +454,44 @@ class IntegralImmersion:
         keep = deltas != 0
         return starts[keep], deltas[keep]
 
-    def evaluate(self, z: complex, *, side: int = 1) -> SpherePoint:
+    def _path_to(self, z: complex, side: int):
+        """The detour path (piece starts, piece deltas) from the base point to
+        z, or the value at z where no quadrature is needed: INF on a pole, the
+        base value at the base point."""
+        for a, _ in self.poles:
+            if abs(z - a) <= ROOT_TOL:
+                return INF
+        starts, deltas = self._detour_path(z, side)
+        return (starts, deltas) if len(starts) else self.base_value
+
+    def evaluate(self, z, *, side: int = 1) -> SpherePoint | list[SpherePoint]:
         """Value at z by path integration from the base point, to the
         quadrature tolerance QUAD_TOL.
 
         A non-finite z raises InputError.  Pole locations return INF
         exactly; a value too large for double precision (the integrand
-        overflows) is INF as well, chordally indistinguishable from it.
+        overflows) is INF as well, chordally indistinguishable from it.  A
+        1-D array of points gives a list of values, one per point, bit for
+        bit the pointwise ones: the paths of all the points run in one
+        quadrature call (:func:`_values_at`), and the first point
+        whose quadrature is refused, in order, raises its error.
         """
+        if isinstance(z, (np.ndarray, list, tuple)) and np.ndim(z):
+            zs = np.asarray(z, dtype=complex)
+            if zs.ndim != 1:
+                raise InputError("evaluate takes a point or a 1-D array of points")
+            if not np.isfinite(zs).all():
+                raise InputError("evaluation points must be finite")
+            every = lambda idx, z: self._fz(z)  # noqa: E731  one integrand for every path
+            return [_result(v) for v in _values_at([self] * zs.size, zs.tolist(), side, every)]
         z = complex(z)
         if not cmath.isfinite(z):
             raise InputError("evaluation point must be finite")
-        for a, _ in self.poles:
-            if abs(z - a) <= ROOT_TOL:
-                return INF
-        starts, deltas = self._detour_path(z, side)
-        if len(starts) == 0:
-            return self.base_value
+        path = self._path_to(z, side)
+        if not isinstance(path, tuple):
+            return path
         try:
-            val = integrate_pieces(self._fz, starts, deltas, QUAD_TOL)
+            val = integrate_pieces(self._fz, *path, QUAD_TOL)
         except PathTooCloseError:
             return INF  # integrand overflow: the value has left double range
         return self.base_value + val
@@ -478,16 +501,16 @@ class IntegralImmersion:
 
     def values_on_circle(self, center: complex, radius: float, n: int) -> np.ndarray:
         """Values at the n samples circle_samples(center, radius, n): the one
-        farthest from the poles by :meth:`evaluate`, the others from it by the
-        periodic rule (:func:`circle_primitives`) to the quadrature tolerance
-        QUAD_TOL on 64 to 2^14 nodes, at least 4 (deg xi + 1), below which
-        exp(xi) aliases unseen.  A closure defect
+        farthest from the poles as :meth:`evaluate` gives it, the others from
+        it by the periodic rule (:func:`circle_primitives`) to the quadrature
+        tolerance QUAD_TOL on 64 to 2^14 nodes, at least 4 (deg xi + 1), below
+        which exp(xi) aliases unseen.  A closure defect
         over 1e4 QUAD_TOL + 1e-10 int |dF| is a residue: InternalConsistencyError.
         A pole within a detour radius of the circle, an INF entry, a non-finite
-        sample or the cap sends every sample to :meth:`evaluate`, whose INF
-        comes back as complex("inf").  A non-finite center, radius <= 0, or
-        an n that is not an integer >= 1 (:func:`circle_samples`) raises
-        InputError.  This is the one-row case of the block that
+        sample or the cap sends the whole ring to one array :meth:`evaluate`,
+        whose INF comes back as complex("inf").  A non-finite center, radius
+        <= 0, or an n that is not an integer >= 1 (:func:`circle_samples`)
+        raises InputError.  This is the one-row case of the block that
         :func:`extend_family` checks all its members with.
         """
         center = complex(center)
@@ -546,9 +569,36 @@ def _integrands(Fs: Sequence[IntegralImmersion]):
             for a in poles:
                 t = z - _rows(a, idx)
                 theta *= t * t
-            return _rows(scale, idx) * np.exp(w) / theta
+            # exp(w) is named: numpy would compute scale * (a large
+            # temporary) as temporary * scale, whose complex product rounds
+            # differently, so that a point's bits would depend on the block
+            e = np.exp(w)
+            return _rows(scale, idx) * e / theta
 
     return fz
+
+
+def _values_at(Fs: Sequence[IntegralImmersion], zs: Sequence[complex], side: int, fz) -> list:
+    """Fs[i].evaluate(zs[i], side=side) for each i, or the error it raises:
+    the paths of all i in one :func:`~meroimm.contours._integrate_paths` call
+    over fz(idx, z), the rows idx of ``_integrands(Fs)`` or one integrand
+    that all the Fs share."""
+    paths = [F._path_to(z, side) for F, z in zip(Fs, zs)]
+    pieces = [p for p in paths if isinstance(p, tuple)]
+    sums = [None] * len(paths)
+    if pieces:
+        sums = _integrate_paths(fz, np.concatenate([p[0] for p in pieces]),
+                                np.concatenate([p[1] for p in pieces]), QUAD_TOL,
+                                [len(p[0]) if isinstance(p, tuple) else 0 for p in paths])
+    out = []
+    for F, path, val in zip(Fs, paths, sums):
+        if not isinstance(path, tuple):
+            out.append(path)
+        elif isinstance(val, PathTooCloseError):
+            out.append(INF)  # integrand overflow: the value has left double range
+        else:
+            out.append(val if isinstance(val, Exception) else F.base_value + val)
+    return out
 
 
 def _circle_values(Fs: Sequence[IntegralImmersion], center: complex, radius: float,
@@ -556,39 +606,79 @@ def _circle_values(Fs: Sequence[IntegralImmersion], center: complex, radius: flo
     """values_on_circle(center, radius, n) of each extension, or the error it
     raises.  The rows whose poles clear the circle run one block of the
     periodic rule (:func:`circle_primitives`), each from its own start
-    4 (deg xi + 1); each row then takes its base value by one
-    :meth:`~IntegralImmersion.evaluate`."""
+    4 (deg xi + 1).  Every row takes its base value at its sample k0
+    farthest from its poles, all of them from one quadrature call over
+    ``_integrands(Fs)`` (:func:`_values_at`), and the rows with a rule
+    and a finite base value are assembled as one array, base + prim -
+    prim[k0].  The rows have one pole count, as ``_integrands`` needs.  A
+    single row takes the route of one extension (:func:`_ring_values`),
+    since a one-row block costs an extend op about 3%."""
     ring = circle_samples(center, radius, n)
-    locs = [np.array(F.poles.locations, dtype=complex) for F in Fs]
-    ruled = [i for i, F in enumerate(Fs)
-             if np.all(np.abs(np.abs(locs[i] - center) - radius) > F.detour_radius)]
-    rules = circle_primitives(_integrands([Fs[i] for i in ruled]), center, radius, n, QUAD_TOL,
-                              [4 * len(Fs[i].xi.coeffs) for i in ruled])
-    rule_of = dict(zip(ruled, rules))
-    return [_per_row(_ring_values, F, ring, locs[i], rule_of.get(i)) for i, F in enumerate(Fs)]
+    if len(Fs) == 1:
+        return [_per_row(_ring_values, Fs[0], ring, center, radius)]
+    if not Fs:
+        return []
+    fz = _integrands(Fs)
+    locs = np.array([F.poles.locations for F in Fs], dtype=complex).reshape(len(Fs), -1)
+    k0 = np.abs(ring[:, None] - locs[:, None, :]).min(axis=2, initial=math.inf).argmax(axis=1)
+    bases = _values_at(Fs, ring[k0].tolist(), 1, fz)
+    radii = np.array([F.detour_radius for F in Fs])[:, None]
+    ruled = np.flatnonzero((np.abs(np.abs(locs - center) - radius) > radii).all(axis=1))
+    rule_of = dict(zip(ruled.tolist(), circle_primitives(
+        lambda idx, z: fz(ruled[idx], z), center, radius, n, QUAD_TOL,
+        [4 * len(Fs[i].xi.coeffs) for i in ruled])))
+    out: list = [None] * len(Fs)
+    rows = []  # the rows taken from their rule
+    for i, (F, base) in enumerate(zip(Fs, bases)):
+        rule = rule_of.get(i)
+        if isinstance(base, Exception):
+            out[i] = base
+        elif rule is None or is_inf(base):
+            out[i] = _per_row(_evaluated, F, ring)
+        elif (error := _closure_error(*rule[1:])) is not None:
+            out[i] = error
+        else:
+            rows.append(i)
+    if rows:
+        prims = np.array([rule_of[i][0] for i in rows])
+        base = np.array([complex(bases[i]) for i in rows])[:, None]
+        for i, vals in zip(rows, base + (prims - prims[np.arange(len(rows)), k0[rows]][:, None])):
+            out[i] = vals
+    return out
 
 
-def _ring_values(F: IntegralImmersion, ring: np.ndarray, locs: np.ndarray, rule) -> np.ndarray:
-    """The values of F at the ring from its periodic rule (None if it had
-    none) and the value at the sample farthest from the poles."""
+def _ring_values(F: IntegralImmersion, ring: np.ndarray, center: complex,
+                 radius: float) -> np.ndarray:
+    """The one-row route of :func:`_circle_values`: the base value at k0 by
+    :meth:`~IntegralImmersion.evaluate`, the others from the periodic rule,
+    or the whole ring by :func:`_evaluated`."""
+    locs = np.array(F.poles.locations, dtype=complex)
     k0 = int(np.argmax(np.abs(ring[:, None] - locs).min(axis=1, initial=math.inf)))
+    rule = None
+    if np.all(np.abs(np.abs(locs - center) - radius) > F.detour_radius):
+        rule = circle_primitives(_integrands([F]), center, radius, len(ring), QUAD_TOL,
+                                 [4 * len(F.xi.coeffs)])[0]
     base = F.evaluate(complex(ring[k0]))
     if rule is None or is_inf(base):
-        vals = (base if k == k0 else F.evaluate(z) for k, z in enumerate(ring))
-        return np.array([complex("inf") if is_inf(v) else complex(v) for v in vals])
-    prim, defect, mass = rule
+        return _evaluated(F, ring)
+    if (error := _closure_error(*rule[1:])) is not None:
+        raise error
+    return complex(base) + (rule[0] - rule[0][k0])
+
+
+def _closure_error(defect: complex, mass: float) -> InternalConsistencyError | None:
+    """The error of a circle whose closure defect, over 1e4 QUAD_TOL + 1e-10
+    int |dF|, shows a residue, or None."""
     if abs(defect) > 1e4 * QUAD_TOL + 1e-10 * mass:
-        raise InternalConsistencyError(f"nonzero residue (closure defect {abs(defect):.2e})")
-    return complex(base) + (prim - prim[k0])
+        return InternalConsistencyError(f"nonzero residue (closure defect {abs(defect):.2e})")
+    return None
 
 
-def _per_row(stage, *args):
-    """stage(*args), or the package error it raises: a row of a block keeps
-    its own error, so the block can raise errors in row order."""
-    try:
-        return stage(*args)
-    except MeroimmError as exc:
-        return exc
+def _evaluated(F: IntegralImmersion, ring: np.ndarray) -> np.ndarray:
+    """The values of F at the ring by one array :meth:`~IntegralImmersion.evaluate`,
+    INF as complex("inf"): the way round a pole near the ring, an INF base
+    value or a ring without a rule."""
+    return np.array([complex("inf") if is_inf(v) else complex(v) for v in F.evaluate(ring)])
 
 
 # -- the extension pipeline ---------------------------------------------------

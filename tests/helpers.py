@@ -189,3 +189,46 @@ def assert_same_quadrature(fz, za, d, tol):
     assert len(got_calls) == len(want_calls)
     assert all(same_bits(a, b) for a, b in zip(got_calls, want_calls))
     return want_how, want
+
+
+def assert_same_paths(fzs, paths, tol):
+    """contours._integrate_paths over the paths (za, d), path p with the
+    integrand fzs[p], and the reference loop over each path alone return, or
+    refuse with, the same bits.  Round r of the block evaluates on row p the
+    points of round r of path p's own call, in order, padded with the first
+    of them, for as many rounds as that call takes.  Returns each path's
+    outcome: "returned", "refused" (budget) or "too close"."""
+    from meroimm.contours import _integrate_paths
+    from meroimm.errors import PathTooCloseError, QuadratureBudgetError
+
+    calls = []
+
+    def rows(idx, z):
+        calls.append((list(idx), np.array(z)))
+        return np.array([fzs[i](row) for i, row in zip(idx, z)])
+
+    def outcome(x):
+        if isinstance(x, QuadratureBudgetError):
+            return "refused", x.best
+        return ("too close", None) if isinstance(x, PathTooCloseError) else ("returned", x)
+
+    got = _integrate_paths(rows, np.concatenate([za for za, _ in paths]),
+                           np.concatenate([d for _, d in paths]), tol, [len(za) for za, _ in paths])
+    assert len(got) == len(paths)
+    outcomes = []
+    for p, ((za, d), fz) in enumerate(zip(paths, fzs)):
+        rec = Recorder(fz)
+        try:
+            want = outcome(integrate_pieces_by_loop(rec, za, d, tol))
+        except (QuadratureBudgetError, PathTooCloseError) as exc:
+            want = outcome(exc)
+        have = outcome(got[p])
+        assert have[0] == want[0]
+        assert (have[1] is None and want[1] is None) or same_bits(have[1], want[1])
+        assert [p in idx for idx, _ in calls] == [r < len(rec.calls) for r in range(len(calls))]
+        for (idx, z), mine in zip(calls, rec.calls):
+            row = z[idx.index(p)]
+            assert same_bits(row[:len(mine)], mine)
+            assert same_bits(row[len(mine):], np.full(len(row) - len(mine), mine[0]))
+        outcomes.append(want[0])
+    return outcomes

@@ -172,6 +172,39 @@ def test_extend_samples_are_the_values_achieved_eps_was_measured_on(tmp_path, ca
     assert (tmp_path / "out" / "extend_samples.csv").read_bytes() == want.read_bytes()
 
 
+def test_extend_family_out_writes_every_member_from_one_block(tmp_path, capsys, monkeypatch):
+    # each member's CSV holds the bits of its own values_on_circle at 64
+    # samples, though the CLI samples all members as one block and calls none
+    from meroimm.contours import circle_samples
+    from meroimm.extension import IntegralImmersion
+    from meroimm.serialize import write_map_samples_csv
+
+    maps = [{"num": [[1.0, 0.0]], "den": [[-(0.3 + 0.05 * i), 0.1 * i], [1.0, 0.0]]}
+            for i in range(4)]
+    p = write(tmp_path, "fam.json", {
+        "maps": maps, "grid": {"shape": [4], "q": [0]},
+        "disc0": {"center": [0.0, 0.0], "radius": 1.0},
+        "disc1": {"center": [0.0, 0.0], "radius": 2.0},
+    })
+    calls = []
+    values_on_circle = IntegralImmersion.values_on_circle
+
+    def counted(self, *args):
+        calls.append(args)
+        return values_on_circle(self, *args)
+
+    monkeypatch.setattr(IntegralImmersion, "values_on_circle", counted)
+    code, out, _ = run(capsys, "extend-family", p, "--json", "--out", str(tmp_path / "out"))
+    assert code == 0 and calls == []
+    for i, imm in enumerate(json.loads(out)["result"]["immersions"]):
+        want = tmp_path / f"want{i}.csv"
+        vals = values_on_circle(immersion_from_json(imm), 0j, 1.0, 64)
+        write_map_samples_csv(want, circle_samples(0j, 1.0, 64), list(vals))
+        got = tmp_path / "out" / f"extend_family_node{i:03d}.csv"
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == 65
+
+
 def test_extend_family_cli(tmp_path, capsys):
     maps = [
         {"num": [[1.0, 0.0]],

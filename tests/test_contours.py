@@ -29,7 +29,8 @@ from meroimm import contours, poly
 from meroimm.config import CLEARANCE_FACTOR
 from meroimm.contours import circle_primitives, circle_samples, integrate_pieces
 
-from helpers import Recorder, assert_same_quadrature, mpmath_pieces, same_bits
+from helpers import (Recorder, assert_same_paths, assert_same_quadrature, mpmath_pieces,
+                     same_bits)
 
 P = ComplexPolynomial
 R = RationalMap
@@ -318,6 +319,32 @@ def test_integrate_pieces_matches_reference_loop(monkeypatch):
         monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", budget)
         how, best = assert_same_quadrature(needle, np.array([0j]), np.array([2 + 0j]), 1e-14)
         assert how == "refused" and best is not None
+
+
+def test_many_paths_in_one_call_are_each_path_alone(monkeypatch):
+    # one call over many paths, each with its own integrand, against the
+    # reference loop on each path alone: sums, refusals and the points of
+    # every round.  Paths of no length take no round; a path that ends on the
+    # pole is refused alone, and the needle runs out of its own budget
+    legs = [_detour_pieces(), (np.array([0j]), np.array([1.5 * np.exp(-1j * np.pi / 3)])),
+            (np.array([], dtype=complex), np.array([], dtype=complex)),
+            (np.array([0j]), np.array([_POLE])), _detour_pieces(0.01, 8),
+            (np.array([0j, 0.05, 0.05 + 0.3j]), np.array([0.05, 0.3j, 0.65])),
+            (np.array([0j]), np.array([2 + 0j])), (np.array([0.5j]), np.array([0j]))]
+    needle = lambda z: 1.0 / (z - (1.0 + 1e-7j))
+    fzs = [_h_exp_xi_over_theta] * 6 + [needle, _h_exp_xi_over_theta]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert assert_same_paths(fzs, legs, 1e-10) == (
+            ["returned"] * 3 + ["too close"] + ["returned"] * 2 + ["refused", "returned"])
+        monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", 300)
+        assert assert_same_paths(fzs, legs, 1e-10) == (
+            ["refused", "returned", "returned", "too close", "refused", "refused", "refused",
+             "returned"])
+        # one path is the one-path call; no path, or only empty ones, takes no call
+        assert assert_same_paths(fzs[:1], legs[:1], 1e-10) == ["refused"]
+    assert contours._integrate_paths(None, np.array([0j]), np.array([0j]), 1e-10, [0, 1]) == [0j] * 2
+    with pytest.raises(InputError):
+        contours._integrate_paths(None, np.array([0j]), np.array([1 + 0j]), 1e-10, [2, -1])
 
 
 def one_row_primitive(fz, center, radius, n, tol):

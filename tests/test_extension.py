@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 import meroimm.extension
 import meroimm.immersions
-from helpers import assert_same_quadrature, mpmath_pieces, separated_points
+from helpers import assert_same_quadrature, mpmath_pieces, same_bits, separated_points
 from meroimm import (
     INF,
     ComplexPolynomial,
@@ -22,6 +24,7 @@ from meroimm import (
     PoleCollisionError,
     PoleSet,
     PreconditionError,
+    QuadratureBudgetError,
     RationalMap,
     SampledFamily,
     blend_parametric,
@@ -488,17 +491,81 @@ def test_values_on_circle_matches_mpmath():
         assert np.all(np.abs(got - want) <= 1e-11 * (1 + np.abs(want)))
 
 
+def _quadrature_calls(monkeypatch):
+    """The calls that extension makes to either quadrature kernel, one
+    path or many, as a list that fills as they run."""
+    calls = []
+    for name in ("integrate_pieces", "_integrate_paths"):
+        def counting(*args, kernel=getattr(meroimm.extension, name), **kw):
+            calls.append(args)
+            return kernel(*args, **kw)
+
+        monkeypatch.setattr(meroimm.extension, name, counting)
+    return calls
+
+
 def test_values_on_circle_integrates_only_the_entry_path(monkeypatch):
     F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
-    calls = []
-
-    def counting(*args, **kw):
-        calls.append(args)
-        return integrate_pieces(*args, **kw)
-
-    monkeypatch.setattr(meroimm.extension, "integrate_pieces", counting)
+    calls = _quadrature_calls(monkeypatch)
     F.values_on_circle(0j, 1.0, 256)
     assert len(calls) == 1
+
+
+def _same_point(a, b):
+    return is_inf(a) and is_inf(b) or (not is_inf(a) and not is_inf(b) and same_bits(a, b))
+
+
+def test_evaluate_on_an_array_is_pointwise_evaluate():
+    # one quadrature call for all the points, bit for bit the pointwise
+    # values: on |z| = 1.5 (where exp(xi) of the first map overflows at 6
+    # points), at the poles, which give INF, and at the base point, which
+    # gives the base value, on either side of the poles
+    for f in _CIRCLE_MAPS:
+        F = extend_immersion(f, D0, D1, 1e-3)
+        zs = np.concatenate([ring(1.5, 16), F.poles.locations, [F.base_point, 0.3 - 0.2j]])
+        for side in (1, -1):
+            got = F.evaluate(zs, side=side)
+            want = [F.evaluate(complex(z), side=side) for z in zs]
+            assert isinstance(got, list) and len(got) == len(zs)
+            assert all(_same_point(a, b) for a, b in zip(got, want))
+            assert got[16 + len(F.poles)] == F.base_value
+            assert all(v is INF for v in got[16:16 + len(F.poles)])
+        assert sum(is_inf(v) for v in got[:16]) == (6 if f is _CIRCLE_MAPS[0] else 0)
+        assert not isinstance(F.evaluate(zs[0]), list)  # a point still gives a point
+        assert F.evaluate(list(zs[:3])) == [F.evaluate(z) for z in zs[:3]]
+        assert F.evaluate(np.array([], dtype=complex)) == []
+        for bad in ([0.5, math.nan], [[0.5]], np.array([complex(0, math.inf)])):
+            with pytest.raises(InputError):
+                F.evaluate(bad)
+
+
+def test_evaluate_on_an_array_raises_the_first_refused_point(monkeypatch):
+    # with a budget that only some paths meet, the array call raises what the
+    # first point that fails raises pointwise, with its best estimate
+    F = extend_immersion(_CIRCLE_MAPS[0], D0, D1, 1e-3)
+    monkeypatch.setattr(meroimm.contours, "QUAD_EVAL_BUDGET", 200)
+    zs = [0.01j, 1.2, 0.9]
+    assert not is_inf(F.evaluate(zs[0]))
+    best = []
+    for z in zs[1:]:
+        with pytest.raises(QuadratureBudgetError) as alone:
+            F.evaluate(z)
+        best.append(alone.value.best)
+    with pytest.raises(QuadratureBudgetError) as together:
+        F.evaluate(zs)
+    assert same_bits(together.value.best, best[0]) and not same_bits(best[0], best[1])
+
+
+def test_detour_radius_is_computed_once(monkeypatch):
+    F = extend_immersion(R(P([1]), P.from_roots([0.3])) + R(P([0.2]), P.from_roots([1.5])), D0, D1,
+                         1e-3)
+    F = dataclasses.replace(F)  # a fresh instance, which has not computed it yet
+    calls = []
+    separation = PoleSet.min_separation
+    monkeypatch.setattr(PoleSet, "min_separation", lambda self: calls.append(1) or separation(self))
+    F.evaluate(ring(1.2, 16))
+    F.values_on_circle(0j, 1.0, 64)
+    assert len(calls) == 1 and F.detour_radius == min(0.04, 0.5 * separation(F.poles))
 
 
 def test_values_on_circle_falls_back_where_exp_xi_overflows():
@@ -565,8 +632,9 @@ def test_a_sample_count_that_is_not_an_integer_above_zero_is_refused():
 
 
 def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):
-    # the pole at 1.5 is a sample of the circle: the pointwise fallback runs,
-    # and its value there is INF
+    # the pole at 1.5 is a sample of the circle: after the base value, the
+    # fallback evaluates the whole ring in one array call, and its value
+    # there is INF
     F = extend_immersion(R(P([1]), P.from_roots([1.5])), D0, D1, 1e-3)
     evaluate = meroimm.extension.IntegralImmersion.evaluate
     seen = []
@@ -577,7 +645,7 @@ def test_values_on_circle_fallback_maps_inf_and_keeps_quad_tol(monkeypatch):
 
     monkeypatch.setattr(meroimm.extension.IntegralImmersion, "evaluate", recording)
     vals = F.values_on_circle(0, 1.5, 16)
-    assert len(seen) == 16
+    assert len(seen) == 2 and seen[1].tobytes() == circle_samples(0j, 1.5, 16).tobytes()
     assert vals[0] == complex("inf")
     for z, v in zip(circle_samples(0j, 1.5, 16)[1:], vals[1:]):
         assert v == evaluate(F, complex(z))
@@ -826,6 +894,29 @@ def test_extension_solves_each_polynomial_once(monkeypatch):
         assert len(set(coeffs)) == len(coeffs)
 
 
+def test_extend_family_takes_one_quadrature_call_per_round(monkeypatch):
+    # every member's base value on the small circle comes from one call, in
+    # each round of eta fits: here two rounds, as a boundary miss makes one,
+    # and the second round's one row takes the one-path call
+    fitted = []
+    fit = meroimm.extension._fit_etas
+    measure_rows = meroimm.extension._boundary_errors
+
+    def boundary_errors(fs, vals, d0):
+        sups = measure_rows(fs, vals, d0)
+        if len(fitted) == 1:
+            sups[1] = 0.5  # row 1 misses in the first round
+        return sups
+
+    monkeypatch.setattr(meroimm.extension, "_fit_etas", lambda *a: fitted.append(a) or fit(*a))
+    monkeypatch.setattr(meroimm.extension, "_boundary_errors", boundary_errors)
+    calls = _quadrature_calls(monkeypatch)
+    grid, maps, _ = _BLOCK_FAMILIES[1]
+    extend_family(maps, grid, D0, D1, 1e-3)
+    assert len(fitted) == len(calls) == 2
+    assert len(calls[0][4]) == 4 and len(calls[1]) == 4  # four paths, then one path
+
+
 def test_extend_family_size_mismatch():
     with pytest.raises(InputError):
         extend_family([R(P([0, 1]))], ParamGrid.line(5), D0, D1, 1e-3)
@@ -971,3 +1062,19 @@ def test_circle_values_of_a_block_are_the_one_row_values():
         want = G.values_on_circle(0j, 1.1, 16)
         assert got.tobytes() == want.tobytes()
     assert np.isinf(rows[1]).any() and isinstance(rows[3], InternalConsistencyError)
+
+
+def test_circle_values_of_the_family_pools_are_the_one_row_values():
+    # every member of the benchmark's family pools at three seeds: the rows
+    # of one block against values_on_circle of each member alone
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for seed in (11, 23, 7919):
+        wl = workloads.Family(meroimm, seed, None)
+        for _ in range(wl.spec["pool_ops"]):
+            data = workloads.family_input(wl.rng, wl.spec)
+            maps = [workloads.to_map(meroimm, m) for m in data["maps11"]]
+            outs = extend_family(maps, wl.grid11, D0, D1, wl.spec["eps"])
+            for F, got in zip(outs, meroimm.extension._circle_values(outs, 0j, 1.0, 256)):
+                assert got.tobytes() == F.values_on_circle(0j, 1.0, 256).tobytes()

@@ -15,6 +15,7 @@ from meroimm import (
     NumericalError,
     ParamGrid,
     PreconditionError,
+    QuadratureBudgetError,
     RationalMap,
     SingularityOnBoundaryError,
     basis_loops,
@@ -324,6 +325,16 @@ def test_classify_refuses_a_pole_on_a_basis_loop():
     assert verify_immersion(f, ANNULUS, "CP1").valid
     with pytest.raises(PreconditionError):
         classify(f, ANNULUS, "CP1")
+
+
+def test_an_uncertified_count_names_its_polynomial_and_circle():
+    # f' = (z - 2i)(z - 5) vanishes at 2i, on the outer circle of the
+    # annulus: the count of W = f' there cannot certify an arc through it
+    f = R(P([0, 10j, -(5 + 2j) / 2, 1 / 3]))
+    with pytest.raises(QuadratureBudgetError) as exc:
+        classify(f, CircularDomain.annulus(0.5, 2.0))
+    assert str(exc.value) == ("argument-principle count: uncertified arc of the numerator of "
+                              "degree 2 on the circle of center 0+0j and radius 2")
 
 
 def test_classify_figure_eight():
