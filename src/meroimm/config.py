@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
 
-# Coefficient magnitudes below COEFF_TOL * max(1, |coeffs|) are treated as zero.
+# A polynomial built from raw coefficients drops its leading coefficients of
+# modulus <= COEFF_TOL: an absolute bound, whatever the size of the others.
 COEFF_TOL = 1e-12
 
 # Roots closer than this are merged into a single multiple root; pole sets and

@@ -559,11 +559,12 @@ def winding_number(
     The winding is read from the zeros and poles of f
     (:meth:`Factored.winding`), which is exact and refuses a zero or pole
     within the contour's clearance or not certified to lie on one side of
-    the contour.  A Factored map brings its zeros and
-    poles along; a RationalMap, or a ComplexPolynomial taken as one, is
-    factored once on entry.  Any other f raises InputError: without a bound
-    on f, no sampling of its values can rule out a full turn between two
-    samples (Henrici, Applied and Computational Complex Analysis I, 4.6).
+    the contour.  A Factored map brings its poles along, and its zeros
+    once solved (else they are solved here); a RationalMap, or a
+    ComplexPolynomial taken as one, is factored once on entry.  Any other f
+    raises InputError: without a bound on f, no sampling of its values can
+    rule out a full turn between two samples (Henrici, Applied and
+    Computational Complex Analysis I, 4.6).
     """
     if not contour.closed:
         raise InputError("winding numbers need a closed contour")

@@ -3,11 +3,13 @@
 A meromorphic map immerses a plane domain into the sphere when its poles are
 simple and its derivative never vanishes off the poles; into the plane, when
 additionally there are no poles at all.  Each public call factors the map
-once (:class:`~meroimm.rational.Factored`).  The certificate derives the
-factored f' from it, solving only the derivative's numerator, and assembles
-its verdict from two independent zero counts of the derivative: direct root
-filtering, and the argument-principle count of the pole-cleared derivative,
-which reads no root.
+once (:class:`~meroimm.rational.Factored`), which solves its denominator
+and leaves its numerator unsolved unless a pole can cancel.  The certificate
+derives the factored f' from it, solving only the derivative's numerator
+(two root solves in general position), and assembles its verdict from two
+independent zero counts of the derivative: direct root filtering, and the
+argument-principle count of the pole-cleared derivative, which reads no
+root.
 
 Homotopy classes are winding-number vectors of the derivative along one
 deterministic basis circle per hole.  They are read from the Wronskian
@@ -193,12 +195,14 @@ def verify_immersion(
 ) -> ImmersionCertificate:
     """Certify whether f immerses the domain into the chosen target.
 
-    f is factored once, and f' is factored from it with only its numerator
-    solved.  The derivative zero count is computed two independent ways:
-    filtering the solved zeros of f' to the domain, and the argument-principle
-    count over the boundary of h = f' Theta, the derivative with its poles in
-    the domain cleared, which winds its numerator and denominator and reads
-    no root.  Disagreement points at the root solver: it raises
+    f is factored once, which solves its denominator (its numerator only
+    when a pole can cancel), and f' is factored from it with only its
+    numerator solved: two root solves in general position, and the zeros
+    of f are never read.  The derivative zero count is computed two
+    independent ways: filtering the solved zeros of f' to the domain, and
+    the argument-principle count over the boundary of h = f' Theta, the
+    derivative with its poles in the domain cleared, which winds its
+    numerator and denominator and reads no root.  Disagreement points at the root solver: it raises
     InternalConsistencyError with both counts, ``by_roots`` and ``by_count``.
     A pole of f or zero of f' within 2 pi r / COUNT_NODE_CAP plus
     CLEARANCE_FACTOR times the outer diameter of a boundary circle of radius r

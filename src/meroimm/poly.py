@@ -9,7 +9,10 @@ neither checks nor discards computed coefficients (only exact zeros).
 
 The root solver takes the eigenvalues of the companion matrix (closed forms
 for degrees 1 and 2), merges root clusters into multiple roots, and polishes
-each root by Newton steps on the derivative of matching order.
+each root by Newton steps on the derivative of matching order.  It builds
+p' once and works in one pass per root on plain coefficient tuples, with the
+scalar Horner loops that ``ComplexPolynomial.__call__`` and ``horner_scale``
+run (``_horner``, ``_scale``).
 """
 from __future__ import annotations
 
@@ -34,6 +37,22 @@ def _trim(coeffs: Sequence[complex], tol: float) -> tuple[complex, ...]:
     while cs and abs(cs[-1]) <= tol:
         cs.pop()
     return tuple(cs)
+
+
+def _horner(cs: Sequence[complex], z: complex) -> complex:
+    """sum cs[k] z^k for ascending coefficients at a scalar z."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
+def _scale(mods: Sequence[float], r: float) -> float:
+    """sum mods[k] r^k for the moduli of ascending coefficients."""
+    acc = 0.0
+    for c in reversed(mods):
+        acc = acc * r + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -78,17 +97,11 @@ class ComplexPolynomial:
                 out *= z
                 out += c
             return out
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
     def horner_scale(self, r: float) -> float:
         """sum |c_k| r^k, the magnitude scale entering backward-error bounds."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * r + abs(c)
-        return acc
+        return _scale([abs(c) for c in self.coeffs], r)
 
     # -- arithmetic (no tolerance trimming; exact zeros only) --------------
 
@@ -277,45 +290,41 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(A)
 
 
-def _root_accepted(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> bool:
+def _root_accepted(cs, dcs, mods, z: complex) -> bool:
     """Backward-error residual test with a Newton-step fallback.
 
     Accepts when |p(z)| <= 64 n eps sum|c_k||z|^k, or when the Newton step
     can no longer move z (the forward limit of double precision).
     """
-    n = max(p.degree, 1)
-    scale = max(p.horner_scale(abs(z)), 1e-300)
-    if abs(p(z)) <= 64.0 * n * _EPS * scale:
+    n = max(len(cs) - 1, 1)
+    scale = max(_scale(mods, abs(z)), 1e-300)
+    pz = abs(_horner(cs, z))
+    if pz <= 64.0 * n * _EPS * scale:
         return True
-    d = abs(dp(z))
-    if d > 0.0 and abs(p(z)) / d <= 8.0 * _EPS * (1.0 + abs(z)):
-        return True
-    return False
+    d = abs(_horner(dcs, z))
+    return d > 0.0 and pz / d <= 8.0 * _EPS * (1.0 + abs(z))
 
 
-def _cluster(
-    p: ComplexPolynomial, dp: ComplexPolynomial, approx: np.ndarray
-) -> list[list[complex]]:
+def _cluster(cs, dcs, mods, approx: list[complex]) -> list[list[complex]]:
     """Group approximations whose Newton inclusion discs overlap.
 
     The eigenvalues of an m-fold root scatter on a ring of radius about
     eps^(1/m); the disc radius n|p|/|p'| covers that spread, so genuine
     clusters merge while well-separated simple roots stay apart.
     """
-    n = p.degree
+    n = len(cs) - 1
     radii = []
     for z in approx:
-        z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             radii.append(0.0)
             continue
-        pz, d = abs(p(z)), abs(dp(z))
+        pz, d = abs(_horner(cs, z)), abs(_horner(dcs, z))
         if not (math.isfinite(pz) and math.isfinite(d)):
             radii.append(0.0)
             continue
         # floor the residual at the Horner noise level: near a multiple root
         # the evaluated p(z) is noise and says nothing about the distance
-        pz = max(pz, 2.0 * n * _EPS * p.horner_scale(abs(z)))
+        pz = max(pz, 2.0 * n * _EPS * _scale(mods, abs(z)))
         if d < 1e-300:
             radii.append(10.0 * ROOT_TOL)
         else:
@@ -332,26 +341,27 @@ def _cluster(
                 break
         else:
             clusters.append([i])
-    return [[complex(approx[i]) for i in cl] for cl in clusters]
+    return [[approx[i] for i in cl] for cl in clusters]
 
 
-def _polish(p: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
-    """Newton steps on the (m-1)-th derivative, where the root is simple.
+def _polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
+    """Newton steps on the (m-1)-th derivative of p, where the root is simple;
+    dp is p'.
 
     At most 6 steps.  A simple root stops once the step is below
     1e-15 (1 + |z|); a multiple root, which starts from a cluster centroid,
     steps until the step is exactly 0.
     """
-    q = p
+    q, dq = p, dp
     for _ in range(multiplicity - 1):
-        q = q.derivative()
-    dq = q.derivative()
+        q, dq = dq, dq.derivative()
+    cs, dcs = q.coeffs, dq.coeffs
     tol = 1e-15 if multiplicity == 1 else 0.0
     for _ in range(6):
-        d = dq(z)
+        d = _horner(dcs, z)
         if abs(d) < 1e-300:
             break
-        step = q(z) / d
+        step = _horner(cs, z) / d
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         z = z - step
@@ -389,16 +399,17 @@ def roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
         approx = _companion_roots(coeffs)
 
     dp = p.derivative()
+    cs, dcs, mods = p.coeffs, dp.coeffs, [abs(c) for c in p.coeffs]
     out: list[tuple[complex, int]] = []
-    for cl in _cluster(p, dp, approx):
+    for cl in _cluster(cs, dcs, mods, [complex(z) for z in approx]):
         m = len(cl)
         center = sum(cl) / m
         spread = max((abs(c - center) for c in cl), default=0.0)
-        z = _polish(p, center, m)
+        z = _polish(p, dp, center, m)
         if abs(z - center) > 10.0 * max(ROOT_TOL, spread):
             z = center  # polish wandered off; keep the cluster centroid
         out.append((z, m))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    if not all(_root_accepted(p, dp, z) for z, _ in out):
+    if not all(_root_accepted(cs, dcs, mods, z) for z, _ in out):
         raise RootSolveError("a root failed the residual acceptance test", partial=out)
     return out

@@ -2,21 +2,26 @@
 
 A RationalMap is stored as given.  :meth:`RationalMap.factor` makes the
 denominator monic, cancels common roots of numerator and denominator by root
-matching, and returns a :class:`Factored`: the reduced map with its zeros and
-its PoleSet.  ``reduced``, ``pole_set`` and ``zero_set`` read that value.
-The factored derivative takes its poles (a, m+1) from the poles (a, m) of
-the map, and the pole-cleared derivative f' Theta drops the cleared poles
-from them, so neither ever solves a denominator; the winding number of a
-factored map along a polyline is a sum of indices of its zeros and poles.
-:func:`~meroimm.poly.roots` has two callers, :meth:`RationalMap.factor` and
-:meth:`Factored.derivative`: every other singular point in the package is
-read from a Factored.
+matching, and returns a :class:`Factored`: the reduced map with its PoleSet
+and its zeros.  ``reduced``, ``pole_set`` and ``zero_set`` read that value.
+The denominator is solved at once.  The numerator is solved only when a
+pole fails a certified exclusion test (a root of the numerator could then
+match it); otherwise its zeros are solved when first read, by ``zero_set``
+or :meth:`Factored.winding`, and verify, classify and the extensions never
+read them.  The factored derivative takes its poles (a, m+1) from the poles
+(a, m) of the map, and the pole-cleared derivative f' Theta drops the
+cleared poles from them, so neither ever solves a denominator; the winding
+number of a factored map along a polyline is a sum of indices of its zeros
+and poles.  :func:`~meroimm.poly.roots` has two callers,
+:meth:`RationalMap.factor` and :attr:`Factored.zeros`: every other singular
+point in the package is read from a Factored.
 Scalar evaluation lands on the Riemann sphere (a pole returns INF); an
 indeterminate 0/0 of an unreduced fraction raises.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,6 +31,7 @@ import numpy as np
 from .config import ROOT_TOL, as_integer
 from .errors import (
     InputError,
+    NumericalError,
     PathTooCloseError,
     UnreducedFractionError,
     ZeroOnContourError,
@@ -121,6 +127,32 @@ def _vanishing_order(p: ComplexPolynomial, a: complex, max_order: int) -> int:
     return max_order if k is None else min(k, max_order)
 
 
+_APART = 4.0 * ROOT_TOL  # the radius that _apart clears around a pole
+
+
+def _apart(p: ComplexPolynomial, a: complex) -> bool:
+    """Whether p has no root within _APART of a, and no root that ``roots``
+    accepts within ROOT_TOL of a: then reduction by root matching cancels
+    nothing at a.
+
+    With t = |a| + _APART, S = sum |c_k| t^k and D = sum k |c_k| t^(k-1)
+    (one Horner pass), D bounds |p'| on the disc and 8 (n+1) eps S the
+    Horner rounding of p there (Higham, Accuracy and Stability, 5.1).  A
+    root b within _APART of a gives |p(a)| <= _APART D.  A root that
+    ``roots`` accepts has a computed residual below 64 n eps S or below
+    8 eps (1 + t) |p'(b)|, so within ROOT_TOL of a it gives
+    |p(a)| <= (ROOT_TOL + 16 eps (1 + t)) D + 72 (n+1) eps S.  The test
+    |p(a)| - 80 (n+1) eps S > (_APART + 16 eps (1 + t)) D excludes both.
+    """
+    t = abs(a) + _APART
+    s = d = 0.0
+    for c in reversed(p.coeffs):
+        d = d * t + s
+        s = s * t + abs(c)
+    noise = 80.0 * len(p.coeffs) * _EPS * max(s, 1e-300)
+    return abs(p(a)) - noise > (_APART + 16.0 * _EPS * (1.0 + t)) * d
+
+
 @dataclass(frozen=True)
 class RationalMap:
     """Quotient num/den of two complex polynomials."""
@@ -188,23 +220,29 @@ class RationalMap:
     # -- structure ----------------------------------------------------------
 
     def factor(self) -> "Factored":
-        """The reduced map with its zeros and poles, each polynomial solved once.
+        """The reduced map with its poles; its zeros are solved when read.
 
         Both polynomials are first divided by the leading coefficient of the
-        denominator, which makes it monic.  Reduction then cancels common
-        roots of the scaled num and den, found by matching the two root sets
-        within the root-separation tolerance (robust to the root solver's own
-        accuracy limits at multiple roots).  The zeros and poles are the roots
-        of the reduced numerator and denominator: the roots from the matching
-        step when nothing cancelled, else the deflated polynomials' own.
+        denominator, which makes it monic; a scaled coefficient out of double
+        range raises NumericalError.  Reduction then cancels common roots of
+        the scaled num and den, found by matching the two root sets within
+        the root-separation tolerance (robust to the root solver's own
+        accuracy limits at multiple roots).  The denominator is solved first;
+        when the numerator is certainly apart from every pole (``_apart``) no
+        root can match, and the numerator is left unsolved.  The zeros and
+        poles are the roots of the reduced numerator and denominator: the
+        roots from the matching step when nothing cancelled, else the
+        deflated polynomials' own.
         """
         lead = self.den.coeffs[-1]
         num, den = (ComplexPolynomial([c / lead for c in p.coeffs], coeff_tol=0.0)
                     for p in (self.num, self.den))
-        zeros = poles = None
-        if den.degree >= 1 and num.degree >= 1:
+        if not all(map(cmath.isfinite, num.coeffs + den.coeffs)):
+            raise NumericalError(f"the monic scaling by the leading denominator coefficient "
+                                 f"{lead} leaves double range")
+        zeros, poles = None, roots(den) if den.degree >= 1 else []
+        if poles and num.degree >= 1 and not all(_apart(num, a) for a, _ in poles):
             given = num.degree
-            poles = roots(den)
             zeros = roots(num)
             for a, m in poles:
                 matches = [(b, k) for b, k in zeros if abs(b - a) <= ROOT_TOL]
@@ -218,13 +256,8 @@ class RationalMap:
                     num = num.deflate(point)
                     den = den.deflate(point)
             if num.degree < given:  # reduction changed both polynomials: solve them again
-                zeros = poles = None
-
-        def solved(p, known):
-            return known if known is not None else roots(p) if p.degree >= 1 else []
-
-        return Factored(RationalMap(num, den), tuple(solved(num, zeros)),
-                        PoleSet(solved(den, poles)))
+                zeros, poles = None, roots(den) if den.degree >= 1 else []
+        return _knowing(Factored(RationalMap(num, den), PoleSet(poles)), zeros)
 
     def reduced(self) -> "RationalMap":
         """Common roots of num and den cancelled, den monic (see :meth:`factor`)."""
@@ -333,41 +366,47 @@ def _pellet_isolated(polys, ws, ms, limits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Factored:
-    """A reduced rational map together with its zeros and its poles.
+    """A reduced rational map together with its poles and its zeros.
 
     Made by :meth:`RationalMap.factor`, or from another Factored by
     :meth:`derivative` and :meth:`cleared`, which take the poles from the
-    factors already known and solve at most the new numerator.  The
-    denominator of ``map`` is monic.  A Factored is a plain value: the
-    functions that need one build it inside the call and drop it on return.
+    factors already known.  The denominator of ``map`` is monic.  The zeros
+    are the roots of the numerator, solved on first read unless the maker
+    already knows them.  A Factored is a plain value: the functions that
+    need one build it inside the call and drop it on return, and its zeros
+    with it.
     """
 
     map: RationalMap
-    zeros: tuple[tuple[complex, int], ...]
     poles: PoleSet
+
+    @functools.cached_property
+    def zeros(self) -> tuple[tuple[complex, int], ...]:
+        """The roots of the numerator with multiplicities, solved once."""
+        num = self.map.num
+        return tuple(roots(num)) if num.degree >= 1 else ()
 
     def derivative(self) -> "Factored":
         """f' with poles (a, m+1) from the poles (a, m) of f.
 
-        Only the numerator of f' is solved; its denominator is the product
-        of the (z-a)^(m+1) factors and never reaches the root solver.
+        Its denominator is the product of the (z-a)^(m+1) factors and never
+        reaches the root solver; its zeros are solved when read.
         """
-        fp = _quotient_rule(self.map, self.poles)
-        zeros = roots(fp.num) if fp.num.degree >= 1 else []
         poles = PoleSet([(a, m + 1) for a, m in self.poles])
-        return Factored(fp, tuple(zeros), poles)
+        return Factored(_quotient_rule(self.map, self.poles), poles)
 
     def cleared(self, drop) -> "Factored":
         """The map times the product of (z-a)^m over its poles a with drop(a).
 
-        Those poles cancel: the numerator and the zeros stay as they are, and
-        the denominator is rebuilt from the remaining poles.  On the factored
-        derivative with drop the domain's membership test, this is the
-        pole-cleared derivative h = f' Theta.
+        Those poles cancel: the numerator and the zeros stay as they are (the
+        zeros solved, if this value has solved them), and the denominator is
+        rebuilt from the remaining poles.  On the factored derivative with
+        drop the domain's membership test, this is the pole-cleared
+        derivative h = f' Theta.
         """
         rest = self.poles.filter(lambda a: not drop(a))
         den = ComplexPolynomial.from_roots([a for a, m in rest for _ in range(m)])
-        return Factored(RationalMap(self.map.num, den), self.zeros, rest)
+        return _knowing(Factored(RationalMap(self.map.num, den), rest), self.__dict__.get("zeros"))
 
     def winding(self, contour) -> int:
         """Winding number of the map along a closed polyline, from its factors.
@@ -411,6 +450,14 @@ class Factored:
         return sum(
             sign * m * round(float(t) / (2.0 * math.pi)) for (_, m, sign), t in zip(points, turns)
         )
+
+
+def _knowing(F: Factored, zeros) -> Factored:
+    """F with its zeros already solved, or as it is for zeros None: known
+    zeros fill the cache of ``Factored.zeros``, as its first read would."""
+    if zeros is not None:
+        F.__dict__["zeros"] = tuple(zeros)
+    return F
 
 
 def _series_divide(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,26 @@ def test_exit_code_pole_on_basis_loop(tmp_path, capsys):
     })
     code, _, err = run(capsys, "classify", p)
     assert code == 2
+
+
+def test_wind_reads_the_zeros_that_factor_left_unsolved(tmp_path, capsys):
+    # (z^2 - 0.25)/(z - 2): factor leaves the numerator unsolved, and the
+    # winding solves it on read
+    p = write(tmp_path, "w.json", {"map": {"num": [[-0.25, 0], [0, 0], [1, 0]], "den": [[-2, 0], [1, 0]]},
+                                   "contour": {"kind": "circle", "center": [0, 0], "radius": 1.0}})
+    code, out, _ = run(capsys, "wind", p)
+    assert code == 0 and out.strip() == "winding=2"
+
+
+@pytest.mark.parametrize("num, den", [([[1, 0]], [[1e300, 0], [1e-11, 0]]),
+                                      ([[1e300, 0], [1, 0]], [[0, 0], [1e-11, 0]])])
+def test_exit_code_monic_scaling_out_of_double_range(tmp_path, capsys, num, den):
+    p = write(tmp_path, "v.json", {"map": {"num": num, "den": den},
+                                   "domain": {"center": [0, 0], "radius": 1.0}, "target": "CP1"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "verify", p)
+    assert code == 3 and "double range" in err
 
 
 def test_exit_code_non_finite_contour(tmp_path, capsys):

@@ -237,21 +237,26 @@ def test_a_count_disagreement_carries_both_counts():
         assert f"roots give {by_roots}, argument principle gives 2" in str(info.value)
 
 
-def test_each_polynomial_solved_once(monkeypatch):
-    # one verify_immersion and one classify on maps with double poles: no
-    # polynomial reaches the root solver twice, not even as a multiple of
-    # itself (f's denominator leads with 2 - i), and no derivative
-    # denominator (an (m+1)-fold root at a pole of order m) reaches it at all
+def _recording_roots(monkeypatch):
     import meroimm.rational as rational
 
     solved = []
     solve = rational.roots
 
-    def recording(p, **kwargs):
+    def recording(p):
         solved.append(p)
-        return solve(p, **kwargs)
+        return solve(p)
 
     monkeypatch.setattr(rational, "roots", recording)
+    return solved
+
+
+def test_each_polynomial_solved_once(monkeypatch):
+    # one verify_immersion and one classify on maps with double poles: no
+    # polynomial reaches the root solver twice, not even as a multiple of
+    # itself (f's denominator leads with 2 - i), and no derivative
+    # denominator (an (m+1)-fold root at a pole of order m) reaches it at all
+    solved = _recording_roots(monkeypatch)
     f_poles = [(0.3 + 0.1j, 2), (-0.5 + 1.2j, 2), (1.5 - 0.4j, 1)]
     f = R(
         P([0.7 - 0.2j, 1.1 + 0.4j, -0.3j]),
@@ -271,6 +276,26 @@ def test_each_polynomial_solved_once(monkeypatch):
             found = np.roots(np.array(p.coeffs[::-1]))
             for a, m in poles:
                 assert np.sum(np.abs(found - a) < 1e-3) <= m
+
+
+def test_roots_census_in_general_position(monkeypatch):
+    # f's numerator is apart from every pole, so factor leaves it unsolved:
+    # verify solves the denominator and the numerator of f', classify the
+    # denominator alone, and the extension of a pole-free cubic only f'
+    from meroimm import extend_immersion
+
+    f = R(P([0.7 - 0.2j, 1.1 + 0.4j, -0.3j]), P.from_roots([0.3 + 0.1j, -0.5 + 1.2j, 1.5 - 0.4j]))
+    g = R(P([1, 0, 0.01]), P([0, 1]))
+    cubic = R(P([0, 1, 0, 0.05]))  # f' = 1 + 0.15 z^2 vanishes at |z| = 2.58
+    want = {"verify": [f.factor().map.den, f.derivative().num], "classify": [g.factor().map.den],
+            "extend": [cubic.derivative().num]}
+    solved = _recording_roots(monkeypatch)
+    for name, run in (("verify", lambda: verify_immersion(f, UNIT)),
+                      ("classify", lambda: classify(g, ANNULUS)),
+                      ("extend", lambda: extend_immersion(cubic, UNIT, Disc(0, 2.0), 1e-3))):
+        solved.clear()
+        run()
+        assert solved == want[name], name
 
 
 def test_chart_transition_examples():
@@ -479,8 +504,8 @@ def test_classes_are_counted_on_the_loop_circle():
 
 
 def test_classify_reads_no_root_of_the_derivative(monkeypatch):
-    # classify factors f once, solving its numerator and denominator, and
-    # winds W and d on every circle in one block of counts: no factored
+    # classify factors f once, solving its denominator, and winds W and d
+    # on every circle in one block of counts: no factored
     # derivative, no winding of f' along the polygon, no Pellet test
     from meroimm import contours, immersions, rational
 

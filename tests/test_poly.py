@@ -233,3 +233,16 @@ def test_roots_match_mpmath_cluster_means():
                 slope = abs(sum(k * c * mean ** (k - 1) for k, c in enumerate(q) if k))
                 bound = 2e-15 * max(1.0 + abs(complex(mean)), float(scale / slope))
                 assert abs(z - complex(mean)) <= bound, (z, m, complex(mean))
+
+
+def test_roots_builds_the_derivative_once(monkeypatch):
+    # p' is built once per call and shared by clustering, polish and
+    # acceptance; a double root's polish adds only p''
+    built = []
+    derivative = ComplexPolynomial.derivative
+    monkeypatch.setattr(ComplexPolynomial, "derivative",
+                        lambda self: built.append(self.degree) or derivative(self))
+    for given, want in (([0.5, -1j, 2.0, 3 + 1j], [4]), ([0.5, 0.5, -1j], [3, 2])):
+        built.clear()
+        roots(ComplexPolynomial.from_roots(given))
+        assert built == want

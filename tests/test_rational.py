@@ -1,5 +1,8 @@
+import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,13 +10,20 @@ from helpers import cauchy_residue, random_rational, separated_points
 from meroimm import (
     INF,
     ComplexPolynomial,
+    Contour,
+    Disc,
     InputError,
+    NumericalError,
     PoleSet,
     RationalMap,
     UnreducedFractionError,
     residue,
+    roots,
+    verify_immersion,
 )
-from meroimm.rational import _first_above_noise
+from meroimm import rational
+from meroimm.config import ROOT_TOL
+from meroimm.rational import _APART, _apart, _first_above_noise
 
 P = ComplexPolynomial
 
@@ -250,3 +260,86 @@ def test_rational_arithmetic(rng):
 def test_zero_denominator_rejected():
     with pytest.raises(InputError):
         RationalMap(P([1]), P([]))
+
+
+def test_factor_solves_the_numerator_when_it_is_read(monkeypatch):
+    # (z^2 - 0.25)/(z - 2): the pole is far from both zeros, so factor solves
+    # the denominator alone; the zeros are solved at the first read and kept
+    solved = []
+    solve = rational.roots
+    monkeypatch.setattr(rational, "roots", lambda p: solved.append(p) or solve(p))
+    f = RationalMap(P([-0.25, 0, 1]), P([-2, 1]))
+    F = f.factor()
+    assert solved == [P([-2, 1])]
+    zeros = F.zeros
+    assert solved == [P([-2, 1]), F.map.num] and zeros == tuple(roots(F.map.num))
+    assert [z for z, _ in zeros] == [-0.5, 0.5] and F.zeros is zeros and len(solved) == 2
+    assert F.winding(Contour.circle(0, 1.0)) == 2 and len(solved) == 2
+    assert f.zero_set() == list(zeros) and len(solved) == 4  # a new factor, solved again
+
+
+def test_a_common_root_within_the_tolerance_still_cancels():
+    a = 0.3 - 0.2j
+    f = RationalMap(P.from_roots([a + 0.5 * ROOT_TOL * cmath.exp(0.7j), -1.1]),
+                    P.from_roots([a, 1.4j], leading=1.5))
+    F = f.factor()
+    assert F.map.num.degree == 1 and F.map.den.degree == 1
+    # deflating at the matched cluster's mean moves the rest by about ROOT_TOL
+    assert len(F.poles) == 1 and abs(F.poles.locations[0] - 1.4j) < ROOT_TOL
+    assert len(F.zeros) == 1 and abs(F.zeros[0][0] + 1.1) < ROOT_TOL
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 10])
+def test_a_zero_near_a_pole_factors_as_solving_both(monkeypatch, k):
+    # a zero k ROOT_TOL from a pole: within _APART the exclusion test must
+    # refuse, and either way factor gives what solving and matching both gives
+    a = 0.3 - 0.2j
+    f = RationalMap(P.from_roots([a + k * ROOT_TOL * cmath.exp(0.7j), -1.1]),
+                    P.from_roots([a, 1.4j], leading=1.5))
+    F = f.factor()
+    if k * ROOT_TOL <= _APART:
+        assert not _apart(F.map.num, a)
+    monkeypatch.setattr(rational, "_apart", lambda *args: False)
+    both = f.factor()
+    assert "zeros" in both.__dict__  # solved in the matching step
+    assert F == both and F.zeros == both.zeros and F.map.den.degree == 2
+
+
+def test_apart_is_confirmed_by_mpmath_and_by_the_solver():
+    # whenever the exclusion test clears a, the 50-digit roots of the same
+    # double coefficients keep more than _APART away from a, and roots()
+    # finds none within ROOT_TOL; the points a sit 1e-10 to 1e-5 from a root,
+    # some of them double, so that both verdicts occur often
+    rng = np.random.default_rng(1733)
+    verdicts = []
+    with mpmath.workdps(50):
+        for i in range(150):
+            d = int(rng.integers(1, 7))
+            base = [complex(b) for b in rng.normal(size=d) + 1j * rng.normal(size=d)]
+            if i % 3 == 0 and d >= 2:
+                base[1] = base[0]
+            p = P.from_roots(base, leading=complex(rng.normal(), rng.normal()))
+            exact = mpmath.polyroots([mpmath.mpc(c) for c in p.coeffs[::-1]],
+                                     maxsteps=200, extraprec=200)
+            found = roots(p)
+            for _ in range(4):
+                b = base[int(rng.integers(d))]
+                a = b + 10 ** rng.uniform(-10, -5) * cmath.exp(2j * math.pi * rng.uniform())
+                clear = _apart(p, a)
+                verdicts.append(clear)
+                if clear:
+                    assert min(abs(w - mpmath.mpc(a)) for w in exact) > _APART
+                    assert min(abs(z - a) for z, _ in found) > ROOT_TOL
+    assert min(verdicts.count(True), verdicts.count(False)) > 150
+
+
+@pytest.mark.parametrize("num, den", [(P([1]), P([1e300, 1e-11])), (P([1e300, 1]), P([0, 1e-11]))])
+def test_a_monic_scaling_out_of_double_range_is_refused(num, den):
+    # dividing by the leading 1e-11 makes 1e300 infinite: refused before any
+    # root is solved, for that reason, and without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="monic scaling.*double range"):
+            RationalMap(num, den).factor()
+        with pytest.raises(NumericalError, match="monic scaling.*double range"):
+            verify_immersion(RationalMap(num, den), Disc(0, 1.0))
