@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ENV_PREFIX, RunConfig, config_from_env
-from .contours import Disc, _result, circle_samples
+from .contours import Disc, _result, circle_samples, winding_number
 from .errors import InputError, MeroimmError, NumericalError, PreconditionError
 from .immersions import (
     CircularDomain,
@@ -30,6 +30,7 @@ from .immersions import (
     seed_disc,
     verify_immersion,
 )
+from .rational import RationalMap, wronskian
 from .serialize import (
     certificate_to_json,
     contour_from_json,
@@ -108,11 +109,12 @@ def _run_verify(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
 def _run_wind(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:
     f = rational_from_json(_need(data, "map"))
     gamma = contour_from_json(_need(data, "contour"))
-    F = f.factor()
-    if data.get("of") == "derivative":
-        # the factored derivative knows its poles; its denominator is not solved
-        F = F.derivative()
-    return {"winding": F.winding(gamma)}
+    if data.get("of") != "derivative":
+        return {"winding": winding_number(f, gamma)}
+    # f' = W / d^2 for f = n/d and W its Wronskian; d is wound first, so that
+    # a pole on the contour is refused as a pole
+    wind_d = -winding_number(RationalMap(1.0, f.den), gamma)
+    return {"winding": winding_number(RationalMap(wronskian(f)), gamma) - 2 * wind_d}
 
 
 def _run_classify(data: dict, cfg: RunConfig, outdir: Path | None) -> dict:

@@ -28,8 +28,10 @@ QUAD_TOL = 1e-10
 # Numerical residues of constructed integrands must stay below this.
 RESIDUE_TOL = 1e-9
 
-# "On the boundary" clearance, as a fraction of the diameter: the largest
-# distance between two samples of a contour, 2 r for a circle of radius r.
+# "On the boundary" clearance, as a fraction of a circle's diameter 2 r: the
+# certificate's refusal band around its boundary circles (with
+# COUNT_NODE_CAP) and classify's band around its basis loops.  Windings and
+# counts over certified arcs need none.
 CLEARANCE_FACTOR = 1e-6
 
 # Integrand evaluations one G7-K15 path integral may spend before refusing.

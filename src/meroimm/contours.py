@@ -15,17 +15,19 @@ a block at N equispaced nodes, doubles N by adding the midpoints, and closes
 a row at its first non-finite sample.  :func:`circle_primitives` takes one
 FFT of each ring, divides mode k by ik and inverts it, and
 ``blending._taylor_truncations`` fits Taylor coefficients.
-Winding numbers are read from the factored zeros and poles of a rational map:
-each is exact or refused.  A function known only by its values gets none,
-because samples cannot rule out a full turn between two of them.
-Zero/pole counts in a disc (:func:`argument_principle_count`) wind the
-numerator and the denominator around its circle over certified arcs, from
-their coefficients alone: they read no root.  A block of maps, each on its
-own disc, is counted as one (``_counts``).
+Windings have one algorithm: the numerator and the denominator of a rational
+map are wound over certified arcs, from their coefficients alone, and no
+root is read.  Zero/pole counts in a disc (:func:`argument_principle_count`)
+wind them around its circle, and a block of maps, each on its own disc, is
+counted as one (``_counts``); :func:`winding_number` winds them along the
+chords of a closed polyline.  Both halve their failing arcs in the same
+rounds (``_halve``).  Each winding is exact or refused.  A function known
+only by its values gets none, because samples cannot rule out a full turn
+between two of them.
 Fixed geometry is built once per process and shared read-only.  Unit roots,
 sampled circles, first quadrature meshes and arc powers are memoized in LRU
 caches of _CACHE_SIZE entries each, which keep no set of more than
-_CACHE_NODES nodes; a contour computes its chords and diameter once.
+_CACHE_NODES nodes.
 """
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import CLEARANCE_FACTOR, COUNT_NODE_CAP, QUAD_EVAL_BUDGET, as_integer
+from .config import COUNT_NODE_CAP, QUAD_EVAL_BUDGET, as_integer
 from .errors import (InputError, MeroimmError, NumericalError, PathTooCloseError,
-                     QuadratureBudgetError)
+                     QuadratureBudgetError, ZeroOnContourError)
 from .poly import _BINOMIAL_DEGREE, ComplexPolynomial, _padded, _read_only, _taylor_rows
 from .rational import Factored, RationalMap
 
@@ -97,8 +99,7 @@ class Contour:
     """Piecewise-linear sampled path; closed paths repeat the first sample last.
 
     ``points`` holds the samples as a read-only complex array.  A contour is
-    immutable: :meth:`circle` shares one instance between equal calls, and
-    the chords and diameter are computed once per contour, read-only.
+    immutable: :meth:`circle` shares one instance between equal calls.
     """
 
     samples: tuple[complex, ...]
@@ -149,55 +150,6 @@ class Contour:
         if closed and pts[0] != pts[-1]:
             pts.append(pts[0])
         return cls(tuple(pts), closed=closed)
-
-    @functools.cached_property
-    def diameter(self) -> float:
-        """The largest distance between two samples: 2 r on a circle."""
-        return _diameter(self.samples)
-
-    @functools.cached_property
-    def _chords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """points[:-1], the chords and their squared lengths."""
-        d = np.diff(self.points)
-        # np.hypot rounds as abs() on a Python complex does; np.abs may not
-        return _read_only(self.points[:-1], d, np.hypot(d.real, d.imag) ** 2)
-
-    def clearance(self) -> float:
-        """Default geometric clearance: a small fraction of the diameter."""
-        return CLEARANCE_FACTOR * max(self.diameter, 1e-300)
-
-    def distance_to(self, z):
-        """Distance from z to the polyline; an array of points gives an array."""
-        z = np.asarray(z, dtype=complex)[..., None]
-        a, d, dd = self._chords
-        t = ((z - a).real * d.real + (z - a).imag * d.imag) / dd
-        w = z - (a + np.clip(t, 0.0, 1.0) * d)
-        out = np.min(np.hypot(w.real, w.imag), axis=-1)
-        return float(out) if out.ndim == 0 else out
-
-
-def _diameter(zs: Sequence[complex]) -> float:
-    """The largest distance between two of the points, from the antipodal
-    pairs of their convex hull (rotating calipers; Preparata & Shamos,
-    Computational Geometry, 1985, 4.2.3), in O(n log n) for n points."""
-    pts = sorted(set(zs), key=lambda z: (z.real, z.imag))
-
-    def chain(seq):  # Andrew's monotone chain: half the hull, counter-clockwise
-        out = []
-        for p in seq:
-            while len(out) > 1 and ((out[-1] - out[-2]).conjugate() * (p - out[-2])).imag <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    hull = np.array(chain(pts) + chain(reversed(pts)), dtype=complex)
-    nxt = np.roll(hull, -1)
-    # the edge directions turn once around; the vertex antipodal to an edge
-    # is where they have turned by pi more, give or take one vertex
-    turn = np.maximum.accumulate(np.unwrap(np.angle(nxt - hull)))
-    j = np.searchsorted(np.concatenate([turn, turn + 2.0 * math.pi]), turn + math.pi)
-    far = hull[(j[:, None] + np.arange(-1, 2)) % len(hull)]
-    return float(max(np.max(np.abs(far - hull[:, None])), np.max(np.abs(far - nxt[:, None]))))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -549,37 +501,6 @@ def circle_primitives(fz, center: complex, radius: float, n: int, tol: float, st
 
 # -- winding numbers ----------------------------------------------------------
 
-
-def winding_number(
-    f: ComplexPolynomial | RationalMap | Factored,
-    contour: Contour,
-) -> int:
-    """Total argument change of f along a closed contour, divided by 2 pi.
-
-    The winding is read from the zeros and poles of f
-    (:meth:`Factored.winding`), which is exact and refuses a zero or pole
-    within the contour's clearance or not certified to lie on one side of
-    the contour.  A Factored map brings its poles along, and its zeros
-    once solved (else they are solved here); a RationalMap, or a
-    ComplexPolynomial taken as one, is factored once on entry.  Any other f
-    raises InputError: without a bound on f, no sampling of its values can
-    rule out a full turn between two samples (Henrici, Applied and
-    Computational Complex Analysis I, 4.6).
-    """
-    if not contour.closed:
-        raise InputError("winding numbers need a closed contour")
-    if isinstance(f, ComplexPolynomial):
-        f = RationalMap(f)
-    if isinstance(f, RationalMap):
-        f = f.factor()
-    if not isinstance(f, Factored):
-        raise InputError(
-            "winding numbers need a polynomial or rational map; "
-            "sampled values cannot certify one"
-        )
-    return f.winding(contour)
-
-
 _ARCS = 128  # first arcs of the zero count
 _CHUNK = 256  # most points of one product in _taylor_at
 _FAR = "a polynomial of the count leaves double range"
@@ -626,14 +547,9 @@ def _counts(fs: Sequence[RationalMap | Factored], discs: Sequence[Disc]) -> list
     map gets what its one-row call gets.
     """
     polys = [p for m in (getattr(f, "map", f) for f in fs) for p in (m.num, m.den)]
-    live = [i for i, p in enumerate(polys) if p.degree != 0 and p.degree <= _BINOMIAL_DEGREE]
-    on = [discs[i // 2] for i in live]  # each live polynomial's disc
-    cs = _padded([(polys[i] if d.center == 0 else polys[i].taylor_shift(d.center)).coeffs or (0,)
-                  for i, d in zip(live, on)])
-    rows, n = len(live), cs.shape[1]
-    j, degree = np.arange(n), np.array([polys[i].degree for i in live], dtype=int)
-    r = np.array([d.radius for d in on])
-    zmax = np.array([abs(d.center) + d.radius for d in on])  # the largest |z| on each circle
+    live, degree, r, zmax, floor, H = _frames(polys, [(d.center, d.radius) for d in discs for _ in "nd"])
+    rows, n = len(live), H.shape[1]
+    j = np.arange(n)
 
     def test(absT, h, row):  # on arcs of h turns: |T_0| - e > sum over j >= 1 of |T_j| rho^j
         rho = 2.0 * math.pi * h + 2.0 ** -48
@@ -641,10 +557,6 @@ def _counts(fs: Sequence[RationalMap | Factored], discs: Sequence[Disc]) -> list
         return np.einsum("...j,j->...", absT, np.where(j > 0, rho ** j, -1.0)) < -e[row]
 
     with np.errstate(all="ignore"):
-        scale = [polys[i].horner_scale(x) for i, x in zip(live, zmax.tolist())]
-        floor = 8.0 * 2.0 ** -53 * (degree + 1) * scale
-        # the Taylor matrix of each P(c + r u) in u
-        H = _taylor_rows(cs * np.where(j <= degree[:, None], r[:, None] ** j, 0.0))
         # node p _ARCS + l (row p of T, later flat): unit root l, where arc l of polynomial p starts
         T = np.einsum("pjm,ml->plj", H, _arc_powers(n))  # not @, which would add BLAS buffers
         absT, P, h = np.abs(T), T[..., 0], 1.0 / _ARCS
@@ -655,27 +567,146 @@ def _counts(fs: Sequence[RationalMap | Factored], discs: Sequence[Disc]) -> list
         turns = np.where(certified, np.angle(P[:, _NEXT] / P), 0.0).sum(axis=1)
         pid, a = np.nonzero(~certified)  # pid ascending, as every filter below keeps it
         if pid.size:
-            a, b, spent = pid * _ARCS + a, pid * _ARCS + _NEXT[a], np.full(rows, _ARCS)
-            absT, P, t = absT.reshape(-1, n), P.ravel(), np.tile(np.arange(_ARCS) / _ARCS, rows)
-        while pid.size:
-            spent += np.bincount(pid, minlength=rows)
-            stuck = np.minimum(absT[a, 0], absT[b, 0]) <= floor[pid]
-            alive[pid[stuck | (spent[pid] > COUNT_NODE_CAP) | (h < 2.0**-50)]] = False
-            keep = alive[pid]
-            pid, a, b, h = pid[keep], a[keep], b[keep], h / 2.0
-            mid_t = t[a] + h
-            mid = len(t) + np.arange(pid.size)
-            mids = _taylor_at(H, pid, np.exp(2j * math.pi * mid_t))
-            far = pid[~np.isfinite(mids).all(axis=1)]
-            in_range[far] = alive[far] = False
-            P = np.concatenate([P, mids[:, 0]])
-            absT = np.concatenate([absT, np.abs(mids)])
-            t = np.concatenate([t, mid_t])
-            pid = pid.repeat(2)
-            a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
-            certified = test(absT[a], h, pid) | test(absT[b], h, pid)
-            turns += np.bincount(pid[certified], np.angle(P[b] / P[a])[certified], rows)
-            pid, a, b = pid[~certified], a[~certified], b[~certified]
+            _halve(lambda p, t: _taylor_at(H, p, np.exp(2j * math.pi * t)), test, np.arange(rows),
+                   floor, h, (pid, pid * _ARCS + a, pid * _ARCS + _NEXT[a]),
+                   (np.tile(np.arange(_ARCS) / _ARCS, rows), P.ravel(), absT.reshape(-1, n)),
+                   np.full(rows, _ARCS), alive, in_range, turns)
+
+    def refused(i):
+        disc, which = discs[i // 2], ("numerator", "denominator")[i % 2]
+        return QuadratureBudgetError(
+            f"argument-principle count: uncertified arc of the {which} of degree "
+            f"{polys[i].degree} on the circle of center {disc.center:g} and radius "
+            f"{disc.radius:g}")
+
+    out = _settle(polys, live, turns, alive, in_range, refused)
+    return [num if isinstance(num, Exception) else den if isinstance(den, Exception) else num - den
+            for num, den in zip(out[0::2], out[1::2])]
+
+
+def winding_number(f: ComplexPolynomial | RationalMap | Factored, contour: Contour) -> int:
+    """Total argument change of f = num/den along a closed polyline, divided
+    by 2 pi: wind(num) - wind(den) for f as given (``f.map`` for a Factored,
+    num/1 for a ComplexPolynomial), from the coefficients alone: f is not
+    reduced and no root is solved.
+
+    Each polynomial is wound as :func:`argument_principle_count` winds it,
+    shifted to the centre c of the contour's bounding box and scaled by L,
+    the largest |z - c| at a vertex.  Each chord is one first arc, halved
+    while it fails; rho is an arc's length over L plus 2^-48, and e bounds
+    the rounding at |z| <= |c| + L + L rho.  An arc that cannot be certified
+    (|T_0| within e at an end, shorter than 2^-50 of its chord, or past
+    COUNT_NODE_CAP expansions) raises ZeroOnContourError for the numerator,
+    the zero map among them, and PathTooCloseError for the denominator; the
+    count's NumericalError stays.  Any other f raises InputError: without a
+    bound on f, no sampling of its values can rule out a full turn between
+    two samples (Henrici, Applied and Computational Complex Analysis I, 4.6).
+    """
+    if not contour.closed:
+        raise InputError("winding numbers need a closed contour")
+    f = RationalMap(f) if isinstance(f, ComplexPolynomial) else getattr(f, "map", f)
+    if not isinstance(f, RationalMap):
+        raise InputError("winding numbers need a polynomial or rational map; "
+                         "sampled values cannot certify one")
+    # row q of the halving rounds is chord q % K of polynomial q // K, K the
+    # number of chords: its first arc, from node q, and the halves of that arc
+    zs, polys = contour.points[:-1], [f.num, f.den]
+    c = complex(0.5 * (zs.real.min() + zs.real.max()), 0.5 * (zs.imag.min() + zs.imag.max()))
+    L = float(np.max(np.hypot((zs - c).real, (zs - c).imag)))
+    live, degree, r, zmax, floor, H = _frames(polys, [(c, L), (c, L)])
+    K, rows, n = len(zs), len(live), H.shape[1]
+    j, owner = np.arange(n), np.repeat(np.arange(rows), K)
+    u, du = np.tile((zs - c) / L, rows), np.tile(np.diff(contour.points) / L, rows)
+    length = np.hypot(du.real, du.imag)
+
+    def test(absT, h, q):  # the count's test on arcs of t-length h, each on its own chord
+        rho, p = length[q] * h + 2.0 ** -48, owner[q]
+        e = floor[p] * (1.0 + r[p] * rho / zmax[p]) ** degree[p]
+        return np.einsum("ij,ij->i", absT, np.where(j > 0, rho[:, None] ** j, -1.0)) < -e
+
+    with np.errstate(all="ignore"):
+        T = _taylor_at(H, owner, u)  # node q: vertex q % K of polynomial q // K, where arc q starts
+        absT, P = np.abs(T), T[:, 0]
+        in_range = np.isfinite(floor) & np.isfinite(absT).reshape(rows, K * n).all(axis=1)
+        alive = in_range.copy()
+        q = np.arange(rows * K)
+        end = owner * K + (q + 1) % K  # arc q ends where arc end[q] starts
+        certified = test(absT, 1.0, q) | test(absT[end], 1.0, q) | ~alive[owner]
+        turns = np.bincount(owner, np.where(certified, np.angle(P[end] / P), 0.0), rows)
+        q = q[~certified]
+        if q.size:
+            _halve(lambda q, t: _taylor_at(H, owner[q], u[q] + t * du[q]), test, owner, floor,
+                   1.0, (q, q, end[q]), (np.zeros(rows * K), P, absT), np.full(rows, K),
+                   alive, in_range, turns)
+
+    def refused(i):
+        which, error = (("numerator", ZeroOnContourError), ("denominator", PathTooCloseError))[i]
+        if polys[i].is_zero:
+            return error("the zero map has no winding number")
+        return error(f"winding number: uncertified arc of the {which} of degree "
+                     f"{polys[i].degree}: a root lies on the contour or within its rounding")
+
+    num, den = _settle(polys, live, turns, alive, in_range, refused)
+    return _result(num) - _result(den)
+
+
+def _frames(polys: Sequence[ComplexPolynomial], frames: Sequence[tuple[complex, float]]):
+    """Each polynomial P in its frame (c, r) = frames[i] as P(c + r u), for
+    the wound ones (degree 1 to ``poly._BINOMIAL_DEGREE``, or the zero one):
+    their indices, degrees, r, |c| + r, rounding floors 8 (n + 1) 2^-53 sum
+    |c_k| (|c| + r)^k, which cover the shift too, and Taylor matrices in u."""
+    live = [i for i, p in enumerate(polys) if p.degree != 0 and p.degree <= _BINOMIAL_DEGREE]
+    cs = _padded([(polys[i] if frames[i][0] == 0 else polys[i].taylor_shift(frames[i][0])).coeffs
+                  or (0,) for i in live])
+    j, degree = np.arange(cs.shape[1]), np.array([polys[i].degree for i in live], dtype=int)
+    r = np.array([frames[i][1] for i in live])
+    zmax = np.array([abs(frames[i][0]) + frames[i][1] for i in live])
+    with np.errstate(all="ignore"):
+        scale = [polys[i].horner_scale(x) for i, x in zip(live, zmax.tolist())]
+        floor = 8.0 * 2.0 ** -53 * (degree + 1) * scale
+        H = _taylor_rows(cs * np.where(j <= degree[:, None], r[:, None] ** j, 0.0))
+    return live, degree, r, zmax, floor, H
+
+
+def _halve(expand, test, owner, floor, h, arcs, nodes, spent, alive, in_range, turns) -> None:
+    """The halving rounds of the circle count and the polyline winding,
+    after their first round.  ``arcs`` = (pid, a, b) are the failing arcs, of
+    t-length h, from node a to node b on rows pid (ascending), which wind
+    polynomials owner[pid]; ``nodes`` = (t, P, absT) are each node's
+    parameter, value and Taylor moduli.  A round refuses the polynomial of an
+    arc with |T_0| within its floor at an end, h below 2^-50 or past
+    COUNT_NODE_CAP expansions, expands the midpoints t + h/2 by
+    ``expand(pid, t)``, and adds the turn of each half that ``test(absT, h,
+    pid)`` certifies at an end.  It updates ``spent``, ``alive``,
+    ``in_range`` and ``turns``, one per polynomial, in place.
+    """
+    (pid, a, b), (t, P, absT) = arcs, nodes
+    while pid.size:
+        o = owner[pid]
+        spent += np.bincount(o, minlength=len(spent))
+        stuck = np.minimum(absT[a, 0], absT[b, 0]) <= floor[o]
+        alive[o[stuck | (spent[o] > COUNT_NODE_CAP) | (h < 2.0**-50)]] = False
+        keep = alive[o]
+        pid, a, b, h = pid[keep], a[keep], b[keep], h / 2.0
+        mid_t = t[a] + h
+        mid = len(t) + np.arange(pid.size)
+        mids = expand(pid, mid_t)
+        far = owner[pid[~np.isfinite(mids).all(axis=1)]]
+        in_range[far] = alive[far] = False
+        P = np.concatenate([P, mids[:, 0]])
+        absT = np.concatenate([absT, np.abs(mids)])
+        t = np.concatenate([t, mid_t])
+        pid = pid.repeat(2)
+        a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
+        certified = test(absT[a], h, pid) | test(absT[b], h, pid)
+        turns += np.bincount(owner[pid[certified]], np.angle(P[b] / P[a])[certified], len(turns))
+        pid, a, b = pid[~certified], a[~certified], b[~certified]
+
+
+def _settle(polys, live, turns, alive, in_range, refused) -> list:
+    """Each polynomial's winding, round(turns / 2 pi), or the error it
+    raises: NumericalError out of double range, refused(i) for polynomial i
+    with an arc that could not be certified.  A constant winds 0."""
     out: list = [0 if p.degree <= _BINOMIAL_DEGREE else NumericalError(_FAR) for p in polys]
     for k, i in enumerate(live):
         if alive[k]:
@@ -683,16 +714,8 @@ def _counts(fs: Sequence[RationalMap | Factored], discs: Sequence[Disc]) -> list
         elif not in_range[k]:
             out[i] = NumericalError(_FAR)
         else:
-            disc, which = discs[i // 2], ("numerator", "denominator")[i % 2]
-            out[i] = QuadratureBudgetError(
-                f"argument-principle count: uncertified arc of the {which} of degree "
-                f"{polys[i].degree} on the circle of center {disc.center:g} and radius "
-                f"{disc.radius:g}")
-    counts = []
-    for num, den in zip(out[0::2], out[1::2]):
-        errors = [x for x in (num, den) if isinstance(x, Exception)]
-        counts.append(errors[0] if errors else num - den)
-    return counts
+            out[i] = refused(i)
+    return out
 
 
 def _taylor_at(H: np.ndarray, pid: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -29,11 +29,11 @@ class SingularityOnBoundaryError(PreconditionError):
 
 
 class ZeroOnContourError(PreconditionError):
-    """|f| dropped below the clearance threshold at a contour sample."""
+    """A zero of f lies on a winding's contour: an arc could not be certified."""
 
 
 class PathTooCloseError(PreconditionError):
-    """An integration path runs within clearance of a singularity."""
+    """An integration path, a basis loop or a winding's contour runs too near a singularity."""
 
 
 class NotAnImmersionError(PreconditionError):

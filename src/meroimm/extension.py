@@ -64,7 +64,7 @@ from .grids import ParamGrid
 from .immersions import ImmersionCertificate, _before_count
 from .poly import ComplexPolynomial, _column, _PolyRows, _rows
 from .poly import roots  # noqa: F401  never called here; perfbench's tracer test patches the name
-from .rational import Factored, PoleSet, RationalMap
+from .rational import Factored, PoleSet, RationalMap, wronskian
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
 
 # chordal target for the Q members of a family, which are reproduced on the big disc
@@ -179,8 +179,7 @@ def _eta_fit(h: Factored | RationalMap, poles: PoleSet, targets: Sequence[comple
     if len(targets) != len(locs):
         raise InputError("one target per pole required")
     H = h if isinstance(h, Factored) else h.factor()
-    n, d = H.map.num, H.map.den
-    eta = RationalMap(n.derivative() * d - n * d.derivative(), n * d)
+    eta = RationalMap(wronskian(H.map), H.map.num * H.map.den)
 
     # singularities of the residual: the zeros and poles of h, plus
     # interpolation nodes outside the disc (no cancellation is guaranteed there)

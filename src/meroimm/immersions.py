@@ -38,7 +38,7 @@ from .errors import (
     SingularityOnBoundaryError,
 )
 from .poly import ComplexPolynomial
-from .rational import Factored, PoleSet, RationalMap
+from .rational import Factored, PoleSet, RationalMap, wronskian
 from .sphere import INF, SpherePoint, _is_nan, is_inf
 
 if TYPE_CHECKING:
@@ -272,8 +272,7 @@ def classify(
         raise InputError(f"unknown target {target!r}")
     M = _as_domain(M)
     F = f.factor()
-    n, d = F.map.num, F.map.den
-    W = n.derivative() * d - n * d.derivative()
+    W, d = wronskian(F.map), F.map.den
     if W.is_zero:
         raise InputError("constant map: the derivative vanishes identically")
     _refuse_near_boundary(M, F.poles.locations)

@@ -6,15 +6,15 @@ matching, and returns a :class:`Factored`: the reduced map with its PoleSet
 and its zeros.  ``reduced``, ``pole_set`` and ``zero_set`` read that value.
 The denominator is solved at once.  The numerator is solved only when a
 pole fails a certified exclusion test (a root of the numerator could then
-match it); otherwise its zeros are solved when first read, by ``zero_set``
-or :meth:`Factored.winding`, and verify, classify and the extensions never
-read them.  The factored derivative takes its poles (a, m+1) from the poles
-(a, m) of the map, and the pole-cleared derivative f' Theta drops the
-cleared poles from them, so neither ever solves a denominator; the winding
-number of a factored map along a polyline is a sum of indices of its zeros
-and poles.  :func:`~meroimm.poly.roots` has two callers,
-:meth:`RationalMap.factor` and :attr:`Factored.zeros`: every other singular
-point in the package is read from a Factored.
+match it); otherwise its zeros are solved when first read, by ``zero_set``,
+and verify, classify, the windings and the extensions never read them.  The factored derivative takes its poles
+(a, m+1) from the poles (a, m) of the map, and the pole-cleared derivative
+f' Theta drops the cleared poles from them, so neither ever solves a
+denominator.  :func:`wronskian` gives W = n'd - nd', so that f' = W / d^2,
+for the quotient rule, classify, the extension's eta and ``meroimm wind``.
+:func:`~meroimm.poly.roots` has two callers, :meth:`RationalMap.factor` and
+:attr:`Factored.zeros`: every other singular point in the package is read
+from a Factored.
 Scalar evaluation lands on the Riemann sphere (a pole returns INF); an
 indeterminate 0/0 of an unreduced fraction raises.
 """
@@ -29,14 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import ROOT_TOL, as_integer
-from .errors import (
-    InputError,
-    NumericalError,
-    PathTooCloseError,
-    UnreducedFractionError,
-    ZeroOnContourError,
-)
-from .poly import ComplexPolynomial, _as_poly, _padded, _taylor_rows, roots, _EPS
+from .errors import InputError, NumericalError, UnreducedFractionError
+from .poly import ComplexPolynomial, _as_poly, roots, _EPS
 from .sphere import INF, SpherePoint, _is_nan, is_inf
 
 
@@ -227,7 +221,8 @@ class RationalMap:
         range raises NumericalError.  Reduction then cancels common roots of
         the scaled num and den, found by matching the two root sets within
         the root-separation tolerance (robust to the root solver's own
-        accuracy limits at multiple roots).  The denominator is solved first;
+        accuracy limits at multiple roots), and deflating each polynomial at
+        its own matched roots.  The denominator is solved first;
         when the numerator is certainly apart from every pole (``_apart``) no
         root can match, and the numerator is left unsolved.  The zeros and
         poles are the roots of the reduced numerator and denominator: the
@@ -249,12 +244,9 @@ class RationalMap:
                 t = min(m, sum(k for _, k in matches))
                 if t == 0:
                     continue
-                # deflate both at the averaged location of the matched cluster
-                pts = [a] * m + [b for b, k in matches for _ in range(k)]
-                point = sum(pts) / len(pts)
-                for _ in range(t):
-                    num = num.deflate(point)
-                    den = den.deflate(point)
+                near = sorted((b for b, k in matches for _ in range(k)), key=lambda b: abs(b - a))
+                for b in near[:t]:
+                    num, den = num.deflate(b), den.deflate(a)
             if num.degree < given:  # reduction changed both polynomials: solve them again
                 zeros, poles = None, roots(den) if den.degree >= 1 else []
         return _knowing(Factored(RationalMap(num, den), PoleSet(poles)), zeros)
@@ -318,6 +310,12 @@ class RationalMap:
         return RationalMap(self.den, self.num)
 
 
+def wronskian(f: RationalMap) -> ComplexPolynomial:
+    """W = n'd - nd' of f = n/d as given, so that f' = W / d^2."""
+    n, d = f.num, f.den
+    return n.derivative() * d - n * d.derivative()
+
+
 def _quotient_rule(red: RationalMap, poles: PoleSet) -> RationalMap:
     """Derivative of a reduced map whose poles are known.
 
@@ -329,39 +327,12 @@ def _quotient_rule(red: RationalMap, poles: PoleSet) -> RationalMap:
     """
     if red.is_polynomial:
         return RationalMap(red.as_polynomial().derivative())
-    n, d = red.num, red.den
-    num = n.derivative() * d - n * d.derivative()
+    num = wronskian(red)
     for a, m in poles:
         for _ in range(m - 1):
             num = num.deflate(a)
     den = ComplexPolynomial.from_roots([a for a, m in poles for _ in range(m + 1)])
     return RationalMap(num, den)
-
-
-def _pellet_isolated(polys, ws, ms, limits) -> np.ndarray:
-    """Whether, for each root ws[i] of order ms[i] of polys[i], some disc
-    |z - ws[i]| < rho with rho below limits[i] holds exactly ms[i] roots.
-
-    Pellet's test on the Taylor coefficients b_k at w: |b_m| rho^m exceeds
-    the sum of |b_k| rho^k over k != m, twice over, with each |b_k| widened
-    by its rounding floor (see _shift_noise).  rho runs down from half the
-    limit in 40 steps of sqrt(2).
-    """
-    H = _taylor_rows(_padded([p.coeffs for p in polys]))
-    j = np.arange(H.shape[1])
-    powers = ws[:, None] ** j
-    b = np.abs(np.einsum("rkm,rm->rk", H, powers))
-    floor = np.einsum("rkm,rm->rk", np.abs(H), np.abs(powers)) * (
-        16.0 * _EPS * np.array([len(p.coeffs) for p in polys])[:, None])
-    rows = np.arange(len(ws))
-    lead = b[rows, ms] - floor[rows, ms]
-    rest = b + floor
-    rest[rows, ms] = 0.0
-    rho = np.asarray(limits)[:, None] * 0.5 ** (np.arange(2, 42) / 2)
-    t = rho[:, :, None] ** j
-    lhs = lead[:, None] * t[rows, :, ms]
-    rhs = (t * rest[:, None, :]).sum(axis=2)
-    return np.any(lhs > 2.0 * rhs, axis=1)
 
 
 @dataclass(frozen=True)
@@ -374,7 +345,8 @@ class Factored:
     are the roots of the numerator, solved on first read unless the maker
     already knows them.  A Factored is a plain value: the functions that
     need one build it inside the call and drop it on return, and its zeros
-    with it.
+    with it.  Windings read none of it but ``map``
+    (:func:`~meroimm.contours.winding_number`).
     """
 
     map: RationalMap
@@ -407,49 +379,6 @@ class Factored:
         rest = self.poles.filter(lambda a: not drop(a))
         den = ComplexPolynomial.from_roots([a for a, m in rest for _ in range(m)])
         return _knowing(Factored(RationalMap(self.map.num, den), rest), self.__dict__.get("zeros"))
-
-    def winding(self, contour) -> int:
-        """Winding number of the map along a closed polyline, from its factors.
-
-        Sum of m ind(gamma, zero) over the zeros minus the same over the
-        poles, where ind(gamma, w) is the turning of the chords of gamma
-        around w: each chord subtends an angle in (-pi, pi), and the angles
-        add up to a whole number of turns.  A zero or pole refuses with
-        ZeroOnContourError or PathTooCloseError when it lies within the
-        contour's clearance, or when Pellet's test cannot confine its m roots
-        of the numerator or denominator to a disc that meets neither the
-        contour nor the disc of another zero or pole: the root solver can
-        merge distinct roots into one multiple root on the wrong side.
-        """
-        if not contour.closed:
-            raise InputError("winding numbers need a closed contour")
-        if self.map.num.is_zero:
-            raise ZeroOnContourError("the zero map has no winding number")
-        points = [(w, m, 1) for w, m in self.zeros] + [(a, m, -1) for a, m in self.poles]
-        if not points:
-            return 0
-        ws = np.array([w for w, _, _ in points], dtype=complex)
-        reach = contour.distance_to(ws)
-        gaps = np.abs(ws[:, None] - ws)
-        np.fill_diagonal(gaps, math.inf)
-        isolated = _pellet_isolated(
-            [self.map.num if sign > 0 else self.map.den for _, _, sign in points],
-            ws,
-            np.array([m for _, m, _ in points]),
-            np.minimum(reach, 0.5 * gaps.min(axis=1)),
-        )
-        clearance = contour.clearance()
-        for (w, _, sign), dist, ok in zip(points, reach, isolated):
-            error = ZeroOnContourError if sign > 0 else PathTooCloseError
-            if dist <= clearance:
-                raise error(f"zero or pole at {w} within clearance of the contour")
-            if not ok:
-                raise error(f"the roots near {w} cannot be kept on one side of the contour")
-        zs = contour.points
-        turns = np.sum(np.angle((zs[1:] - ws[:, None]) / (zs[:-1] - ws[:, None])), axis=1)
-        return sum(
-            sign * m * round(float(t) / (2.0 * math.pi)) for (_, m, sign), t in zip(points, turns)
-        )
 
 
 def _knowing(F: Factored, zeros) -> Factored:

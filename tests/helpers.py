@@ -101,6 +101,19 @@ def mpmath_pieces(scale, xi, poles, starts, deltas, dps=50):
         return out
 
 
+def distance_by_loop(contour, z):
+    """Distance from z to a polyline: the chord-by-chord loop, one clamped
+    projection per chord."""
+    z = complex(z)
+    best = math.inf
+    for a, b in zip(contour.samples, contour.samples[1:]):
+        d = b - a
+        t = ((z - a).real * d.real + (z - a).imag * d.imag) / (abs(d) ** 2)
+        t = min(1.0, max(0.0, t))
+        best = min(best, abs(z - (a + t * d)))
+    return best
+
+
 def same_bits(a, b):
     """Equal as stored doubles, so that signed zeros and NaN payloads count."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)

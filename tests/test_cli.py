@@ -305,13 +305,43 @@ def test_exit_code_pole_on_basis_loop(tmp_path, capsys):
     assert code == 2
 
 
-def test_wind_reads_the_zeros_that_factor_left_unsolved(tmp_path, capsys):
-    # (z^2 - 0.25)/(z - 2): factor leaves the numerator unsolved, and the
-    # winding solves it on read
-    p = write(tmp_path, "w.json", {"map": {"num": [[-0.25, 0], [0, 0], [1, 0]], "den": [[-2, 0], [1, 0]]},
-                                   "contour": {"kind": "circle", "center": [0, 0], "radius": 1.0}})
-    code, out, _ = run(capsys, "wind", p)
-    assert code == 0 and out.strip() == "winding=2"
+def test_wind_reads_the_zeros_that_factor_left_unsolved(tmp_path, capsys, monkeypatch):
+    # (z^2 - 0.25)/(z - 2) has two zeros in the unit disc, and its derivative
+    # one, 2 - sqrt(3.75): wind counts them from the coefficients of num and
+    # den, or of the Wronskian W and den for f' = W / den^2, and solves no root
+    def refuse(p):
+        raise AssertionError("wind solved a root")
+
+    monkeypatch.setattr(meroimm.poly, "roots", refuse)
+    monkeypatch.setattr(meroimm.rational, "roots", refuse)
+    body = {"map": {"num": [[-0.25, 0], [0, 0], [1, 0]], "den": [[-2, 0], [1, 0]]},
+            "contour": {"kind": "circle", "center": [0, 0], "radius": 1.0}}
+    for extra, want in (({}, "winding=2"), ({"of": "derivative"}, "winding=1")):
+        code, out, _ = run(capsys, "wind", write(tmp_path, "w.json", {**body, **extra}))
+        assert code == 0 and out.strip() == want
+
+
+def test_wind_refuses_a_root_on_a_square_polyline(tmp_path, capsys):
+    # a zero 1e-9 outside or inside the vertex 1 + i is wound; a zero on it,
+    # a pole on it, and a double pole on it with "of": "derivative", where W
+    # vanishes too, exit 2, each refused as what it is
+    square = {"kind": "polyline", "points": [[1, 1], [-1, 1], [-1, -1], [1, -1]], "closed": True}
+
+    def wind(num, den, **extra):
+        return run(capsys, "wind", write(tmp_path, "w.json", {
+            "map": {"num": num, "den": den}, "contour": square, **extra}))
+
+    w = 1 + 1e-9
+    code, out, _ = wind([[-w, -w], [1, 0]], [[1, 0]])
+    assert code == 0 and out.strip() == "winding=0"
+    code, out, _ = wind([[-(1 - 1e-9), -(1 - 1e-9)], [1, 0]], [[1, 0]])
+    assert code == 0 and out.strip() == "winding=1"
+    for num, den, extra, which in (([[-1, -1], [1, 0]], [[1, 0]], {}, "numerator"),
+                                   ([[1, 0]], [[-1, -1], [1, 0]], {}, "denominator"),
+                                   ([[1, 0]], [[0, 2], [-2, -2], [1, 0]], {"of": "derivative"},
+                                    "denominator")):
+        code, _, err = wind(num, den, **extra)
+        assert code == 2 and f"uncertified arc of the {which}" in err, err
 
 
 @pytest.mark.parametrize("num, den", [([[1, 0]], [[1e300, 0], [1e-11, 0]]),

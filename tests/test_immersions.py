@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import numpy_derivative_zeros_and_poles, random_rational
+from helpers import distance_by_loop, numpy_derivative_zeros_and_poles, random_rational
 from meroimm import (
     INF,
     CircularDomain,
@@ -27,6 +27,7 @@ from meroimm import (
     verify_immersion,
     winding_number,
 )
+from meroimm.config import CLEARANCE_FACTOR
 
 P = ComplexPolynomial
 R = RationalMap
@@ -346,7 +347,7 @@ def test_classify_refuses_a_pole_on_a_basis_loop():
     # the annulus's basis loop is the circle |z| = 1.25, through the pole
     f = R(P([1]), P([-1.25, 1]))
     (loop,) = basis_loops(ANNULUS)
-    assert loop.distance_to(1.25) <= loop.clearance()
+    assert distance_by_loop(loop, 1.25) <= CLEARANCE_FACTOR * 2 * 1.25
     assert verify_immersion(f, ANNULUS, "CP1").valid
     with pytest.raises(PreconditionError):
         classify(f, ANNULUS, "CP1")
@@ -494,7 +495,8 @@ def test_classes_are_counted_on_the_loop_circle():
     a = 1.25 * (1.0 - 0.5 * (1.0 - np.cos(h))) * np.exp(1j * h)  # halfway across the sliver
     (loop,) = basis_loops(ANNULUS)
     gap = 1.25 - abs(a)
-    assert loop.distance_to(a) > 10 * loop.clearance() and gap > 10 * loop.clearance()
+    clearance = CLEARANCE_FACTOR * 2 * 1.25
+    assert distance_by_loop(loop, a) > 10 * clearance and gap > 10 * clearance
     chords = np.angle((loop.points[1:] - a) / (loop.points[:-1] - a)).sum()
     assert abs(chords) < 1e-9  # a lies outside the polygon
     f = R(P([0, 1])) + R(P([1]), P.from_roots([a]))
@@ -505,15 +507,14 @@ def test_classes_are_counted_on_the_loop_circle():
 
 def test_classify_reads_no_root_of_the_derivative(monkeypatch):
     # classify factors f once, solving its denominator, and winds W and d
-    # on every circle in one block of counts: no factored
-    # derivative, no winding of f' along the polygon, no Pellet test
-    from meroimm import contours, immersions, rational
+    # on every circle in one block of counts: no factored derivative and no
+    # winding of f' along the polygon
+    from meroimm import immersions, rational
 
     def refuse(*args, **kwargs):
         raise AssertionError("classify solved or wound the derivative")
 
-    for owner, name in ((rational.Factored, "derivative"), (rational.Factored, "winding"),
-                        (rational, "_pellet_isolated"), (contours.Contour, "distance_to")):
+    for owner, name in ((rational.Factored, "derivative"), (immersions, "winding_number")):
         monkeypatch.setattr(owner, name, refuse)
     blocks = []
     counts = immersions._counts

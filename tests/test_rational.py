@@ -20,6 +20,7 @@ from meroimm import (
     residue,
     roots,
     verify_immersion,
+    winding_number,
 )
 from meroimm import rational
 from meroimm.config import ROOT_TOL
@@ -274,19 +275,26 @@ def test_factor_solves_the_numerator_when_it_is_read(monkeypatch):
     zeros = F.zeros
     assert solved == [P([-2, 1]), F.map.num] and zeros == tuple(roots(F.map.num))
     assert [z for z, _ in zeros] == [-0.5, 0.5] and F.zeros is zeros and len(solved) == 2
-    assert F.winding(Contour.circle(0, 1.0)) == 2 and len(solved) == 2
+    # the winding reads the coefficients, not the zeros
+    assert winding_number(F, Contour.circle(0, 1.0)) == 2 and len(solved) == 2
     assert f.zero_set() == list(zeros) and len(solved) == 4  # a new factor, solved again
 
 
 def test_a_common_root_within_the_tolerance_still_cancels():
+    # gaps of 0.1, 0.5 and 0.9 ROOT_TOL cancel; den is deflated at its own
+    # pole a and num at its own zero b, so the kept pole and zero stay where
+    # mpmath puts the roots of the given coefficients
     a = 0.3 - 0.2j
-    f = RationalMap(P.from_roots([a + 0.5 * ROOT_TOL * cmath.exp(0.7j), -1.1]),
-                    P.from_roots([a, 1.4j], leading=1.5))
-    F = f.factor()
-    assert F.map.num.degree == 1 and F.map.den.degree == 1
-    # deflating at the matched cluster's mean moves the rest by about ROOT_TOL
-    assert len(F.poles) == 1 and abs(F.poles.locations[0] - 1.4j) < ROOT_TOL
-    assert len(F.zeros) == 1 and abs(F.zeros[0][0] + 1.1) < ROOT_TOL
+    for gap in (0.1, 0.5, 0.9):
+        f = RationalMap(P.from_roots([a + gap * ROOT_TOL * cmath.exp(0.7j), -1.1]),
+                        P.from_roots([a, 1.4j], leading=1.5))
+        assert not rational._apart(f.num, a)  # the matching branch runs
+        F = f.factor()
+        with mpmath.workdps(50):
+            pole, zero = (min((complex(r) for r in mpmath.polyroots(list(reversed(p.coeffs)))),
+                              key=lambda r: abs(r - near)) for p, near in ((f.den, 1.4j), (f.num, -1.1)))
+        assert F.map.num.degree == 1 and F.map.den.degree == 1 and len(F.poles) == len(F.zeros) == 1
+        assert abs(F.poles.locations[0] - pole) < 1e-13 and abs(F.zeros[0][0] - zero) < 1e-13
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 10])
