@@ -211,6 +211,11 @@ _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 # initial panels over the whole path: in a vectorized round extra nodes cost
 # less than extra rounds (Shampine, J. Comput. Appl. Math. 211 (2008) 131-140)
 _MESH = 10
+# every first panel has half-width >= 0.5 / _MESH in t, and a bisection
+# halves it.  Below |dz| / 2 = _SCALE_FLOOR on a panel, its floor
+# 50 eps |dz| / 2 times its mass may be 0 * inf = NaN, which rejects the
+# panel, so rounds that reach it form every floor
+_HALF_MIN, _SCALE_FLOOR = 0.5 / _MESH, 1e-290
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -238,10 +243,15 @@ def integrate_pieces(
     length, so a one-piece path starts as ten panels and a piece shorter
     than L/_MESH as one.  Each round evaluates fz once, at the 15 Kronrod
     nodes of every active panel.  A panel is accepted with its K15 value
-    when |K15 - G7| is at most its length share of ``tol`` or the rounding
-    floor 50 eps times its integral of |fz dz|, which keeps a large
-    integrand from being asked for more digits than doubles carry; a
-    rejected panel is bisected.  The first round also evaluates the piece
+    when |K15 - G7| <= max(share, floor), its length share of ``tol`` or
+    the rounding floor 50 eps times its integral of |fz dz|, which keeps a
+    large integrand from being asked for more digits than doubles carry; a
+    NaN rejects, and a rejected panel is bisected.  The share is tested
+    first.  The floors are formed only in a round where a panel fails its
+    share, or where a panel's |dz| is small enough for 50 eps |dz| to
+    underflow, so that a floor could be 0 * inf = NaN; then they are formed
+    for every panel of the round, as a real matrix product rounds a row by
+    its place in the block.  The first round also evaluates the piece
     endpoints, which no node reaches.  A non-finite value anywhere raises
     PathTooCloseError.  Evaluations (15 per panel, 2 per piece) are counted
     against QUAD_EVAL_BUDGET.  The first round is always evaluated in full;
@@ -249,33 +259,49 @@ def integrate_pieces(
     raises QuadratureBudgetError with the best estimate, so a budget smaller
     than the first round refuses after it.  The first mesh depends only on
     the panel counts; meshes of up to _CACHE_NODES nodes are memoized by
-    them and shared read-only.  :func:`_integrate_paths` integrates many
-    paths in one call, each bit for bit as here.
+    them and shared read-only.  A path of one finite piece is set up with a
+    scalar d, the tolerance (tol L / L) / _MESH per panel, and its end
+    points and nodes in one array; its accepted panels are added to one
+    complex in panel order, as np.add.at adds them to a piece total.
+    :func:`_integrate_paths` integrates many paths in one call, each bit
+    for bit as here.
     """
     lengths = np.abs(d)
     total_len = float(lengths.sum())
     n = len(za)
-    totals = np.zeros(n, dtype=complex)
     if total_len == 0.0:
         return 0j
 
     # the share before the product, so that a one-piece path gets exactly
     # _MESH panels: _MESH * L / L can round above _MESH.  fmax gives a NaN
     # share one panel, so that a non-finite path is refused at its nodes
-    if n == 1 and math.isfinite(total_len):
-        counts = (_MESH,)  # its share is L / L = 1
+    one = n == 1 and math.isfinite(total_len)
+    if one:
+        counts, shortest = (_MESH,), total_len  # its share is L / L = 1
     else:
         counts = tuple(np.fmax(np.ceil(_MESH * (lengths / total_len)), 1.0).astype(int).tolist())
+        shortest = float(lengths.min())
     build = _first_round if len(_XK) * sum(counts) <= _CACHE_NODES else _first_round.__wrapped__
     seg, m, mid, half, template = build(counts)
-    tols = (tol * lengths / total_len)[seg] / m
-    ds = d[seg]
-    nodes = za[seg, None] + template * ds[:, None]
-    fv = fz(np.concatenate([za, za + d, nodes.ravel()]))
-    evals = 0
+    if one:
+        a, ds, acc = za[0], d[0], 0j
+        tols = (tol * total_len / total_len) / m
+        pts = np.empty(2 + template.size, dtype=complex)
+        pts[0], pts[1] = a, a + ds
+        nodes = pts[2:].reshape(template.shape)
+        np.multiply(template, ds, out=nodes)
+        nodes += a
+    else:
+        totals = np.zeros(n, dtype=complex)
+        tols = (tol * lengths / total_len)[seg] / m
+        ds = d[seg]
+        nodes = za[seg, None] + template * ds[:, None]
+        pts = np.concatenate([za, za + d, nodes.ravel()])
+    fv = fz(pts)
+    evals, least = 0, _HALF_MIN * shortest  # a lower bound on |dz| / 2 of every panel
     while True:
         evals += fv.size
-        if not np.isfinite(fv).all():
+        if np.count_nonzero(np.isfinite(fv)) < fv.size:
             raise PathTooCloseError(_TOO_CLOSE)
         fv = fv[-nodes.size:].reshape(nodes.shape)  # past round 1's piece endpoints
         scale = half * ds
@@ -287,22 +313,45 @@ def integrate_pieces(
         k15, g7 = fv @ _WK, fv @ _WG
         kronrod = scale * k15
         err = np.abs(kronrod - scale * g7)
-        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
-        if done.all():
-            np.add.at(totals, seg, kronrod)
-            return complex(totals.sum())
-        np.add.at(totals, seg[done], kronrod[done])
+        done = err <= tols
+        if not (least >= _SCALE_FLOOR and np.count_nonzero(done) == done.size):
+            done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
         keep = ~done
-        if evals + 30 * np.count_nonzero(keep) > QUAD_EVAL_BUDGET:
-            np.add.at(totals, seg[keep], kronrod[keep])
-            raise QuadratureBudgetError(_BUDGET, best=complex(totals.sum()))
+        n_keep = np.count_nonzero(keep)
+        if one:
+            acc = _in_order(acc, kronrod[done])
+        else:
+            np.add.at(totals, seg[done], kronrod[done])
+        if not n_keep:
+            return acc if one else complex(totals.sum())
+        if evals + 30 * n_keep > QUAD_EVAL_BUDGET:
+            if one:
+                best = _in_order(acc, kronrod[keep])
+            else:
+                np.add.at(totals, seg[keep], kronrod[keep])
+                best = complex(totals.sum())
+            raise QuadratureBudgetError(_BUDGET, best=best)
         split = np.flatnonzero(keep).repeat(2)
         seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
         mid[0::2] -= half[0::2]
         mid[1::2] += half[1::2]
-        ds = d[seg]
-        nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
+        least *= 0.5
+        t = mid[:, None] + half[:, None] * _XK
+        if one:
+            nodes = a + t * ds
+        else:
+            ds = d[seg]
+            nodes = za[seg, None] + t * ds[:, None]
         fv = fz(nodes.ravel())
+
+
+def _in_order(acc: complex, values: np.ndarray) -> complex:
+    """acc plus the values one by one, in order, as np.add.at adds them to one
+    entry: a plain loop, as the built-in sum() compensates float sums since
+    Python 3.12."""
+    for v in values.tolist():
+        acc += v
+    return acc
 
 
 _TOO_CLOSE = "non-finite integrand: path too close to singularity"
@@ -318,11 +367,12 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
     each, as ``_integrands`` does; row p is path p, and the rows of a round
     hold the points of each path that is still open, in the order of its own
     call, padded to one width with its first point.  fz must give each point
-    the bits it gives that point alone.  Each path gets its own first mesh
-    over its own length, its own share of tol, its own count against
-    QUAD_EVAL_BUDGET and its own refusal.  A round takes the K15 and G7 sums
-    of all panels in one product each, but the mass of each path's panels in
-    a product of its own (a complex product rounds each row alone, for two
+    the bits it gives that point alone.  Each path gets its own first mesh over its own length, its own
+    share of tol, its own count against QUAD_EVAL_BUDGET and its own
+    refusal.  A round takes the K15 and G7 sums of all panels in one product
+    each, but the floors of a path only when one of its panels fails its
+    share of tol (or near underflow), with the mass of its panels in a
+    product of its own (a complex product rounds each row alone, for two
     rows or more; the real one does not), and each path's piece totals are
     summed as one slice, so that every bit is that of the path alone.  The
     round repeats integrate_pieces' own, which a shared helper would slow by
@@ -355,6 +405,7 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
     totals = np.zeros(len(za), dtype=complex)
     evals = np.zeros(n_paths, dtype=int)
     pts, ends = np.concatenate([za, za + d, nodes.ravel()]), np.concatenate([path, path])
+    least = _HALF_MIN * float(lengths.min())  # as in integrate_pieces, over every path
     while True:
         panel_path = path[seg]
         on = np.concatenate([ends, panel_path.repeat(len(_XK))])  # each point's path
@@ -370,12 +421,20 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
         fv = fv[-nodes.size:].reshape(nodes.shape)[ok]  # past round 1's piece endpoints
         seg, mid, half, tols, panel_path = seg[ok], mid[ok], half[ok], tols[ok], panel_path[ok]
         runs = np.flatnonzero(np.diff(panel_path, prepend=-1, append=n_paths))
-        mass = np.concatenate([np.abs(fv[lo:hi]) @ _WK for lo, hi in zip(runs[:-1], runs[1:])])
         scale = half * d[seg]
         k15, g7 = fv @ _WK, fv @ _WG
         kronrod = scale * k15
         err = np.abs(kronrod - scale * g7)
-        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * mass)
+        done = err <= tols
+        # the floors of each path with a panel that fails its share (of every
+        # path near underflow), as in integrate_pieces, each path's mass in a
+        # product of its own
+        floored = np.full(n_paths, not least >= _SCALE_FLOOR)
+        floored[panel_path[~done]] = True
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            if floored[panel_path[lo]]:
+                done[lo:hi] = err[lo:hi] <= np.maximum(
+                    tols[lo:hi], _ROUNDING_FLOOR * np.abs(scale[lo:hi]) * (np.abs(fv[lo:hi]) @ _WK))
         np.add.at(totals, seg[done], kronrod[done])
         keep = ~done
         kept = np.bincount(panel_path[keep], minlength=n_paths)
@@ -393,6 +452,7 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
         seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
         mid[0::2] -= half[0::2]
         mid[1::2] += half[1::2]
+        least *= 0.5
         nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * d[seg, None]
         pts, ends = nodes.ravel(), ends[:0]
 

@@ -26,10 +26,11 @@ xi and one FFT per node count of the rule, each row from its own start, and
 one adaptive quadrature call for the base values of all rows
 (``contours._integrate_paths``, the vectorized panels of Shampine, J.
 Comput. Appl. Math. 211 (2008) 131-140, over many paths).  The block and
-``evaluate`` share one integrand, h0 exp(xi)/Theta from ``_integrands``:
-``evaluate`` integrates its one row, and an array of points as one call
-over all their paths.  A row keeps its own error, and a block raises the
-first in member order.  ``extend_immersion``, ``constrained_eta``,
+``evaluate`` share one integrand, h0 exp(xi)/Theta from ``_integrands``,
+whose one row is a closure over the extension's own xi, h0 and poles:
+``evaluate`` integrates it along one path, and an array of points as one
+call over all their paths.  A row keeps its own error, and a block raises
+the first in member order.  ``extend_immersion``, ``constrained_eta``,
 ``IntegralImmersion.values_on_circle`` and ``extension_boundary_error`` (at
 256 boundary points) are the one-row case; each polynomial of a single row
 is evaluated by its own Horner.  Every row's result is bit for bit the
@@ -46,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, check_eps
+from .config import QUAD_TOL, RESIDUE_TOL, ROOT_TOL, as_integer, check_eps
 from .blending import _taylor_truncations, _truncations
 from .contours import (Disc, _counts, _integrate_paths, _per_row, _result, _unit_roots,
                        circle_primitives, circle_samples, integrate_pieces)
@@ -402,7 +403,8 @@ class IntegralImmersion:
         """Polyline from the base point to z avoiding poles by arc detours.
 
         Returns (piece starts, piece deltas).  side +1 bends one way, -1 the
-        other; the two agree because the integrand has no residues.
+        other; the two agree because the integrand has no residues.  A
+        segment that no pole's bubble meets is the one piece (z0, z - z0).
         """
         z0 = self.base_point
         d = z - z0
@@ -425,6 +427,8 @@ class IntegralImmersion:
                 continue
             dt = math.sqrt(max(delta * delta - hdist * hdist, 0.0))
             events.append((s, dt, a, delta))
+        if not events:  # no bubble meets the segment: one straight piece
+            return np.array([z0]), np.array([d])
         events.sort(key=lambda e: e[0])
         cursor = 0.0
         for s, dt, a, delta in events:
@@ -472,9 +476,13 @@ class IntegralImmersion:
         overflows) is INF as well, chordally indistinguishable from it.  A
         1-D array of points gives a list of values, one per point, bit for
         bit the pointwise ones: the paths of all the points run in one
-        quadrature call (:func:`_values_at`), and the first point
-        whose quadrature is refused, in order, raises its error.
+        quadrature call (:func:`_values_at`) over the one integrand, and the
+        first point whose quadrature is refused, in order, raises its error.
+        A side other than +1 or -1 raises InputError before any path is
+        built.
         """
+        if as_integer(side, "side") not in (1, -1):
+            raise InputError(f"side must be +1 or -1, not {side!r}")
         if isinstance(z, (np.ndarray, list, tuple)) and np.ndim(z):
             zs = np.asarray(z, dtype=complex)
             if zs.ndim != 1:
@@ -549,32 +557,40 @@ def _integrands(Fs: Sequence[IntegralImmersion]):
     increasing, as circle_primitives keeps it, or None for every row.  This
     is the one place the integrand is computed: a single extension's
     :meth:`~IntegralImmersion.evaluate` integrates its one row, and each row
-    of a block keeps the bits of that row alone.  The rows have one pole
-    count, as the members of a family do: extend_family refuses a count that
-    changes across the grid, whose cells connect every node."""
+    of a block keeps the bits of that row alone.  One extension gets a
+    one-row closure over its own xi, h0 and poles, which ignores idx and
+    keeps the shape of z.  The rows have one pole count, as the members of a
+    family do: extend_family refuses a count that changes across the grid,
+    whose cells connect every node."""
+    if len(Fs) == 1:
+        (F,) = Fs
+        xi, h0, locs = F.xi, F.scale, F.poles.locations
+        return lambda idx, z: _integrand(z, xi(z), locs, h0)
     xi, scale = _PolyRows([F.xi for F in Fs]), _column([F.scale for F in Fs])
     width = len(Fs[0].poles) if Fs else 0
     if any(len(F.poles) != width for F in Fs):
         raise InternalConsistencyError("the rows of a block differ in their pole counts")
     poles = [_column([F.poles.locations[j] for F in Fs]) for j in range(width)]
+    return lambda idx, z: _integrand(z, xi(idx, z), [_rows(a, idx) for a in poles],
+                                     _rows(scale, idx))
 
-    def fz(idx, z):
-        # Theta as the product of its factors (z - a)^2: Horner on the
-        # expanded Theta loses relative accuracy to cancellation near a
-        # pole (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
-        w = xi(idx, z)
-        theta = np.ones(w.shape, dtype=complex)
-        with np.errstate(all="ignore"):
-            for a in poles:
-                t = z - _rows(a, idx)
-                theta *= t * t
-            # exp(w) is named: numpy would compute scale * (a large
-            # temporary) as temporary * scale, whose complex product rounds
-            # differently, so that a point's bits would depend on the block
-            e = np.exp(w)
-            return _rows(scale, idx) * e / theta
 
-    return fz
+def _integrand(z, w, poles, scale):
+    """h0 exp(xi)/Theta at the points z from w = xi(z), its poles and h0 (a
+    column per row, or one row's values)."""
+    # Theta as the product of its factors (z - a)^2: Horner on the
+    # expanded Theta loses relative accuracy to cancellation near a
+    # pole (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
+    theta = np.ones(w.shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        for a in poles:
+            t = z - a
+            theta *= t * t
+        # exp(w) is named: numpy would compute scale * (a large
+        # temporary) as temporary * scale, whose complex product rounds
+        # differently, so that a point's bits would depend on the block
+        e = np.exp(w)
+        return scale * e / theta
 
 
 def _values_at(Fs: Sequence[IntegralImmersion], zs: Sequence[complex], side: int, fz) -> list:

@@ -183,14 +183,80 @@ def integrate_pieces_by_loop(fz, za, d, tol):
         mid = np.repeat(mid[keep], 2) + half * np.tile([-1.0, 1.0], len(half) // 2)
 
 
-def assert_same_quadrature(fz, za, d, tol):
+def integrate_pieces_full_floor(fz, za, d, tol):
+    """Reference copy of the vectorized round loop that forms the rounding
+    floor of every panel in every round, sets a one-piece path up as any
+    other, and sums through np.add.at and totals.sum().  The budget is read
+    from the kernel's module when called, so a test that patches it patches
+    both."""
+    from meroimm import contours
+    from meroimm.contours import (_BUDGET, _CACHE_NODES, _MESH, _ROUNDING_FLOOR, _TOO_CLOSE, _WG,
+                                  _WK, _XK, _first_round)
+    from meroimm.errors import PathTooCloseError, QuadratureBudgetError
+
+    lengths = np.abs(d)
+    total_len = float(lengths.sum())
+    n = len(za)
+    totals = np.zeros(n, dtype=complex)
+    if total_len == 0.0:
+        return 0j
+
+    # the share before the product, so that a one-piece path gets exactly
+    # _MESH panels: _MESH * L / L can round above _MESH.  fmax gives a NaN
+    # share one panel, so that a non-finite path is refused at its nodes
+    if n == 1 and math.isfinite(total_len):
+        counts = (_MESH,)  # its share is L / L = 1
+    else:
+        counts = tuple(np.fmax(np.ceil(_MESH * (lengths / total_len)), 1.0).astype(int).tolist())
+    build = _first_round if len(_XK) * sum(counts) <= _CACHE_NODES else _first_round.__wrapped__
+    seg, m, mid, half, template = build(counts)
+    tols = (tol * lengths / total_len)[seg] / m
+    ds = d[seg]
+    nodes = za[seg, None] + template * ds[:, None]
+    fv = fz(np.concatenate([za, za + d, nodes.ravel()]))
+    evals = 0
+    while True:
+        evals += fv.size
+        if not np.isfinite(fv).all():
+            raise PathTooCloseError(_TOO_CLOSE)
+        fv = fv[-nodes.size:].reshape(nodes.shape)  # past round 1's piece endpoints
+        scale = half * ds
+        # three products over the same rows: matmul rounding depends on the
+        # operand's shape, so stacking _WK and _WG into one product changes
+        # the bits.  The sums are named, so that numpy does not reuse a large
+        # temporary as the left factor of scale, which changes the bits of a
+        # complex product.  _integrate_paths repeats this round (see there)
+        k15, g7 = fv @ _WK, fv @ _WG
+        kronrod = scale * k15
+        err = np.abs(kronrod - scale * g7)
+        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
+        if done.all():
+            np.add.at(totals, seg, kronrod)
+            return complex(totals.sum())
+        np.add.at(totals, seg[done], kronrod[done])
+        keep = ~done
+        if evals + 30 * np.count_nonzero(keep) > contours.QUAD_EVAL_BUDGET:
+            np.add.at(totals, seg[keep], kronrod[keep])
+            raise QuadratureBudgetError(_BUDGET, best=complex(totals.sum()))
+        split = np.flatnonzero(keep).repeat(2)
+        seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
+        mid[0::2] -= half[0::2]
+        mid[1::2] += half[1::2]
+        ds = d[seg]
+        nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * ds[:, None]
+        fv = fz(nodes.ravel())
+
+
+def assert_same_quadrature(fz, za, d, tol, reference=integrate_pieces_by_loop):
     """integrate_pieces and the reference loop return, or refuse with, the
-    same bits, after the same integrand calls on the same points."""
+    same bits, after the same integrand calls on the same points.  Returns
+    the outcome, "returned" or "refused" (budget), and the sum or the best
+    estimate."""
     from meroimm.contours import integrate_pieces
     from meroimm.errors import QuadratureBudgetError
 
     results = []
-    for kernel in (integrate_pieces, integrate_pieces_by_loop):
+    for kernel in (integrate_pieces, reference):
         rec = Recorder(fz)
         try:
             results.append(("returned", kernel(rec, za, d, tol), rec.calls))

@@ -28,8 +28,8 @@ from meroimm import (
 from meroimm import contours, poly
 from meroimm.contours import circle_primitives, circle_samples, integrate_pieces
 
-from helpers import (Recorder, assert_same_paths, assert_same_quadrature, mpmath_pieces,
-                     same_bits)
+from helpers import (Recorder, assert_same_paths, assert_same_quadrature,
+                     integrate_pieces_full_floor, mpmath_pieces, same_bits)
 
 P = ComplexPolynomial
 R = RationalMap
@@ -312,6 +312,92 @@ def test_many_paths_in_one_call_are_each_path_alone(monkeypatch):
     assert contours._integrate_paths(None, np.array([0j]), np.array([0j]), 1e-10, [0, 1]) == [0j] * 2
     with pytest.raises(InputError):
         contours._integrate_paths(None, np.array([0j]), np.array([1 + 0j]), 1e-10, [2, -1])
+
+
+def _seeded_legs(rng, count):
+    """count paths of 1 to 6 pieces 0.05 to 3 long, the first half of them
+    one piece, with an integrand each: a polynomial of degree 0 to 8, or
+    1 / (z - w)^2 with w 0.001 to 0.3 off the first piece, which takes
+    several rounds."""
+    for k in range(count):
+        n = 1 if k < count // 2 else int(rng.integers(2, 7))
+        za0 = complex(*rng.uniform(-1, 1, 2))
+        d = rng.uniform(0.05, 3.0, n) * np.exp(2j * np.pi * rng.random(n)) / n
+        za = za0 + np.concatenate([[0j], np.cumsum(d)[:-1]])
+        if k % 3:
+            coeffs = rng.normal(size=int(rng.integers(1, 10))) * (1 + 1j * rng.normal())
+            yield P(coeffs.tolist()), za, d
+        else:
+            w = za[0] + rng.random() * d[0] + 10.0 ** rng.uniform(-3, -0.5) * 1j * d[0] / abs(d[0])
+            yield (lambda z, w=w: 1.0 / (z - w) ** 2), za, d
+
+
+def test_lean_round_is_the_full_floor_round_bit_for_bit(monkeypatch):
+    # the one-piece set-up, the sum in panel order and the early share test
+    # against the round that forms every floor and sets every path up
+    # alike, on seeded paths: sums, refusals with their best estimate, and
+    # the points of every call
+    rng = np.random.default_rng(35)
+    outcomes = []
+    for budget in (contours.QUAD_EVAL_BUDGET, 250, 1000):
+        monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", budget)
+        for fz, za, d in _seeded_legs(rng, 120):
+            rec = Recorder(fz)
+            tol = (1e-6, 1e-10, 1e-13)[len(outcomes) % 3]
+            how, _ = assert_same_quadrature(rec, za, d, tol, reference=integrate_pieces_full_floor)
+            outcomes.append((how, len(za) == 1, len(rec.calls) // 2))
+    assert {(how, one) for how, one, _ in outcomes} == {
+        (how, one) for how in ("returned", "refused") for one in (True, False)}
+    assert max(rounds for _, one, rounds in outcomes if one) >= 4
+
+
+def test_one_piece_refuses_a_non_finite_end_point():
+    # no node reaches a piece's end points, which round 1 also evaluates
+    za, d = np.array([0.3 + 0j]), np.array([2j])
+    for end, bad in ((za[0], complex("nan")), (za[0] + d[0], complex("inf"))):
+        fz = lambda z, end=end, bad=bad: np.where(z == end, bad, 1.0 + 0j)  # noqa: E731
+        for kernel in (integrate_pieces, integrate_pieces_full_floor):
+            with pytest.raises(PathTooCloseError):
+                kernel(fz, za, d, 1e-10)
+        got = contours._integrate_paths(lambda idx, z, fz=fz: fz(z), np.array([za[0], -1.0]),
+                                        np.array([d[0], 1.0]), 1e-10, [1, 1])
+        assert isinstance(got[0], PathTooCloseError) and got[1] == pytest.approx(1.0)
+
+
+def test_one_piece_budget_refusal_keeps_the_best_estimate(monkeypatch):
+    # refused after the first round (its 152 evaluations) and after later ones
+    needle = lambda z: 1.0 / (z - (1.0 + 1e-7j))  # noqa: E731
+    bests = []
+    for budget in (100, 152, 400, 2000, 8000):
+        monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", budget)
+        how, best = assert_same_quadrature(needle, np.array([0j]), np.array([2 + 0j]), 1e-14,
+                                           reference=integrate_pieces_full_floor)
+        assert how == "refused"
+        bests.append(best)
+    assert bests[0] == bests[1] and len(set(bests)) == 4  # 100 and 152 refuse after round 1
+
+
+def test_a_nan_floor_rejects_as_in_the_full_floor_round(monkeypatch):
+    # a constant whose modulus is 1.13e308 and whose sums stay finite, so
+    # that the mass overflows while |K15 - G7| does not: where |dz| / 2 is so
+    # small that 50 eps |dz| / 2 underflows to 0, the floor is 0 * inf = NaN,
+    # and err <= max(share, NaN) rejects panels that pass their share (here
+    # err = share = 0), until the budget runs out.  Elsewhere the floor is
+    # inf and accepts
+    big = lambda z: np.full(z.shape, 0.8e308 * (1 + 1j))  # noqa: E731
+    monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", 2000)
+    tiny = 5e-324
+    legs = [(np.array([0j]), np.array([tiny * 1j])),  # |dz| / 2 rounds to 0
+            (np.array([0j]), np.array([1e-310 + 0j])),  # 50 eps |dz| / 2 underflows
+            (np.array([0j]), np.array([1e-300 + 0j])),
+            (np.array([0j]), np.array([1.0 + 0j])),
+            (np.array([0j, 1.0]), np.array([1.0, tiny])),  # a tiny second piece
+            (np.array([0j, 1.0]), np.array([1.0, 1j]))]
+    want = ["refused", "refused", "returned", "returned", "refused", "returned"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert [assert_same_quadrature(big, za, d, 1e-10, reference=integrate_pieces_full_floor)[0]
+                for za, d in legs] == want
+        assert assert_same_paths([big] * len(legs), legs, 1e-10) == want
 
 
 def one_row_primitive(fz, center, radius, n, tol):

@@ -9,7 +9,8 @@ import pytest
 
 import meroimm.extension
 import meroimm.immersions
-from helpers import assert_same_quadrature, mpmath_pieces, same_bits, separated_points
+from helpers import (assert_same_quadrature, integrate_pieces_full_floor, mpmath_pieces, same_bits,
+                     separated_points)
 from meroimm import (
     INF,
     ComplexPolynomial,
@@ -21,6 +22,7 @@ from meroimm import (
     NotAnImmersionError,
     NumericalError,
     ParamGrid,
+    PathTooCloseError,
     PoleCollisionError,
     PoleSet,
     PreconditionError,
@@ -677,6 +679,48 @@ def test_detour_quadrature_matches_reference_loop(num, den):
     for z in ring(1.5, 16):
         starts, deltas = F._detour_path(complex(z), 1)
         assert assert_same_quadrature(F._fz, starts, deltas, QUAD_TOL)[0] == "returned"
+
+
+def test_detour_quadrature_of_the_extend_pool_is_the_full_floor_round():
+    # the rows h0 exp(xi)/Theta of the benchmark's seed-11 extend pool, on
+    # their detour paths to |z| = 1.5 on both sides, one piece and many:
+    # the lean round against the round that forms every floor, bit for bit
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    wl = workloads.Extend(meroimm, 11, None)
+    pieces = set()
+    for op in wl.build():
+        F = extend_immersion(op["map"], D0, D1, wl.spec["eps"])
+        for z in workloads.RING16:
+            for side in (1, -1):
+                starts, deltas = F._detour_path(complex(z), side)
+                pieces.add(len(starts) > 1)
+                try:
+                    assert_same_quadrature(F._fz, starts, deltas, QUAD_TOL,
+                                           reference=integrate_pieces_full_floor)
+                except PathTooCloseError:  # exp(xi) overflows: then both refuse
+                    with pytest.raises(PathTooCloseError):
+                        integrate_pieces_full_floor(F._fz, starts, deltas, QUAD_TOL)
+    assert pieces == {True, False}
+
+
+def test_evaluate_refuses_a_side_other_than_plus_or_minus_one(monkeypatch):
+    # the point 1.5 lies in the pole's direction, so its path bends; a bad
+    # side is refused before any path is built, for a point and for an array
+    F = extend_immersion(R(P([1]), P.from_roots([0.5])), D0, D1, 1e-3)
+    assert len(F._detour_path(1.5 + 0j, 1)[0]) > 1
+    want = {side: F.evaluate(1.5, side=side) for side in (1, -1)}
+    assert F.evaluate(1.5, side=1.0) == want[1] and F.evaluate(1.5, side=np.int64(-1)) == want[-1]
+
+    def no_path(*args):
+        raise AssertionError("a path was built")
+
+    monkeypatch.setattr(meroimm.extension.IntegralImmersion, "_detour_path", no_path)
+    for side in (0, 2, -2, 0.5, math.nan, True, "a", None, [1]):
+        for z in (1.5, np.array([1.5, 0.2j])):
+            with pytest.raises(InputError, match="side"):
+                F.evaluate(z, side=side)
 
 
 def test_evaluate_next_to_pole_on_either_side():
