@@ -256,7 +256,7 @@ def _net_condition_holds(
             d = sampled_sup_distance(
                 family.maps[i], family.maps[net[k]], family.domain, samples=128
             )
-            if d >= eps_quarter:
+            if not d < eps_quarter:  # a NaN distance fails
                 return False
     return True
 
@@ -327,7 +327,7 @@ def fix_on_Q(
     out = list(blended.maps)
     for i in q_nodes:
         d = sampled_sup_distance(q_maps[i], original.maps[i], blended.domain, samples=128)
-        if d >= eps / 2.0:
+        if not d < eps / 2.0:  # a NaN distance fails
             raise PreconditionError(
                 f"prescribed map at Q node {i} drifts {d:.3e} from the family"
             )

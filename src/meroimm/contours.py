@@ -7,8 +7,9 @@ straight pieces, in :func:`integrate_pieces` for one path and
 ``_integrate_paths`` for many paths in one round loop, each path bit for bit
 as alone.  It starts a path on a mesh of about ten equal panels, as
 Shampine's vectorized quadgk does, accepts a panel when |K15 - G7| is within
-its share of the tolerance or QUADPACK's rounding floor, bisects the others,
-and refuses a non-finite value at any node or piece endpoint.
+its share of the tolerance or QUADPACK's rounding floor (a NaN floor leaves
+the share), bisects the rest, and refuses a non-finite value at a node or an
+end point of a piece.
 Circles have one kernel, the periodic trapezoid rule (Trefethen & Weideman,
 SIAM Rev. 2014), on one sampler, :func:`_rings`: it samples the open rows of
 a block at N equispaced nodes, doubles N by adding the midpoints, and closes
@@ -86,9 +87,9 @@ def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.
 
     The unit roots are memoized by (n, offset) and shared read-only; the
     returned array is new on every call and writeable.  An n that is not an
-    integer >= 1 raises InputError.
+    integer >= 1, or is a bool, raises InputError.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InputError(f"a circle needs an integer number of samples >= 1, not {n!r}")
     roots = (_unit_roots if n <= _CACHE_NODES else _unit_roots.__wrapped__)(n, offset)
     return center + radius * roots
@@ -211,11 +212,6 @@ _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 # initial panels over the whole path: in a vectorized round extra nodes cost
 # less than extra rounds (Shampine, J. Comput. Appl. Math. 211 (2008) 131-140)
 _MESH = 10
-# every first panel has half-width >= 0.5 / _MESH in t, and a bisection
-# halves it.  Below |dz| / 2 = _SCALE_FLOOR on a panel, its floor
-# 50 eps |dz| / 2 times its mass may be 0 * inf = NaN, which rejects the
-# panel, so rounds that reach it form every floor
-_HALF_MIN, _SCALE_FLOOR = 0.5 / _MESH, 1e-290
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -243,28 +239,27 @@ def integrate_pieces(
     length, so a one-piece path starts as ten panels and a piece shorter
     than L/_MESH as one.  Each round evaluates fz once, at the 15 Kronrod
     nodes of every active panel.  A panel is accepted with its K15 value
-    when |K15 - G7| <= max(share, floor), its length share of ``tol`` or
+    when |K15 - G7| <= fmax(share, floor), its length share of ``tol`` or
     the rounding floor 50 eps times its integral of |fz dz|, which keeps a
-    large integrand from being asked for more digits than doubles carry; a
-    NaN rejects, and a rejected panel is bisected.  The share is tested
-    first.  The floors are formed only in a round where a panel fails its
-    share, or where a panel's |dz| is small enough for 50 eps |dz| to
-    underflow, so that a floor could be 0 * inf = NaN; then they are formed
-    for every panel of the round, as a real matrix product rounds a row by
-    its place in the block.  The first round also evaluates the piece
-    endpoints, which no node reaches.  A non-finite value anywhere raises
-    PathTooCloseError.  Evaluations (15 per panel, 2 per piece) are counted
-    against QUAD_EVAL_BUDGET.  The first round is always evaluated in full;
-    after any round, a next round that would take the count past the budget
-    raises QuadratureBudgetError with the best estimate, so a budget smaller
-    than the first round refuses after it.  The first mesh depends only on
-    the panel counts; meshes of up to _CACHE_NODES nodes are memoized by
-    them and shared read-only.  A path of one finite piece is set up with a
-    scalar d, the tolerance (tol L / L) / _MESH per panel, and its end
-    points and nodes in one array; its accepted panels are added to one
-    complex in panel order, as np.add.at adds them to a piece total.
-    :func:`_integrate_paths` integrates many paths in one call, each bit
-    for bit as here.
+    large integrand from being asked for more digits than doubles carry.  A
+    NaN floor (0 * inf: 50 eps |dz| / 2 underflows, the mass overflows)
+    leaves the share, a NaN error rejects, and a rejected panel is bisected.
+    So the share decides every panel that passes it: the floors are formed
+    only in a round where a panel fails it, and then for the whole round, as
+    a real matrix product rounds a row by its place in the block.  The first
+    round also evaluates the piece endpoints, which no node reaches.  A
+    non-finite value anywhere raises PathTooCloseError.  Evaluations (15 per
+    panel, 2 per piece) are counted against QUAD_EVAL_BUDGET.  The first
+    round is always evaluated in full; after any round, a next round that
+    would take the count past the budget raises QuadratureBudgetError with
+    the best estimate, so a budget smaller than the first round refuses
+    after it.  The first mesh depends only on the panel counts; meshes of up
+    to _CACHE_NODES nodes are memoized by them and shared read-only.  A path
+    of one finite piece is set up with a scalar d, the tolerance
+    (tol L / L) / _MESH per panel, and its end points and nodes in one
+    array; its accepted panels are added to one complex in panel order, as
+    np.add.at adds them to a piece total.  :func:`_integrate_paths`
+    integrates many paths in one call, each bit for bit as here.
     """
     lengths = np.abs(d)
     total_len = float(lengths.sum())
@@ -277,10 +272,9 @@ def integrate_pieces(
     # share one panel, so that a non-finite path is refused at its nodes
     one = n == 1 and math.isfinite(total_len)
     if one:
-        counts, shortest = (_MESH,), total_len  # its share is L / L = 1
+        counts = (_MESH,)  # its share is L / L = 1
     else:
         counts = tuple(np.fmax(np.ceil(_MESH * (lengths / total_len)), 1.0).astype(int).tolist())
-        shortest = float(lengths.min())
     build = _first_round if len(_XK) * sum(counts) <= _CACHE_NODES else _first_round.__wrapped__
     seg, m, mid, half, template = build(counts)
     if one:
@@ -298,7 +292,7 @@ def integrate_pieces(
         nodes = za[seg, None] + template * ds[:, None]
         pts = np.concatenate([za, za + d, nodes.ravel()])
     fv = fz(pts)
-    evals, least = 0, _HALF_MIN * shortest  # a lower bound on |dz| / 2 of every panel
+    evals = 0
     while True:
         evals += fv.size
         if np.count_nonzero(np.isfinite(fv)) < fv.size:
@@ -314,8 +308,8 @@ def integrate_pieces(
         kronrod = scale * k15
         err = np.abs(kronrod - scale * g7)
         done = err <= tols
-        if not (least >= _SCALE_FLOOR and np.count_nonzero(done) == done.size):
-            done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
+        if np.count_nonzero(done) < done.size:
+            done = err <= np.fmax(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
         keep = ~done
         n_keep = np.count_nonzero(keep)
         if one:
@@ -335,7 +329,6 @@ def integrate_pieces(
         seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
         mid[0::2] -= half[0::2]
         mid[1::2] += half[1::2]
-        least *= 0.5
         t = mid[:, None] + half[:, None] * _XK
         if one:
             nodes = a + t * ds
@@ -363,20 +356,22 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
     number of pieces of path p, which follow those of path p - 1.  Entry p is
     the sum of path p, or the error it raises alone.
 
-    ``fz(idx, z)`` returns the rows idx (increasing) at the points z, one row
-    each, as ``_integrands`` does; row p is path p, and the rows of a round
-    hold the points of each path that is still open, in the order of its own
-    call, padded to one width with its first point.  fz must give each point
-    the bits it gives that point alone.  Each path gets its own first mesh over its own length, its own
-    share of tol, its own count against QUAD_EVAL_BUDGET and its own
-    refusal.  A round takes the K15 and G7 sums of all panels in one product
-    each, but the floors of a path only when one of its panels fails its
-    share of tol (or near underflow), with the mass of its panels in a
-    product of its own (a complex product rounds each row alone, for two
-    rows or more; the real one does not), and each path's piece totals are
-    summed as one slice, so that every bit is that of the path alone.  The
-    round repeats integrate_pieces' own, which a shared helper would slow by
-    a call per round.  One path runs the one-path loop.
+    ``fz(idx, z)`` returns the rows idx (increasing) at the points z, one
+    row each, as ``_integrands`` does; row p is path p, and the rows of a
+    round hold the points of each path that is still open, in the order of
+    its own call, padded to one width with its first point.  fz must give
+    each point the bits it gives that point alone.  Each path gets its own
+    first mesh over its own length, its own share of tol, its own count
+    against QUAD_EVAL_BUDGET and its own refusal, and the same rule, err <=
+    fmax(share, floor): a NaN floor leaves the share, a NaN err rejects.  A
+    round takes the K15 and G7 sums of all panels in one product each, but
+    the floors of a path only when one of its panels fails its share, with
+    the mass of its panels in a product of its own (a complex product rounds
+    each row alone, for two rows or more; the real one does not), and each
+    path's piece totals are summed as one slice, so that every bit is that
+    of the path alone.  The round repeats integrate_pieces' own, which a
+    shared helper would slow by a call per round.  One path runs the
+    one-path loop.
     """
     if len(paths) == 1 and paths[0] == len(za):
         row = np.zeros(1, dtype=int)
@@ -405,7 +400,6 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
     totals = np.zeros(len(za), dtype=complex)
     evals = np.zeros(n_paths, dtype=int)
     pts, ends = np.concatenate([za, za + d, nodes.ravel()]), np.concatenate([path, path])
-    least = _HALF_MIN * float(lengths.min())  # as in integrate_pieces, over every path
     while True:
         panel_path = path[seg]
         on = np.concatenate([ends, panel_path.repeat(len(_XK))])  # each point's path
@@ -426,14 +420,13 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
         kronrod = scale * k15
         err = np.abs(kronrod - scale * g7)
         done = err <= tols
-        # the floors of each path with a panel that fails its share (of every
-        # path near underflow), as in integrate_pieces, each path's mass in a
-        # product of its own
-        floored = np.full(n_paths, not least >= _SCALE_FLOOR)
+        # the floors of each path with a panel that fails its share, as in
+        # integrate_pieces, each path's mass in a product of its own
+        floored = np.zeros(n_paths, dtype=bool)
         floored[panel_path[~done]] = True
         for lo, hi in zip(runs[:-1], runs[1:]):
             if floored[panel_path[lo]]:
-                done[lo:hi] = err[lo:hi] <= np.maximum(
+                done[lo:hi] = err[lo:hi] <= np.fmax(
                     tols[lo:hi], _ROUNDING_FLOOR * np.abs(scale[lo:hi]) * (np.abs(fv[lo:hi]) @ _WK))
         np.add.at(totals, seg[done], kronrod[done])
         keep = ~done
@@ -452,7 +445,6 @@ def _integrate_paths(fz, za: np.ndarray, d: np.ndarray, tol: float, paths: Seque
         seg, mid, half, tols = seg[split], mid[split], 0.5 * half[split], 0.5 * tols[split]
         mid[0::2] -= half[0::2]
         mid[1::2] += half[1::2]
-        least *= 0.5
         nodes = za[seg, None] + (mid[:, None] + half[:, None] * _XK) * d[seg, None]
         pts, ends = nodes.ravel(), ends[:0]
 
@@ -544,6 +536,8 @@ def circle_primitives(fz, center: complex, radius: float, n: int, tol: float, st
             c, k = np.fft.fft(g, axis=-1) / N, np.fft.fftfreq(N, 1.0 / N)
             # |k| >= N/4, a contiguous slice, so that each row sums as one row alone does
             high = slice(N // 4, N - N // 4 + 1)
+            # np.maximum, not fmax: the floor sums every mode and the tail only
+            # |k| >= N/4, so a NaN low mode with a finite tail must reject
             done = np.abs(c[..., high] / k[high]).sum(axis=-1) <= np.maximum(
                 tol, _ROUNDING_FLOOR * np.abs(c).sum(axis=-1))
             n_done = np.count_nonzero(done)

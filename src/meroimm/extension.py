@@ -71,13 +71,6 @@ from .sphere import INF, SpherePoint, chordal_distance, is_inf
 # chordal target for the Q members of a family, which are reproduced on the big disc
 Q_EPS = 1e-8
 
-# the certificate's 1024 sample points of the unit disc, on Vogel's sunflower
-# spiral, built once and shared read-only
-_SUNFLOWER = np.sqrt((np.arange(1024) + 0.5) / 1024) * np.exp(
-    1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(1024)
-)
-_SUNFLOWER.flags.writeable = False
-
 
 def residue_targets(A: PoleSet) -> list[complex]:
     """Logarithmic-residue targets g'(a)/g(a), g = prod over the other poles
@@ -528,20 +521,17 @@ class IntegralImmersion:
     def certificate(self) -> ImmersionCertificate:
         """Sphere-immersion certificate on the extension disc.
 
-        The derivative h0 exp(xi)/Theta is nonvanishing by its form; the
-        sampled check confirms its log-modulus is finite at 1024 deterministic
-        sunflower points of the disc (evaluated in log space, so exponent
-        overflow cannot fake a zero).
+        The derivative h0 exp(xi)/Theta is nonvanishing by its form, and
+        log|F'| is finite off the poles wherever xi is.  With c and R the
+        disc's center and radius, S = xi.horner_scale(max(1, |c| + R)) bounds
+        every Horner partial sum of xi on the closed disc, so a finite 2S
+        (which covers the rounding growth of any degree below 2^50) certifies
+        the whole disc, and any other S raises NumericalError.
         """
-        pts = self.domain.center + self.domain.radius * _SUNFLOWER
-        keep = np.ones(len(pts), dtype=bool)
-        for a, _ in self.poles:
-            keep &= np.abs(pts - a) > 1e-9
-        logs = self.log_abs_derivative(pts[keep])
-        if not np.all(logs > -math.inf) or np.any(np.isnan(logs)):
-            raise InternalConsistencyError(
-                "sampled log-derivative check found a vanishing derivative"
-            )
+        disc = self.domain
+        bound = self.xi.horner_scale(max(1.0, abs(disc.center) + disc.radius))
+        if not math.isfinite(2.0 * bound):
+            raise NumericalError(f"xi leaves double range on the disc (Horner bound {bound:.3e})")
         poles_inside = self.poles.filter(
             lambda a: abs(a - self.domain.center) < self.domain.radius
         )

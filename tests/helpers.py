@@ -136,7 +136,8 @@ class Recorder:
 def integrate_pieces_by_loop(fz, za, d, tol):
     """Reference copy of the adaptive G7-K15 round loop as first written:
     endpoints concatenated into every round, the midpoint update through
-    np.tile, and one add.at per outcome.  The set-up before the loop is the
+    np.tile, and one add.at per outcome, accepting on the kernel's rule
+    err <= fmax(share, floor).  The set-up before the loop is the
     initial mesh: piece k starts as ceil(_MESH |d[k]| / L) equal panels, each
     with its length share of tol.  The budget is read from the kernel's
     module when called, so a test that patches it patches both."""
@@ -170,7 +171,7 @@ def integrate_pieces_by_loop(fz, za, d, tol):
         scale = half * d[seg]
         kronrod = scale * (fv @ _WK)
         err = np.abs(kronrod - scale * (fv @ _WG))
-        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
+        done = err <= np.fmax(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
         np.add.at(totals, seg[done], kronrod[done])
         keep = ~done
         if not keep.any():
@@ -186,7 +187,8 @@ def integrate_pieces_by_loop(fz, za, d, tol):
 def integrate_pieces_full_floor(fz, za, d, tol):
     """Reference copy of the vectorized round loop that forms the rounding
     floor of every panel in every round, sets a one-piece path up as any
-    other, and sums through np.add.at and totals.sum().  The budget is read
+    other, and sums through np.add.at and totals.sum(), accepting on the
+    kernel's rule err <= fmax(share, floor).  The budget is read
     from the kernel's module when called, so a test that patches it patches
     both."""
     from meroimm import contours
@@ -229,7 +231,7 @@ def integrate_pieces_full_floor(fz, za, d, tol):
         k15, g7 = fv @ _WK, fv @ _WG
         kronrod = scale * k15
         err = np.abs(kronrod - scale * g7)
-        done = err <= np.maximum(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
+        done = err <= np.fmax(tols, _ROUNDING_FLOOR * np.abs(scale) * (np.abs(fv) @ _WK))
         if done.all():
             np.add.at(totals, seg, kronrod)
             return complex(totals.sum())

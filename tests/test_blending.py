@@ -139,6 +139,32 @@ def test_fix_on_q_drift_check():
     assert fix_on_Q(out, {0: near}, original=fam, eps=1e-3).maps[0] is near
 
 
+# the 6th point of the 128-point ring, offset 0.37, that the net condition and
+# fix_on_Q sample the unit disc's boundary on: there k (z - a)/(z - a) is NaN
+_RING_POINT = complex(circle_samples(0, 1.0, 128, offset=0.37)[5])
+
+
+def _nan_on_the_ring(k):
+    return lambda z: k * (z - _RING_POINT) / (z - _RING_POINT)
+
+
+def test_a_nan_distance_fails_the_net_condition():
+    # NaN >= eps/4 compared false, so stride 2 passed and node 1 was blended
+    # from the constant 1 of its neighbours, 4.0 from its member 5
+    fam = SampledFamily(ParamGrid.line(3), [R(P([1])), _nan_on_the_ring(5), R(P([1]))], UNIT)
+    with np.errstate(invalid="ignore"):
+        out = blend_parametric(fam, 1e-3)
+    assert sampled_sup_distance(out.maps[1], R(P([5])), UNIT) < 5e-4
+
+
+def test_fix_on_q_refuses_a_nan_distance():
+    # NaN >= eps/2 compared false, so a map that is NaN at a sample was put in
+    grid = ParamGrid.line(3, q_nodes=[1])
+    fam = SampledFamily(grid, [R(P([1]))] * 3, UNIT)
+    with np.errstate(invalid="ignore"), pytest.raises(PreconditionError, match="drifts nan"):
+        fix_on_Q(fam, {1: _nan_on_the_ring(1)}, original=fam, eps=1e-3)
+
+
 def test_fix_on_q_wrong_nodes():
     grid = ParamGrid.line(5, q_nodes=[0])
     maps = [R(P([0, 1]))] * 5

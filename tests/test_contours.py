@@ -377,14 +377,19 @@ def test_one_piece_budget_refusal_keeps_the_best_estimate(monkeypatch):
     assert bests[0] == bests[1] and len(set(bests)) == 4  # 100 and 152 refuse after round 1
 
 
-def test_a_nan_floor_rejects_as_in_the_full_floor_round(monkeypatch):
+def test_a_nan_floor_accepts_a_panel_that_passes_its_share(monkeypatch):
     # a constant whose modulus is 1.13e308 and whose sums stay finite, so
     # that the mass overflows while |K15 - G7| does not: where |dz| / 2 is so
     # small that 50 eps |dz| / 2 underflows to 0, the floor is 0 * inf = NaN,
-    # and err <= max(share, NaN) rejects panels that pass their share (here
-    # err = share = 0), until the budget runs out.  Elsewhere the floor is
-    # inf and accepts
-    big = lambda z: np.full(z.shape, 0.8e308 * (1 + 1j))  # noqa: E731
+    # and err <= fmax(share, NaN) falls back to the share, which these panels
+    # pass (np.maximum rejected them until the budget ran out).  Elsewhere
+    # the floor is inf.  Every leg returns its exact integral, within 1e-10
+    # and relative above 1, in both loops, as the reference loops do.  The
+    # last leg adds a piece near a pole, so that its first round forms the
+    # floors: np.maximum would bisect the tiny piece's panel there
+    c, w = 0.8e308 * (1 + 1j), 4.5 + 1e-3j
+    big = lambda z: np.full(z.shape, c)  # noqa: E731
+    mixed = lambda z: np.where(z.real < 2.0, c, 1.0 / (z - w))  # noqa: E731
     monkeypatch.setattr(contours, "QUAD_EVAL_BUDGET", 2000)
     tiny = 5e-324
     legs = [(np.array([0j]), np.array([tiny * 1j])),  # |dz| / 2 rounds to 0
@@ -392,12 +397,22 @@ def test_a_nan_floor_rejects_as_in_the_full_floor_round(monkeypatch):
             (np.array([0j]), np.array([1e-300 + 0j])),
             (np.array([0j]), np.array([1.0 + 0j])),
             (np.array([0j, 1.0]), np.array([1.0, tiny])),  # a tiny second piece
-            (np.array([0j, 1.0]), np.array([1.0, 1j]))]
-    want = ["refused", "refused", "returned", "returned", "refused", "returned"]
+            (np.array([0j, 1.0]), np.array([1.0, 1j])),
+            (np.array([0j, 4.0]), np.array([1e-310, 1.0]))]
+    fzs = [big] * 6 + [mixed]
+    exact = [c * complex(d.sum()) for _, d in legs[:6]]
+    exact.append(c * 1e-310 + cmath.log(5.0 - w) - cmath.log(4.0 - w))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert [assert_same_quadrature(big, za, d, 1e-10, reference=integrate_pieces_full_floor)[0]
-                for za, d in legs] == want
-        assert assert_same_paths([big] * len(legs), legs, 1e-10) == want
+        alone = [integrate_pieces(fz, za, d, 1e-10) for fz, (za, d) in zip(fzs, legs)]
+        together = contours._integrate_paths(
+            lambda idx, z: np.array([fzs[i](row) for i, row in zip(idx, z)]),
+            np.concatenate([za for za, _ in legs]), np.concatenate([d for _, d in legs]), 1e-10,
+            [len(za) for za, _ in legs])
+        assert [assert_same_quadrature(fz, za, d, 1e-10, reference=integrate_pieces_full_floor)[0]
+                for fz, (za, d) in zip(fzs, legs)] == ["returned"] * len(legs)
+        assert assert_same_paths(fzs, legs, 1e-10) == ["returned"] * len(legs)
+    for got in (alone, together):
+        assert all(abs(g - e) <= 1e-10 * max(1.0, abs(e)) for g, e in zip(got, exact)), (got, exact)
 
 
 def one_row_primitive(fz, center, radius, n, tol):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -416,6 +417,26 @@ def test_entry_points_refuse_a_bad_eps(entry, eps):
     _EPS_ENTRY_POINTS[entry](1e-3)
 
 
+def test_the_certificate_refuses_an_xi_out_of_double_range():
+    # xi = s z on Disc(0, 2): its Horner bound 2 |s| overflows for |s| = 1e308,
+    # where 1,024 samples of log|F'| read -inf and NaN and blamed the program
+    # (InternalConsistencyError) after a RuntimeWarning
+    F = extend_immersion(R(P([0, 1])), D0, D1, 1e-3)
+    assert F.poles.locations == ()
+
+    def with_xi(s):
+        G = dataclasses.replace(F, base_point=0j, eta_parts=ConstrainedEta(P([]), P([s]), ()))
+        assert G.xi == P([0, s])
+        return G
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e308, -1e308):
+            with pytest.raises(NumericalError, match="double range"):
+                with_xi(s).certificate()
+        assert with_xi(1e150).certificate().valid
+
+
 def test_sampled_nonvanishing_derivative(rng):
     f = R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5]))
     F = extend_immersion(f, D0, D1, 1e-3)
@@ -623,10 +644,12 @@ def test_evaluate_and_values_on_circle_refuse_non_finite_points():
 
 def test_a_sample_count_that_is_not_an_integer_above_zero_is_refused():
     # numpy would refuse 2.5 and 16.0 with a bare ValueError, an empty ring
-    # has no max, and 2.5 would round to 3 uneven points
+    # has no max, 2.5 would round to 3 uneven points, and True made one point
     f = R(P([1]), P.from_roots([1.5]))
     F = extend_immersion(f, D0, D1, 1e-3)
-    for n in (0, -3, 2.5, 16.0):
+    for n in (0, -3, 2.5, 16.0, True):
+        with pytest.raises(InputError):
+            circle_samples(0j, 1.0, n)
         with pytest.raises(InputError):
             F.values_on_circle(0j, 1.0, n)
         with pytest.raises(InputError):
