@@ -15,7 +15,11 @@ folds onto the constant one).  The outputs are convex combinations with
 piecewise-linear net weights, taken a few rows at a time, so each stride
 tried and the blend on a coarser net hold at most 2^16 weights at once; the
 full grid is taken without a test, since there each node weighs only
-itself, and its blend is its member's approximant.  The two-triangle
+itself, and its blend is its member's approximant.  Every net of stride > 1
+first tests the same pair: node 0 and the first node in no such net, node 1
+(node 2 on an (n, 2) grid).  That pair is tested once, before the search, and
+a family that fails it, a NaN distance included, blends at the full grid
+without building a net weight.  The two-triangle
 estimate gives sup errors below half the target whenever each covered node
 stays within a quarter of it from its net representative.  A relative
 variant swaps in prescribed exact maps on the grid's marked subset Q.
@@ -244,6 +248,13 @@ def _weight_rows(grid: ParamGrid, net: Sequence[int], points: np.ndarray):
         yield from enumerate(grid.net_weights(net, points[start : start + step]), start)
 
 
+def _close(family: SampledFamily, i: int, j: int, eps_quarter: float) -> bool:
+    """Whether nodes i and j stay eps/4-close on the domain at 128 boundary
+    samples; a NaN distance fails."""
+    d = sampled_sup_distance(family.maps[i], family.maps[j], family.domain, samples=128)
+    return d < eps_quarter
+
+
 def _net_condition_holds(
     family: SampledFamily, net: Sequence[int], points: np.ndarray, eps_quarter: float
 ) -> bool:
@@ -251,12 +262,7 @@ def _net_condition_holds(
     its net representatives on the domain."""
     for i, w in _weight_rows(family.grid, net, points):
         for k in np.flatnonzero(w > 0.0):
-            if net[k] == i:
-                continue
-            d = sampled_sup_distance(
-                family.maps[i], family.maps[net[k]], family.domain, samples=128
-            )
-            if not d < eps_quarter:  # a NaN distance fails
+            if net[k] != i and not _close(family, i, net[k], eps_quarter):
                 return False
     return True
 
@@ -266,7 +272,10 @@ def blend_parametric(family: SampledFamily, eps: float) -> SampledFamily:
 
     The net of representative nodes is the coarsest power-of-two stride
     whose covered nodes stay within eps/4 of their representatives; the full
-    grid always qualifies, so no net is ever refused.  Net members are
+    grid always qualifies, so no net is ever refused.  Every stride > 1 first
+    tests node 0 against the first node in no such net, so that pair is
+    tested once, before the search: a family that fails it, a NaN distance
+    included, takes the full grid without net weights.  Net members are
     polynomial-approximated to eps/4 and recombined per node with the
     piecewise-linear net weights; the triangle inequality then bounds every
     node's error by eps/2.  An eps that is not a finite positive number
@@ -278,8 +287,10 @@ def blend_parametric(family: SampledFamily, eps: float) -> SampledFamily:
             "blending needs a disc domain (polynomial approximation target)"
         )
     grid = family.grid
-    points = np.array(grid.points)
     stride = max(grid.shape) - 1
+    if stride > 1 and not _close(family, 1 if grid.shape[-1] > 2 else 2, 0, eps / 4.0):
+        stride = 1  # the pair that every stride > 1 tests first fails
+    points = np.array(grid.points) if stride > 1 else None  # read by net weights only
     while stride > 1 and not _net_condition_holds(
         family, grid.net_indices(stride), points, eps / 4.0
     ):

@@ -352,15 +352,6 @@ class IntegralImmersion:
         """The integrand at the points z: the one row of :func:`_integrands`."""
         return functools.partial(_integrands([self]), None)
 
-    def log_abs_derivative(self, z) -> float | np.ndarray:
-        """log |derivative|, computable even where exp overflows doubles."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        re = np.real(self.xi(zs)) + math.log(abs(self.scale))
-        with np.errstate(divide="ignore"):
-            for a, _ in self.poles:
-                re = re - 2.0 * np.log(np.abs(zs - a))
-        return re if isinstance(z, np.ndarray) else float(re[0])
-
     # -- residues (structured evaluation; exact interpolation) ---------------
 
     def residues(self) -> list[complex]:

@@ -313,3 +313,43 @@ def assert_same_paths(fzs, paths, tol):
             assert same_bits(row[len(mine):], np.full(len(row) - len(mine), mine[0]))
         outcomes.append(want[0])
     return outcomes
+
+
+def blend_by_every_stride(family, eps):
+    """The stride of blend_parametric and its output maps, by the search
+    that tests every stride tried from its net weights over the whole grid,
+    node by node in flat order, with no test ahead of it; the blend on the
+    stride found is then taken from one whole-grid weight matrix.  The
+    distances are sampled through ``blending.sampled_sup_distance``."""
+    from meroimm import blending
+
+    grid, quarter = family.grid, eps / 4.0
+    points = np.array(grid.points)
+
+    def holds(net):
+        for i, w in enumerate(grid.net_weights(net, points)):
+            for k in np.flatnonzero(w > 0.0):
+                if net[k] == i:
+                    continue
+                d = blending.sampled_sup_distance(
+                    family.maps[i], family.maps[net[k]], family.domain, samples=128
+                )
+                if not d < quarter:  # a NaN distance fails
+                    return False
+        return True
+
+    stride = max(grid.shape) - 1
+    while stride > 1 and not holds(grid.net_indices(stride)):
+        stride //= 2
+    net = grid.net_indices(stride)
+    members = [family.maps[j] for j in net]
+    approximants = list(blending._approximate_net(members, family.domain, quarter))
+    if stride == 1:
+        return stride, approximants
+    out = []
+    for w in grid.net_weights(net, points):
+        blend = ComplexPolynomial.zero()
+        for k in np.flatnonzero(w > 0.0):
+            blend = blend + w[k] * approximants[k]
+        out.append(blend)
+    return stride, out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import same_bits
+from helpers import blend_by_every_stride, same_bits
 from meroimm import blending
 from meroimm.config import DEGREE_SCHEDULE
 from meroimm.contours import circle_samples
@@ -246,6 +246,110 @@ def test_blend_box_family_matches_per_point_reference(eps, net_size):
         # the coarse net really blends: interior nodes mix all four corners
         assert sum(np.count_nonzero(_reference_weights(grid, net, p)) == 4
                    for p in grid.points) == 7 * 11
+
+
+# shapes whose search tries strides > 1: lines of 3 to 65 nodes, and boxes
+# with an axis of 2 nodes on either side
+_SEARCH_SHAPES = [(n,) for n in range(3, 66)] + [(3, 2), (7, 2), (2, 3), (2, 7), (3, 3), (5, 4), (4, 9)]
+
+
+def _pole_family(shape, pole):
+    # 1/(z - pole(p)) at each grid point p
+    grid = ParamGrid(shape, (False,) * int(np.prod(shape)))
+    return SampledFamily(grid, [R(P([1]), P.from_roots([pole(*p)])) for p in grid.points], UNIT)
+
+
+def _first_outside_every_net(grid):
+    strides = [max(grid.shape) - 1 >> k for k in range(8) if max(grid.shape) - 1 >> k > 1]
+    return min(set(range(grid.npoints)).difference(*(grid.net_indices(s) for s in strides)))
+
+
+def _raising(z):
+    raise ValueError("no value here")
+
+
+def _search_cases(kind):
+    """(family, eps, whether the shared pair passes, whether a coarse net is
+    taken) for each family of the kind; None where the blend raises."""
+    if kind == "fails the pair":
+        return [(_pole_family(s, lambda *p: 2 + sum(p)), 1e-3, False, False) for s in _SEARCH_SHAPES]
+    if kind == "coarsens":
+        return [(_pole_family(s, lambda *p: 3 + 1e-5 * sum(p)), 1e-3, True, True)
+                for s in _SEARCH_SHAPES] + [(_box_family(), 1e-1, True, True),
+                                            (_box_family(), 3e-2, True, True)]
+    if kind == "fails later":  # node i1 takes node 0's map, and fails against its other neighbour
+        cases = []
+        for s in _SEARCH_SHAPES:
+            family = _pole_family(s, lambda *p: 2 + sum(p) / 2)
+            maps = list(family.maps)
+            maps[_first_outside_every_net(family.grid)] = R(P([1]), P.from_roots([2.0]))
+            cases.append((SampledFamily(family.grid, maps, UNIT), 1e-3, True, False))
+        return cases
+
+    def line(special, at):
+        maps = [R(P([1])) for _ in range(9)]
+        maps[at] = special
+        return SampledFamily(ParamGrid.line(9), maps, UNIT)
+
+    if kind == "NaN":
+        return [(line(_nan_on_the_ring(5), 1), 1e-3, False, False),
+                (line(_nan_on_the_ring(5), 5), 1e-3, True, False)]
+    return [(line(_raising, 1), 1e-3, False, None), (line(_raising, 5), 1e-3, True, None)]
+
+
+def _record_search(monkeypatch, blend, family, eps):
+    """blend(family, eps), or the type of the error it raises; the (f, g)
+    identities of its sampled_sup_distance calls; its net_weights calls."""
+    pairs, weights = [], []
+    distance, net_weights = blending.sampled_sup_distance, ParamGrid.net_weights
+
+    def counted_distance(f, g, *args, **kwargs):
+        pairs.append((id(f), id(g)))
+        return distance(f, g, *args, **kwargs)
+
+    def counted_weights(self, *args):
+        weights.append(args)
+        return net_weights(self, *args)
+
+    monkeypatch.setattr(blending, "sampled_sup_distance", counted_distance)
+    monkeypatch.setattr(ParamGrid, "net_weights", counted_weights)
+    try:
+        with np.errstate(invalid="ignore"):
+            out = blend(family, eps)
+    except ValueError as err:
+        out = type(err)
+    finally:
+        monkeypatch.undo()
+    return out, pairs, len(weights)
+
+
+@pytest.mark.parametrize("kind", ["fails the pair", "coarsens", "fails later", "NaN", "raises"])
+def test_the_shared_pair_is_tested_once_and_the_blend_keeps_its_bits(kind, monkeypatch):
+    for family, eps, passes, coarse in _search_cases(kind):
+        want, want_pairs, want_weights = _record_search(monkeypatch, blend_by_every_stride, family, eps)
+        got, pairs, weights = _record_search(monkeypatch, blend_parametric, family, eps)
+        # every stride tried first tests node 0 against the first node in no net
+        i1 = _first_outside_every_net(family.grid)
+        assert want_pairs[0] == pairs[0] == (id(family.maps[i1]), id(family.maps[0]))
+        # a failing pair ends the search there, without a net weight
+        assert pairs == (want_pairs[:1] + want_pairs if passes else want_pairs[:1])
+        assert weights == (want_weights if passes else 0)
+        if coarse is None:
+            assert got is want is ValueError
+            continue
+        stride, maps = want
+        assert (stride > 1) == coarse
+        assert len(got.maps) == len(maps)
+        assert all(same_bits(a.coeffs, b.coeffs) for a, b in zip(got.maps, maps))
+
+
+def test_a_family_failing_the_shared_pair_builds_no_net_weight(monkeypatch):
+    # a search of every stride, 100 down to 3, makes 6 net_weights calls and
+    # samples node 1 against node 0 6 times
+    family = _pole_family((101,), lambda t: 2 + t)
+    out, pairs, weights = _record_search(monkeypatch, blend_parametric, family, 1e-3)
+    assert (len(pairs), weights) == (1, 0)
+    assert len(out.maps) == 101
 
 
 def test_fix_on_q_inside_a_box_grid():

@@ -437,15 +437,6 @@ def test_the_certificate_refuses_an_xi_out_of_double_range():
         assert with_xi(1e150).certificate().valid
 
 
-def test_sampled_nonvanishing_derivative(rng):
-    f = R(P([1]), P.from_roots([0.3])) + R(P([0, 0.5]))
-    F = extend_immersion(f, D0, D1, 1e-3)
-    # the log-derivative stays finite at 1000 disc samples (no zeros)
-    pts = (rng.random(1000) * 2.0) * np.exp(2j * np.pi * rng.random(1000))
-    logs = F.log_abs_derivative(np.array(pts))
-    assert np.all(np.isfinite(logs) | (logs == np.inf))
-
-
 def _mpmath_value(F, z, via=()):
     """F(z) by mpmath along F's own detour path, or along the polyline from
     the base point through ``via`` to z: an oracle for the quadrature."""
