@@ -26,6 +26,7 @@ variant swaps in prescribed exact maps on the grid's marked subset Q.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -248,21 +249,24 @@ def _weight_rows(grid: ParamGrid, net: Sequence[int], points: np.ndarray):
         yield from enumerate(grid.net_weights(net, points[start : start + step]), start)
 
 
-def _close(family: SampledFamily, i: int, j: int, eps_quarter: float) -> bool:
-    """Whether nodes i and j stay eps/4-close on the domain at 128 boundary
-    samples; a NaN distance fails."""
-    d = sampled_sup_distance(family.maps[i], family.maps[j], family.domain, samples=128)
-    return d < eps_quarter
+def _closeness(family: SampledFamily, eps_quarter: float):
+    """close(i, j): whether nodes i and j stay eps/4-close on the domain at
+    128 boundary samples, a NaN distance failing; each pair sampled once."""
+
+    @functools.cache
+    def close(i: int, j: int) -> bool:
+        d = sampled_sup_distance(family.maps[i], family.maps[j], family.domain, samples=128)
+        return d < eps_quarter
+
+    return close
 
 
-def _net_condition_holds(
-    family: SampledFamily, net: Sequence[int], points: np.ndarray, eps_quarter: float
-) -> bool:
-    """Check that every node with positive net weight stays eps/4-close to
-    its net representatives on the domain."""
-    for i, w in _weight_rows(family.grid, net, points):
+def _net_condition_holds(grid: ParamGrid, net: Sequence[int], points: np.ndarray, close) -> bool:
+    """Check that every node with positive net weight stays close to its net
+    representatives, by close(i, j) from :func:`_closeness`."""
+    for i, w in _weight_rows(grid, net, points):
         for k in np.flatnonzero(w > 0.0):
-            if net[k] != i and not _close(family, i, net[k], eps_quarter):
+            if net[k] != i and not close(i, net[k]):
                 return False
     return True
 
@@ -275,25 +279,23 @@ def blend_parametric(family: SampledFamily, eps: float) -> SampledFamily:
     grid always qualifies, so no net is ever refused.  Every stride > 1 first
     tests node 0 against the first node in no such net, so that pair is
     tested once, before the search: a family that fails it, a NaN distance
-    included, takes the full grid without net weights.  Net members are
-    polynomial-approximated to eps/4 and recombined per node with the
-    piecewise-linear net weights; the triangle inequality then bounds every
-    node's error by eps/2.  An eps that is not a finite positive number
-    raises InputError.
+    included, takes the full grid without net weights.  No pair is sampled
+    twice in one call.  Net members are polynomial-approximated to eps/4 and
+    recombined per node with the piecewise-linear net weights; the triangle
+    inequality then bounds every node's error by eps/2.  An eps that is not
+    a finite positive number raises InputError.
     """
     check_eps(eps)
     if not isinstance(family.domain, Disc):
         raise InputError(
             "blending needs a disc domain (polynomial approximation target)"
         )
-    grid = family.grid
+    grid, close = family.grid, _closeness(family, eps / 4.0)
     stride = max(grid.shape) - 1
-    if stride > 1 and not _close(family, 1 if grid.shape[-1] > 2 else 2, 0, eps / 4.0):
+    if stride > 1 and not close(1 if grid.shape[-1] > 2 else 2, 0):
         stride = 1  # the pair that every stride > 1 tests first fails
     points = np.array(grid.points) if stride > 1 else None  # read by net weights only
-    while stride > 1 and not _net_condition_holds(
-        family, grid.net_indices(stride), points, eps / 4.0
-    ):
+    while stride > 1 and not _net_condition_holds(grid, grid.net_indices(stride), points, close):
         stride //= 2
     net = grid.net_indices(stride)
 

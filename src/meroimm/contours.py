@@ -26,9 +26,8 @@ rounds (``_halve``).  Each winding is exact or refused.  A function known
 only by its values gets none, because samples cannot rule out a full turn
 between two of them.
 Fixed geometry is built once per process and shared read-only.  Unit roots,
-sampled circles, first quadrature meshes and arc powers are memoized in LRU
-caches of _CACHE_SIZE entries each, which keep no set of more than
-_CACHE_NODES nodes.
+first quadrature meshes and arc powers are memoized in LRU caches of
+_CACHE_SIZE entries each, which keep no set of more than _CACHE_NODES nodes.
 """
 from __future__ import annotations
 
@@ -99,8 +98,7 @@ def circle_samples(center: complex, radius: float, n: int, *, offset: float = 0.
 class Contour:
     """Piecewise-linear sampled path; closed paths repeat the first sample last.
 
-    ``points`` holds the samples as a read-only complex array.  A contour is
-    immutable: :meth:`circle` shares one instance between equal calls.
+    ``points`` holds the samples as a read-only complex array.
     """
 
     samples: tuple[complex, ...]
@@ -131,19 +129,22 @@ class Contour:
     ) -> "Contour":
         """Uniformly sampled circle; ``turns`` may be negative for clockwise.
 
-        Equal arguments, as complex, float and int, give one shared
-        instance: circles of up to _CACHE_NODES samples are memoized.
+        Equal arguments, as complex, float and int, give equal contours, bit
+        for bit.
         """
         samples, turns = as_integer(samples, "samples"), as_integer(turns, "turns")
-        key = (complex(center), float(radius), samples, turns)
-        if not 0 < key[1] < math.inf:
+        center, radius = complex(center), float(radius)
+        if not 0 < radius < math.inf:
             raise InputError("circle radius must be positive and finite")
         if turns == 0:
             raise InputError("turns must be nonzero")
         if samples < 8:
             raise InputError("need at least 8 samples per turn")
-        build = _circle if key[2] * abs(key[3]) <= _CACHE_NODES else _circle.__wrapped__
-        return build(cls, *key)
+        sign = 1 if turns > 0 else -1
+        th = sign * (2.0 * math.pi * np.arange(samples * abs(turns))) / samples
+        pts = (center + radius * np.exp(1j * th)).tolist()
+        pts.append(pts[0])
+        return cls(pts, closed=True)
 
     @classmethod
     def polyline(cls, points: Sequence[complex], closed: bool = False) -> "Contour":
@@ -151,15 +152,6 @@ class Contour:
         if closed and pts[0] != pts[-1]:
             pts.append(pts[0])
         return cls(tuple(pts), closed=closed)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _circle(cls, center: complex, radius: float, samples: int, turns: int) -> Contour:
-    sign = 1 if turns > 0 else -1
-    th = sign * (2.0 * math.pi * np.arange(samples * abs(turns))) / samples
-    pts = (center + radius * np.exp(1j * th)).tolist()
-    pts.append(pts[0])
-    return cls(pts, closed=True)
 
 
 def _result(x):

@@ -17,8 +17,8 @@ samples on a circle between the small disc and the nearest singularity.
 A family is extended as one block of rows, one row per member, by the
 periodic trapezoid rule (Trefethen & Weideman, SIAM Rev. 56 (2014)) applied
 to many rows at once.  Each member is set up with every refusal of extending
-it alone (its certificate, poles, base point and eta = h'/h), with the zero
-counts of all members as one block per circle (:func:`_extend`).  The eta
+it alone (its certificate, poles, base point and eta = h'/h), with the
+windings of all members' Wronskians as one block (:func:`_extend`).  The eta
 fits of all members then share one padded Horner per polynomial on their
 rings and one FFT and one scaling per degree, each row checked on its own
 disc; the boundary values on the small circle share one padded Horner over
@@ -529,7 +529,7 @@ class IntegralImmersion:
         bclear = math.inf
         for a, _ in poles_inside:
             bclear = min(bclear, self.domain.boundary_distance(a))
-        return ImmersionCertificate.assemble(poles_inside, 0, bclear, "CP1")
+        return ImmersionCertificate(True, poles_inside, 0, bclear, "CP1")  # the poles are simple
 
 
 def _integrands(Fs: Sequence[IntegralImmersion]):
@@ -736,9 +736,9 @@ def _extend_with_ring(f: RationalMap, d0: Disc, d1: Disc,
 
 
 def _set_up(f: RationalMap, F: Factored, d0: Disc, d1: Disc, disc: Disc, finish, count):
-    """A member's certificate, finished from its zero count on ``disc`` (or its
-    error), then its poles, base point, values and eta fit, with refusals."""
-    cert, fp = finish(_result(count), "CP1")
+    """A member's certificate, finished from the winding of its W around ``disc``
+    (or its error), then its poles, base point, values and eta fit, with refusals."""
+    cert, fp = finish(_result(count))
     if not cert.valid:
         raise NotAnImmersionError(
             f"the map does not immerse the disc of center {disc.center:g} and "
@@ -775,9 +775,9 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> tuple[list, list]:
     of d0's circle that its achieved_eps was measured on (None for an error).
 
     The set-up runs in three passes, in member order: each certificate up to
-    its zero count (``_before_count``), the counts, as one block
-    (:func:`_counts`), and the rest of each set-up (``_set_up``).  The first
-    and last stop at the first member that fails.  A member's error is that
+    its count (``_before_count``), the windings of each member's Wronskian
+    around its disc, as one block (:func:`_counts`), and the rest of each
+    set-up (``_set_up``).  The first and last stop at the first member that fails.  A member's error is that
     of its first failing pass, and the list ends at the first failing member,
     as when the members are set up one by one.  The rest run as one block:
     one ``_fit_etas`` and one ``_circle_values`` over d0 per round.  A member
@@ -788,11 +788,11 @@ def _extend(members: Sequence, d0: Disc, d1: Disc) -> tuple[list, list]:
         raise PreconditionError("the small disc must lie inside the big disc")
     pres = []
     for _, F, _, disc in members:
-        pres.append(_per_row(_before_count, F, disc))
+        pres.append(_per_row(_before_count, F, disc, "CP1"))
         if isinstance(pres[-1], Exception):
             break
     counted = [pre for pre in pres if not isinstance(pre, Exception)]  # all but a failing last
-    counts = _counts([h for h, _ in counted], [m[3] for m in members[:len(counted)]]) + [None]
+    counts = _counts([W for (W,), _ in counted], [m[3] for m in members[:len(counted)]]) + [None]
     out: list = []
     for (f, F, _, disc), pre, count in zip(members, pres, counts):
         out.append(pre if isinstance(pre, Exception) else

@@ -4,17 +4,20 @@ A meromorphic map immerses a plane domain into the sphere when its poles are
 simple and its derivative never vanishes off the poles; into the plane, when
 additionally there are no poles at all.  Each public call factors the map
 once (:class:`~meroimm.rational.Factored`), which solves its denominator
-and leaves its numerator unsolved unless a pole can cancel.  The certificate
-derives the factored f' from it, solving only the derivative's numerator
-(two root solves in general position), and assembles its verdict from two
-independent zero counts of the derivative: direct root filtering, and the
-argument-principle count of the pole-cleared derivative, which reads no
-root.
+and leaves its numerator unsolved unless a pole can cancel.  Both the
+verdict and the classes read the Wronskian W = n'd - nd' of the reduced
+f = n/d, since f' = W/d^2: W has a zero of order m - 1 at a pole of order
+m, and elsewhere the zeros of f'.  So f immerses a domain D into CP1 when
+wind(W) = 0 over its boundary (the outer circle minus the holes), and into
+C when wind(d) = 0 too; these windings read the coefficients alone.  The
+certificate's evidence comes from the solved roots: it derives the factored
+f' from the same W, solving only its numerator (two root solves in general
+position), and checks wind(W) = its zero count in D + sum(m - 1) over the
+poles in D, and, where d is wound, wind(d) = sum m.
 
 Homotopy classes are winding-number vectors of the derivative along one
-deterministic basis circle per hole.  They are read from the Wronskian
-W = n'd - nd' of the reduced f = n/d, since f' = W/d^2: the class on a loop
-is wind(W) - 2 wind(d) around its circle, from the same zero count, and no
+deterministic basis circle per hole: the class on a loop is
+wind(W) - 2 wind(d) around its circle, from the same zero count, and no
 zero of f' is solved.  The integer vector classifies plane targets
 completely; for sphere targets only its parity vector is stable (crossing a
 simple pole changes the integer winding by -2), so the integer classes are
@@ -104,24 +107,6 @@ class ImmersionCertificate:
     boundary_clearance: float
     target: Target
 
-    @staticmethod
-    def assemble(
-        poles_inside: PoleSet,
-        derivative_zero_count: int,
-        boundary_clearance: float,
-        target: Target,
-    ) -> "ImmersionCertificate":
-        if target == "CP1":
-            poles_ok = all(m == 1 for _, m in poles_inside)
-        elif target == "C":
-            poles_ok = len(poles_inside) == 0
-        else:
-            raise InputError(f"unknown target {target!r}")
-        valid = poles_ok and derivative_zero_count == 0
-        return ImmersionCertificate(
-            valid, poles_inside, derivative_zero_count, boundary_clearance, target
-        )
-
 
 @dataclass(frozen=True)
 class HomotopyClass:
@@ -160,12 +145,30 @@ def _refuse_near_boundary(D: CircularDomain, points) -> None:
             )
 
 
-def _before_count(F: Factored, D):
-    """verify_immersion up to its count, with its refusals: h = f' Theta,
-    whose zeros are counted on the boundary, and ``finish(count, target)``
-    -> (cert, f')."""
+def _rows(W: ComplexPolynomial, d: ComplexPolynomial, target: Target) -> tuple[RationalMap, ...]:
+    """The rows that decide an immersion into the target, wound over the
+    boundary: W, and d for plane targets."""
+    return (RationalMap(W), RationalMap(d)) if target == "C" else (RationalMap(W),)
+
+
+def _windings(rows, D: CircularDomain, extra: list) -> tuple[list[int], list]:
+    """The winding of each row over the boundary of D (its count in the outer
+    disc minus those in the holes), a count's error raised; then the counts,
+    or errors, of the extra (map, disc) pairs: all as one block (``_counts``)."""
+    pairs = [(g, b) for b in (D.outer, *D.holes) for g in rows]
+    on_boundary, k = len(pairs), len(rows)
+    pairs += extra
+    counts = _counts([g for g, _ in pairs], [b for _, b in pairs])
+    inside = [_result(x) for x in counts[:on_boundary]]  # row i in the outer disc, then in each hole
+    return [inside[i] - sum(inside[i + k::k]) for i in range(k)], counts[on_boundary:]
+
+
+def _before_count(F: Factored, D, target: Target):
+    """verify_immersion up to its count, with its refusals: the rows to wind
+    over the boundary of D (``_rows``), and ``finish(*windings)`` -> (cert, f')."""
     D = _as_domain(D)
-    fp = F.derivative()
+    W = wronskian(F.map)
+    fp = F.derivative(W)
     if fp.map.num.is_zero:
         raise InputError("constant map: the derivative vanishes identically")
     poles, zeros = F.poles, fp.zeros
@@ -176,16 +179,18 @@ def _before_count(F: Factored, D):
     poles_inside = poles.filter(lambda a: D.contains(a))
     count_roots = sum(m for z, m in zeros if D.contains(z))
 
-    def finish(count_ap: int, target: Target) -> tuple[ImmersionCertificate, Factored]:
-        if count_ap != count_roots:
-            raise InternalConsistencyError(f"derivative zero counts disagree: roots give "
-                                           f"{count_roots}, argument principle gives {count_ap}",
-                                           by_roots=count_roots, by_count=count_ap)
-        return ImmersionCertificate.assemble(poles_inside, count_roots, bclear, target), fp
+    def finish(wind_W: int, *wind_d: int) -> tuple[ImmersionCertificate, Factored]:
+        checks = [("derivative zero", count_roots, wind_W - sum(m - 1 for _, m in poles_inside))]
+        checks += [("pole", sum(poles_inside.orders), w) for w in wind_d]
+        for what, by_roots, by_count in checks:
+            if by_count != by_roots:
+                raise InternalConsistencyError(f"{what} counts disagree: roots give {by_roots}, "
+                                               f"argument principle gives {by_count}",
+                                               by_roots=by_roots, by_count=by_count)
+        valid = wind_W == 0 and not any(wind_d)
+        return ImmersionCertificate(valid, poles_inside, count_roots, bclear, target), fp
 
-    # independent route: clear the poles of f' in the domain and count zeros
-    # of h = f' Theta by the argument principle on each boundary circle
-    return fp.cleared(D.contains), finish
+    return _rows(W, F.map.den, target), finish
 
 
 def verify_immersion(
@@ -195,23 +200,28 @@ def verify_immersion(
 ) -> ImmersionCertificate:
     """Certify whether f immerses the domain into the chosen target.
 
-    f is factored once, which solves its denominator (its numerator only
-    when a pole can cancel), and f' is factored from it with only its
-    numerator solved: two root solves in general position, and the zeros
-    of f are never read.  The derivative zero count is computed two
-    independent ways: filtering the solved zeros of f' to the domain, and
-    the argument-principle count over the boundary of h = f' Theta, the
-    derivative with its poles in the domain cleared, which winds its
-    numerator and denominator and reads no root.  Disagreement points at the root solver: it raises
-    InternalConsistencyError with both counts, ``by_roots`` and ``by_count``.
-    A pole of f or zero of f' within 2 pi r / COUNT_NODE_CAP plus
-    CLEARANCE_FACTOR times the outer diameter of a boundary circle of radius r
-    raises SingularityOnBoundaryError before anything is counted.
+    The verdict reads the coefficients: with f = n/d reduced, f immerses D
+    into CP1 when its Wronskian W = n'd - nd' winds 0 times over the
+    boundary (the outer circle minus the holes), and into C when d winds 0
+    times too, both in one block of zero counts that reads no root.  The
+    evidence reads the roots: f is factored once, which solves its
+    denominator (its numerator only when a pole can cancel), and f' is
+    factored from it and W with only its numerator solved, two root solves
+    in general position; the zeros of f are never read.  The two agree when
+    wind(W) is the number of zeros of f' in D plus sum(m - 1) over the poles
+    of f in D, and, for C, wind(d) is sum m.  Disagreement points at the
+    root solver: it raises InternalConsistencyError with both counts,
+    ``by_roots`` and ``by_count``.  Refusals come in this order: an unknown
+    target (InputError), a pole of f or zero of f' within 2 pi r /
+    COUNT_NODE_CAP plus CLEARANCE_FACTOR times the outer diameter of a
+    boundary circle of radius r (SingularityOnBoundaryError), a count's
+    error, and a disagreement.
     """
+    if target not in ("C", "CP1"):
+        raise InputError(f"unknown target {target!r}")
     D = _as_domain(D)
-    h, finish = _before_count(f.factor(), D)
-    outer, *holes = _counts([h] * (1 + len(D.holes)), [D.outer, *D.holes])
-    return finish(_result(outer) - sum(map(_result, holes)), target)[0]
+    rows, finish = _before_count(f.factor(), D, target)
+    return finish(*_windings(rows, D, [])[0])[0]
 
 
 def chart_transition_winding(contour: Contour) -> int:
@@ -255,14 +265,12 @@ def classify(
     loop-dependent for sphere targets (only its parity is intrinsic there);
     it is the complete invariant for plane targets.
 
-    f = n/d is reduced by one factorization, and its Wronskian W = n'd - nd'
-    gives f' = W / d^2: W has a zero of order m - 1 at a pole of order m, and
-    elsewhere the zeros of f'.  So f immerses M into CP1 when W has no zero
-    in M, wind(W) = 0 around its boundary (the outer circle minus the holes),
-    and into C when d has none either.  The class on a basis loop is
-    wind(W) - 2 wind(d) around its circle.  All these windings are one block
-    of zero counts (``contours._counts``), which read no root: no zero of f'
-    is solved.  Refusals come in this order: a pole of f in verify_immersion's
+    f = n/d is reduced by one factorization.  It immerses M when its
+    Wronskian W = n'd - nd', and for C also d, winds 0 times over the
+    boundary, as verify_immersion decides (see the module notes), and the
+    class on a basis loop is wind(W) - 2 wind(d) around its circle.  All
+    these windings are one block of zero counts (``contours._counts``),
+    which read no root: no zero of f' is solved.  Refusals come in this order: a pole of f in verify_immersion's
     boundary band (SingularityOnBoundaryError), a boundary count's error, a
     map that is not an immersion (NotAnImmersionError), a pole of f within
     CLEARANCE_FACTOR times a loop's diameter of its circle
@@ -277,22 +285,16 @@ def classify(
         raise InputError("constant map: the derivative vanishes identically")
     _refuse_near_boundary(M, F.poles.locations)
     loops = _loop_discs(M)
-    both = (RationalMap(W), RationalMap(d))
-    rows = both if target == "C" else both[:1]  # counted on each boundary circle
-    pairs = [(g, b) for b in (M.outer, *M.holes) for g in rows]
-    on_boundary = len(pairs)
-    pairs += [(g, loop) for loop in loops for g in both]
-    counts = _counts([g for g, _ in pairs], [b for _, b in pairs])
-    inside = [_result(x) for x in counts[:on_boundary]]
-    k = len(rows)  # inside[i::k] counts row i in the outer disc, then in each hole
-    if any(inside[i] != sum(inside[i + k::k]) for i in range(k)):
+    both = _rows(W, d, "C")  # wound on every loop
+    winds, on_loops = _windings(_rows(W, d, target), M, [(g, loop) for loop in loops for g in both])
+    if any(winds):
         raise NotAnImmersionError("not an immersion: classification undefined")
     for loop in loops:
         clearance = CLEARANCE_FACTOR * 2.0 * loop.radius
         for a in F.poles.locations:
             if loop.boundary_distance(a) <= clearance:
                 raise PathTooCloseError(f"pole at {a} within clearance of a basis loop")
-    winds = [_result(x) for x in counts[on_boundary:]]
+    winds = [_result(x) for x in on_loops]
     z_class = tuple(w - 2 * p for w, p in zip(winds[0::2], winds[1::2]))
     return HomotopyClass(z_class, tuple(w % 2 for w in z_class), target)
 

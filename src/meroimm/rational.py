@@ -8,10 +8,11 @@ The denominator is solved at once.  The numerator is solved only when a
 pole fails a certified exclusion test (a root of the numerator could then
 match it); otherwise its zeros are solved when first read, by ``zero_set``,
 and verify, classify, the windings and the extensions never read them.  The factored derivative takes its poles
-(a, m+1) from the poles (a, m) of the map, and the pole-cleared derivative
-f' Theta drops the cleared poles from them, so neither ever solves a
-denominator.  :func:`wronskian` gives W = n'd - nd', so that f' = W / d^2,
-for the quotient rule, classify, the extension's eta and ``meroimm wind``.
+(a, m+1) from the poles (a, m) of the map, and the extension's h = f' Theta
+drops those in the big disc, so neither ever solves a denominator.
+:func:`wronskian` gives W = n'd - nd', so that f' = W / d^2: the quotient
+rule deflates it, and the certificates, classify, the extension's eta and
+``meroimm wind`` wind it.
 :func:`~meroimm.poly.roots` has two callers, :meth:`RationalMap.factor` and
 :attr:`Factored.zeros`: every other singular point in the package is read
 from a Factored.
@@ -261,7 +262,7 @@ class RationalMap:
         if self.is_polynomial:
             return RationalMap(self.as_polynomial().derivative())
         F = self.factor()
-        return _quotient_rule(F.map, F.poles)
+        return _quotient_rule(F.map, F.poles, wronskian(F.map))
 
     def pole_set(self) -> PoleSet:
         """Denominator roots with multiplicities, after reduction."""
@@ -316,23 +317,21 @@ def wronskian(f: RationalMap) -> ComplexPolynomial:
     return n.derivative() * d - n * d.derivative()
 
 
-def _quotient_rule(red: RationalMap, poles: PoleSet) -> RationalMap:
-    """Derivative of a reduced map whose poles are known.
+def _quotient_rule(red: RationalMap, poles: PoleSet, W: ComplexPolynomial) -> RationalMap:
+    """Derivative of a reduced map whose poles are known, from W = wronskian(red).
 
-    For a pole of order m the raw quotient (N'D - ND')/D^2 carries a common
-    factor (z-a)^(m-1).  Cancelling it against roots of D^2 is
-    ill-conditioned (2m-fold clusters), so the numerator is deflated m-1
-    times at each pole and the denominator is the exact product of the
-    (z-a)^(m+1) factors.
+    For a pole of order m the raw quotient W/D^2 carries a common factor
+    (z-a)^(m-1).  Cancelling it against roots of D^2 is ill-conditioned
+    (2m-fold clusters), so W is deflated m-1 times at each pole and the
+    denominator is the exact product of the (z-a)^(m+1) factors.
     """
     if red.is_polynomial:
         return RationalMap(red.as_polynomial().derivative())
-    num = wronskian(red)
     for a, m in poles:
         for _ in range(m - 1):
-            num = num.deflate(a)
+            W = W.deflate(a)
     den = ComplexPolynomial.from_roots([a for a, m in poles for _ in range(m + 1)])
-    return RationalMap(num, den)
+    return RationalMap(W, den)
 
 
 @dataclass(frozen=True)
@@ -358,23 +357,23 @@ class Factored:
         num = self.map.num
         return tuple(roots(num)) if num.degree >= 1 else ()
 
-    def derivative(self) -> "Factored":
-        """f' with poles (a, m+1) from the poles (a, m) of f.
+    def derivative(self, W: ComplexPolynomial) -> "Factored":
+        """f' from W = wronskian(self.map), with poles (a, m+1) from those (a, m) of f.
 
         Its denominator is the product of the (z-a)^(m+1) factors and never
         reaches the root solver; its zeros are solved when read.
         """
         poles = PoleSet([(a, m + 1) for a, m in self.poles])
-        return Factored(_quotient_rule(self.map, self.poles), poles)
+        return Factored(_quotient_rule(self.map, self.poles, W), poles)
 
     def cleared(self, drop) -> "Factored":
         """The map times the product of (z-a)^m over its poles a with drop(a).
 
         Those poles cancel: the numerator and the zeros stay as they are (the
         zeros solved, if this value has solved them), and the denominator is
-        rebuilt from the remaining poles.  On the factored derivative with
-        drop the domain's membership test, this is the pole-cleared
-        derivative h = f' Theta.
+        rebuilt from the remaining poles.  Its one use is the extension's
+        h = f' Theta: the factored derivative cleared of its poles in the
+        big disc (``extension._pipeline_data``).
         """
         rest = self.poles.filter(lambda a: not drop(a))
         den = ComplexPolynomial.from_roots([a for a, m in rest for _ in range(m)])

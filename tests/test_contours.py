@@ -120,7 +120,7 @@ def test_shared_geometry_is_read_only():
     assert b[0] == 1 and _unit_roots(64, 0.0)[0] == 1
 
 
-def test_equal_circle_arguments_share_one_contour():
+def test_equal_circle_arguments_give_equal_contours():
     first = Contour.circle(0, 1, 64, 1)
     for args in [
         (0.0, 1.0, 64, 1),
@@ -130,7 +130,7 @@ def test_equal_circle_arguments_share_one_contour():
     ]:
         c = Contour.circle(*args)
         assert c == first and same_bits(c.points, first.points)
-    # a center of signed zeros shares the entry of 0j: -0.0 + 0.0 is 0.0, so the bits agree
+    # a center of signed zeros gives the bits of 0j: -0.0 + 0.0 is 0.0
     for center in (0j, complex(-0.0, -0.0), complex(0.0, -0.0)):
         c = Contour.circle(center, 1.0, samples=64, turns=-1)
         assert same_bits(c.samples, _circle_by_cmath(center, 1.0, 64, -1))
@@ -159,7 +159,8 @@ def test_circle_turns_and_polyline():
 def test_circle_refuses_samples_or_turns_that_are_not_integers(samples, turns):
     with pytest.raises(InputError, match="integer"):
         Contour.circle(0, 1.0, samples=samples, turns=turns)
-    assert Contour.circle(0, 1.0, samples=16.0, turns=-2.0) is Contour.circle(0, 1.0, samples=16, turns=-2)
+    c, want = Contour.circle(0, 1.0, samples=16.0, turns=-2.0), Contour.circle(0, 1.0, samples=16, turns=-2)
+    assert c == want and same_bits(c.points, want.points)
 
 
 def _chords(contour):

@@ -44,6 +44,7 @@ from meroimm import (
 )
 from meroimm.config import QUAD_TOL, RESIDUE_TOL
 from meroimm.contours import circle_samples, integrate_pieces
+from meroimm.rational import wronskian
 
 P = ComplexPolynomial
 R = RationalMap
@@ -903,9 +904,9 @@ def test_extend_family_certifies_each_node_once(monkeypatch):
         seen.append((F.poles.locations, D))
         return before_count(F, D, *args, **kwargs)
 
-    def block_recorder(hs, discs):
-        blocks.append((len(hs), tuple(discs)))
-        return counts(hs, discs)
+    def block_recorder(rows, discs):
+        blocks.append((tuple(rows), tuple(discs)))
+        return counts(rows, discs)
 
     monkeypatch.setattr(meroimm.immersions, "_before_count", recorder)
     monkeypatch.setattr(meroimm.extension, "_before_count", recorder)
@@ -916,8 +917,9 @@ def test_extend_family_certifies_each_node_once(monkeypatch):
     assert len(outs) == 5
     # node i is recognized by its pole; Q node 0 is certified on the big disc
     assert seen == [((complex(a),), D1 if i == 0 else D0) for i, a in enumerate(poles)]
-    # the zeros of all members are counted by one block, each on its circle
-    assert blocks == [(5, (D1, D0, D0, D0, D0))]
+    # one block winds each member's Wronskian W around its disc
+    wronskians = tuple(R(wronskian(f.factor().map)) for f in maps)
+    assert blocks == [(wronskians, (D1, D0, D0, D0, D0))]
 
 
 def test_extension_solves_each_polynomial_once(monkeypatch):

@@ -534,6 +534,48 @@ def test_classify_reads_no_root_of_the_derivative(monkeypatch):
         assert blocks == [rows]
 
 
+def test_verify_winds_the_wronskian_and_for_c_the_denominator(monkeypatch):
+    # the verdict reads W = n'd - nd' of the reduced map on every boundary
+    # circle, and for C also d: no pole-cleared derivative f' Theta, which
+    # for 1/(z - 0.3)^2 is the constant -2
+    from meroimm import immersions
+    from meroimm.rational import wronskian
+
+    blocks = []
+    counts = immersions._counts
+
+    def block(fs, discs):
+        blocks.append((list(fs), list(discs)))
+        return counts(fs, discs)
+
+    monkeypatch.setattr(immersions, "_counts", block)
+    double = R(P([1]), P.from_roots([0.3, 0.3]))
+    g = R(P([0, 1])) + R(P([1]), P.from_roots([1.2]))  # f' vanishes at 0.2, in the hole, and 2.2
+    for f, M in ((double, UNIT), (g, UNIT), (g, ANNULUS), (zpow(2), ANNULUS)):
+        F = f.factor()
+        W, d = R(wronskian(F.map)), R(F.map.den)
+        circles = [M] if isinstance(M, Disc) else [M.outer, *M.holes]
+        for target, rows in (("CP1", [W]), ("C", [W, d])):
+            blocks.clear()
+            verify_immersion(f, M, target)
+            assert blocks == [([r for _ in circles for r in rows], [c for c in circles for _ in rows])]
+    blocks.clear()
+    verify_immersion(double, UNIT, "CP1")
+    assert blocks == [([R(P([0.6, -2]))], [UNIT])]
+
+
+def test_an_unknown_target_is_refused_before_any_root_is_solved(monkeypatch):
+    # a pole on the unit circle would be a SingularityOnBoundaryError, but the
+    # target is refused first, as classify refuses it
+    solved = _recording_roots(monkeypatch)
+    on_circle = R(P([1]), P.from_roots([1.0]))
+    for f in (on_circle, zpow(2)):
+        for run in (verify_immersion, classify):
+            with pytest.raises(InputError, match="unknown target"):
+                run(f, ANNULUS if run is classify else UNIT, "R2")
+    assert solved == []
+
+
 def test_same_component_examples():
     z1, z2, z3 = zpow(1), zpow(2), zpow(3)
     assert same_component(z1, z3, ANNULUS, "CP1")
