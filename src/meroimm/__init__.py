@@ -14,6 +14,7 @@ way.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -79,7 +80,8 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name):
     if name in _HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        home = f"{__name__}.{_HOME[name]}"
+        return getattr(sys.modules.get(home) or importlib.import_module(home), name)
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .grids import ParamGrid
 from .immersions import ImmersionCertificate, _before_count
-from .poly import ComplexPolynomial, _column, _PolyRows, _rows
+from .poly import ComplexPolynomial, _column, _plus, _PolyRows, _rows, _times
 from .poly import roots  # noqa: F401  never called here; perfbench's tracer test patches the name
 from .rational import Factored, PoleSet, RationalMap, wronskian
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
@@ -104,24 +104,6 @@ def _lagrange_basis(locs: Sequence[complex]) -> list[ComplexPolynomial]:
     return basis
 
 
-def _expanded(lagrange: ComplexPolynomial, sigma: ComplexPolynomial,
-              node_product: ComplexPolynomial) -> np.ndarray:
-    """The coefficients of lagrange + sigma * node_product, bit for bit as the
-    polynomial arithmetic gives them (one convolution, its trailing zeros
-    trimmed, then both zero-padded and added), before the trailing zeros of
-    the sum are trimmed."""
-    prod = np.zeros(0, dtype=complex)
-    if sigma.coeffs and node_product.coeffs:
-        prod = np.convolve(np.array(sigma.coeffs), np.array(node_product.coeffs))
-        while prod.size and prod[-1] == 0:
-            prod = prod[:-1]
-    out = np.zeros(max(len(lagrange.coeffs), prod.size), dtype=complex)
-    out[: len(lagrange.coeffs)] = lagrange.coeffs
-    out[: prod.size] += prod
-    out[prod.size :] += 0.0  # the padding is added too, which clears a signed zero
-    return out
-
-
 @dataclass(frozen=True)
 class ConstrainedEta:
     """Polynomial log-derivative replacement, kept in structured form.
@@ -142,8 +124,8 @@ class ConstrainedEta:
     def __post_init__(self):
         if not all(map(cmath.isfinite, self.nodes)):
             raise InputError("interpolation nodes must be finite")
-        node_product = ComplexPolynomial.from_roots(self.nodes)
-        expanded = _expanded(self.lagrange, self.sigma, node_product).tolist()
+        node_product = ComplexPolynomial.from_roots(self.nodes).coeffs
+        expanded = _plus(self.lagrange.coeffs, _times(self.sigma.coeffs, node_product))
         object.__setattr__(self, "expanded", ComplexPolynomial(expanded, coeff_tol=0.0))
 
     def value_at_node(self, i: int) -> complex:

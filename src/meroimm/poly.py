@@ -1,11 +1,15 @@
 """Complex polynomials with double-precision coefficients.
 
 Coefficients are stored in ascending degree order; the zero polynomial is the
-empty tuple.  Construction from raw coefficients refuses a non-finite one with
-InputError and drops leading coefficients of modulus <= the coefficient
-tolerance (1e-12 by default), so a nonzero polynomial always has |leading|
-above that tolerance.  Arithmetic on existing polynomials (coeff_tol=0.0)
-neither checks nor discards computed coefficients (only exact zeros).
+empty tuple.  Construction converts its coefficients once (an array through
+``tolist``), refuses a non-finite one with InputError and drops leading
+coefficients of modulus <= the coefficient tolerance (1e-12 by default), so
+a nonzero polynomial always has |leading| above that tolerance.  Arithmetic
+on existing polynomials (coeff_tol=0.0) neither checks nor discards computed
+coefficients (only exact zeros).  It runs on coefficient lists: ``_times``,
+``_plus`` and ``_slope`` are the one place a product (``np.convolve``), a
+sum and a derivative are formed, so a caller that needs several steps, such
+as ``rational.wronskian``, wraps only its result.
 
 The root solver takes the eigenvalues of the companion matrix (closed forms
 for degrees 1 and 2), merges root clusters into multiple roots, and polishes
@@ -30,13 +34,31 @@ from .errors import InputError, RootSolveError
 _EPS = 2.220446049250313e-16
 
 
-def _trim(coeffs: Sequence[complex], tol: float) -> tuple[complex, ...]:
-    cs = [complex(c) for c in coeffs]
+def _trim(coeffs: Iterable[complex], tol: float) -> tuple[complex, ...]:
+    cs = list(map(complex, coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs))
     if tol and not all(map(cmath.isfinite, cs)):
         raise InputError("polynomial coefficients must be finite")
-    while cs and abs(cs[-1]) <= tol:
+    # at tol 0 an exact zero, -0j too, is falsy, and NaN is not: as abs(c) <= 0
+    while cs and (not cs[-1] if tol == 0 else abs(cs[-1]) <= tol):
         cs.pop()
     return tuple(cs)
+
+
+def _times(a: Sequence[complex], b: Sequence[complex]) -> tuple[complex, ...]:
+    """The product of two coefficient sequences by ``np.convolve``, its
+    trailing exact zeros dropped."""
+    return _trim(np.convolve(np.array(a), np.array(b)), 0.0) if a and b else ()
+
+
+def _slope(cs: Sequence[complex]) -> list[complex]:
+    """The derivative's coefficients."""
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _plus(a: Sequence[complex], b: Sequence[complex]) -> list[complex]:
+    """The sum of two coefficient sequences, each zero-padded to the longer."""
+    n = max(len(a), len(b))
+    return [x + y for x, y in zip([*a] + [0j] * (n - len(a)), [*b] + [0j] * (n - len(b)))]
 
 
 def _horner(cs: Sequence[complex], z: complex) -> complex:
@@ -62,7 +84,7 @@ class ComplexPolynomial:
     coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs: Iterable[complex], *, coeff_tol: float = COEFF_TOL):
-        object.__setattr__(self, "coeffs", _trim(tuple(coeffs), coeff_tol))
+        object.__setattr__(self, "coeffs", _trim(coeffs, coeff_tol))
 
     @classmethod
     def zero(cls) -> "ComplexPolynomial":
@@ -106,11 +128,7 @@ class ComplexPolynomial:
     # -- arithmetic (no tolerance trimming; exact zeros only) --------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return ComplexPolynomial([x + y for x, y in zip(a, b)], coeff_tol=0.0)
+        return ComplexPolynomial(_plus(self.coeffs, _as_poly(other).coeffs), coeff_tol=0.0)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -127,11 +145,9 @@ class ComplexPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return ComplexPolynomial([c * other for c in self.coeffs], coeff_tol=0.0)
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return ComplexPolynomial.zero()
-        cs = np.convolve(np.array(self.coeffs), np.array(other.coeffs))
-        return ComplexPolynomial(cs, coeff_tol=0.0)
+        if isinstance(other, np.number):
+            return self * _number(other)
+        return ComplexPolynomial(_times(self.coeffs, _as_poly(other).coeffs), coeff_tol=0.0)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -145,16 +161,12 @@ class ComplexPolynomial:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:], coeff_tol=0.0
-        )
+        return ComplexPolynomial(_slope(self.coeffs), coeff_tol=0.0)
 
     def antiderivative(self, base_point: complex = 0j) -> "ComplexPolynomial":
         """The antiderivative F with F(base_point) = 0."""
         cs = [0j] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
-        F = ComplexPolynomial(cs, coeff_tol=0.0)
-        c0 = -F(base_point)
-        return ComplexPolynomial([c0] + cs[1:], coeff_tol=0.0)
+        return ComplexPolynomial([-_horner(cs, base_point)] + cs[1:], coeff_tol=0.0)
 
     def taylor_shift(self, a: complex) -> "ComplexPolynomial":
         """Coefficients of p(a + t) as a polynomial in t."""
@@ -273,9 +285,16 @@ def _as_poly(x) -> ComplexPolynomial:
         return x
     if isinstance(x, (int, float, complex)):
         return ComplexPolynomial((complex(x),), coeff_tol=0.0)
+    if isinstance(x, np.number):
+        return _as_poly(_number(x))
     if isinstance(x, (tuple, list)):
         return ComplexPolynomial(x)
     raise TypeError(f"cannot coerce {type(x)!r} to ComplexPolynomial")
+
+
+def _number(x: np.number) -> int | float | complex:
+    """The Python number equal to a numpy number scalar; an extended one rounds to double."""
+    return (int if isinstance(x, np.integer) else float if isinstance(x, np.floating) else complex)(x)
 
 
 # -- root finding -----------------------------------------------------------
@@ -344,18 +363,16 @@ def _cluster(cs, dcs, mods, approx: list[complex]) -> list[list[complex]]:
     return [[approx[i] for i in cl] for cl in clusters]
 
 
-def _polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex, multiplicity: int) -> complex:
+def _polish(cs, dcs, z: complex, multiplicity: int) -> complex:
     """Newton steps on the (m-1)-th derivative of p, where the root is simple;
-    dp is p'.
+    cs and dcs are the coefficients of p and p'.
 
     At most 6 steps.  A simple root stops once the step is below
     1e-15 (1 + |z|); a multiple root, which starts from a cluster centroid,
     steps until the step is exactly 0.
     """
-    q, dq = p, dp
     for _ in range(multiplicity - 1):
-        q, dq = dq, dq.derivative()
-    cs, dcs = q.coeffs, dq.coeffs
+        cs, dcs = dcs, _slope(dcs)
     tol = 1e-15 if multiplicity == 1 else 0.0
     for _ in range(6):
         d = _horner(dcs, z)
@@ -398,14 +415,13 @@ def roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     else:
         approx = _companion_roots(coeffs)
 
-    dp = p.derivative()
-    cs, dcs, mods = p.coeffs, dp.coeffs, [abs(c) for c in p.coeffs]
+    cs, dcs, mods = p.coeffs, _slope(p.coeffs), [abs(c) for c in p.coeffs]
     out: list[tuple[complex, int]] = []
     for cl in _cluster(cs, dcs, mods, [complex(z) for z in approx]):
         m = len(cl)
         center = sum(cl) / m
         spread = max((abs(c - center) for c in cl), default=0.0)
-        z = _polish(p, dp, center, m)
+        z = _polish(cs, dcs, center, m)
         if abs(z - center) > 10.0 * max(ROOT_TOL, spread):
             z = center  # polish wandered off; keep the cluster centroid
         out.append((z, m))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import ROOT_TOL, as_integer
 from .errors import InputError, NumericalError, UnreducedFractionError
-from .poly import ComplexPolynomial, _as_poly, roots, _EPS
+from .poly import ComplexPolynomial, _as_poly, _number, _plus, _slope, _times, roots, _EPS
 from .sphere import INF, SpherePoint, _is_nan, is_inf
 
 
@@ -77,7 +77,9 @@ class PoleSet:
         return iter(self.entries)
 
     def filter(self, keep) -> "PoleSet":
-        return PoleSet([e for e in self.entries if keep(e[0])])
+        """The entries whose location passes keep, in order: a subset of a
+        checked set, so not checked again, sharing this set's entries."""
+        return _checked(e for e in self.entries if keep(e[0]))
 
     def min_separation(self) -> float:
         locs = self.locations
@@ -86,6 +88,13 @@ class PoleSet:
         return min(
             abs(locs[i] - locs[j]) for i in range(len(locs)) for j in range(i)
         )
+
+
+def _checked(entries) -> PoleSet:
+    """The PoleSet of entries already sorted, finite, positive and apart, as they are."""
+    P = object.__new__(PoleSet)
+    object.__setattr__(P, "entries", tuple(entries))
+    return P
 
 
 def _shift_noise(p: ComplexPolynomial, a: complex) -> list[float]:
@@ -277,7 +286,7 @@ class RationalMap:
     def _coerce(self, other) -> "RationalMap":
         if isinstance(other, RationalMap):
             return other
-        if isinstance(other, (int, float, complex, ComplexPolynomial)):
+        if isinstance(other, (int, float, complex, ComplexPolynomial, np.number)):
             return RationalMap(_as_poly(other))
         raise TypeError(f"cannot combine RationalMap with {type(other)!r}")
 
@@ -299,6 +308,8 @@ class RationalMap:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return RationalMap(self.num * other, self.den)
+        if isinstance(other, np.number):
+            return self * _number(other)
         o = self._coerce(other)
         return RationalMap(self.num * o.num, self.den * o.den)
 
@@ -312,9 +323,15 @@ class RationalMap:
 
 
 def wronskian(f: RationalMap) -> ComplexPolynomial:
-    """W = n'd - nd' of f = n/d as given, so that f' = W / d^2."""
-    n, d = f.num, f.den
-    return n.derivative() * d - n * d.derivative()
+    """W = n'd - nd' of f = n/d as given, so that f' = W / d^2.
+
+    Formed on coefficient lists and wrapped once, bit for bit as
+    ``n.derivative() * d - n * d.derivative()``: it adds the negated second
+    product, as ``__sub__`` does, so signed zeros come out the same.
+    """
+    n, d = f.num.coeffs, f.den.coeffs
+    W = _plus(_times(_slope(n), d), [-c for c in _times(n, _slope(d))])
+    return ComplexPolynomial(W, coeff_tol=0.0)
 
 
 def _quotient_rule(red: RationalMap, poles: PoleSet, W: ComplexPolynomial) -> RationalMap:
@@ -363,7 +380,7 @@ class Factored:
         Its denominator is the product of the (z-a)^(m+1) factors and never
         reaches the root solver; its zeros are solved when read.
         """
-        poles = PoleSet([(a, m + 1) for a, m in self.poles])
+        poles = _checked((a, m + 1) for a, m in self.poles)
         return Factored(_quotient_rule(self.map, self.poles, W), poles)
 
     def cleared(self, drop) -> "Factored":

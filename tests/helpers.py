@@ -1,10 +1,11 @@
 """Shared generators and independent oracles for the test suite."""
+import cmath
 import math
 
 import mpmath
 import numpy as np
 
-from meroimm import ComplexPolynomial, RationalMap
+from meroimm import ComplexPolynomial, InputError, RationalMap
 
 
 def separated_points(rng, k, *, box=1.5, min_sep=0.5, tries=200):
@@ -353,3 +354,51 @@ def blend_by_every_stride(family, eps):
             blend = blend + w[k] * approximants[k]
         out.append(blend)
     return stride, out
+
+
+# Polynomial construction and arithmetic as they were written on polynomial
+# objects, before ``meroimm.poly`` formed them on coefficient lists: the
+# references that the one-pass construction and ``rational.wronskian`` keep
+# bit for bit.
+
+
+def reference_trim(coeffs, tol):
+    """Construction: a tuple copy, complex() of each entry, then the trim."""
+    cs = [complex(c) for c in tuple(coeffs)]
+    if tol and not all(map(cmath.isfinite, cs)):
+        raise InputError("polynomial coefficients must be finite")
+    while cs and abs(cs[-1]) <= tol:
+        cs.pop()
+    return tuple(cs)
+
+
+def reference_times(a, b):
+    """``__mul__`` of two polynomials with coefficients a and b."""
+    if not a or not b:
+        return ()
+    return reference_trim(np.convolve(np.array(a), np.array(b)), 0.0)
+
+
+def reference_derivative(cs):
+    return reference_trim([k * c for k, c in enumerate(cs)][1:], 0.0)
+
+
+def reference_plus(a, b):
+    """``__add__``: both zero-padded to the longer, then added."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0j] * (n - len(a)), list(b) + [0j] * (n - len(b))
+    return reference_trim([x + y for x, y in zip(a, b)], 0.0)
+
+
+def reference_wronskian(n, d):
+    """n.derivative() * d - n * d.derivative(), with ``__sub__`` adding the
+    negation (``__neg__``) of the second product."""
+    first = reference_times(reference_derivative(n), d)
+    second = reference_times(n, reference_derivative(d))
+    return reference_plus(first, reference_trim([-c for c in second], 0.0))
+
+
+def hex_parts(cs):
+    """The real and imaginary parts of each coefficient by float.hex, so that
+    signed zeros count."""
+    return tuple((c.real.hex(), c.imag.hex()) for c in cs)

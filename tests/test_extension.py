@@ -1089,8 +1089,9 @@ def test_a_boundary_miss_refits_only_its_row(monkeypatch):
 
 
 def test_expanded_eta_is_the_polynomial_sum_bit_for_bit():
-    # ConstrainedEta expands lagrange + sigma * node_product in numpy: the
-    # coefficients, signed zeros included, are those of the polynomial sum
+    # ConstrainedEta expands lagrange + sigma * node_product on coefficient
+    # lists: the coefficients, signed zeros included, are those of the
+    # polynomial sum
     rng = np.random.default_rng(26)
 
     def poly(n):

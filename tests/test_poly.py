@@ -1,10 +1,15 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meroimm.poly
-from helpers import same_bits
-from meroimm import ComplexPolynomial, InputError, RootSolveError, roots
+from helpers import (hex_parts, reference_derivative, reference_plus, reference_times,
+                     reference_trim, same_bits)
+from meroimm import ComplexPolynomial, InputError, RationalMap, RootSolveError, roots
 
 
 def test_zero_polynomial_is_empty():
@@ -239,10 +244,73 @@ def test_roots_builds_the_derivative_once(monkeypatch):
     # p' is built once per call and shared by clustering, polish and
     # acceptance; a double root's polish adds only p''
     built = []
-    derivative = ComplexPolynomial.derivative
-    monkeypatch.setattr(ComplexPolynomial, "derivative",
-                        lambda self: built.append(self.degree) or derivative(self))
+    slope = meroimm.poly._slope
+    monkeypatch.setattr(meroimm.poly, "_slope", lambda cs: built.append(len(cs) - 1) or slope(cs))
     for given, want in (([0.5, -1j, 2.0, 3 + 1j], [4]), ([0.5, 0.5, -1j], [3, 2])):
         built.clear()
         roots(ComplexPolynomial.from_roots(given))
         assert built == want
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _coefficients(draw, finite=False):
+    """A maker of fresh copies of one coefficient sequence: a list, tuple or
+    generator of complex, or a numpy array of one of five dtypes."""
+    kind = draw(st.sampled_from(
+        ["list", "tuple", "generator", "complex128", "float64", "int64", "bool", "complex64"]))
+    if kind == "int64":
+        vals = draw(st.lists(st.one_of(st.just(0), st.integers(-2**63, 2**63 - 1)), max_size=7))
+        return lambda: np.array(vals, dtype=np.int64)
+    if kind == "bool":
+        vals = draw(st.lists(st.booleans(), max_size=7))
+        return lambda: np.array(vals, dtype=bool)
+    special = _SPECIAL.filter(math.isfinite) if finite else _SPECIAL
+    part = st.one_of(special, st.floats(allow_nan=not finite, allow_infinity=not finite,
+                                        width=32 if kind == "complex64" else 64))
+    cs = [complex(a, b) for a, b in draw(st.lists(st.tuples(part, part), max_size=7))]
+    return {
+        "list": lambda: list(cs),
+        "tuple": lambda: tuple(cs),
+        "generator": lambda: (c for c in cs),
+        "complex128": lambda: np.array(cs, dtype=complex),
+        "float64": lambda: np.array([c.real for c in cs]),
+        "complex64": lambda: np.array(cs, dtype=np.complex64),
+    }[kind]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_coefficients(), st.sampled_from([0.0, 1e-12, 0.5]))
+def test_construction_keeps_the_bits_of_the_reference(make, tol):
+    # one conversion, a truthiness trim at coeff_tol 0: -0j is zero and NaN
+    # is not, as abs(c) <= 0 has them; checked construction still refuses
+    try:
+        want = hex_parts(reference_trim(make(), tol))
+    except InputError:
+        with pytest.raises(InputError, match="finite"):
+            ComplexPolynomial(make(), coeff_tol=tol)
+        return
+    assert hex_parts(ComplexPolynomial(make(), coeff_tol=tol).coeffs) == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_coefficients(), _coefficients())
+def test_products_sums_and_derivatives_keep_the_bits_of_the_reference(a, b):
+    p, q = ComplexPolynomial(a(), coeff_tol=0.0), ComplexPolynomial(b(), coeff_tol=0.0)
+    with np.errstate(all="ignore"):
+        assert hex_parts((p * q).coeffs) == hex_parts(reference_times(p.coeffs, q.coeffs))
+        assert hex_parts((p + q).coeffs) == hex_parts(reference_plus(p.coeffs, q.coeffs))
+        assert hex_parts(p.derivative().coeffs) == hex_parts(reference_derivative(p.coeffs))
+
+
+@pytest.mark.parametrize("x", [np.int64(2), np.int8(-3), np.uint8(5), np.float32(0.5),
+                               np.float64(-1.5), np.complex64(1 - 2j), np.complex128(0.25j)])
+def test_a_numpy_number_acts_as_the_equal_python_number(x):
+    p, f = ComplexPolynomial([1, complex(-0.0, 2), 3]), RationalMap([1, 2], [3, 1])
+    y = x.item()
+    for got, want in ((p * x, p * y), (p + x, p + y), (p - x, p - y)):
+        assert hex_parts(got.coeffs) == hex_parts(want.coeffs)
+    for got, want in ((f * x, f * y), (f + x, f + y), (f - x, f - y)):
+        assert hex_parts(got.num.coeffs + got.den.coeffs) == hex_parts(want.num.coeffs + want.den.coeffs)

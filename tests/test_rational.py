@@ -6,7 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import cauchy_residue, random_rational, separated_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (cauchy_residue, hex_parts, random_rational, reference_wronskian,
+                     separated_points)
 from meroimm import (
     INF,
     ComplexPolynomial,
@@ -24,7 +28,7 @@ from meroimm import (
 )
 from meroimm import rational
 from meroimm.config import ROOT_TOL
-from meroimm.rational import _APART, _apart, _first_above_noise
+from meroimm.rational import _APART, _apart, _first_above_noise, wronskian
 
 P = ComplexPolynomial
 
@@ -351,3 +355,62 @@ def test_a_monic_scaling_out_of_double_range_is_refused(num, den):
             RationalMap(num, den).factor()
         with pytest.raises(NumericalError, match="monic scaling.*double range"):
             verify_immersion(RationalMap(num, den), Disc(0, 1.0))
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                  st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def _map_coefficients(draw):
+    """Numerator and denominator coefficients, half of them of equal degree,
+    where the leading terms of W cancel; zero and constant numerators too,
+    and in about one map in five an infinite or NaN part."""
+    def coeffs(n):
+        return [complex(*draw(st.tuples(_PART, _PART))) for _ in range(n)]
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        n, d = coeffs(k), coeffs(k)
+    else:
+        n, d = coeffs(draw(st.integers(0, 6))), coeffs(draw(st.integers(1, 6)))
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(d) - 1))
+        d[i] = complex(d[i].real, draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    return n, d
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_map_coefficients())
+def test_wronskian_keeps_the_bits_of_the_polynomial_arithmetic(nd):
+    n, d = (ComplexPolynomial(c, coeff_tol=0.0) for c in nd)
+    if d.is_zero:
+        return
+    with np.errstate(all="ignore"):
+        want = hex_parts(reference_wronskian(n.coeffs, d.coeffs))
+        assert hex_parts(wronskian(RationalMap(n, d)).coeffs) == want
+        assert hex_parts((n.derivative() * d - n * d.derivative()).coeffs) == want
+
+
+def test_wronskian_builds_one_polynomial(monkeypatch):
+    f = RationalMap(ComplexPolynomial([1, 2, 3]), ComplexPolynomial.from_roots([0.5, -1j]))
+    built = []
+    init = ComplexPolynomial.__init__
+    monkeypatch.setattr(ComplexPolynomial, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    W = wronskian(f)
+    assert len(built) == 1 and W.degree == 2
+
+
+def test_filtered_and_derived_pole_sets_are_the_checked_ones(rng):
+    # both keep entries that are already checked; rebuilt from those entries
+    # by the checking constructor, each set is unchanged
+    for _ in range(40):
+        F = random_rational(rng)[0].factor()
+        cut = float(rng.uniform(-1.5, 1.5))
+        fp = F.derivative(wronskian(F.map))
+        assert fp.poles.orders == tuple(m + 1 for m in F.poles.orders)
+        for S in (F.poles.filter(lambda a: a.real < cut), fp.poles):
+            again = PoleSet(S.entries)
+            assert S == again and hex_parts(S.locations) == hex_parts(again.locations)
+            assert all(type(a) is complex and type(m) is int for a, m in S.entries)
